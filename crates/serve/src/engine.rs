@@ -1,43 +1,39 @@
-//! The serving engine: a deterministic discrete-event loop that admits the
-//! workload, batches per endpoint, and executes batches on simulated
-//! device replicas — surviving injected faults.
+//! The single engine: [`ServeConfig`], its thin constructors of the one
+//! dispatch loop (`dispatch.rs`), and the fault-surviving batch executor.
 //!
-//! Time is a single simulated serve clock. Replicas are virtual device
-//! slots: each holds only a `free_at` timestamp and an `alive` flag; a
-//! dispatched batch installs a fresh `gnn-device` session, runs the
-//! endpoint's forward in inference mode, and the session report's
-//! `total_time` is the batch's service time. Because every source of time
-//! (arrivals, cost model, fault plan) is seeded or analytic, a rerun with
-//! the same [`ServeConfig`] reproduces every reply bit-identically — the
-//! property the batcher tests and CI assert.
+//! [`serve`], [`run`] and the what-if profiler's `run_with` play a
+//! [`ServeConfig`] in *single mode*: one shard, no router, no probes, no
+//! hedging, no autoscaling, no admission cap, zero retry budget, zero net
+//! delay. A single-engine run is a one-shard fleet with every policy off,
+//! reported as `routing: "single"` with no fleet counters.
 //!
-//! Fault tolerance (hooks fire only when a `gnn-faults` plan is armed):
+//! A dispatched batch installs a fresh `gnn-device` session and runs the
+//! endpoint's forward in inference mode; the session's `total_time` is the
+//! batch's service time. Every source of time (arrivals, cost model, fault
+//! plan) is seeded or analytic, so a rerun of the same [`ServeConfig`]
+//! reproduces every reply bit-identically — also under a `gnn-faults` plan:
 //!
-//! - **OOM on a batch** → split-and-retry: the batch is halved and each
-//!   half re-executed in its own session, recursively down to single
-//!   requests. Eval-mode outputs are independent of batch composition, so
-//!   the replies stay bit-identical to an unfaulted run; only timing and
-//!   the split counters change.
-//! - **Kernel fault** → the attempt is retried in place up to
-//!   [`MAX_KERNEL_RETRIES`] times, then accepted with a note (the
-//!   simulated forward completes; the note mirrors the training
-//!   supervisor's bookkeeping).
+//! - **OOM on a batch** → split-and-retry: each half re-executes in its
+//!   own session, recursively down to single requests. Eval-mode outputs
+//!   do not depend on batch composition, so only timing and the split
+//!   counters change.
+//! - **Kernel fault** → retried in place up to [`MAX_KERNEL_RETRIES`]
+//!   times, then accepted with a note.
 //! - **Replica failure** (`on_dp_step`) → the replica is marked dead and
-//!   all subsequent batches shed to the survivors. The last replica
-//!   refuses to die — a serving fleet of one keeps answering.
+//!   later batches go to the survivors. The last replica refuses to die.
 
 use std::path::PathBuf;
 
 use gnn_device::{CostModel, Session};
 use gnn_faults::Fault;
-use gnn_obs::{self as obs, tracks, Value};
 
-use crate::batcher::{BatchPolicy, EndpointQueue};
+use crate::batcher::BatchPolicy;
 use crate::cell::{default_endpoints, CellId};
+use crate::dispatch::{simulate, Plan};
 use crate::error::ServeConfigError;
-use crate::metrics::{BatchRecord, Outcome, QueueStats, RequestRecord, ServeReport};
-use crate::registry::{argmax, Endpoint, ModelRegistry};
-use crate::workload::{self, WorkloadKind, WorkloadSpec};
+use crate::metrics::ServeReport;
+use crate::registry::{Endpoint, ModelRegistry};
+use crate::workload::{self, Request, WorkloadSpec};
 
 /// Whole-batch retries after a kernel fault before accepting with a note.
 pub const MAX_KERNEL_RETRIES: usize = 3;
@@ -57,7 +53,7 @@ pub struct ServeConfig {
     /// Batching policy.
     pub policy: BatchPolicy,
     /// Per-endpoint queue bound; arrivals beyond it are refused with
-    /// [`ServeError::Overloaded`].
+    /// [`crate::ServeError::Overloaded`].
     pub queue_cap: usize,
     /// Device replicas executing batches.
     pub replicas: usize,
@@ -96,6 +92,19 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
+    /// The single-mode plan: one shard, every fleet policy off.
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            shards: 1,
+            replicas_per_shard: self.replicas,
+            policy: self.policy,
+            queue_cap: self.queue_cap,
+            slo_target: self.slo_target,
+            cost: &self.cost,
+            fleet: None,
+        }
+    }
+
     /// Validates the config, mirroring the `serve-config` lint's hard
     /// rules (the lint additionally warns about never-firing policies).
     ///
@@ -114,38 +123,30 @@ impl ServeConfig {
         if !(self.rate.is_finite() && self.rate > 0.0) {
             return Err(ServeConfigError::BadRate(self.rate));
         }
-        if self.policy.max_batch == 0 {
-            return Err(ServeConfigError::ZeroMaxBatch);
-        }
-        if !(self.policy.max_delay.is_finite() && self.policy.max_delay >= 0.0) {
-            return Err(ServeConfigError::BadMaxDelay(self.policy.max_delay));
-        }
-        if self.queue_cap < self.policy.max_batch {
-            return Err(ServeConfigError::QueueBelowBatch {
-                queue_cap: self.queue_cap,
-                max_batch: self.policy.max_batch,
-            });
-        }
-        if self.replicas == 0 {
-            return Err(ServeConfigError::NoReplicas);
-        }
-        if !(self.slo_target.is_finite() && self.slo_target > 0.0) {
-            return Err(ServeConfigError::BadSloTarget(self.slo_target));
-        }
-        Ok(())
+        self.plan().validate()
     }
-}
 
-/// One virtual device slot.
-struct Replica {
-    free_at: f64,
-    alive: bool,
+    /// Validates, builds the registry, and generates the seeded open-loop
+    /// workload — everything [`serve`] and [`crate::predict`] share ahead
+    /// of the dispatch loop.
+    pub(crate) fn prepare(&self) -> Result<(ModelRegistry, Vec<Request>), ServeConfigError> {
+        self.validate()?;
+        let registry = ModelRegistry::build(
+            &self.endpoints,
+            self.scale,
+            self.seed,
+            self.ckpt_dir.as_deref(),
+        )?;
+        let spec = WorkloadSpec::open_loop(self.seed, self.requests, self.rate)?;
+        let requests = workload::generate(&spec, &registry.target_space())?;
+        Ok((registry, requests))
+    }
 }
 
 /// Runs one complete serving session: builds the registry, generates the
 /// seeded workload, and plays it through the batcher onto the replicas.
 /// Returns a report answering *every* submitted request (served or
-/// rejected — never dropped).
+/// rejected — never dropped; the dispatch core asserts it).
 ///
 /// Fault hooks are called unconditionally; they are no-ops unless the
 /// caller armed a `gnn-faults` plan (the `gnn-bench serve` binary does
@@ -156,301 +157,39 @@ struct Replica {
 /// Returns a typed [`ServeConfigError`] for an invalid config or a
 /// registry that fails to build (unknown cell, unreadable checkpoint).
 pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, ServeConfigError> {
-    cfg.validate()?;
-    let registry =
-        ModelRegistry::build(&cfg.endpoints, cfg.scale, cfg.seed, cfg.ckpt_dir.as_deref())?;
-    let spec = WorkloadSpec {
-        seed: cfg.seed,
-        requests: cfg.requests,
-        rate: cfg.rate,
-        kind: WorkloadKind::OpenLoop,
-    };
-    let requests = workload::generate(&spec, &registry.target_space())?;
+    let (registry, requests) = cfg.prepare()?;
     Ok(run(cfg, &registry, requests))
 }
 
-/// Plays an explicit request stream against an already-built registry.
-/// Exposed separately so property tests can drive arbitrary arrival
-/// patterns through the real engine.
-pub fn run(
-    cfg: &ServeConfig,
-    registry: &ModelRegistry,
-    requests: Vec<crate::Request>,
-) -> ServeReport {
+/// Plays an explicit request stream (sorted by arrival) against an
+/// already-built registry. Exposed separately so property tests can drive
+/// arbitrary arrival patterns through the real engine.
+pub fn run(cfg: &ServeConfig, registry: &ModelRegistry, requests: Vec<Request>) -> ServeReport {
     run_with(cfg, registry, requests, &mut |endpoint, targets, notes| {
         exec_targets(endpoint, targets, notes, &cfg.cost)
     })
 }
 
-/// A pluggable batch executor for [`run_with`]: endpoint + batched targets
-/// (+ a notes sink) → the batch's [`Execution`].
+/// A pluggable batch executor for the dispatch core: endpoint + batched
+/// targets (+ a notes sink) → the batch's [`Execution`].
 pub(crate) type BatchExecutor<'a> =
     dyn FnMut(&Endpoint, &[u32], &mut Vec<String>) -> Execution + 'a;
 
-/// The engine loop with a pluggable batch executor: the real path runs the
+/// [`run`] with a pluggable batch executor: the real path runs the
 /// endpoint's forward in a device session; the causal profiler substitutes
 /// replayed-from-capture service times so policy what-ifs re-simulate the
 /// *queue dynamics* on the serve clock instead of scaling latencies naively.
 pub(crate) fn run_with(
     cfg: &ServeConfig,
     registry: &ModelRegistry,
-    requests: Vec<crate::Request>,
+    requests: Vec<Request>,
     exec_batch: &mut BatchExecutor<'_>,
 ) -> ServeReport {
-    let mut queues: Vec<EndpointQueue> = (0..registry.len())
-        .map(|_| EndpointQueue::new(cfg.queue_cap))
-        .collect();
-    let mut replicas: Vec<Replica> = (0..cfg.replicas)
-        .map(|_| Replica {
-            free_at: 0.0,
-            alive: true,
-        })
-        .collect();
-    let mut records: Vec<RequestRecord> = Vec::with_capacity(requests.len());
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut notes: Vec<String> = Vec::new();
-    let mut now = 0.0f64;
-    let mut next = 0usize; // next arrival index
-    let mut replicas_lost = 0usize;
-
-    loop {
-        let t_arr = requests
-            .get(next)
-            .map(|r| r.arrival)
-            .unwrap_or(f64::INFINITY);
-        // Earliest dispatch opportunity across endpoints: the batch must be
-        // ready (full, or head past its delay deadline) AND an alive
-        // replica must be free. Ties break on the lowest endpoint index —
-        // fully deterministic.
-        let free_at = replicas
-            .iter()
-            .filter(|r| r.alive)
-            .map(|r| r.free_at.max(now))
-            .fold(f64::INFINITY, f64::min);
-        let mut t_disp = f64::INFINITY;
-        let mut disp_ep = usize::MAX;
-        for (e, q) in queues.iter().enumerate() {
-            if let Some(ready) = q.ready_at(&cfg.policy, now) {
-                let t = ready.max(free_at);
-                if t < t_disp {
-                    t_disp = t;
-                    disp_ep = e;
-                }
-            }
-        }
-        if t_arr <= t_disp {
-            if next >= requests.len() {
-                break; // no arrivals left, nothing dispatchable
-            }
-            // Admission: an arrival at exactly a dispatch deadline joins
-            // the queue first and may ride the dispatching batch.
-            let req = requests[next].clone();
-            next += 1;
-            now = now.max(req.arrival);
-            let q = &mut queues[req.endpoint];
-            let endpoint = registry.get(req.endpoint);
-            match q.admit(req.clone(), now) {
-                Ok(()) => {
-                    obs::counter(tracks::SERVE, "queue_depth", q.len() as f64, now);
-                }
-                Err(err) => {
-                    obs::instant(
-                        tracks::SERVE,
-                        "rejected",
-                        now,
-                        vec![
-                            (
-                                "endpoint".to_owned(),
-                                Value::from(endpoint.cell.path().as_str()),
-                            ),
-                            ("request".to_owned(), Value::from(req.id as f64)),
-                            ("error".to_owned(), Value::from(err.to_string().as_str())),
-                        ],
-                    );
-                    records.push(RequestRecord {
-                        id: req.id,
-                        endpoint: endpoint.cell.path(),
-                        target: req.target,
-                        enqueue: now,
-                        dispatch: now,
-                        reply: now,
-                        batch: None,
-                        batch_size: 0,
-                        output: Vec::new(),
-                        class: 0,
-                        outcome: Outcome::Rejected(err),
-                    });
-                }
-            }
-        } else {
-            now = t_disp;
-            // Replica-failure hook fires once per dispatch (the serving
-            // analogue of a data-parallel step). The last survivor refuses
-            // to die: a fleet of one keeps answering.
-            let alive: Vec<usize> = replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.alive)
-                .map(|(i, _)| i)
-                .collect();
-            if let Some(g) = gnn_faults::on_dp_step(alive.len(), now) {
-                if alive.len() > 1 {
-                    let victim = alive[g];
-                    replicas[victim].alive = false;
-                    replicas_lost += 1;
-                    notes.push(format!(
-                        "replica {victim} failed at {now:.4}s: shedding to {} survivor(s)",
-                        alive.len() - 1
-                    ));
-                } else {
-                    notes.push(format!(
-                        "replica failure injected at {now:.4}s ignored: last replica keeps serving"
-                    ));
-                }
-            }
-            // Pick the earliest-free alive replica (recomputed after any
-            // failure; lowest index breaks ties).
-            let replica = replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.alive)
-                .min_by(|(_, a), (_, b)| a.free_at.partial_cmp(&b.free_at).expect("finite free_at"))
-                .map(|(i, _)| i)
-                .expect("at least one replica stays alive");
-            let start = now.max(replicas[replica].free_at);
-            let endpoint = registry.get(disp_ep);
-            let batch = queues[disp_ep].take_batch(&cfg.policy);
-            let bid = batches.len() as u64;
-            gnn_faults::set_cell(&endpoint.cell.path());
-            let targets: Vec<u32> = batch.iter().map(|p| p.req.target).collect();
-            let exec = exec_batch(endpoint, &targets, &mut notes);
-            let reply = start + exec.duration;
-            replicas[replica].free_at = reply;
-            let roofline = exec.roofline(cfg.cost.peak_flops, cfg.cost.peak_bw);
-            obs::complete(
-                tracks::SERVE,
-                "batch",
-                start,
-                exec.duration,
-                vec![
-                    (
-                        "endpoint".to_owned(),
-                        Value::from(endpoint.cell.path().as_str()),
-                    ),
-                    ("size".to_owned(), Value::from(batch.len() as f64)),
-                    ("replica".to_owned(), Value::from(replica as f64)),
-                    ("oom_splits".to_owned(), Value::from(exec.oom_splits as f64)),
-                    (
-                        "kernel_retries".to_owned(),
-                        Value::from(exec.kernel_retries as f64),
-                    ),
-                    ("flops".to_owned(), Value::from(exec.flops)),
-                    ("bytes".to_owned(), Value::from(exec.bytes)),
-                    ("ai".to_owned(), Value::Num(exec.intensity())),
-                    ("roofline".to_owned(), Value::Num(roofline)),
-                ],
-            );
-            for (pending, output) in batch.iter().zip(exec.outputs) {
-                let ep_arg = (
-                    "endpoint".to_owned(),
-                    Value::from(endpoint.cell.path().as_str()),
-                );
-                let req_arg = ("request".to_owned(), Value::from(pending.req.id as f64));
-                // Sub-phases of the request's life: queue-wait from
-                // admission to batch dispatch, execute from dispatch to
-                // reply. The critical-path analyzer attributes serve
-                // latency from exactly these two slices, and they sum to
-                // the enclosing request span by construction.
-                obs::complete(
-                    tracks::SERVE,
-                    "queue_wait",
-                    pending.enqueue,
-                    start - pending.enqueue,
-                    vec![ep_arg.clone(), req_arg.clone()],
-                );
-                obs::complete(
-                    tracks::SERVE,
-                    "execute",
-                    start,
-                    exec.duration,
-                    vec![
-                        ep_arg.clone(),
-                        req_arg,
-                        ("flops".to_owned(), Value::from(exec.flops)),
-                        ("bytes".to_owned(), Value::from(exec.bytes)),
-                        ("roofline".to_owned(), Value::Num(roofline)),
-                    ],
-                );
-                obs::complete(
-                    tracks::SERVE,
-                    "request",
-                    pending.enqueue,
-                    reply - pending.enqueue,
-                    vec![
-                        ep_arg,
-                        ("target".to_owned(), Value::from(pending.req.target as f64)),
-                        ("batch".to_owned(), Value::from(bid as f64)),
-                        ("queued".to_owned(), Value::from(start - pending.enqueue)),
-                        ("service".to_owned(), Value::from(exec.duration)),
-                    ],
-                );
-                records.push(RequestRecord {
-                    id: pending.req.id,
-                    endpoint: endpoint.cell.path(),
-                    target: pending.req.target,
-                    enqueue: pending.enqueue,
-                    dispatch: start,
-                    reply,
-                    batch: Some(bid),
-                    batch_size: batch.len(),
-                    class: argmax(&output),
-                    output,
-                    outcome: Outcome::Ok,
-                });
-            }
-            batches.push(BatchRecord {
-                id: bid,
-                endpoint: endpoint.cell.path(),
-                shard: 0,
-                replica,
-                start,
-                duration: exec.duration,
-                size: batch.len(),
-                oom_splits: exec.oom_splits,
-                kernel_retries: exec.kernel_retries,
-                peak_memory: exec.peak_memory,
-            });
-        }
-    }
-
-    records.sort_by_key(|r| r.id);
-    let makespan = records.iter().map(|r| r.reply).fold(0.0, f64::max);
-    let queues_stats = queues
-        .iter()
-        .enumerate()
-        .map(|(e, q)| QueueStats {
-            endpoint: registry.get(e).cell.path(),
-            max_depth: q.max_depth,
-            mean_depth: q.mean_depth(),
-        })
-        .collect();
-    ServeReport {
-        policy: cfg.policy,
-        routing: "single".to_owned(),
-        slo_target: cfg.slo_target,
-        fleet: None,
-        requests: records,
-        batches,
-        queues: queues_stats,
-        makespan,
-        replicas: cfg.replicas,
-        replicas_lost,
-        restored_endpoints: registry.iter().filter(|e| e.restored).count(),
-        notes,
-    }
+    simulate(&cfg.plan(), registry, requests, None, exec_batch)
 }
 
 /// Result of executing one dispatched batch, including every retry.
+#[derive(Default)]
 pub(crate) struct Execution {
     pub(crate) outputs: Vec<Vec<f32>>,
     pub(crate) duration: f64,
@@ -467,16 +206,16 @@ pub(crate) struct Execution {
 impl Execution {
     /// Attained roofline fraction of the batch's device-busy time against
     /// the replica cost model's peaks.
-    fn roofline(&self, peak_flops: f64, peak_bw: f64) -> f64 {
+    pub(crate) fn roofline(&self, cost: &CostModel) -> f64 {
         if self.busy <= 0.0 {
             return 0.0;
         }
-        let flop_frac = self.flops as f64 / self.busy / peak_flops;
-        let bw_frac = self.bytes as f64 / self.busy / peak_bw;
+        let flop_frac = self.flops as f64 / self.busy / cost.peak_flops;
+        let bw_frac = self.bytes as f64 / self.busy / cost.peak_bw;
         flop_frac.max(bw_frac).clamp(0.0, 1.0)
     }
 
-    fn intensity(&self) -> f64 {
+    pub(crate) fn intensity(&self) -> f64 {
         if self.bytes == 0 {
             0.0
         } else {
@@ -485,104 +224,64 @@ impl Execution {
     }
 }
 
-/// Executes a batch of `targets` on the endpoint, surviving injected faults:
-/// OOM → split-and-retry halves (recursively, down to single requests),
-/// kernel fault → in-place retry with a cap. Each attempt runs in its own
-/// device session priced by `cost`; the batch's service time is the sum
-/// over all attempts. Shared with the fleet engine, whose shards execute
-/// batches through exactly this path.
+/// Executes a batch of `targets` on the endpoint, surviving injected OOMs
+/// and kernel faults (module docs). Each attempt runs in its own device
+/// session priced by `cost`; the batch's service time is the sum over all
+/// attempts. Single and fleet runs both execute batches through this path.
 pub(crate) fn exec_targets(
     endpoint: &Endpoint,
     targets: &[u32],
     notes: &mut Vec<String>,
     cost: &CostModel,
 ) -> Execution {
-    let mut duration = 0.0f64;
-    let mut kernel_retries = 0usize;
-    let mut flops = 0u64;
-    let mut bytes_moved = 0u64;
-    let mut busy = 0.0f64;
-    let mut peak_memory = 0u64;
+    let mut acc = Execution::default();
     loop {
         let handle = gnn_device::session::install(Session::new(cost.clone()));
-        let outputs = endpoint.serve_batch(targets);
+        acc.outputs = endpoint.serve_batch(targets);
         let report = gnn_device::session::finish(handle);
-        duration += report.total_time;
-        flops += report.total_flops;
-        bytes_moved += report.total_bytes;
-        busy += report.busy_time;
-        peak_memory = peak_memory.max(report.peak_memory);
+        acc.duration += report.total_time;
+        acc.flops += report.total_flops;
+        acc.bytes += report.total_bytes;
+        acc.busy += report.busy_time;
+        acc.peak_memory = acc.peak_memory.max(report.peak_memory);
         match gnn_faults::take_pending() {
-            None => {
-                return Execution {
-                    outputs,
-                    duration,
-                    oom_splits: 0,
-                    kernel_retries,
-                    flops,
-                    bytes: bytes_moved,
-                    busy,
-                    peak_memory,
-                }
+            None => return acc,
+            Some(Fault::Oom { .. }) if targets.len() > 1 => {
+                // Split-and-retry: halve the batch and re-execute each
+                // half. Outputs are batch-composition independent in
+                // eval mode, so replies stay bit-identical.
+                let mid = targets.len() / 2;
+                let left = exec_targets(endpoint, &targets[..mid], notes, cost);
+                let right = exec_targets(endpoint, &targets[mid..], notes, cost);
+                acc.outputs = left.outputs;
+                acc.outputs.extend(right.outputs);
+                acc.duration = acc.duration + left.duration + right.duration;
+                acc.oom_splits = 1 + left.oom_splits + right.oom_splits;
+                acc.kernel_retries += left.kernel_retries + right.kernel_retries;
+                acc.flops += left.flops + right.flops;
+                acc.bytes += left.bytes + right.bytes;
+                acc.busy = acc.busy + left.busy + right.busy;
+                acc.peak_memory = acc.peak_memory.max(left.peak_memory).max(right.peak_memory);
+                return acc;
             }
             Some(Fault::Oom { bytes }) => {
-                if targets.len() > 1 {
-                    // Split-and-retry: halve the batch and re-execute each
-                    // half. Outputs are batch-composition independent in
-                    // eval mode, so replies stay bit-identical.
-                    let mid = targets.len() / 2;
-                    let left = exec_targets(endpoint, &targets[..mid], notes, cost);
-                    let right = exec_targets(endpoint, &targets[mid..], notes, cost);
-                    let mut outputs = left.outputs;
-                    outputs.extend(right.outputs);
-                    return Execution {
-                        outputs,
-                        duration: duration + left.duration + right.duration,
-                        oom_splits: 1 + left.oom_splits + right.oom_splits,
-                        kernel_retries: kernel_retries + left.kernel_retries + right.kernel_retries,
-                        flops: flops + left.flops + right.flops,
-                        bytes: bytes_moved + left.bytes + right.bytes,
-                        busy: busy + left.busy + right.busy,
-                        peak_memory: peak_memory.max(left.peak_memory).max(right.peak_memory),
-                    };
-                }
                 // Already a single request: the simulated forward still
                 // completed, so answer it and note the persistent OOM.
                 notes.push(format!(
                     "{}: persistent OOM ({bytes} B) at batch size 1; answered anyway",
                     endpoint.cell.path()
                 ));
-                return Execution {
-                    outputs,
-                    duration,
-                    oom_splits: 0,
-                    kernel_retries,
-                    flops,
-                    bytes: bytes_moved,
-                    busy,
-                    peak_memory,
-                };
+                return acc;
             }
-            Some(Fault::Kernel { name }) => {
-                if kernel_retries >= MAX_KERNEL_RETRIES {
-                    notes.push(format!(
-                        "{}: kernel `{name}` still faulting after {MAX_KERNEL_RETRIES} retries; \
-                         accepting result",
-                        endpoint.cell.path()
-                    ));
-                    return Execution {
-                        outputs,
-                        duration,
-                        oom_splits: 0,
-                        kernel_retries,
-                        flops,
-                        bytes: bytes_moved,
-                        busy,
-                        peak_memory,
-                    };
-                }
-                kernel_retries += 1;
+            Some(Fault::Kernel { name }) if acc.kernel_retries >= MAX_KERNEL_RETRIES => {
+                notes.push(format!(
+                    "{}: kernel `{name}` still faulting after {MAX_KERNEL_RETRIES} retries; \
+                     accepting result",
+                    endpoint.cell.path()
+                ));
+                return acc;
             }
+            Some(Fault::Kernel { .. }) => acc.kernel_retries += 1,
         }
     }
 }

@@ -1,7 +1,6 @@
-//! The fleet engine: sharded serving with routing, health-checked
-//! failover, admission control, bounded retries/hedges, and replica
-//! autoscaling — all on the same deterministic discrete-event serve clock
-//! as the single engine.
+//! The fleet: [`FleetConfig`] and [`serve_fleet`] — validate + registry +
+//! workload + the one dispatch loop (`dispatch.rs`), the same loop the
+//! single engine runs with every policy below switched off.
 //!
 //! A fleet is `shards` endpoint shards, each owning its own per-endpoint
 //! batch queues and replica slots. A router ([`crate::Router`]) picks the
@@ -12,38 +11,36 @@
 //! ([`crate::Autoscaler`]) moves each shard's replica count between
 //! watermarks. Every knob is deterministic, so a rerun with the same
 //! [`FleetConfig`] and fault plan reproduces `serve_metrics.csv`
-//! bit-identically — asserted by the router-determinism property test and
-//! the `fleet-chaos` CI job.
+//! bit-identically — asserted by the router-determinism property test,
+//! `tests/serving_golden.rs` and the `serving` CI job.
 //!
 //! **Conservation.** Every generated request reaches exactly one terminal
-//! typed outcome: answered ([`Outcome::Ok`]), rejected
-//! ([`Outcome::Rejected`], full queue), or shed ([`Outcome::Shed`] —
-//! admission cap, unroutable, or ejection drain without a retry token).
-//! Nothing is silently dropped, under any fault plan.
+//! typed outcome: answered ([`crate::Outcome::Ok`]), rejected
+//! ([`crate::Outcome::Rejected`], full queue), or shed
+//! ([`crate::Outcome::Shed`] — admission cap, unroutable, or ejection drain
+//! without a retry token). The core asserts it at the end of every run.
 //!
 //! **Bounded amplification.** Retries and hedges spend from a token
 //! bucket that earns `retry_budget` tokens per primary admission and pays
-//! one token per extra enqueue. Total enqueued work is therefore provably
-//! ≤ `(1 + retry_budget) × submitted` — a brownout cannot be amplified by
-//! the recovery machinery. The bound is asserted at runtime on every run
+//! one token per extra enqueue, so total enqueued work is provably
+//! ≤ `(1 + retry_budget) × submitted` — asserted at runtime on every run
 //! and audited statically by the `fleet-config` lint.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 
 use gnn_device::CostModel;
-use gnn_obs::{self as obs, tracks, Value};
 
-use crate::autoscale::{AutoscalePolicy, Autoscaler, ScaleAction};
-use crate::batcher::{BatchPolicy, EndpointQueue, ServeError};
+use crate::autoscale::AutoscalePolicy;
+use crate::batcher::BatchPolicy;
 use crate::cell::{default_endpoints, CellId};
+use crate::dispatch::{simulate, Plan};
 use crate::engine::exec_targets;
 use crate::error::ServeConfigError;
-use crate::health::{HealthPolicy, HealthState, HealthTransition};
-use crate::metrics::{BatchRecord, FleetStats, Outcome, QueueStats, RequestRecord, ServeReport};
-use crate::registry::{argmax, ModelRegistry};
-use crate::router::{Router, RoutingPolicy};
-use crate::workload::{self, ClosedLoop, Request, WorkloadKind, WorkloadSpec};
+use crate::health::HealthPolicy;
+use crate::metrics::ServeReport;
+use crate::registry::ModelRegistry;
+use crate::router::RoutingPolicy;
+use crate::workload::{self, ClosedLoop, WorkloadKind, WorkloadSpec};
 
 /// The arrival process a fleet run drives.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +74,7 @@ pub struct FleetConfig {
     /// Per-endpoint queue bound within each shard.
     pub queue_cap: usize,
     /// Per-shard outstanding-request cap; arrivals beyond it are shed
-    /// with [`ServeError::Shed`] before queuing.
+    /// with [`crate::ServeError::Shed`] before queuing.
     pub admission_cap: usize,
     /// Retry tokens earned per primary admission; retries and hedge twins
     /// spend one token each, so extra work ≤ `retry_budget × submitted`.
@@ -142,6 +139,19 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
+    /// The fleet-mode plan: this topology, with this config's policies on.
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            shards: self.shards,
+            replicas_per_shard: self.replicas_per_shard,
+            policy: self.policy,
+            queue_cap: self.queue_cap,
+            slo_target: self.slo_target,
+            cost: &self.cost,
+            fleet: Some(self),
+        }
+    }
+
     /// Validates the config, mirroring the `fleet-config` lint's hard
     /// rules.
     ///
@@ -152,69 +162,7 @@ impl FleetConfig {
         if self.endpoints.is_empty() {
             return Err(ServeConfigError::NoEndpoints);
         }
-        if self.shards == 0 {
-            return Err(ServeConfigError::NoShards);
-        }
-        if self.replicas_per_shard == 0 {
-            return Err(ServeConfigError::NoReplicas);
-        }
-        if self.policy.max_batch == 0 {
-            return Err(ServeConfigError::ZeroMaxBatch);
-        }
-        if !(self.policy.max_delay.is_finite() && self.policy.max_delay >= 0.0) {
-            return Err(ServeConfigError::BadMaxDelay(self.policy.max_delay));
-        }
-        if self.queue_cap < self.policy.max_batch {
-            return Err(ServeConfigError::QueueBelowBatch {
-                queue_cap: self.queue_cap,
-                max_batch: self.policy.max_batch,
-            });
-        }
-        if self.admission_cap == 0 {
-            return Err(ServeConfigError::ZeroAdmissionCap);
-        }
-        if !(self.retry_budget.is_finite() && self.retry_budget >= 0.0) {
-            return Err(ServeConfigError::BadRetryBudget(self.retry_budget));
-        }
-        if !(self.health.probe_interval.is_finite() && self.health.probe_interval > 0.0) {
-            return Err(ServeConfigError::BadProbeInterval(
-                self.health.probe_interval,
-            ));
-        }
-        if self.health.fail_threshold == 0 {
-            return Err(ServeConfigError::ZeroFailThreshold);
-        }
-        if self.health.readmit_threshold == 0 {
-            return Err(ServeConfigError::ZeroReadmitThreshold);
-        }
-        if let Some(h) = self.hedge_after {
-            if !(h.is_finite() && h > 0.0) {
-                return Err(ServeConfigError::BadHedgeDelay(h));
-            }
-        }
-        if !(self.net_delay.is_finite() && self.net_delay >= 0.0) {
-            return Err(ServeConfigError::BadNetDelay(self.net_delay));
-        }
-        if !(self.slo_target.is_finite() && self.slo_target > 0.0) {
-            return Err(ServeConfigError::BadSloTarget(self.slo_target));
-        }
-        if let Some(a) = &self.autoscale {
-            if a.min_replicas == 0 {
-                return Err(ServeConfigError::ZeroMinReplicas);
-            }
-            if a.min_replicas > a.max_replicas {
-                return Err(ServeConfigError::AutoscaleBounds {
-                    min: a.min_replicas,
-                    max: a.max_replicas,
-                });
-            }
-            if a.queue_low >= a.queue_high {
-                return Err(ServeConfigError::AutoscaleWatermarks {
-                    low: a.queue_low,
-                    high: a.queue_high,
-                });
-            }
-        }
+        self.plan().validate()?;
         // Workload-shape validation rides the typed constructors.
         match &self.workload {
             FleetWorkload::Open(kind) => {
@@ -229,51 +177,6 @@ impl FleetConfig {
         }
         Ok(())
     }
-}
-
-/// One virtual device slot within a shard.
-struct Replica {
-    free_at: f64,
-    alive: bool,
-}
-
-/// One endpoint shard: its queues, replicas, and controller state.
-struct Shard {
-    queues: Vec<EndpointQueue>,
-    replicas: Vec<Replica>,
-    health: HealthState,
-    scaler: Autoscaler,
-    /// Requests currently queued across this shard's endpoints (the
-    /// admission-control and least-loaded signal).
-    outstanding: usize,
-}
-
-impl Shard {
-    fn alive_count(&self) -> usize {
-        self.replicas.iter().filter(|r| r.alive).count()
-    }
-
-    /// Earliest time an alive replica can start work, `None` if all dead.
-    fn free_at(&self, now: f64) -> Option<f64> {
-        self.replicas
-            .iter()
-            .filter(|r| r.alive)
-            .map(|r| r.free_at.max(now))
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.min(t)))
-            })
-    }
-}
-
-fn fleet_instant(name: &str, now: f64, args: Vec<(String, Value)>) {
-    obs::instant(tracks::FLEET, name, now, args);
-}
-
-/// Inserts `req` into `incoming` keeping `(arrival, id)` order (closed-loop
-/// minting lands mid-stream).
-fn insert_sorted(incoming: &mut VecDeque<Request>, req: Request) {
-    let pos = incoming.partition_point(|r| (r.arrival, r.id) <= (req.arrival, req.id));
-    incoming.insert(pos, req);
 }
 
 /// Runs one complete fleet serving session. Returns a report with one
@@ -291,24 +194,17 @@ fn insert_sorted(incoming: &mut VecDeque<Request>, req: Request) {
 ///
 /// # Panics
 ///
-/// Panics if the retry/hedge budget bound `dispatched ≤ (1 + retry_budget)
-/// × submitted` is violated — that would be an engine bug, not a
-/// configuration problem.
+/// Panics on an engine bug: a request without a terminal outcome, or
+/// `dispatched ≤ (1 + retry_budget) × submitted` violated.
 pub fn serve_fleet(cfg: &FleetConfig) -> Result<ServeReport, ServeConfigError> {
     cfg.validate()?;
     let registry =
         ModelRegistry::build(&cfg.endpoints, cfg.scale, cfg.seed, cfg.ckpt_dir.as_deref())?;
     let space = registry.target_space();
-    let mut closed: Option<ClosedLoop> = None;
-    let mut incoming: VecDeque<Request> = match &cfg.workload {
+    let (incoming, closed) = match &cfg.workload {
         FleetWorkload::Open(kind) => {
-            let spec = WorkloadSpec {
-                seed: cfg.seed,
-                requests: cfg.requests,
-                rate: cfg.rate,
-                kind: *kind,
-            };
-            workload::generate(&spec, &space)?.into()
+            let spec = WorkloadSpec::new(cfg.seed, cfg.requests, cfg.rate, *kind)?;
+            (workload::generate(&spec, &space)?, None)
         }
         FleetWorkload::Closed {
             clients,
@@ -321,583 +217,16 @@ pub fn serve_fleet(cfg: &FleetConfig) -> Result<ServeReport, ServeConfigError> {
                     .partial_cmp(&(b.arrival, b.id))
                     .expect("finite arrivals")
             });
-            closed = Some(cl);
-            first.into()
+            (first, Some(cl))
         }
     };
-
-    let router = Router::new(cfg.routing, cfg.shards);
-    let mut shards: Vec<Shard> = (0..cfg.shards)
-        .map(|_| Shard {
-            queues: (0..registry.len())
-                .map(|_| EndpointQueue::new(cfg.queue_cap))
-                .collect(),
-            replicas: (0..cfg.replicas_per_shard)
-                .map(|_| Replica {
-                    free_at: 0.0,
-                    alive: true,
-                })
-                .collect(),
-            health: HealthState::default(),
-            scaler: Autoscaler::default(),
-            outstanding: 0,
-        })
-        .collect();
-
-    let mut records: Vec<RequestRecord> = Vec::new();
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut notes: Vec<String> = Vec::new();
-    let mut stats = FleetStats {
-        shards: cfg.shards,
-        retry_budget: cfg.retry_budget,
-        ..FleetStats::default()
-    };
-    // Where each live request's queued copies sit: id → [(shard, endpoint)].
-    let mut location: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
-    let mut hedged: HashSet<u64> = HashSet::new();
-    // Requests whose eventual answer came via failover: ejection re-routes,
-    // plus ids served by their hedge twin's shard.
-    let mut failover_ids: HashSet<u64> = HashSet::new();
-    let mut hedge_shard: HashMap<u64, usize> = HashMap::new();
-    let mut tokens = 0.0f64;
-    let mut replicas_lost = 0usize;
-    let mut now = 0.0f64;
-    let mut next_probe = cfg.health.probe_interval;
-
-    // Terminal non-served outcome: record + closed-loop notification.
-    macro_rules! terminal {
-        ($req:expr, $t:expr, $outcome:expr) => {{
-            let req: &Request = $req;
-            let t: f64 = $t;
-            records.push(RequestRecord {
-                id: req.id,
-                endpoint: registry.get(req.endpoint).cell.path(),
-                target: req.target,
-                enqueue: req.arrival,
-                dispatch: t,
-                reply: t,
-                batch: None,
-                batch_size: 0,
-                output: Vec::new(),
-                class: 0,
-                outcome: $outcome,
-            });
-            if let Some(cl) = closed.as_mut() {
-                if let Some(next) = cl.on_done(req.id, t, &space) {
-                    insert_sorted(&mut incoming, next);
-                }
-            }
-        }};
-    }
-
-    loop {
-        if incoming.is_empty() && shards.iter().all(|s| s.queues.iter().all(|q| q.is_empty())) {
-            break;
-        }
-        let t_arr = incoming.front().map(|r| r.arrival).unwrap_or(f64::INFINITY);
-        let t_probe = next_probe;
-
-        // Earliest hedge deadline over queued, un-hedged requests on
-        // non-ejected shards (only meaningful when hedging is on).
-        let mut t_hedge = f64::INFINITY;
-        let mut hedge_due: Option<(usize, usize, Request)> = None;
-        if let Some(h) = cfg.hedge_after {
-            for (si, sh) in shards.iter().enumerate() {
-                if sh.health.is_ejected() {
-                    continue;
-                }
-                for (ei, q) in sh.queues.iter().enumerate() {
-                    for p in q.iter() {
-                        if hedged.contains(&p.req.id) {
-                            continue;
-                        }
-                        let due = p.enqueue + h;
-                        if due < t_hedge {
-                            t_hedge = due;
-                            hedge_due = Some((si, ei, p.req.clone()));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Earliest dispatch over non-ejected shards with alive replicas,
-        // pushed past any active blackout window; ties break on the lowest
-        // (shard, endpoint) pair.
-        let mut t_disp = f64::INFINITY;
-        let mut disp: Option<(usize, usize)> = None;
-        for (si, sh) in shards.iter().enumerate() {
-            if sh.health.is_ejected() {
-                continue;
-            }
-            let Some(free_at) = sh.free_at(now) else {
-                continue; // all replicas dead: probes will eject it
-            };
-            for (ei, q) in sh.queues.iter().enumerate() {
-                if let Some(ready) = q.ready_at(&cfg.policy, now) {
-                    let mut t = ready.max(free_at);
-                    // A dark shard cannot start a batch; the earliest
-                    // start slides to the blackout's end (which may sit
-                    // inside a later window — iterate to a fixed point).
-                    while let Some(until) = gnn_faults::shard_down(si, t) {
-                        t = until;
-                    }
-                    if t < t_disp {
-                        t_disp = t;
-                        disp = Some((si, ei));
-                    }
-                }
-            }
-        }
-
-        // Event priority on ties: arrival, probe, hedge, dispatch.
-        if t_arr <= t_probe && t_arr <= t_hedge && t_arr <= t_disp {
-            let req = incoming.pop_front().expect("arrival candidate exists");
-            now = now.max(req.arrival);
-            stats.submitted += 1;
-            let healthy: Vec<bool> = shards.iter().map(|s| !s.health.is_ejected()).collect();
-            let load: Vec<usize> = shards.iter().map(|s| s.outstanding).collect();
-            match router.route(req.endpoint, req.target, &healthy, &load) {
-                None => {
-                    stats.sheds += 1;
-                    fleet_instant(
-                        "shed",
-                        now,
-                        vec![
-                            ("request".to_owned(), Value::from(req.id as f64)),
-                            ("reason".to_owned(), Value::from("unroutable")),
-                        ],
-                    );
-                    terminal!(&req, now, Outcome::Shed(ServeError::Unroutable));
-                }
-                Some(si) => {
-                    if shards[si].outstanding >= cfg.admission_cap {
-                        stats.sheds += 1;
-                        fleet_instant(
-                            "shed",
-                            now,
-                            vec![
-                                ("request".to_owned(), Value::from(req.id as f64)),
-                                ("shard".to_owned(), Value::from(si as f64)),
-                                ("reason".to_owned(), Value::from("admission")),
-                            ],
-                        );
-                        terminal!(
-                            &req,
-                            now,
-                            Outcome::Shed(ServeError::Shed {
-                                queue_depth: shards[si].outstanding,
-                            })
-                        );
-                    } else {
-                        match shards[si].queues[req.endpoint].admit(req.clone(), now) {
-                            Ok(()) => {
-                                shards[si].outstanding += 1;
-                                tokens += cfg.retry_budget;
-                                stats.dispatched += 1;
-                                location.insert(req.id, vec![(si, req.endpoint)]);
-                                obs::counter(
-                                    tracks::SERVE,
-                                    "queue_depth",
-                                    shards[si].outstanding as f64,
-                                    now,
-                                );
-                            }
-                            Err(err) => {
-                                obs::instant(
-                                    tracks::SERVE,
-                                    "rejected",
-                                    now,
-                                    vec![
-                                        ("request".to_owned(), Value::from(req.id as f64)),
-                                        ("shard".to_owned(), Value::from(si as f64)),
-                                        ("error".to_owned(), Value::from(err.to_string().as_str())),
-                                    ],
-                                );
-                                terminal!(&req, now, Outcome::Rejected(err));
-                            }
-                        }
-                    }
-                }
-            }
-        } else if t_probe <= t_hedge && t_probe <= t_disp {
-            now = now.max(t_probe);
-            next_probe += cfg.health.probe_interval;
-            for si in 0..shards.len() {
-                let dark = gnn_faults::shard_down(si, now).is_some();
-                let ok = !dark && shards[si].alive_count() > 0;
-                let transition = shards[si].health.observe(ok, &cfg.health);
-                match transition {
-                    Some(HealthTransition::Ejected) => {
-                        stats.ejections += 1;
-                        fleet_instant(
-                            "eject",
-                            now,
-                            vec![("shard".to_owned(), Value::from(si as f64))],
-                        );
-                        // Drain every queued request: failover with a
-                        // retry token, typed shed without.
-                        for ei in 0..registry.len() {
-                            for p in shards[si].queues[ei].drain_all() {
-                                shards[si].outstanding -= 1;
-                                let id = p.req.id;
-                                if let Some(locs) = location.get_mut(&id) {
-                                    locs.retain(|&(s, e)| !(s == si && e == ei));
-                                    if !locs.is_empty() {
-                                        continue; // a twin survives elsewhere
-                                    }
-                                    location.remove(&id);
-                                }
-                                let healthy: Vec<bool> =
-                                    shards.iter().map(|s| !s.health.is_ejected()).collect();
-                                let load: Vec<usize> =
-                                    shards.iter().map(|s| s.outstanding).collect();
-                                let dest = if tokens >= 1.0 {
-                                    router
-                                        .route_avoiding(ei, p.req.target, si, &healthy, &load)
-                                        .filter(|&s2| shards[s2].outstanding < cfg.admission_cap)
-                                } else {
-                                    None
-                                };
-                                let mut rerouted = false;
-                                if let Some(s2) = dest {
-                                    if shards[s2].queues[ei].admit(p.req.clone(), now).is_ok() {
-                                        shards[s2].outstanding += 1;
-                                        tokens -= 1.0;
-                                        stats.retries += 1;
-                                        stats.dispatched += 1;
-                                        failover_ids.insert(id);
-                                        location.insert(id, vec![(s2, ei)]);
-                                        fleet_instant(
-                                            "retry",
-                                            now,
-                                            vec![
-                                                ("request".to_owned(), Value::from(id as f64)),
-                                                ("from".to_owned(), Value::from(si as f64)),
-                                                ("to".to_owned(), Value::from(s2 as f64)),
-                                            ],
-                                        );
-                                        rerouted = true;
-                                    }
-                                }
-                                if !rerouted {
-                                    stats.sheds += 1;
-                                    fleet_instant(
-                                        "shed",
-                                        now,
-                                        vec![
-                                            ("request".to_owned(), Value::from(id as f64)),
-                                            ("shard".to_owned(), Value::from(si as f64)),
-                                            ("reason".to_owned(), Value::from("ejection-drain")),
-                                        ],
-                                    );
-                                    terminal!(
-                                        &p.req,
-                                        now,
-                                        Outcome::Shed(ServeError::Shed { queue_depth: 0 })
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Some(HealthTransition::Readmitted) => {
-                        stats.readmissions += 1;
-                        fleet_instant(
-                            "readmit",
-                            now,
-                            vec![("shard".to_owned(), Value::from(si as f64))],
-                        );
-                    }
-                    None => {}
-                }
-                // Autoscale at the same tick, after health settles.
-                if let Some(pol) = &cfg.autoscale {
-                    if !shards[si].health.is_ejected() {
-                        let outstanding = shards[si].outstanding;
-                        let alive = shards[si].alive_count();
-                        match shards[si].scaler.decide(now, outstanding, alive, pol) {
-                            Some(ScaleAction::Up) => {
-                                shards[si].replicas.push(Replica {
-                                    free_at: now,
-                                    alive: true,
-                                });
-                                stats.scale_ups += 1;
-                                fleet_instant(
-                                    "scale_up",
-                                    now,
-                                    vec![
-                                        ("shard".to_owned(), Value::from(si as f64)),
-                                        ("replicas".to_owned(), Value::from((alive + 1) as f64)),
-                                    ],
-                                );
-                            }
-                            Some(ScaleAction::Down) => {
-                                // Retire the highest-index alive replica
-                                // (deterministic; batches settle at
-                                // dispatch, so no work is abandoned).
-                                if let Some(r) =
-                                    shards[si].replicas.iter_mut().rev().find(|r| r.alive)
-                                {
-                                    r.alive = false;
-                                }
-                                stats.scale_downs += 1;
-                                fleet_instant(
-                                    "scale_down",
-                                    now,
-                                    vec![
-                                        ("shard".to_owned(), Value::from(si as f64)),
-                                        ("replicas".to_owned(), Value::from((alive - 1) as f64)),
-                                    ],
-                                );
-                            }
-                            None => {}
-                        }
-                    }
-                }
-            }
-        } else if t_hedge <= t_disp {
-            now = now.max(t_hedge);
-            let (si, ei, req) = hedge_due.expect("hedge candidate exists");
-            // Hedge at most once per request, token or not — a request
-            // that cannot afford its hedge now will not become cheaper.
-            hedged.insert(req.id);
-            if tokens >= 1.0 {
-                let healthy: Vec<bool> = shards.iter().map(|s| !s.health.is_ejected()).collect();
-                let load: Vec<usize> = shards.iter().map(|s| s.outstanding).collect();
-                if let Some(s2) = router
-                    .route_avoiding(ei, req.target, si, &healthy, &load)
-                    .filter(|&s2| shards[s2].outstanding < cfg.admission_cap)
-                {
-                    if shards[s2].queues[ei].admit(req.clone(), now).is_ok() {
-                        shards[s2].outstanding += 1;
-                        tokens -= 1.0;
-                        stats.hedges += 1;
-                        stats.dispatched += 1;
-                        hedge_shard.insert(req.id, s2);
-                        location.entry(req.id).or_default().push((s2, ei));
-                        fleet_instant(
-                            "hedge",
-                            now,
-                            vec![
-                                ("request".to_owned(), Value::from(req.id as f64)),
-                                ("from".to_owned(), Value::from(si as f64)),
-                                ("to".to_owned(), Value::from(s2 as f64)),
-                            ],
-                        );
-                    }
-                }
-            }
-        } else {
-            let (si, ei) = disp.expect("dispatch candidate exists");
-            now = now.max(t_disp);
-            // Replica-failure hook, fleet-wide: one dp-step per dispatch,
-            // victim indexed into the shard-major flattened alive list.
-            // The last alive replica in the whole fleet refuses to die.
-            let alive_flat: Vec<(usize, usize)> = shards
-                .iter()
-                .enumerate()
-                .flat_map(|(s, sh)| {
-                    sh.replicas
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.alive)
-                        .map(move |(ri, _)| (s, ri))
-                })
-                .collect();
-            if let Some(g) = gnn_faults::on_dp_step(alive_flat.len(), now) {
-                if alive_flat.len() > 1 {
-                    let (vs, vr) = alive_flat[g];
-                    shards[vs].replicas[vr].alive = false;
-                    replicas_lost += 1;
-                    notes.push(format!(
-                        "shard {vs} replica {vr} failed at {now:.4}s: {} fleet replica(s) remain",
-                        alive_flat.len() - 1
-                    ));
-                } else {
-                    notes.push(format!(
-                        "replica failure injected at {now:.4}s ignored: last fleet replica keeps \
-                         serving"
-                    ));
-                }
-            }
-            // The victim may have been this shard's last replica: skip the
-            // dispatch and let the health checker eject it.
-            let Some((replica, _)) = shards[si]
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.alive)
-                .min_by(|(_, a), (_, b)| {
-                    a.free_at.partial_cmp(&b.free_at).expect("finite free_at")
-                })
-            else {
-                continue;
-            };
-            let start = now.max(shards[si].replicas[replica].free_at);
-            let endpoint = registry.get(ei);
-            let batch = shards[si].queues[ei].take_batch(&cfg.policy);
-            shards[si].outstanding -= batch.len();
-            // First dispatch wins: cancel every other queued copy of each
-            // batched request (hedge twins, stale failover copies).
-            for p in &batch {
-                if let Some(locs) = location.remove(&p.req.id) {
-                    for (s2, e2) in locs {
-                        if s2 == si && e2 == ei {
-                            continue;
-                        }
-                        if shards[s2].queues[e2].remove(p.req.id).is_some() {
-                            shards[s2].outstanding -= 1;
-                        }
-                    }
-                }
-            }
-            let bid = batches.len() as u64;
-            gnn_faults::set_cell(&endpoint.cell.path());
-            let targets: Vec<u32> = batch.iter().map(|p| p.req.target).collect();
-            let exec = exec_targets(endpoint, &targets, &mut notes, &cfg.cost);
-            let done = start + exec.duration;
-            let reply = done + cfg.net_delay * gnn_faults::shard_net_factor(si, start);
-            shards[si].replicas[replica].free_at = done;
-            obs::complete(
-                tracks::SERVE,
-                "batch",
-                start,
-                exec.duration,
-                vec![
-                    (
-                        "endpoint".to_owned(),
-                        Value::from(endpoint.cell.path().as_str()),
-                    ),
-                    ("shard".to_owned(), Value::from(si as f64)),
-                    ("replica".to_owned(), Value::from(replica as f64)),
-                    ("size".to_owned(), Value::from(batch.len() as f64)),
-                ],
-            );
-            for (pending, output) in batch.iter().zip(exec.outputs) {
-                let ep_arg = (
-                    "endpoint".to_owned(),
-                    Value::from(endpoint.cell.path().as_str()),
-                );
-                let req_arg = ("request".to_owned(), Value::from(pending.req.id as f64));
-                obs::complete(
-                    tracks::SERVE,
-                    "queue_wait",
-                    pending.enqueue,
-                    start - pending.enqueue,
-                    vec![ep_arg.clone(), req_arg.clone()],
-                );
-                obs::complete(
-                    tracks::SERVE,
-                    "execute",
-                    start,
-                    exec.duration,
-                    vec![ep_arg.clone(), req_arg.clone()],
-                );
-                obs::complete(
-                    tracks::SERVE,
-                    "request",
-                    pending.req.arrival,
-                    reply - pending.req.arrival,
-                    vec![
-                        ep_arg,
-                        req_arg,
-                        ("shard".to_owned(), Value::from(si as f64)),
-                        ("batch".to_owned(), Value::from(bid as f64)),
-                    ],
-                );
-                let id = pending.req.id;
-                if failover_ids.contains(&id) || hedge_shard.get(&id) == Some(&si) {
-                    failover_ids.insert(id);
-                    stats.failover_latencies.push(reply - pending.req.arrival);
-                }
-                records.push(RequestRecord {
-                    id,
-                    endpoint: endpoint.cell.path(),
-                    target: pending.req.target,
-                    enqueue: pending.req.arrival,
-                    dispatch: start,
-                    reply,
-                    batch: Some(bid),
-                    batch_size: batch.len(),
-                    class: argmax(&output),
-                    output,
-                    outcome: Outcome::Ok,
-                });
-                if let Some(cl) = closed.as_mut() {
-                    if let Some(next) = cl.on_done(id, reply, &space) {
-                        insert_sorted(&mut incoming, next);
-                    }
-                }
-            }
-            batches.push(BatchRecord {
-                id: bid,
-                endpoint: endpoint.cell.path(),
-                shard: si,
-                replica,
-                start,
-                duration: exec.duration,
-                size: batch.len(),
-                oom_splits: exec.oom_splits,
-                kernel_retries: exec.kernel_retries,
-                peak_memory: exec.peak_memory,
-            });
-        }
-    }
-
-    // Conservation: every submitted request reached exactly one terminal
-    // outcome, and the retry/hedge token bucket held its amplification
-    // bound. Both are structural invariants, not configuration issues.
-    assert_eq!(
-        records.len(),
-        stats.submitted,
-        "fleet dropped requests silently"
-    );
-    assert!(
-        stats.dispatched as f64 <= (1.0 + cfg.retry_budget) * stats.submitted as f64 + 1e-9,
-        "retry/hedge amplification exceeded budget: {} dispatched for {} submitted at budget {}",
-        stats.dispatched,
-        stats.submitted,
-        cfg.retry_budget
-    );
-
-    records.sort_by_key(|r| r.id);
-    let makespan = records.iter().map(|r| r.reply).fold(0.0, f64::max);
-    // Queue statistics aggregate per endpoint across shards (CSV rows key
-    // on the endpoint path).
-    let queues_stats = (0..registry.len())
-        .map(|ei| {
-            let max_depth = shards
-                .iter()
-                .map(|s| s.queues[ei].max_depth)
-                .max()
-                .unwrap_or(0);
-            let depth_sum: f64 = shards.iter().map(|s| s.queues[ei].depth_sum).sum();
-            let admitted: u64 = shards.iter().map(|s| s.queues[ei].admitted).sum();
-            QueueStats {
-                endpoint: registry.get(ei).cell.path(),
-                max_depth,
-                mean_depth: if admitted == 0 {
-                    0.0
-                } else {
-                    depth_sum / admitted as f64
-                },
-            }
-        })
-        .collect();
-    Ok(ServeReport {
-        policy: cfg.policy,
-        routing: cfg.routing.label().to_owned(),
-        slo_target: cfg.slo_target,
-        fleet: Some(stats),
-        requests: records,
-        batches,
-        queues: queues_stats,
-        makespan,
-        replicas: cfg.shards * cfg.replicas_per_shard,
-        replicas_lost,
-        restored_endpoints: registry.iter().filter(|e| e.restored).count(),
-        notes,
-    })
+    Ok(simulate(
+        &cfg.plan(),
+        &registry,
+        incoming,
+        closed,
+        &mut |endpoint, targets, notes| exec_targets(endpoint, targets, notes, &cfg.cost),
+    ))
 }
 
 #[cfg(test)]

@@ -21,15 +21,19 @@
 //! [`ServeReport`] for what a run yields; the `gnn-bench serve` binary
 //! sweeps batching policies across endpoints from the command line.
 //!
-//! The **fleet** layer ([`fleet::serve_fleet`]) scales the same engine out
-//! to a simulated fleet of endpoint shards: a deterministic router
-//! ([`Router`]: consistent hashing or least-loaded), health checking with
-//! ejection and re-admission ([`HealthPolicy`]), per-shard admission
-//! control with typed [`ServeError::Shed`], token-bucket retry budgets and
-//! hedged requests (extra work provably ≤ `(1 + budget) × submitted`), and
+//! There is **one dispatch loop** (the private `dispatch` module) and two
+//! constructors of it. [`engine::serve`] plays a [`ServeConfig`] as a
+//! one-shard fleet with every policy off; [`fleet::serve_fleet`] plays a
+//! [`FleetConfig`] with them on: a deterministic router ([`Router`]:
+//! consistent hashing or least-loaded), health checking with ejection and
+//! re-admission ([`HealthPolicy`]), per-shard admission control with typed
+//! [`ServeError::Shed`], token-bucket retry budgets and hedged requests
+//! (extra work provably ≤ `(1 + budget) × submitted`), and
 //! queue-depth-driven replica autoscaling ([`AutoscalePolicy`]) — all on
 //! the same serve clock, all bit-reproducible, all surviving `gnn-faults`
-//! shard blackouts and network stragglers. Configuration errors are typed
+//! shard blackouts and network stragglers. The two differ in their inputs,
+//! not in which loop ran them; [`whatif::predict`] rides the same loop
+//! with replayed service times. Configuration errors are typed
 //! ([`ServeConfigError`], [`WorkloadError`]) at construction time.
 
 #![warn(missing_docs)]
@@ -37,6 +41,7 @@
 pub mod autoscale;
 pub mod batcher;
 pub mod cell;
+mod dispatch;
 pub mod engine;
 pub mod error;
 pub mod fleet;

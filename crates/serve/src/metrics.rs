@@ -411,7 +411,7 @@ impl ServeReport {
             served.len(),
             rejected,
             shed,
-            0, // dropped: structurally impossible, asserted in CI
+            0, // dropped: the dispatch core asserts records == submitted on every run
             lats.quantile(50.0),
             lats.quantile(95.0),
             lats.quantile(99.0),

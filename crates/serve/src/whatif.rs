@@ -4,7 +4,7 @@
 //! Naively scaling recorded latencies by a speedup factor is wrong for a
 //! queueing system — faster service drains queues sooner, which changes
 //! batch composition, which changes service times again. [`predict`]
-//! therefore re-runs the *real* dispatch loop ([`crate::engine`]'s
+//! therefore re-runs the *real* dispatch loop (through [`crate::engine`]'s
 //! `run_with`) end to end: every dispatched batch's service time comes from
 //! capturing the endpoint's forward once under the base cost model and
 //! replaying the captured device schedule under the hypothetical speedups
@@ -26,8 +26,7 @@ use gnn_obs::{self as obs};
 use crate::engine::{run_with, Execution, ServeConfig};
 use crate::error::ServeConfigError;
 use crate::metrics::ServeReport;
-use crate::registry::{Endpoint, ModelRegistry};
-use crate::workload::{self, WorkloadKind, WorkloadSpec};
+use crate::registry::Endpoint;
 
 /// One memoized base-model capture of an endpoint forward for a specific
 /// batch composition.
@@ -69,16 +68,7 @@ fn capture_batch(endpoint: &Endpoint, targets: &[u32], cfg: &ServeConfig) -> Cap
 /// Returns a typed [`ServeConfigError`] for an invalid config or a
 /// registry that fails to build, like [`crate::serve`].
 pub fn predict(cfg: &ServeConfig, speedups: &Speedups) -> Result<ServeReport, ServeConfigError> {
-    cfg.validate()?;
-    let registry =
-        ModelRegistry::build(&cfg.endpoints, cfg.scale, cfg.seed, cfg.ckpt_dir.as_deref())?;
-    let spec = WorkloadSpec {
-        seed: cfg.seed,
-        requests: cfg.requests,
-        rate: cfg.rate,
-        kind: WorkloadKind::OpenLoop,
-    };
-    let requests = workload::generate(&spec, &registry.target_space())?;
+    let (registry, requests) = cfg.prepare()?;
     let mut cache: HashMap<(String, Vec<u32>), CapturedBatch> = HashMap::new();
     Ok(run_with(
         cfg,
