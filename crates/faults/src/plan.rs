@@ -233,7 +233,7 @@ impl FaultPlan {
     /// [`FaultPlan::canonical`] kinds plus the fleet-level failure modes — a
     /// shard blackout and a router↔shard network straggler, with windows
     /// sized to the default fleet horizon (400 requests at 2000 req/s ≈
-    /// 0.2 s). Used by the CI `fleet-chaos` job and accepted by the bench
+    /// 0.2 s). Used by the CI `serving` job and accepted by the bench
     /// binaries as `--faults canonical-fleet`.
     pub fn canonical_fleet() -> Self {
         let mut plan = FaultPlan::canonical();

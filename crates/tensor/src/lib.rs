@@ -32,6 +32,7 @@
 //! ```
 
 pub mod autograd;
+mod gemm;
 pub mod ndarray;
 pub mod nn;
 pub mod ops;

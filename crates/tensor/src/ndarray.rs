@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::gemm;
+
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq, Default)]
 pub struct NdArray {
@@ -211,19 +213,7 @@ impl NdArray {
         );
         let (m, k, n) = (self.rows, self.cols, b.cols);
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = self.row(i);
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (kk, &a_ik) in arow.iter().enumerate().take(k) {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let brow = &b.data[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += a_ik * bv;
-                }
-            }
-        }
+        gemm::matmul(&self.data, &b.data, &mut out, m, k, n);
         NdArray {
             rows: m,
             cols: n,
@@ -242,18 +232,7 @@ impl NdArray {
         );
         let (m, k, n) = (self.rows, self.cols, b.rows);
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = self.row(i);
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = b.row(j);
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += arow[kk] * brow[kk];
-                }
-                *o = acc;
-            }
-        }
+        gemm::matmul_nt(&self.data, &b.data, &mut out, m, k, n);
         NdArray {
             rows: m,
             cols: n,
@@ -272,19 +251,7 @@ impl NdArray {
         );
         let (m, k, n) = (self.rows, self.cols, b.cols);
         let mut out = vec![0.0f32; k * n];
-        for i in 0..m {
-            let arow = self.row(i);
-            let brow = &b.data[i * n..(i + 1) * n];
-            for (kk, &a_ik) in arow.iter().enumerate().take(k) {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += a_ik * bv;
-                }
-            }
-        }
+        gemm::matmul_tn(&self.data, &b.data, &mut out, m, k, n);
         NdArray {
             rows: k,
             cols: n,

@@ -15,32 +15,29 @@ pub fn check_matmul(lhs_cols: usize, rhs_rows: usize) -> Result<(), ShapeError> 
     Ok(())
 }
 
-struct MatmulBack {
-    a: NdArray,
-    b: NdArray,
-}
+/// Holds nothing: both operands are the node's parents, borrowed again
+/// when the gradient arrives (each borrow ends before `accumulate`).
+struct MatmulBack;
 
 impl Backward for MatmulBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
+        let ((a_rows, a_cols), (b_rows, _)) = (parents[0].shape(), parents[1].shape());
         // dA = dC @ B^T
         if parents[0].needs_grad() {
             record(Kernel::gemm(
                 "matmul_back_a",
                 grad.rows(),
                 grad.cols(),
-                self.b.rows(),
+                b_rows,
             ));
-            accumulate(&parents[0], grad.matmul_nt(&self.b));
+            let da = grad.matmul_nt(&parents[1].data());
+            accumulate(&parents[0], da);
         }
         // dB = A^T @ dC
         if parents[1].needs_grad() {
-            record(Kernel::gemm(
-                "matmul_back_b",
-                self.a.cols(),
-                self.a.rows(),
-                grad.cols(),
-            ));
-            accumulate(&parents[1], self.a.matmul_tn(grad));
+            record(Kernel::gemm("matmul_back_b", a_cols, a_rows, grad.cols()));
+            let db = parents[0].data().matmul_tn(grad);
+            accumulate(&parents[1], db);
         }
     }
 
@@ -57,16 +54,17 @@ impl Tensor {
     /// Panics if inner dimensions disagree, with the [`ShapeError`] rendering
     /// `gnn-lint` reports for the same defect.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let (a, b) = (self.data().clone(), other.data().clone());
-        if let Err(e) = check_matmul(a.cols(), b.rows()) {
+        let ((m, k), (b_rows, n)) = (self.shape(), other.shape());
+        if let Err(e) = check_matmul(k, b_rows) {
             panic!("{e}");
         }
-        record(Kernel::gemm("matmul", a.rows(), a.cols(), b.cols()));
-        let data = a.matmul(&b);
+        record(Kernel::gemm("matmul", m, k, n));
+        // Both borrows end with this statement; nothing is copied.
+        let data = self.data().matmul(&other.data());
         Tensor::from_op(
             data,
             vec![self.clone(), other.clone()],
-            Box::new(MatmulBack { a, b }),
+            Box::new(MatmulBack),
         )
     }
 }
