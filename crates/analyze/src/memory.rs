@@ -417,7 +417,8 @@ impl CellCert {
 
 /// Certifies one node-classification cell against its dataset.
 ///
-/// The supervisor's node body pins `2P` of parameter copies plus the
+/// The node loop (`gnn_train::run_node_task_supervised`, which the plain
+/// `run_node_task` also runs) pins `2P` of parameter copies plus the
 /// feature matrix persistently and Adam pins another `2P`; each epoch runs
 /// one full-batch train step (forward + train-split logits gather + loss +
 /// backward) and one eval step (no-grad forward + val gather + a test
@@ -543,9 +544,10 @@ pub fn certify_graph_cell(
 /// sampler kinds, so one certificate per (spec, kind, framework) prices
 /// the worst block any chunk can assemble.
 ///
-/// The sampled runner pins `2P` of parameter copies plus the resident
-/// feature cache persistently and Adam pins another `2P`. The supervised
-/// runner ends an allocator step after every train chunk (load + forward +
+/// The sampled loop (`gnn_train::run_sampled_task_supervised`, which the
+/// plain `run_sampled_task` also runs) pins `2P` of parameter copies plus
+/// the resident feature cache persistently and Adam pins another `2P`. It
+/// ends an allocator step after every train chunk (load + forward +
 /// seed-logits gather + loss + backward), while the per-epoch val eval
 /// and best-so-far test eval (no-grad forward + accuracy gather each)
 /// share one step — so the peak interval is the larger of one train chunk

@@ -150,6 +150,107 @@ fn sampled_certs_dominate_the_runtime_allocator() {
     }
 }
 
+/// The certificates describe the training loop, not which entry point ran
+/// it: the plain `run_node_task` (Table IV, `BENCH_10.json`, the host
+/// benchmark) must stay under the same bound, within the same 2x, on all
+/// twelve Cora cells.
+#[test]
+fn node_certs_dominate_the_plain_entry_point() {
+    use gnn_train::run_node_task;
+
+    let ds = CitationSpec::cora().scaled(0.05).generate(7);
+    let (f, c) = (ds.features.cols(), ds.num_classes);
+    for model in ALL_MODELS {
+        for fw in ALL_FRAMEWORKS {
+            let cert = certify_node_cell(model, fw, &ds);
+            let task = NodeTaskConfig {
+                max_epochs: 2,
+                lr: node_hparams(model).lr,
+            };
+            let mut rng = StdRng::seed_from_u64(7);
+            let out = match fw {
+                FrameworkKind::RustyG => {
+                    let stack = build::node_model_rustyg(model, f, c, &mut rng);
+                    let batch = rustyg::loader::full_graph_batch(&ds);
+                    run_node_task(&stack, &batch, &ds, &task)
+                }
+                FrameworkKind::Rgl => {
+                    let stack = build::node_model_rgl(model, f, c, &mut rng);
+                    let batch = rgl::loader::full_graph_batch(&ds);
+                    run_node_task(&stack, &batch, &ds, &task)
+                }
+            };
+            assert_cert_bounds(&cert, out.report.peak_memory, 2);
+        }
+    }
+}
+
+/// Likewise `run_sampled_task` on every `rmat-4k` cell — at the sweep's 4
+/// batches per epoch and at 40: a step's block is released when the step
+/// commits, so the peak must not grow with the number of batches.
+#[test]
+fn sampled_certs_dominate_the_plain_entry_point_at_any_epoch_length() {
+    use gnn_sample::{RmatGraph, SampleSpec, SamplerKind};
+    use gnn_train::{run_sampled_task, SampledTaskConfig};
+    use std::rc::Rc;
+
+    let spec = SampleSpec::get("rmat-4k").unwrap();
+    let graph = Rc::new(RmatGraph::generate(spec.rmat).unwrap());
+    let (f, c) = (spec.rmat.feature_dim, spec.rmat.num_classes);
+    for batches in [4, 40] {
+        let task = SampledTaskConfig {
+            max_epochs: 1,
+            lr: node_hparams(ModelKind::Sage).lr,
+            batch_seeds: spec.batch_seeds,
+            train_seeds: spec.batch_seeds * batches,
+            eval_seeds: spec.batch_seeds,
+            seed: 9,
+        };
+        for kind in SamplerKind::all() {
+            for fw in ALL_FRAMEWORKS {
+                let cert = gnn_lint::certify_sample_cell(fw, &spec, kind);
+                let mut rng = StdRng::seed_from_u64(9);
+                let out = match fw {
+                    FrameworkKind::RustyG => {
+                        let stack = build::node_model_rustyg(ModelKind::Sage, f, c, &mut rng);
+                        let loader =
+                            rustyg::sampled::SampledLoader::new(graph.clone(), &spec, kind)
+                                .unwrap();
+                        run_sampled_task(&stack, &loader, &task)
+                    }
+                    FrameworkKind::Rgl => {
+                        let stack = build::node_model_rgl(ModelKind::Sage, f, c, &mut rng);
+                        let loader =
+                            rgl::sampled::SampledLoader::new(graph.clone(), &spec, kind).unwrap();
+                        run_sampled_task(&stack, &loader, &task)
+                    }
+                };
+                assert_cert_bounds(&cert, out.report.peak_memory, 4);
+            }
+        }
+    }
+}
+
+/// Dominance and tightness of one certificate against one observed peak:
+/// `observed <= peak_upper <= slack * observed`.
+fn assert_cert_bounds(cert: &gnn_lint::CellCert, observed: u64, slack: u64) {
+    assert!(observed > 0, "{}: no peak recorded", cert.path());
+    assert!(
+        cert.peak_upper >= observed,
+        "{}: certified peak {} B does not dominate observed {} B",
+        cert.path(),
+        cert.peak_upper,
+        observed
+    );
+    assert!(
+        cert.peak_upper <= slack * observed,
+        "{}: certified peak {} B is more than {slack}x the observed {} B",
+        cert.path(),
+        cert.peak_upper,
+        observed
+    );
+}
+
 /// Maps `frac` in [0, 100] onto a ceiling spanning from well below the
 /// cell's fatal floor to comfortably above its certified peak, so the
 /// strategy exercises all three verdict bands.

@@ -33,11 +33,22 @@
 //! run, where `<plan>` is `canonical` (the fixed chaos-suite plan),
 //! `canonical-fleet` (the chaos suite plus a shard blackout and a network
 //! straggler for fleet runs), `seeded:<n>` (a plan derived from seed `n`),
-//! or a path to a plan file;
-//! `--ckpt <dir>` writes per-cell training checkpoints into `<dir>`; and
+//! or a path to a plan file. Every training binary runs the one loop per
+//! task of `gnn-train`, so `--faults` means the same on `table4`,
+//! `table5`, `fig1_2` and `fig4_5` as on `sweep` and `sample`: a transient
+//! fault is retried (its back-off shows in the simulated times, never in
+//! losses or accuracies), a poisoned loss is rolled back and replayed, a
+//! persistent OOM halves the batch, and what outlasts that surfaces as a
+//! typed `TrainError` — recorded per cell by `sweep`/`sample`, a panic
+//! naming it in the binaries that have no cell record to put it in. (The
+//! ablations share this parser but never arm the plan.)
+//! `--ckpt <dir>` writes per-cell training checkpoints into `<dir>` and
 //! `--resume` restores cells from those checkpoints, so a killed run
 //! continues where it stopped with bit-identical metrics (`--resume`
-//! implies `--ckpt out/ckpt` unless a directory was given).
+//! implies `--ckpt out/ckpt` unless a directory was given). Only `sweep`
+//! trains under them; the other binaries sharing this parser accept and
+//! ignore both, `sample` has neither, and `serve`/`fleet` read `--ckpt` to
+//! load trained weights.
 //!
 //! The Criterion benches (`cargo bench -p gnn-bench`) measure the *library
 //! itself* (real CPU time of the tensor kernels, message-passing lowerings,

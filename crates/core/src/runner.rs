@@ -12,8 +12,9 @@ use gnn_models::{
 };
 use gnn_obs as obs;
 use gnn_train::{
-    data_parallel_epoch_time, mean_std, run_graph_fold, run_node_task, FoldOutcome,
-    GraphTaskConfig, MultiGpuConfig, NodeOutcome, NodeTaskConfig, Summary,
+    data_parallel_epoch_time, mean_std, run_graph_fold_supervised, run_node_task_supervised,
+    FoldOutcome, GraphTaskConfig, MultiGpuConfig, NodeOutcome, NodeTaskConfig, Summary, Supervised,
+    Supervisor, TrainError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,13 +115,17 @@ pub struct Table4Row {
     pub acc: Summary,
 }
 
-fn run_node(
+/// Builds `model` under `framework` and trains it on `ds` — the one
+/// framework match of the node task. The tables run it under the default
+/// policy and [`healthy`]; the fault-isolated sweep passes each cell's own.
+pub(crate) fn run_node(
     framework: FrameworkKind,
     model: ModelKind,
     ds: &NodeDataset,
     cfg: &NodeTaskConfig,
     seed: u64,
-) -> NodeOutcome {
+    sup: &Supervisor,
+) -> Result<Supervised<NodeOutcome>, TrainError> {
     let f = ds.features.cols();
     let c = ds.num_classes;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -128,19 +133,26 @@ fn run_node(
         FrameworkKind::RustyG => {
             let stack = build::node_model_rustyg(model, f, c, &mut rng);
             let batch = rustyg::loader::full_graph_batch(ds);
-            run_node_task(&stack, &batch, ds, cfg)
+            run_node_task_supervised(&stack, &batch, ds, cfg, sup)
         }
         FrameworkKind::Rgl => {
             let stack = build::node_model_rgl(model, f, c, &mut rng);
             let batch = rgl::loader::full_graph_batch(ds);
-            run_node_task(&stack, &batch, ds, cfg)
+            run_node_task_supervised(&stack, &batch, ds, cfg, sup)
         }
     }
+}
+
+/// Unwraps a run the way the plain `gnn_train` entry points do: the tables
+/// have no cell to record a failure in, so a [`TrainError`] is a panic.
+fn healthy<T>(run: Result<Supervised<T>, TrainError>) -> T {
+    run.unwrap_or_else(|e| panic!("{e}")).outcome
 }
 
 /// Regenerates Table IV: epoch/total time and accuracy ± s.d. for the six
 /// models × two frameworks on Cora and PubMed.
 pub fn table4(cfg: &RunConfig) -> Vec<Table4Row> {
+    let sup = Supervisor::default();
     let mut rows = Vec::new();
     for spec in [CitationSpec::cora(), CitationSpec::pubmed()] {
         let ds = spec.scaled(cfg.scale).generate(cfg.seed);
@@ -155,7 +167,8 @@ pub fn table4(cfg: &RunConfig) -> Vec<Table4Row> {
                 let mut epoch_time = 0.0;
                 let mut total_time = 0.0;
                 for s in 0..cfg.seeds {
-                    let out = run_node(framework, model, &ds, &task, cfg.seed + 1 + s as u64);
+                    let seed = cfg.seed + 1 + s as u64;
+                    let out = healthy(run_node(framework, model, &ds, &task, seed, &sup));
                     accs.push(out.test_acc);
                     epoch_time = out.epoch_time;
                     total_time = out.total_time;
@@ -195,14 +208,17 @@ pub struct Table5Row {
     pub acc: Summary,
 }
 
-fn run_graph(
+/// Builds `model` under `framework` and trains it on one fold of `ds` —
+/// the one framework match of the graph task (see [`run_node`]).
+pub(crate) fn run_graph(
     framework: FrameworkKind,
     model: ModelKind,
     ds: &GraphDataset,
     fold: &gnn_datasets::Fold,
     task: &GraphTaskConfig,
     seed: u64,
-) -> FoldOutcome {
+    sup: &Supervisor,
+) -> Result<Supervised<FoldOutcome>, TrainError> {
     let f = ds.feature_dim;
     let c = ds.num_classes;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -210,12 +226,12 @@ fn run_graph(
         FrameworkKind::RustyG => {
             let stack = build::graph_model_rustyg(model, f, c, &mut rng);
             let loader = RustygLoader::new(ds);
-            run_graph_fold(&stack, &loader, fold, task)
+            run_graph_fold_supervised(&stack, &loader, fold, task, sup)
         }
         FrameworkKind::Rgl => {
             let stack = build::graph_model_rgl(model, f, c, &mut rng);
             let loader = RglLoader::new(ds);
-            run_graph_fold(&stack, &loader, fold, task)
+            run_graph_fold_supervised(&stack, &loader, fold, task, sup)
         }
     }
 }
@@ -223,6 +239,7 @@ fn run_graph(
 /// Regenerates Table V: epoch/total time and 10-fold accuracy for the six
 /// models × two frameworks on ENZYMES and DD.
 pub fn table5(cfg: &RunConfig) -> Vec<Table5Row> {
+    let sup = Supervisor::default();
     let mut rows = Vec::new();
     for which in [GraphDs::Enzymes, GraphDs::Dd] {
         let ds = which.generate(cfg);
@@ -241,8 +258,8 @@ pub fn table5(cfg: &RunConfig) -> Vec<Table5Row> {
                 let mut epoch_times = Vec::new();
                 let mut total_times = Vec::new();
                 for (i, fold) in folds.iter().take(cfg.folds).enumerate() {
-                    let out =
-                        run_graph(framework, model, &ds, fold, &task, cfg.seed + 10 + i as u64);
+                    let seed = cfg.seed + 10 + i as u64;
+                    let out = healthy(run_graph(framework, model, &ds, fold, &task, seed, &sup));
                     accs.push(out.test_acc);
                     epoch_times.push(out.epoch_time);
                     total_times.push(out.total_time);
@@ -303,6 +320,7 @@ pub fn profile_sweep(cfg: &RunConfig, dataset: GraphDs) -> Vec<ProfileRow> {
     let folds = stratified_kfold(&ds.labels(), 10, cfg.seed);
     let fold = &folds[0];
     let epochs = cfg.graph_epochs.clamp(1, 3);
+    let sup = Supervisor::default();
     let mut rows = Vec::new();
     for model in ALL_MODELS {
         for framework in ALL_FRAMEWORKS {
@@ -318,7 +336,8 @@ pub fn profile_sweep(cfg: &RunConfig, dataset: GraphDs) -> Vec<ProfileRow> {
                     seed: cfg.seed,
                     shuffle: true,
                 };
-                let out = run_graph(framework, model, &ds, fold, &task, cfg.seed + 77);
+                let seed = cfg.seed + 77;
+                let out = healthy(run_graph(framework, model, &ds, fold, &task, seed, &sup));
                 let e = out.epochs.max(1) as f64;
                 let mut phase_times = out.report.phase_times;
                 for t in &mut phase_times {

@@ -24,24 +24,18 @@ use std::rc::Rc;
 
 use gnn_datasets::{stratified_kfold, CitationSpec, GraphDataset, NodeDataset};
 use gnn_faults::FaultLog;
-use gnn_models::adapt::{RglLoader, RustygLoader};
 use gnn_models::{
     build, config::ALL_FRAMEWORKS, config::ALL_MODELS, graph_hparams, node_hparams, FrameworkKind,
     ModelKind,
 };
 use gnn_sample::{RmatGraph, SampleConfigError, SampleSpec, SamplerKind};
-use gnn_train::supervisor::{
-    run_graph_fold_supervised, run_node_task_supervised, run_sampled_task_supervised, Supervised,
-    Supervisor, TrainError,
-};
-use gnn_train::{
-    mean_std, FoldOutcome, GraphTaskConfig, NodeOutcome, NodeTaskConfig, SampledTaskConfig,
-};
+use gnn_train::supervisor::{run_sampled_task_supervised, Supervised, Supervisor, TrainError};
+use gnn_train::{mean_std, GraphTaskConfig, NodeOutcome, NodeTaskConfig, SampledTaskConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::RunConfig;
-use crate::runner::{mark_cell, GraphDs, Table4Row, Table5Row};
+use crate::runner::{mark_cell, run_graph, run_node, GraphDs, Table4Row, Table5Row};
 
 /// How one sweep cell ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,59 +173,6 @@ fn supervisor_for(cfg: &RunConfig, cell: &str, run_idx: usize) -> Supervisor {
     }
 }
 
-/// Runs one supervised training run of a node cell.
-fn run_node_supervised(
-    framework: FrameworkKind,
-    model: ModelKind,
-    ds: &NodeDataset,
-    task: &NodeTaskConfig,
-    seed: u64,
-    sup: &Supervisor,
-) -> Result<Supervised<NodeOutcome>, TrainError> {
-    let f = ds.features.cols();
-    let c = ds.num_classes;
-    let mut rng = StdRng::seed_from_u64(seed);
-    match framework {
-        FrameworkKind::RustyG => {
-            let stack = build::node_model_rustyg(model, f, c, &mut rng);
-            let batch = rustyg::loader::full_graph_batch(ds);
-            run_node_task_supervised(&stack, &batch, ds, task, sup)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::node_model_rgl(model, f, c, &mut rng);
-            let batch = rgl::loader::full_graph_batch(ds);
-            run_node_task_supervised(&stack, &batch, ds, task, sup)
-        }
-    }
-}
-
-/// Runs one supervised training run of a graph cell (one fold).
-fn run_graph_supervised(
-    framework: FrameworkKind,
-    model: ModelKind,
-    ds: &GraphDataset,
-    fold: &gnn_datasets::Fold,
-    task: &GraphTaskConfig,
-    seed: u64,
-    sup: &Supervisor,
-) -> Result<Supervised<FoldOutcome>, TrainError> {
-    let f = ds.feature_dim;
-    let c = ds.num_classes;
-    let mut rng = StdRng::seed_from_u64(seed);
-    match framework {
-        FrameworkKind::RustyG => {
-            let stack = build::graph_model_rustyg(model, f, c, &mut rng);
-            let loader = RustygLoader::new(ds);
-            run_graph_fold_supervised(&stack, &loader, fold, task, sup)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::graph_model_rgl(model, f, c, &mut rng);
-            let loader = RglLoader::new(ds);
-            run_graph_fold_supervised(&stack, &loader, fold, task, sup)
-        }
-    }
-}
-
 /// Turns a cell's runs into a (status, detail, retries) triple.
 fn digest<T>(runs: &[Supervised<T>]) -> (CellStatus, String, usize) {
     let degraded = runs.iter().any(|r| r.degraded);
@@ -312,7 +253,7 @@ fn node_cell(
         (0..cfg.seeds)
             .map(|s| {
                 let sup = supervisor_for(cfg, &cell, s);
-                run_node_supervised(framework, model, ds, &task, cfg.seed + 1 + s as u64, &sup)
+                run_node(framework, model, ds, &task, cfg.seed + 1 + s as u64, &sup)
             })
             .collect::<Result<Vec<_>, TrainError>>()
     }))
@@ -377,7 +318,7 @@ fn graph_cell(
             .enumerate()
             .map(|(i, fold)| {
                 let sup = supervisor_for(cfg, &cell, i);
-                run_graph_supervised(
+                run_graph(
                     framework,
                     model,
                     ds,

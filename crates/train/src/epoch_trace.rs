@@ -1,9 +1,10 @@
 //! Per-epoch metrics emission into the `gnn-obs` stream.
 //!
-//! Both training loops drive an [`EpochTracker`]: once per epoch it
-//! snapshots the live session (phase times, kernel counts by kind, FLOP
-//! and byte totals, peak memory, utilization) through the non-mutating
-//! accessors, diffs against the previous epoch through a
+//! The run state every training loop drives (`supervisor::Run`) owns an
+//! [`EpochTracker`]: once per epoch, from `Run::end_epoch`, it snapshots
+//! the live session (phase times, kernel counts by kind, FLOP and byte
+//! totals, peak memory, utilization) through the non-mutating accessors,
+//! diffs against the previous epoch through a
 //! [`gnn_obs::MetricsRegistry`] — gauges for monotone phase times,
 //! counters for launch/FLOP/byte totals — and emits one
 //! [`gnn_obs::EpochRecord`] plus an `epoch` instant on the `train` track.

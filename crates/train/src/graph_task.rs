@@ -1,16 +1,23 @@
 //! Mini-batch graph classification (the paper's Section IV-B protocol).
+//!
+//! One loop, [`run_graph_fold_supervised`]: a step is one collated chunk of
+//! the (reshuffled) training fold, every epoch ends with a validation pass
+//! that feeds the plateau scheduler, training stops at the learning-rate
+//! floor, and the test fold is evaluated once at the end. Retry, batch
+//! halving, NaN roll-back, checkpoint/resume and the per-epoch bookkeeping
+//! come from [`crate::supervisor`]; [`run_graph_fold`] (and through it
+//! [`run_cross_validation`]) is the same loop under the default policy.
 
 use gnn_datasets::Fold;
-use gnn_device::{DeviceReport, Phase, Session};
+use gnn_device::{DeviceReport, Phase};
 use gnn_models::{GnnStack, GraphHParams, Loader, ModelBatch};
 use gnn_tensor::{accuracy, cross_entropy};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+#[cfg(test)]
+use rand::{rngs::StdRng, SeedableRng};
 
-use crate::epoch_trace::EpochTracker;
 use crate::optim::Adam;
 use crate::scheduler::ReduceLrOnPlateau;
+use crate::supervisor::{in_session, Run, Setup, Supervised, Supervisor, TrainError};
 
 /// Graph-classification run configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,86 +74,121 @@ pub struct FoldOutcome {
 }
 
 /// Trains `model` on `fold.train`, schedules on `fold.val`, and evaluates
-/// on `fold.test` — one fold of the paper's 10-fold protocol.
+/// on `fold.test` — one fold of the paper's 10-fold protocol:
+/// [`run_graph_fold_supervised`] under `Supervisor::default()`.
 ///
 /// # Panics
 ///
-/// Panics if the fold's training split is empty or the batch size is zero.
+/// Panics if the fold's training split is empty or the batch size is zero,
+/// and with the [`TrainError`] if a fault armed around the call outlasts
+/// the default retry budget and the batch-halving ladder.
 pub fn run_graph_fold<L: Loader>(
     model: &GnnStack<L::Batch>,
     loader: &L,
     fold: &Fold,
     cfg: &GraphTaskConfig,
 ) -> FoldOutcome {
+    run_graph_fold_supervised(model, loader, fold, cfg, &Supervisor::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .outcome
+}
+
+/// Mini-batch graph classification under a [`Supervisor`] policy: the
+/// Section IV-B fold loop with typed errors, retry, batch-halving OOM
+/// degradation, NaN rollback, and checkpoint/resume.
+///
+/// # Errors
+///
+/// Returns a [`TrainError`] on faults that survive retry and degradation,
+/// diverged losses, or checkpoint IO failures.
+///
+/// # Panics
+///
+/// Panics on caller bugs (empty fold, zero batch size).
+pub fn run_graph_fold_supervised<L: Loader>(
+    model: &GnnStack<L::Batch>,
+    loader: &L,
+    fold: &Fold,
+    cfg: &GraphTaskConfig,
+    sup: &Supervisor,
+) -> Result<Supervised<FoldOutcome>, TrainError> {
     assert!(!fold.train.is_empty(), "empty training fold");
     assert!(cfg.batch_size > 0, "batch size must be positive");
 
-    let handle = gnn_device::session::install(Session::new(gnn_device::default_cost_model()));
-    gnn_device::with(|s| s.alloc_persistent(2 * model.param_bytes()));
-    let mut opt = Adam::new(model.params(), cfg.init_lr);
-    let mut sched = ReduceLrOnPlateau::new(cfg.decay_factor, cfg.patience, cfg.min_lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let ((run, test_acc), report) = in_session(|| {
+        gnn_device::with(|s| s.alloc_persistent(2 * model.param_bytes()));
+        let opt = Adam::new(model.params(), cfg.init_lr);
+        let setup = Setup {
+            name: format!("graph/{}/bs{}", model.name(), cfg.batch_size),
+            sched: Some(ReduceLrOnPlateau::new(
+                cfg.decay_factor,
+                cfg.patience,
+                cfg.min_lr,
+            )),
+            order: fold.train.clone(),
+            seed: Some(cfg.seed),
+            shuffle: cfg.shuffle,
+            batch: cfg.batch_size,
+        };
+        let mut run = Run::start(model, opt, setup, sup)?;
+        while run.epoch < cfg.max_epochs as u64 {
+            // A resumed fold whose checkpoint was taken at the lr floor must
+            // not train further (fresh runs always get their first epoch:
+            // the floor is checked after an epoch, not before).
+            if run.epoch > 0 && at_lr_floor(&run) {
+                break;
+            }
+            run.begin_epoch();
+            let trained = run.train_epoch("batch size", "batch size 1", |chunk| {
+                gnn_device::set_phase(Phase::DataLoad);
+                let batch = loader.load(chunk);
+                gnn_device::set_phase(Phase::Forward);
+                let logits = model.forward(&batch, true);
+                let loss = cross_entropy(&logits, batch.labels());
+                gnn_device::set_phase(Phase::Backward);
+                loss.backward();
+                loss
+            })?;
+            if trained.is_none() {
+                continue;
+            }
 
-    let mut epoch_times = Vec::new();
-    let mut last_mark = 0.0f64;
-    let mut order = fold.train.clone();
-    let mut tracker = EpochTracker::new(format!("graph/{}/bs{}", model.name(), cfg.batch_size));
-
-    for _epoch in 0..cfg.max_epochs {
-        if cfg.shuffle {
-            order.shuffle(&mut rng);
+            // Validation pass (inference mode, attributed to "other").
+            let batch = run.batch;
+            let (val_loss, val_acc) = run.eval(|| evaluate(model, loader, &fold.val, batch))?;
+            if let Some(sched) = run.sched.as_mut() {
+                let new_lr = sched.step(val_loss, run.opt.lr());
+                if new_lr != run.opt.lr() {
+                    run.opt.set_lr(new_lr);
+                }
+            }
+            run.end_epoch(val_loss, val_acc)?;
+            if at_lr_floor(&run) {
+                break;
+            }
         }
-        for chunk in order.chunks(cfg.batch_size) {
-            gnn_device::set_phase(Phase::DataLoad);
-            let batch = loader.load(chunk);
 
-            gnn_device::set_phase(Phase::Forward);
-            let logits = model.forward(&batch, true);
-            let loss = cross_entropy(&logits, batch.labels());
-
-            gnn_device::set_phase(Phase::Backward);
-            loss.backward();
-
-            gnn_device::set_phase(Phase::Update);
-            opt.step();
-            opt.zero_grad();
-
-            gnn_device::set_phase(Phase::Other);
-            gnn_device::with(|s| s.end_step());
-        }
-
-        // Validation pass (inference mode, attributed to "other").
-        let (val_loss, val_acc) = evaluate(model, loader, &fold.val, cfg.batch_size);
-        let new_lr = sched.step(val_loss, opt.lr());
-        if new_lr != opt.lr() {
-            opt.set_lr(new_lr);
-        }
-
-        let mut now = 0.0;
-        gnn_device::with(|s| now = s.now());
-        epoch_times.push(now - last_mark);
-        last_mark = now;
-        tracker.emit(f64::from(val_loss), Some(val_acc), f64::from(opt.lr()));
-
-        if sched.should_stop(opt.lr()) {
-            break;
-        }
-    }
-
-    // Final test evaluation ("the model parameters at the end of training
-    // are used for evaluations on test sets").
-    let (_, test_acc) = evaluate(model, loader, &fold.test, cfg.batch_size);
-
-    let report = gnn_device::session::finish(handle);
-    let epochs = epoch_times.len();
-    let total_time: f64 = epoch_times.iter().sum();
-    FoldOutcome {
+        // Final test evaluation ("the model parameters at the end of training
+        // are used for evaluations on test sets").
+        let batch = run.batch;
+        let (_, test_acc) = run.eval(|| evaluate(model, loader, &fold.test, batch))?;
+        Ok((run, test_acc))
+    })?;
+    let (epochs, epoch_time, total_time) = run.timing();
+    Ok(run.finish(FoldOutcome {
         test_acc: test_acc * 100.0,
         epochs,
-        epoch_time: total_time / epochs.max(1) as f64,
+        epoch_time,
         total_time,
         report,
-    }
+    }))
+}
+
+/// Whether the plateau scheduler has decayed the learning rate to its floor.
+fn at_lr_floor(run: &Run<'_>) -> bool {
+    run.sched
+        .as_ref()
+        .is_some_and(|s| s.should_stop(run.opt.lr()))
 }
 
 /// Mean loss and accuracy over `indices`, batched, in inference mode.

@@ -14,6 +14,16 @@
 //! trains a model under either framework — mirroring the paper's controlled
 //! comparison ("we make sure that the key properties of the training
 //! algorithm are the same across implementations").
+//!
+//! There is one loop per task kind — [`run_node_task_supervised`],
+//! [`run_graph_fold_supervised`], [`run_sampled_task_supervised`] — driving
+//! the shared run state of [`supervisor`] (retry, roll-back, batch halving,
+//! checkpoint/resume, per-epoch metrics). [`run_node_task`],
+//! [`run_graph_fold`] and [`run_sampled_task`] are those loops under
+//! `Supervisor::default()` with the [`TrainError`] turned into a panic, so
+//! two runs differ in their inputs and policy, never in which loop ran
+//! them. `tests/training_golden.rs` at the workspace root pins all of them
+//! across commits.
 
 pub mod checkpoint;
 mod epoch_trace;

@@ -11,15 +11,22 @@
 //! `rustyg::sampled::SampledLoader` and `rgl::sampled::SampledLoader`, so
 //! the same code runs the paper-style controlled comparison on the
 //! sampled workload class.
+//!
+//! There is one loop, [`run_sampled_task_supervised`]; retry, seed-batch
+//! halving, NaN roll-back, checkpoint/resume and the per-epoch bookkeeping
+//! come from [`crate::supervisor`], and [`run_sampled_task`] is the same
+//! loop under the default policy. Each block's device memory is released
+//! when its step commits, so the peak does not grow with the number of
+//! batches per epoch.
 
 use gnn_device::Phase;
 use gnn_models::{GnnStack, ModelBatch};
 use gnn_tensor::{accuracy, cross_entropy};
 use std::rc::Rc;
 
-use crate::epoch_trace::EpochTracker;
-use crate::node_task::NodeOutcome;
+use crate::node_task::{node_outcome, NodeOutcome};
 use crate::optim::Adam;
+use crate::supervisor::{in_session, Run, Setup, Supervised, Supervisor, TrainError};
 
 /// Salt separating the train/val/test seed pools of a sampled run.
 pub const TRAIN_POOL_SALT: u64 = 0x7A1;
@@ -134,7 +141,7 @@ impl SampledTaskConfig {
 }
 
 /// Evaluates accuracy over the seed rows of `pool`, in batches.
-pub(crate) fn eval_sampled<L: SampledLoader>(
+fn eval_sampled<L: SampledLoader>(
     model: &GnnStack<L::Batch>,
     loader: &L,
     pool: &[u32],
@@ -159,98 +166,99 @@ pub(crate) fn eval_sampled<L: SampledLoader>(
 }
 
 /// Trains `model` by neighbor-sampled mini-batches and reports the same
-/// quantities as the full-batch node task.
+/// quantities as the full-batch node task: [`run_sampled_task_supervised`]
+/// under `Supervisor::default()`.
 ///
 /// # Panics
 ///
-/// Panics if the config is degenerate (zero pools or batch); the
-/// supervised variant in [`crate::supervisor`] adds fault tolerance,
-/// checkpoint/resume, and typed errors on top of this protocol.
+/// Panics if the config is degenerate (zero pools or batch), and with the
+/// [`TrainError`] if a fault armed around the call outlasts the default
+/// retry budget and the seed-halving ladder.
 pub fn run_sampled_task<L: SampledLoader>(
     model: &GnnStack<L::Batch>,
     loader: &L,
     cfg: &SampledTaskConfig,
 ) -> NodeOutcome {
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
+    run_sampled_task_supervised(model, loader, cfg, &Supervisor::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .outcome
+}
 
+/// Neighbor-sampled node classification under a [`Supervisor`] policy: the
+/// giant-graph loop with typed errors, retry, seed-minibatch halving on
+/// persistent OOM, NaN rollback, and checkpoint/resume.
+///
+/// Sampling is a pure function of `(seeds, epoch)`, so a retried or resumed
+/// step replays the identical block.
+///
+/// # Errors
+///
+/// Returns a [`TrainError`] on faults that survive retry and degradation,
+/// diverged losses, or checkpoint IO failures.
+///
+/// # Panics
+///
+/// Panics on caller bugs (zero batch or pool sizes).
+pub fn run_sampled_task_supervised<L: SampledLoader>(
+    model: &GnnStack<L::Batch>,
+    loader: &L,
+    cfg: &SampledTaskConfig,
+    sup: &Supervisor,
+) -> Result<Supervised<NodeOutcome>, TrainError> {
     assert!(cfg.batch_seeds > 0, "batch seeds must be positive");
     assert!(cfg.train_seeds > 0, "train pool must be non-empty");
 
-    let handle =
-        gnn_device::session::install(gnn_device::Session::new(gnn_device::default_cost_model()));
-    gnn_device::with(|s| {
-        s.alloc_persistent(2 * model.param_bytes() + loader.resident_bytes());
-    });
-    let mut opt = Adam::new(model.params(), cfg.lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let (run, report) = in_session(|| {
+        gnn_device::with(|s| {
+            s.alloc_persistent(2 * model.param_bytes() + loader.resident_bytes());
+        });
+        let opt = Adam::new(model.params(), cfg.lr);
+        let setup = Setup {
+            name: format!("sample/{}/{}", model.name(), loader.label()),
+            order: loader.seed_pool(cfg.train_seeds, TRAIN_POOL_SALT),
+            seed: Some(cfg.seed),
+            shuffle: true,
+            batch: cfg.batch_seeds,
+            ..Setup::default()
+        };
+        let val_pool = loader.seed_pool(cfg.eval_seeds, VAL_POOL_SALT);
+        let test_pool = loader.seed_pool(cfg.eval_seeds, TEST_POOL_SALT);
 
-    let mut order = loader.seed_pool(cfg.train_seeds, TRAIN_POOL_SALT);
-    let val_pool = loader.seed_pool(cfg.eval_seeds, VAL_POOL_SALT);
-    let test_pool = loader.seed_pool(cfg.eval_seeds, TEST_POOL_SALT);
+        let mut run = Run::start(model, opt, setup, sup)?;
+        while run.epoch < cfg.max_epochs as u64 {
+            let epoch = run.begin_epoch();
+            let trained = run.train_epoch("seed batch", "1 seed per batch", |chunk| {
+                gnn_device::set_phase(Phase::DataLoad);
+                let batch = loader.load(chunk, epoch);
+                gnn_device::set_phase(Phase::Forward);
+                let logits = model.forward(&batch, true);
+                let ids: gnn_tensor::Ids = Rc::new((0..chunk.len() as u32).collect());
+                let labels: Vec<u32> = batch.labels()[..chunk.len()].to_vec();
+                let loss = cross_entropy(&logits.gather_rows(&ids), &labels);
+                gnn_device::set_phase(Phase::Backward);
+                loss.backward();
+                loss
+            })?;
+            let Some(last_loss) = trained else {
+                continue;
+            };
 
-    let mut best_val = 0.0f64;
-    let mut test_at_best = 0.0f64;
-    let mut epoch_times = Vec::with_capacity(cfg.max_epochs);
-    let mut last_mark = 0.0f64;
-    let mut tracker = EpochTracker::new(format!("sample/{}/{}", model.name(), loader.label()));
-
-    for epoch in 0..cfg.max_epochs as u64 {
-        order.shuffle(&mut rng);
-        let mut last_loss = 0.0f32;
-        for chunk in order.chunks(cfg.batch_seeds) {
-            gnn_device::set_phase(Phase::DataLoad);
-            let batch = loader.load(chunk, epoch);
-            gnn_device::set_phase(Phase::Forward);
-            let logits = model.forward(&batch, true);
-            let ids: gnn_tensor::Ids = Rc::new((0..chunk.len() as u32).collect());
-            let labels: Vec<u32> = batch.labels()[..chunk.len()].to_vec();
-            let loss = cross_entropy(&logits.gather_rows(&ids), &labels);
-            gnn_device::set_phase(Phase::Backward);
-            loss.backward();
-            gnn_device::set_phase(Phase::Update);
-            opt.step();
-            opt.zero_grad();
-            last_loss = loss.item();
+            gnn_device::set_phase(Phase::Other);
+            let batch = run.batch;
+            let eval = |run: &mut Run<'_>, pool: &[u32]| {
+                run.eval(|| eval_sampled(model, loader, pool, batch, EVAL_SALT + epoch) * 100.0)
+            };
+            let val_acc = eval(&mut run, &val_pool)?;
+            if val_acc > run.best_val {
+                run.best_val = val_acc;
+                run.test_at_best = eval(&mut run, &test_pool)?;
+            }
+            gnn_device::with(|s| s.end_step());
+            run.end_epoch(last_loss, val_acc / 100.0)?;
         }
-
-        gnn_device::set_phase(Phase::Other);
-        let val_acc =
-            eval_sampled(model, loader, &val_pool, cfg.batch_seeds, EVAL_SALT + epoch) * 100.0;
-        if val_acc > best_val {
-            best_val = val_acc;
-            test_at_best = eval_sampled(
-                model,
-                loader,
-                &test_pool,
-                cfg.batch_seeds,
-                EVAL_SALT + epoch,
-            ) * 100.0;
-        }
-        gnn_device::with(|s| s.end_step());
-
-        let mut now = 0.0;
-        gnn_device::with(|s| now = s.now());
-        epoch_times.push(now - last_mark);
-        last_mark = now;
-        tracker.emit(
-            f64::from(last_loss),
-            Some(val_acc / 100.0),
-            f64::from(cfg.lr),
-        );
-    }
-
-    let report = gnn_device::session::finish(handle);
-    let total_time: f64 = epoch_times.iter().sum();
-    NodeOutcome {
-        test_acc: test_at_best,
-        best_val_acc: best_val,
-        epochs: cfg.max_epochs,
-        epoch_time: total_time / cfg.max_epochs.max(1) as f64,
-        total_time,
-        report,
-    }
+        Ok(run)
+    })?;
+    Ok(node_outcome(run, report))
 }
 
 #[cfg(test)]

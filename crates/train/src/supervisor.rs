@@ -1,10 +1,16 @@
-//! Supervised training: typed errors, bounded retry, checkpoint/resume,
-//! and graceful degradation.
+//! The supervision policy and the run state every training loop drives:
+//! typed errors, bounded retry, checkpoint/resume, and graceful degradation.
 //!
-//! The plain loops in [`crate::node_task`] / [`crate::graph_task`] assume a
-//! healthy device and panic on anything unexpected — fine for unit tests,
-//! fatal for a 60-cell sweep. The supervised variants here run the *same*
-//! training computation under a [`Supervisor`] policy:
+//! There is one loop per task kind — [`crate::node_task`],
+//! [`crate::graph_task`], [`crate::sampled_task`] — and each says only what
+//! its task decides: how a step's batch and loss are built, what evaluation
+//! is, when to stop. Everything the loops do *around* that lives here, once,
+//! on the private `Run` state under a [`Supervisor`] policy. The plain entry
+//! points (`run_node_task`, `run_graph_fold`, `run_sampled_task`) are the
+//! supervised ones under `Supervisor::default()` with a [`TrainError`]
+//! turned into a panic, so a fault armed around any of them is handled the
+//! same way and every loop releases a step's device memory where the
+//! `gnn-lint` memory certificate says it does: when the step commits.
 //!
 //! - **Typed failures** — every abnormal exit is a [`TrainError`], never a
 //!   panic, so the sweep runner can record the cell and move on.
@@ -25,23 +31,25 @@
 
 use std::path::PathBuf;
 
-use gnn_datasets::{Fold, NodeDataset};
-use gnn_device::{Phase, Session, SessionError};
+use gnn_device::{DeviceReport, Phase, Session, SessionError};
 use gnn_faults::Fault;
-use gnn_models::{GnnStack, Loader, ModelBatch};
+use gnn_models::{GnnStack, ModelBatch};
 use gnn_tensor::nn::BatchNorm1d;
-use gnn_tensor::{accuracy, cross_entropy};
+use gnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::rc::Rc;
 
 use crate::checkpoint::Checkpoint;
 use crate::epoch_trace::EpochTracker;
-use crate::graph_task::{evaluate, FoldOutcome, GraphTaskConfig};
-use crate::node_task::{NodeOutcome, NodeTaskConfig};
 use crate::optim::Adam;
 use crate::scheduler::ReduceLrOnPlateau;
+#[cfg(test)]
+use crate::{graph_task::GraphTaskConfig, node_task::NodeTaskConfig};
+
+pub use crate::graph_task::run_graph_fold_supervised;
+pub use crate::node_task::run_node_task_supervised;
+pub use crate::sampled_task::run_sampled_task_supervised;
 
 /// Why a supervised training run stopped abnormally.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,22 +164,14 @@ pub struct Supervised<T> {
     pub losses: Vec<f64>,
 }
 
-fn snapshot_norms(norms: &[&BatchNorm1d]) -> Vec<(Vec<f32>, Vec<f32>)> {
-    norms.iter().map(|bn| bn.running_stats()).collect()
-}
-
-fn restore_norms(norms: &[&BatchNorm1d], snap: &[(Vec<f32>, Vec<f32>)]) {
-    for (bn, (mean, var)) in norms.iter().zip(snap) {
-        bn.set_running_stats(mean, var);
-    }
-}
-
 /// Rolls the device/optimizer state of an aborted step back so it can be
 /// replayed: batch-norm stats restored, gradients cleared, step-scoped
 /// device memory released. Parameters are untouched because `opt.step`
 /// never ran.
 fn unwind_step(norms: &[&BatchNorm1d], snap: &[(Vec<f32>, Vec<f32>)], opt: &Adam) {
-    restore_norms(norms, snap);
+    for (bn, (mean, var)) in norms.iter().zip(snap) {
+        bn.set_running_stats(mean, var);
+    }
     opt.zero_grad();
     gnn_device::with(|s| s.end_step());
 }
@@ -180,155 +180,6 @@ fn fault_to_error(fault: &Fault, attempts: usize) -> TrainError {
     TrainError::RetriesExhausted {
         attempts,
         cause: fault.to_string(),
-    }
-}
-
-/// What happened to one supervised training step.
-enum StepResult {
-    /// Step committed (`opt.step` ran); carries the step's loss.
-    Ok(f32),
-    /// OOM persisted past the retry budget — the caller should degrade
-    /// (halve the batch) if it can.
-    OomPersistent { attempts: usize },
-    /// The loss came back NaN/Inf — the caller should roll back to its
-    /// last checkpoint.
-    Poisoned,
-    /// Unrecoverable.
-    Fatal(TrainError),
-}
-
-/// Runs one training step (forward/loss/backward/update) over `compute`,
-/// retrying transient device faults under the supervisor's budget.
-///
-/// `compute` must be a pure replayable step: given the same model state it
-/// reproduces the same loss tensor (all loops here satisfy this — the
-/// forward pass draws no RNG).
-fn supervised_step<F: FnMut() -> gnn_tensor::Tensor>(
-    mut compute: F,
-    norms: &[&BatchNorm1d],
-    opt: &mut Adam,
-    sup: &Supervisor,
-    retries: &mut usize,
-    notes: &mut Vec<String>,
-    epoch: u64,
-) -> StepResult {
-    let mut attempts = 0usize;
-    loop {
-        let snap = snapshot_norms(norms);
-        let loss = compute();
-        if let Some(fault) = gnn_faults::take_pending() {
-            unwind_step(norms, &snap, opt);
-            attempts += 1;
-            *retries += 1;
-            if attempts > sup.max_retries {
-                return match fault {
-                    Fault::Oom { .. } => StepResult::OomPersistent { attempts },
-                    Fault::Kernel { .. } => StepResult::Fatal(fault_to_error(&fault, attempts)),
-                };
-            }
-            notes.push(format!(
-                "epoch {epoch}: retrying step after {fault} (attempt {attempts})"
-            ));
-            gnn_device::host(sup.backoff * attempts as f64);
-            continue;
-        }
-        let loss_val = gnn_faults::poison_loss(loss.item(), gnn_device::sim_now());
-        if !loss_val.is_finite() {
-            unwind_step(norms, &snap, opt);
-            return StepResult::Poisoned;
-        }
-        gnn_device::set_phase(Phase::Update);
-        opt.step();
-        opt.zero_grad();
-        gnn_device::set_phase(Phase::Other);
-        gnn_device::with(|s| s.end_step());
-        return StepResult::Ok(loss_val);
-    }
-}
-
-/// Runs `eval` with bounded retries on device faults. Evaluation mutates
-/// nothing (inference mode), so a retry is a plain redo.
-fn supervised_eval<T, F: FnMut() -> T>(
-    mut eval: F,
-    sup: &Supervisor,
-    retries: &mut usize,
-    notes: &mut Vec<String>,
-    epoch: u64,
-) -> Result<T, TrainError> {
-    let mut attempts = 0usize;
-    loop {
-        let out = eval();
-        match gnn_faults::take_pending() {
-            None => return Ok(out),
-            Some(fault) => {
-                gnn_device::with(|s| s.end_step());
-                attempts += 1;
-                *retries += 1;
-                if attempts > sup.max_retries {
-                    return Err(fault_to_error(&fault, attempts));
-                }
-                notes.push(format!(
-                    "epoch {epoch}: retrying evaluation after {fault} (attempt {attempts})"
-                ));
-                gnn_device::host(sup.backoff * attempts as f64);
-            }
-        }
-    }
-}
-
-/// Supervised full-batch node classification: the Section IV-A loop with
-/// typed errors, retry, NaN rollback, and checkpoint/resume.
-///
-/// # Errors
-///
-/// Returns a [`TrainError`] instead of panicking on device faults that
-/// survive the retry budget, diverged losses, or checkpoint IO failures.
-///
-/// # Panics
-///
-/// Panics on caller bugs (empty splits, batch/dataset mismatch), exactly
-/// like [`crate::run_node_task`].
-pub fn run_node_task_supervised<B: ModelBatch>(
-    model: &GnnStack<B>,
-    batch: &B,
-    ds: &NodeDataset,
-    cfg: &NodeTaskConfig,
-    sup: &Supervisor,
-) -> Result<Supervised<NodeOutcome>, TrainError> {
-    assert!(!ds.train_idx.is_empty(), "empty training split");
-    assert_eq!(
-        batch.num_nodes(),
-        ds.graph.num_nodes(),
-        "batch/dataset mismatch"
-    );
-
-    let handle = gnn_device::session::install(Session::new(gnn_device::default_cost_model()));
-    let result = node_body(model, batch, ds, cfg, sup);
-    match result {
-        Ok(body) => {
-            let report = gnn_device::session::try_finish(handle)?;
-            let epochs = body.losses.len();
-            let measured = accumulated(body.prior_time, &body.epoch_times);
-            Ok(Supervised {
-                outcome: NodeOutcome {
-                    test_acc: body.test_at_best,
-                    best_val_acc: body.best_val,
-                    epochs,
-                    epoch_time: measured / epochs.max(1) as f64,
-                    total_time: measured,
-                    report,
-                },
-                degraded: false,
-                retries: body.retries,
-                notes: body.notes,
-                losses: body.losses,
-            })
-        }
-        Err(e) => {
-            // Surface the training failure, not any secondary finish issue.
-            let _ = gnn_device::session::try_finish(handle);
-            Err(e)
-        }
     }
 }
 
@@ -354,669 +205,369 @@ fn restore_clock(clock: f64) {
     }
 }
 
-struct NodeBody {
-    best_val: f64,
-    test_at_best: f64,
+/// Runs `body` inside a fresh device session and returns what it produced
+/// next to the session's report.
+///
+/// # Errors
+///
+/// Passes `body`'s error through (the session is uninstalled first, and the
+/// training failure is surfaced rather than any secondary finish issue), or
+/// reports a session protocol violation at finish.
+pub(crate) fn in_session<T>(
+    body: impl FnOnce() -> Result<T, TrainError>,
+) -> Result<(T, DeviceReport), TrainError> {
+    let handle = gnn_device::session::install(Session::new(gnn_device::default_cost_model()));
+    match body() {
+        Ok(out) => Ok((out, gnn_device::session::try_finish(handle)?)),
+        Err(e) => {
+            let _ = gnn_device::session::try_finish(handle);
+            Err(e)
+        }
+    }
+}
+
+/// What a task loop hands [`Run::start`] besides its optimizer. The default
+/// is a full-batch task: no scheduler, no sample order, no RNG.
+#[derive(Default)]
+pub(crate) struct Setup {
+    /// Run label of the per-epoch metrics records.
+    pub name: String,
+    /// Plateau scheduler, for tasks that decay the learning rate.
+    pub sched: Option<ReduceLrOnPlateau>,
+    /// Training samples in visiting order (empty for full-batch tasks).
+    pub order: Vec<u32>,
+    /// Seed of the shuffle RNG; `None` for tasks that draw no randomness.
+    pub seed: Option<u64>,
+    /// Whether every epoch begins by permuting `order`.
+    pub shuffle: bool,
+    /// Samples per training step.
+    pub batch: usize,
+}
+
+/// How one [`Run::step`] ended, when it did not end the run.
+pub(crate) enum Step {
+    /// The step committed (`opt.step` ran); carries its loss.
+    Done(f32),
+    /// OOM outlasted the retry budget — the loop should shrink its batch
+    /// and replay, if it has a batch to shrink.
+    Oom { attempts: usize },
+    /// The loss came back NaN/Inf and the run was rolled back to its last
+    /// snapshot — the loop should start over from [`Run::epoch`].
+    RolledBack,
+}
+
+/// The mutable state of one supervised training run, and every piece of
+/// bookkeeping the three task loops share: resume, retried steps and
+/// evaluations, NaN roll-back, batch halving, per-epoch timing, metrics,
+/// snapshots and checkpoint files.
+pub(crate) struct Run<'a> {
+    sup: &'a Supervisor,
+    params: Vec<Tensor>,
+    norms: Vec<&'a BatchNorm1d>,
+    pub opt: Adam,
+    pub sched: Option<ReduceLrOnPlateau>,
+    rng: Option<StdRng>,
+    shuffle: bool,
+    pub order: Vec<u32>,
+    /// Effective samples per step (halved by persistent OOM).
+    pub batch: usize,
+    /// Epochs fully completed.
+    pub epoch: u64,
+    /// Best validation accuracy so far, percent (tasks that track one).
+    pub best_val: f64,
+    /// Test accuracy at the best-validation epoch, percent.
+    pub test_at_best: f64,
     losses: Vec<f64>,
     epoch_times: Vec<f64>,
     /// Training seconds accumulated by earlier sessions (restored from the
     /// checkpoint on resume); `epoch_times` only covers this process.
     prior_time: f64,
+    degraded: bool,
     retries: usize,
     notes: Vec<String>,
+    /// State at the last epoch boundary, with the sample order it had then
+    /// (the order is training state the checkpoint file rebuilds by replay).
+    rollback: (Checkpoint, Vec<u32>),
+    last_rollback_epoch: Option<u64>,
+    last_mark: f64,
+    tracker: EpochTracker,
 }
 
-fn node_body<B: ModelBatch>(
-    model: &GnnStack<B>,
-    batch: &B,
-    ds: &NodeDataset,
-    cfg: &NodeTaskConfig,
-    sup: &Supervisor,
-) -> Result<NodeBody, TrainError> {
-    gnn_device::with(|s| {
-        s.alloc_persistent(2 * model.param_bytes() + batch.feature_bytes());
-    });
-    let mut opt = Adam::new(model.params(), cfg.lr);
-    let params = model.params();
-    let norms = model.norm_layers();
-
-    let train_idx: gnn_tensor::Ids = Rc::new(ds.train_idx.clone());
-    let val_idx: gnn_tensor::Ids = Rc::new(ds.val_idx.clone());
-    let test_idx: gnn_tensor::Ids = Rc::new(ds.test_idx.clone());
-    let train_labels = ds.labels_at(&ds.train_idx);
-    let val_labels = ds.labels_at(&ds.val_idx);
-    let test_labels = ds.labels_at(&ds.test_idx);
-
-    let mut body = NodeBody {
-        best_val: 0.0,
-        test_at_best: 0.0,
-        losses: Vec::new(),
-        epoch_times: Vec::new(),
-        prior_time: 0.0,
-        retries: 0,
-        notes: Vec::new(),
-    };
-    let mut epoch: u64 = 0;
-
-    if sup.resume {
-        if let Some(path) = sup.checkpoint_path.as_deref().filter(|p| p.exists()) {
-            let ckpt = Checkpoint::load(path).map_err(TrainError::Checkpoint)?;
-            ckpt.restore(&params, &norms, &mut opt, None);
-            epoch = ckpt.epoch;
-            body.best_val = ckpt.best_val;
-            body.test_at_best = ckpt.test_at_best;
-            body.losses = ckpt.losses.clone();
-            body.prior_time = ckpt.total_time;
-            restore_clock(ckpt.clock);
-            body.notes
-                .push(format!("resumed from checkpoint at epoch {epoch}"));
+impl<'a> Run<'a> {
+    /// Takes over `opt` and `setup`, resumes from the supervisor's checkpoint
+    /// file if asked to and there is one, snapshots the starting state and
+    /// marks the clock. Call inside the session, after the task's
+    /// persistent allocations.
+    pub(crate) fn start<B: ModelBatch>(
+        model: &'a GnnStack<B>,
+        opt: Adam,
+        setup: Setup,
+        sup: &'a Supervisor,
+    ) -> Result<Self, TrainError> {
+        let mut run = Run {
+            sup,
+            params: model.params(),
+            norms: model.norm_layers(),
+            opt,
+            sched: setup.sched,
+            rng: setup.seed.map(StdRng::seed_from_u64),
+            shuffle: setup.shuffle,
+            order: setup.order,
+            batch: setup.batch,
+            epoch: 0,
+            best_val: 0.0,
+            test_at_best: 0.0,
+            losses: Vec::new(),
+            epoch_times: Vec::new(),
+            prior_time: 0.0,
+            degraded: false,
+            retries: 0,
+            notes: Vec::new(),
+            rollback: Default::default(),
+            last_rollback_epoch: None,
+            last_mark: 0.0,
+            tracker: EpochTracker::new(setup.name),
+        };
+        if sup.resume {
+            if let Some(path) = sup.checkpoint_path.as_deref().filter(|p| p.exists()) {
+                let ckpt = Checkpoint::load(path).map_err(TrainError::Checkpoint)?;
+                run.restore(&ckpt);
+                run.prior_time = ckpt.total_time;
+                restore_clock(ckpt.clock);
+                // The shuffle order is itself training state: rebuild it by
+                // replaying the completed epochs' shuffles with a fresh stream
+                // (the stored RNG state is where that replay would end).
+                if let (true, Some(seed)) = (run.shuffle, setup.seed) {
+                    let mut replay = StdRng::seed_from_u64(seed);
+                    for _ in 0..run.epoch {
+                        run.order.shuffle(&mut replay);
+                    }
+                }
+                run.notes
+                    .push(format!("resumed from checkpoint at epoch {}", run.epoch));
+            }
         }
+        run.rollback = (run.capture(), run.order.clone());
+        gnn_device::with(|s| run.last_mark = s.now());
+        Ok(run)
     }
 
-    let capture = |opt: &Adam, body: &NodeBody, epoch: u64| -> Checkpoint {
-        let mut ckpt = Checkpoint::capture(&params, &norms, opt, None, None, epoch);
-        ckpt.best_val = body.best_val;
-        ckpt.test_at_best = body.test_at_best;
-        ckpt.losses = body.losses.clone();
-        ckpt.total_time = accumulated(body.prior_time, &body.epoch_times);
+    fn capture(&self) -> Checkpoint {
+        let mut ckpt = Checkpoint::capture(
+            &self.params,
+            &self.norms,
+            &self.opt,
+            self.sched.as_ref(),
+            self.rng.as_ref(),
+            self.epoch,
+        );
+        ckpt.best_val = self.best_val;
+        ckpt.test_at_best = self.test_at_best;
+        ckpt.losses = self.losses.clone();
+        ckpt.total_time = accumulated(self.prior_time, &self.epoch_times);
         gnn_device::with(|s| ckpt.clock = s.now());
         ckpt
-    };
-    let mut rollback = capture(&opt, &body, epoch);
-    let mut last_rollback_epoch: Option<u64> = None;
+    }
 
-    let mut last_mark = 0.0f64;
-    gnn_device::with(|s| last_mark = s.now());
-    let mut tracker = EpochTracker::new(format!("node/{}/{}", model.name(), ds.name));
-
-    while epoch < cfg.max_epochs as u64 {
-        gnn_faults::set_epoch(epoch);
-
-        let step = supervised_step(
-            || {
-                gnn_device::set_phase(Phase::DataLoad);
-                gnn_device::host(20e-6);
-                gnn_device::set_phase(Phase::Forward);
-                let logits = model.forward(batch, true);
-                let loss = cross_entropy(&logits.gather_rows(&train_idx), &train_labels);
-                gnn_device::set_phase(Phase::Backward);
-                loss.backward();
-                loss
-            },
-            &norms,
-            &mut opt,
-            sup,
-            &mut body.retries,
-            &mut body.notes,
-            epoch,
+    fn restore(&mut self, ckpt: &Checkpoint) {
+        let rng = ckpt.restore(
+            &self.params,
+            &self.norms,
+            &mut self.opt,
+            self.sched.as_mut(),
         );
-        let loss_val = match step {
-            StepResult::Ok(v) => v,
-            StepResult::Poisoned => {
-                if last_rollback_epoch == Some(epoch) {
-                    // Rolling back did not clear the NaN: genuine divergence.
-                    return Err(TrainError::NanLoss { epoch });
+        if rng.is_some() {
+            self.rng = rng;
+        }
+        self.epoch = ckpt.epoch;
+        self.best_val = ckpt.best_val;
+        self.test_at_best = ckpt.test_at_best;
+        self.losses = ckpt.losses.clone();
+    }
+
+    /// Opens the next epoch: tells the injector which one it is, reshuffles
+    /// the sample order if the task does, and returns the epoch index.
+    pub(crate) fn begin_epoch(&mut self) -> u64 {
+        gnn_faults::set_epoch(self.epoch);
+        if let (true, Some(rng)) = (self.shuffle, self.rng.as_mut()) {
+            self.order.shuffle(rng);
+        }
+        self.epoch
+    }
+
+    /// Runs one training step — `compute` (data load, forward, loss,
+    /// backward) over `order[chunk]`, then the optimizer update — retrying
+    /// transient device faults under the supervisor's budget. A committed
+    /// step releases its step-scoped device memory.
+    ///
+    /// `compute` must be a pure replayable step: given the same model state
+    /// it reproduces the same loss tensor (every loop satisfies this — the
+    /// forward pass draws no RNG).
+    pub(crate) fn step(
+        &mut self,
+        chunk: std::ops::Range<usize>,
+        mut compute: impl FnMut(&[u32]) -> Tensor,
+    ) -> Result<Step, TrainError> {
+        let mut attempts = 0usize;
+        loop {
+            let snap: Vec<_> = self.norms.iter().map(|bn| bn.running_stats()).collect();
+            let loss = compute(&self.order[chunk.clone()]);
+            if let Some(fault) = gnn_faults::take_pending() {
+                unwind_step(&self.norms, &snap, &self.opt);
+                attempts += 1;
+                self.retries += 1;
+                if attempts > self.sup.max_retries {
+                    return match fault {
+                        Fault::Oom { .. } => Ok(Step::Oom { attempts }),
+                        Fault::Kernel { .. } => Err(fault_to_error(&fault, attempts)),
+                    };
                 }
-                last_rollback_epoch = Some(epoch);
-                body.notes.push(format!(
-                    "epoch {epoch}: NaN loss — rolled back to checkpoint at epoch {} and replaying",
-                    rollback.epoch
+                self.notes.push(format!(
+                    "epoch {}: retrying step after {fault} (attempt {attempts})",
+                    self.epoch
                 ));
-                rollback.restore(&params, &norms, &mut opt, None);
-                body.best_val = rollback.best_val;
-                body.test_at_best = rollback.test_at_best;
-                body.losses = rollback.losses.clone();
-                epoch = rollback.epoch;
+                gnn_device::host(self.sup.backoff * attempts as f64);
                 continue;
             }
-            StepResult::OomPersistent { attempts } => {
-                // Full-batch training has no batch to shrink.
-                return Err(TrainError::RetriesExhausted {
-                    attempts,
-                    cause: "device OOM (full-batch task cannot reduce its batch)".into(),
-                });
+            let loss_val = gnn_faults::poison_loss(loss.item(), gnn_device::sim_now());
+            if !loss_val.is_finite() {
+                unwind_step(&self.norms, &snap, &self.opt);
+                self.roll_back()?;
+                return Ok(Step::RolledBack);
             }
-            StepResult::Fatal(e) => return Err(e),
-        };
-
-        let eval_logits = supervised_eval(
-            || gnn_tensor::no_grad(|| model.forward(batch, false)),
-            sup,
-            &mut body.retries,
-            &mut body.notes,
-            epoch,
-        )?;
-        let val_acc = accuracy(&eval_logits.gather_rows(&val_idx), &val_labels) * 100.0;
-        if val_acc > body.best_val {
-            body.best_val = val_acc;
-            body.test_at_best = accuracy(&eval_logits.gather_rows(&test_idx), &test_labels) * 100.0;
-        }
-        gnn_device::with(|s| s.end_step());
-
-        let mut now = 0.0;
-        gnn_device::with(|s| now = s.now());
-        body.epoch_times.push(now - last_mark);
-        last_mark = now;
-        tracker.emit(
-            f64::from(loss_val),
-            Some(val_acc / 100.0),
-            f64::from(cfg.lr),
-        );
-        body.losses.push(f64::from(loss_val));
-        epoch += 1;
-
-        rollback = capture(&opt, &body, epoch);
-        if let Some(path) = &sup.checkpoint_path {
-            if epoch.is_multiple_of(sup.checkpoint_every) {
-                rollback.save(path).map_err(TrainError::Checkpoint)?;
-            }
-        }
-    }
-    Ok(body)
-}
-
-/// Supervised mini-batch graph classification: the Section IV-B fold loop
-/// with typed errors, retry, batch-halving OOM degradation, NaN rollback,
-/// and checkpoint/resume.
-///
-/// # Errors
-///
-/// Returns a [`TrainError`] on faults that survive retry and degradation,
-/// diverged losses, or checkpoint IO failures.
-///
-/// # Panics
-///
-/// Panics on caller bugs (empty fold, zero batch size), exactly like
-/// [`crate::run_graph_fold`].
-pub fn run_graph_fold_supervised<L: Loader>(
-    model: &GnnStack<L::Batch>,
-    loader: &L,
-    fold: &Fold,
-    cfg: &GraphTaskConfig,
-    sup: &Supervisor,
-) -> Result<Supervised<FoldOutcome>, TrainError> {
-    assert!(!fold.train.is_empty(), "empty training fold");
-    assert!(cfg.batch_size > 0, "batch size must be positive");
-
-    let handle = gnn_device::session::install(Session::new(gnn_device::default_cost_model()));
-    let result = graph_body(model, loader, fold, cfg, sup);
-    match result {
-        Ok(body) => {
-            let report = gnn_device::session::try_finish(handle)?;
-            let epochs = body.losses.len();
-            let measured = accumulated(body.prior_time, &body.epoch_times);
-            Ok(Supervised {
-                outcome: FoldOutcome {
-                    test_acc: body.test_acc * 100.0,
-                    epochs,
-                    epoch_time: measured / epochs.max(1) as f64,
-                    total_time: measured,
-                    report,
-                },
-                degraded: body.degraded,
-                retries: body.retries,
-                notes: body.notes,
-                losses: body.losses,
-            })
-        }
-        Err(e) => {
-            let _ = gnn_device::session::try_finish(handle);
-            Err(e)
-        }
-    }
-}
-
-struct GraphBody {
-    test_acc: f64,
-    losses: Vec<f64>,
-    epoch_times: Vec<f64>,
-    /// Training seconds accumulated by earlier sessions (restored from the
-    /// checkpoint on resume); `epoch_times` only covers this process.
-    prior_time: f64,
-    degraded: bool,
-    retries: usize,
-    notes: Vec<String>,
-}
-
-fn graph_body<L: Loader>(
-    model: &GnnStack<L::Batch>,
-    loader: &L,
-    fold: &Fold,
-    cfg: &GraphTaskConfig,
-    sup: &Supervisor,
-) -> Result<GraphBody, TrainError> {
-    gnn_device::with(|s| s.alloc_persistent(2 * model.param_bytes()));
-    let mut opt = Adam::new(model.params(), cfg.init_lr);
-    let mut sched = ReduceLrOnPlateau::new(cfg.decay_factor, cfg.patience, cfg.min_lr);
-    let params = model.params();
-    let norms = model.norm_layers();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order = fold.train.clone();
-
-    let mut body = GraphBody {
-        test_acc: 0.0,
-        losses: Vec::new(),
-        epoch_times: Vec::new(),
-        prior_time: 0.0,
-        degraded: false,
-        retries: 0,
-        notes: Vec::new(),
-    };
-    let mut epoch: u64 = 0;
-    let mut eff_batch = cfg.batch_size;
-
-    if sup.resume {
-        if let Some(path) = sup.checkpoint_path.as_deref().filter(|p| p.exists()) {
-            let ckpt = Checkpoint::load(path).map_err(TrainError::Checkpoint)?;
-            if let Some(restored) = ckpt.restore(&params, &norms, &mut opt, Some(&mut sched)) {
-                rng = restored;
-            }
-            epoch = ckpt.epoch;
-            body.losses = ckpt.losses.clone();
-            body.prior_time = ckpt.total_time;
-            restore_clock(ckpt.clock);
-            // The shuffle order is itself training state: rebuild it by
-            // replaying the completed epochs' shuffles with a fresh stream
-            // (the stored RNG state is where that replay would end).
-            if cfg.shuffle {
-                let mut replay = StdRng::seed_from_u64(cfg.seed);
-                for _ in 0..epoch {
-                    order.shuffle(&mut replay);
-                }
-            }
-            body.notes
-                .push(format!("resumed from checkpoint at epoch {epoch}"));
+            gnn_device::set_phase(Phase::Update);
+            self.opt.step();
+            self.opt.zero_grad();
+            gnn_device::set_phase(Phase::Other);
+            gnn_device::with(|s| s.end_step());
+            return Ok(Step::Done(loss_val));
         }
     }
 
-    let capture = |opt: &Adam,
-                   sched: &ReduceLrOnPlateau,
-                   rng: &StdRng,
-                   body: &GraphBody,
-                   epoch: u64|
-     -> Checkpoint {
-        let mut ckpt = Checkpoint::capture(&params, &norms, opt, Some(sched), Some(rng), epoch);
-        ckpt.losses = body.losses.clone();
-        ckpt.total_time = accumulated(body.prior_time, &body.epoch_times);
-        gnn_device::with(|s| ckpt.clock = s.now());
-        ckpt
-    };
-    let mut rollback = (capture(&opt, &sched, &rng, &body, epoch), order.clone());
-    let mut last_rollback_epoch: Option<u64> = None;
-
-    let mut last_mark = 0.0f64;
-    gnn_device::with(|s| last_mark = s.now());
-    let mut tracker = EpochTracker::new(format!("graph/{}/bs{}", model.name(), cfg.batch_size));
-
-    'epochs: while epoch < cfg.max_epochs as u64 {
-        // A resumed fold whose checkpoint was taken at the lr floor must not
-        // train further (fresh runs always get their first epoch, matching
-        // the unsupervised loop's check-after-epoch semantics).
-        if epoch > 0 && sched.should_stop(opt.lr()) {
-            break;
+    /// Returns to the last epoch boundary after a poisoned loss.
+    fn roll_back(&mut self) -> Result<(), TrainError> {
+        let epoch = self.epoch;
+        if self.last_rollback_epoch == Some(epoch) {
+            // Rolling back did not clear the NaN: genuine divergence.
+            return Err(TrainError::NanLoss { epoch });
         }
-        gnn_faults::set_epoch(epoch);
-        if cfg.shuffle {
-            order.shuffle(&mut rng);
-        }
-
-        let mut pos = 0usize;
-        while pos < order.len() {
-            let end = (pos + eff_batch).min(order.len());
-            let chunk = &order[pos..end];
-            let step = supervised_step(
-                || {
-                    gnn_device::set_phase(Phase::DataLoad);
-                    let batch = loader.load(chunk);
-                    gnn_device::set_phase(Phase::Forward);
-                    let logits = model.forward(&batch, true);
-                    let loss = cross_entropy(&logits, batch.labels());
-                    gnn_device::set_phase(Phase::Backward);
-                    loss.backward();
-                    loss
-                },
-                &norms,
-                &mut opt,
-                sup,
-                &mut body.retries,
-                &mut body.notes,
-                epoch,
-            );
-            match step {
-                StepResult::Ok(_) => pos = end,
-                StepResult::OomPersistent { attempts } => {
-                    if eff_batch == 1 {
-                        return Err(TrainError::RetriesExhausted {
-                            attempts,
-                            cause: "device OOM persists even at batch size 1".into(),
-                        });
-                    }
-                    eff_batch = (eff_batch / 2).max(1);
-                    body.degraded = true;
-                    body.notes.push(format!(
-                        "epoch {epoch}: halving batch size to {eff_batch} after persistent OOM"
-                    ));
-                    // pos unchanged: replay the failed chunk at the smaller size.
-                }
-                StepResult::Poisoned => {
-                    if last_rollback_epoch == Some(epoch) {
-                        return Err(TrainError::NanLoss { epoch });
-                    }
-                    last_rollback_epoch = Some(epoch);
-                    let (ckpt, saved_order) = &rollback;
-                    body.notes.push(format!(
-                        "epoch {epoch}: NaN loss — rolled back to checkpoint at epoch {} and replaying",
-                        ckpt.epoch
-                    ));
-                    if let Some(restored) =
-                        ckpt.restore(&params, &norms, &mut opt, Some(&mut sched))
-                    {
-                        rng = restored;
-                    }
-                    body.losses = ckpt.losses.clone();
-                    order = saved_order.clone();
-                    epoch = ckpt.epoch;
-                    continue 'epochs;
-                }
-                StepResult::Fatal(e) => return Err(e),
-            }
-        }
-
-        let (val_loss, val_acc) = supervised_eval(
-            || evaluate(model, loader, &fold.val, eff_batch),
-            sup,
-            &mut body.retries,
-            &mut body.notes,
-            epoch,
-        )?;
-        let new_lr = sched.step(val_loss, opt.lr());
-        if new_lr != opt.lr() {
-            opt.set_lr(new_lr);
-        }
-
-        let mut now = 0.0;
-        gnn_device::with(|s| now = s.now());
-        body.epoch_times.push(now - last_mark);
-        last_mark = now;
-        tracker.emit(f64::from(val_loss), Some(val_acc), f64::from(opt.lr()));
-        body.losses.push(f64::from(val_loss));
-        epoch += 1;
-
-        rollback = (capture(&opt, &sched, &rng, &body, epoch), order.clone());
-        if let Some(path) = &sup.checkpoint_path {
-            if epoch.is_multiple_of(sup.checkpoint_every) {
-                rollback.0.save(path).map_err(TrainError::Checkpoint)?;
-            }
-        }
-
-        if sched.should_stop(opt.lr()) {
-            break;
-        }
+        self.last_rollback_epoch = Some(epoch);
+        let (ckpt, order) = std::mem::take(&mut self.rollback);
+        self.notes.push(format!(
+            "epoch {epoch}: NaN loss — rolled back to checkpoint at epoch {} and replaying",
+            ckpt.epoch
+        ));
+        self.restore(&ckpt);
+        self.order.clone_from(&order);
+        self.rollback = (ckpt, order);
+        Ok(())
     }
 
-    let (_, test_acc) = supervised_eval(
-        || evaluate(model, loader, &fold.test, eff_batch),
-        sup,
-        &mut body.retries,
-        &mut body.notes,
-        epoch,
-    )?;
-    body.test_acc = test_acc;
-    Ok(body)
-}
-
-/// Supervised neighbor-sampled node classification: the giant-graph loop
-/// with typed errors, retry, seed-minibatch halving on persistent OOM,
-/// NaN rollback, and checkpoint/resume.
-///
-/// The computation matches [`crate::run_sampled_task`] exactly on a
-/// healthy device; sampling is a pure function of `(seeds, epoch)` so a
-/// retried or resumed step replays the identical block.
-///
-/// # Errors
-///
-/// Returns a [`TrainError`] on faults that survive retry and degradation,
-/// diverged losses, or checkpoint IO failures.
-///
-/// # Panics
-///
-/// Panics on caller bugs (zero batch or pool sizes), exactly like
-/// [`crate::run_sampled_task`].
-pub fn run_sampled_task_supervised<L: crate::sampled_task::SampledLoader>(
-    model: &GnnStack<L::Batch>,
-    loader: &L,
-    cfg: &crate::sampled_task::SampledTaskConfig,
-    sup: &Supervisor,
-) -> Result<Supervised<NodeOutcome>, TrainError> {
-    assert!(cfg.batch_seeds > 0, "batch seeds must be positive");
-    assert!(cfg.train_seeds > 0, "train pool must be non-empty");
-
-    let handle = gnn_device::session::install(Session::new(gnn_device::default_cost_model()));
-    let result = sampled_body(model, loader, cfg, sup);
-    match result {
-        Ok(body) => {
-            let report = gnn_device::session::try_finish(handle)?;
-            let epochs = body.losses.len();
-            let measured = accumulated(body.prior_time, &body.epoch_times);
-            Ok(Supervised {
-                outcome: NodeOutcome {
-                    test_acc: body.test_at_best,
-                    best_val_acc: body.best_val,
-                    epochs,
-                    epoch_time: measured / epochs.max(1) as f64,
-                    total_time: measured,
-                    report,
-                },
-                degraded: body.degraded,
-                retries: body.retries,
-                notes: body.notes,
-                losses: body.losses,
-            })
-        }
-        Err(e) => {
-            let _ = gnn_device::session::try_finish(handle);
-            Err(e)
-        }
-    }
-}
-
-struct SampledBody {
-    best_val: f64,
-    test_at_best: f64,
-    losses: Vec<f64>,
-    epoch_times: Vec<f64>,
-    prior_time: f64,
-    degraded: bool,
-    retries: usize,
-    notes: Vec<String>,
-}
-
-fn sampled_body<L: crate::sampled_task::SampledLoader>(
-    model: &GnnStack<L::Batch>,
-    loader: &L,
-    cfg: &crate::sampled_task::SampledTaskConfig,
-    sup: &Supervisor,
-) -> Result<SampledBody, TrainError> {
-    use crate::sampled_task::{
-        eval_sampled, EVAL_SALT, TEST_POOL_SALT, TRAIN_POOL_SALT, VAL_POOL_SALT,
-    };
-
-    gnn_device::with(|s| {
-        s.alloc_persistent(2 * model.param_bytes() + loader.resident_bytes());
-    });
-    let mut opt = Adam::new(model.params(), cfg.lr);
-    let params = model.params();
-    let norms = model.norm_layers();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order = loader.seed_pool(cfg.train_seeds, TRAIN_POOL_SALT);
-    let val_pool = loader.seed_pool(cfg.eval_seeds, VAL_POOL_SALT);
-    let test_pool = loader.seed_pool(cfg.eval_seeds, TEST_POOL_SALT);
-
-    let mut body = SampledBody {
-        best_val: 0.0,
-        test_at_best: 0.0,
-        losses: Vec::new(),
-        epoch_times: Vec::new(),
-        prior_time: 0.0,
-        degraded: false,
-        retries: 0,
-        notes: Vec::new(),
-    };
-    let mut epoch: u64 = 0;
-    let mut eff_batch = cfg.batch_seeds;
-
-    if sup.resume {
-        if let Some(path) = sup.checkpoint_path.as_deref().filter(|p| p.exists()) {
-            let ckpt = Checkpoint::load(path).map_err(TrainError::Checkpoint)?;
-            if let Some(restored) = ckpt.restore(&params, &norms, &mut opt, None) {
-                rng = restored;
-            }
-            epoch = ckpt.epoch;
-            body.best_val = ckpt.best_val;
-            body.test_at_best = ckpt.test_at_best;
-            body.losses = ckpt.losses.clone();
-            body.prior_time = ckpt.total_time;
-            restore_clock(ckpt.clock);
-            // Shuffle order is training state: replay the completed epochs'
-            // shuffles so the resumed epoch sees the same mini-batches.
-            let mut replay = StdRng::seed_from_u64(cfg.seed);
-            for _ in 0..epoch {
-                order.shuffle(&mut replay);
-            }
-            body.notes
-                .push(format!("resumed from checkpoint at epoch {epoch}"));
-        }
-    }
-
-    let capture = |opt: &Adam, rng: &StdRng, body: &SampledBody, epoch: u64| -> Checkpoint {
-        let mut ckpt = Checkpoint::capture(&params, &norms, opt, None, Some(rng), epoch);
-        ckpt.best_val = body.best_val;
-        ckpt.test_at_best = body.test_at_best;
-        ckpt.losses = body.losses.clone();
-        ckpt.total_time = accumulated(body.prior_time, &body.epoch_times);
-        gnn_device::with(|s| ckpt.clock = s.now());
-        ckpt
-    };
-    let mut rollback = (capture(&opt, &rng, &body, epoch), order.clone());
-    let mut last_rollback_epoch: Option<u64> = None;
-
-    let mut last_mark = 0.0f64;
-    gnn_device::with(|s| last_mark = s.now());
-    let mut tracker = EpochTracker::new(format!("sample/{}/{}", model.name(), loader.label()));
-
-    'epochs: while epoch < cfg.max_epochs as u64 {
-        gnn_faults::set_epoch(epoch);
-        order.shuffle(&mut rng);
-
+    /// One mini-batch epoch: every `batch`-sized chunk of the sample order
+    /// through [`Run::step`], in order. Persistent OOM halves the batch
+    /// (worded as `what`, e.g. "batch size") and replays the failed chunk,
+    /// down to one sample (`floor`, e.g. "batch size 1"). Returns the last
+    /// step's loss, or `None` if a poisoned loss rolled the run back.
+    pub(crate) fn train_epoch(
+        &mut self,
+        what: &str,
+        floor: &str,
+        mut compute: impl FnMut(&[u32]) -> Tensor,
+    ) -> Result<Option<f32>, TrainError> {
         let mut pos = 0usize;
         let mut last_loss = 0.0f32;
-        while pos < order.len() {
-            let end = (pos + eff_batch).min(order.len());
-            let chunk = &order[pos..end];
-            let step = supervised_step(
-                || {
-                    gnn_device::set_phase(Phase::DataLoad);
-                    let batch = loader.load(chunk, epoch);
-                    gnn_device::set_phase(Phase::Forward);
-                    let logits = model.forward(&batch, true);
-                    let ids: gnn_tensor::Ids = Rc::new((0..chunk.len() as u32).collect());
-                    let labels: Vec<u32> = batch.labels()[..chunk.len()].to_vec();
-                    let loss = cross_entropy(&logits.gather_rows(&ids), &labels);
-                    gnn_device::set_phase(Phase::Backward);
-                    loss.backward();
-                    loss
-                },
-                &norms,
-                &mut opt,
-                sup,
-                &mut body.retries,
-                &mut body.notes,
-                epoch,
-            );
-            match step {
-                StepResult::Ok(v) => {
-                    last_loss = v;
+        while pos < self.order.len() {
+            let end = (pos + self.batch).min(self.order.len());
+            match self.step(pos..end, &mut compute)? {
+                Step::Done(loss) => {
+                    last_loss = loss;
                     pos = end;
                 }
-                StepResult::OomPersistent { attempts } => {
-                    if eff_batch == 1 {
+                Step::Oom { attempts } => {
+                    if self.batch == 1 {
                         return Err(TrainError::RetriesExhausted {
                             attempts,
-                            cause: "device OOM persists even at 1 seed per batch".into(),
+                            cause: format!("device OOM persists even at {floor}"),
                         });
                     }
-                    eff_batch = (eff_batch / 2).max(1);
-                    body.degraded = true;
-                    body.notes.push(format!(
-                        "epoch {epoch}: halving seed batch to {eff_batch} after persistent OOM"
+                    self.batch = (self.batch / 2).max(1);
+                    self.degraded = true;
+                    self.notes.push(format!(
+                        "epoch {}: halving {what} to {} after persistent OOM",
+                        self.epoch, self.batch
                     ));
-                    // pos unchanged: replay the failed chunk at the smaller
-                    // fan-out frontier.
+                    // `pos` unchanged: replay the failed chunk at the smaller
+                    // size.
                 }
-                StepResult::Poisoned => {
-                    if last_rollback_epoch == Some(epoch) {
-                        return Err(TrainError::NanLoss { epoch });
-                    }
-                    last_rollback_epoch = Some(epoch);
-                    let (ckpt, saved_order) = &rollback;
-                    body.notes.push(format!(
-                        "epoch {epoch}: NaN loss — rolled back to checkpoint at epoch {} and replaying",
-                        ckpt.epoch
-                    ));
-                    if let Some(restored) = ckpt.restore(&params, &norms, &mut opt, None) {
-                        rng = restored;
-                    }
-                    body.best_val = ckpt.best_val;
-                    body.test_at_best = ckpt.test_at_best;
-                    body.losses = ckpt.losses.clone();
-                    order = saved_order.clone();
-                    epoch = ckpt.epoch;
-                    continue 'epochs;
-                }
-                StepResult::Fatal(e) => return Err(e),
+                Step::RolledBack => return Ok(None),
             }
         }
+        Ok(Some(last_loss))
+    }
 
-        gnn_device::set_phase(Phase::Other);
-        let val_acc = supervised_eval(
-            || eval_sampled(model, loader, &val_pool, eff_batch, EVAL_SALT + epoch) * 100.0,
-            sup,
-            &mut body.retries,
-            &mut body.notes,
-            epoch,
-        )?;
-        if val_acc > body.best_val {
-            body.best_val = val_acc;
-            body.test_at_best = supervised_eval(
-                || eval_sampled(model, loader, &test_pool, eff_batch, EVAL_SALT + epoch) * 100.0,
-                sup,
-                &mut body.retries,
-                &mut body.notes,
-                epoch,
-            )?;
-        }
-        gnn_device::with(|s| s.end_step());
-
-        let mut now = 0.0;
-        gnn_device::with(|s| now = s.now());
-        body.epoch_times.push(now - last_mark);
-        last_mark = now;
-        tracker.emit(
-            f64::from(last_loss),
-            Some(val_acc / 100.0),
-            f64::from(cfg.lr),
-        );
-        body.losses.push(f64::from(last_loss));
-        epoch += 1;
-
-        rollback = (capture(&opt, &rng, &body, epoch), order.clone());
-        if let Some(path) = &sup.checkpoint_path {
-            if epoch.is_multiple_of(sup.checkpoint_every) {
-                rollback.0.save(path).map_err(TrainError::Checkpoint)?;
+    /// Runs `eval` with bounded retries on device faults. Evaluation mutates
+    /// nothing (inference mode), so a retry is a plain redo.
+    pub(crate) fn eval<T>(&mut self, mut eval: impl FnMut() -> T) -> Result<T, TrainError> {
+        let mut attempts = 0usize;
+        loop {
+            let out = eval();
+            let Some(fault) = gnn_faults::take_pending() else {
+                return Ok(out);
+            };
+            gnn_device::with(|s| s.end_step());
+            attempts += 1;
+            self.retries += 1;
+            if attempts > self.sup.max_retries {
+                return Err(fault_to_error(&fault, attempts));
             }
+            self.notes.push(format!(
+                "epoch {}: retrying evaluation after {fault} (attempt {attempts})",
+                self.epoch
+            ));
+            gnn_device::host(self.sup.backoff * attempts as f64);
         }
     }
-    Ok(body)
+
+    /// Closes the epoch: times it, emits its metrics record, appends `loss`
+    /// to the loss curve, snapshots the state for roll-back and, on the
+    /// supervisor's schedule, writes the checkpoint file.
+    pub(crate) fn end_epoch(&mut self, loss: f32, accuracy: f64) -> Result<(), TrainError> {
+        let mut now = 0.0;
+        gnn_device::with(|s| now = s.now());
+        self.epoch_times.push(now - self.last_mark);
+        self.last_mark = now;
+        self.tracker
+            .emit(f64::from(loss), Some(accuracy), f64::from(self.opt.lr()));
+        self.losses.push(f64::from(loss));
+        self.epoch += 1;
+
+        self.rollback = (self.capture(), self.order.clone());
+        if let Some(path) = &self.sup.checkpoint_path {
+            if self.epoch.is_multiple_of(self.sup.checkpoint_every) {
+                self.rollback.0.save(path).map_err(TrainError::Checkpoint)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// `(epochs, mean seconds per epoch, total seconds)` over every epoch
+    /// trained, earlier sessions' included.
+    pub(crate) fn timing(&self) -> (usize, f64, f64) {
+        let epochs = self.losses.len();
+        let total = accumulated(self.prior_time, &self.epoch_times);
+        (epochs, total / epochs.max(1) as f64, total)
+    }
+
+    /// Wraps the task's outcome with what the supervisor had to do.
+    pub(crate) fn finish<T>(self, outcome: T) -> Supervised<T> {
+        Supervised {
+            outcome,
+            degraded: self.degraded,
+            retries: self.retries,
+            notes: self.notes,
+            losses: self.losses,
+        }
+    }
 }
 
 #[cfg(test)]
