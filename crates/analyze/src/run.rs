@@ -25,11 +25,13 @@
 //! `table4/Cora/GCN/PyG/conv2/matmul`, `table5/MNIST/GatedGCN/DGL/...`,
 //! `fig6/GCN/DGL/gpus4/...`.
 
+use gnn_core::cell::{
+    folds, graph_batch_size, graph_dataset, node_dataset, CellId, TaskKind, GRAPH_DATASETS,
+    NODE_DATASETS,
+};
 use gnn_core::RunConfig;
-use gnn_datasets::{stratified_kfold, CitationSpec, SuperpixelSpec, TudSpec};
 use gnn_device::{DataParallel, StepCost};
-use gnn_models::config::{graph_hparams, FrameworkKind, ModelKind, ALL_FRAMEWORKS, ALL_MODELS};
-use gnn_sample::SamplerKind;
+use gnn_models::config::{graph_hparams, ModelKind, ALL_FRAMEWORKS};
 
 use crate::counter_check::check_counter_coverage;
 use crate::fault_plan::{check_fault_plan, check_memory_ceilings};
@@ -50,10 +52,6 @@ fn lint_cell(plan: &StackPlan, path: &str, report: &mut LintReport) -> u64 {
     report.ops_checked += graph.nodes.len();
     report.cells_checked += 1;
     graph.param_bytes()
-}
-
-fn fw_dir(fw: FrameworkKind) -> &'static str {
-    fw.label()
 }
 
 /// Lints the full sweep a [`RunConfig`] describes. Deterministic: the same
@@ -88,95 +86,56 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
         check_fault_plan(plan, cfg, &mut report.findings);
     }
 
+    // The grid, its order and its datasets are the catalog's — what the
+    // sweep will train is what gets linted and certified, cell for cell.
+
     // Table IV: node classification on the citation graphs.
-    for spec in [CitationSpec::cora(), CitationSpec::pubmed()] {
-        let ds = spec.scaled(cfg.scale).generate(cfg.seed);
-        let ds_path = format!("table4/{}", ds.name);
+    for name in NODE_DATASETS {
+        let ds = node_dataset(name, cfg.scale, cfg.seed).expect("the grid's datasets generate");
+        let ds_path = format!("{}/{name}", TaskKind::Node.experiment());
         check_node_dataset(&ds, &ds_path, &mut report.findings);
         report.datasets_checked += 1;
-        for model in ALL_MODELS {
-            for fw in ALL_FRAMEWORKS {
-                let plan = StackPlan::node(model, fw, ds.features.cols(), ds.num_classes);
-                let path = format!("{ds_path}/{}/{}", model.label(), fw_dir(fw));
-                lint_cell(&plan, &path, &mut report);
-                let cert = certify_node_cell(model, fw, &ds);
-                check_device_fit(&cert, &mut memory.findings);
-                memory.cells.push(cert);
-            }
+        for cell in CellId::grid(TaskKind::Node, name) {
+            let (model, fw) = (cell.model, cell.framework);
+            let plan = StackPlan::node(model, fw, ds.features.cols(), ds.num_classes);
+            lint_cell(&plan, &cell.path(), &mut report);
+            let cert = certify_node_cell(model, fw, &ds);
+            check_device_fit(&cert, &mut memory.findings);
+            memory.cells.push(cert);
         }
     }
 
-    // Table V: graph classification on ENZYMES / MNIST / DD, scaled the way
-    // the runner scales them.
-    type GraphGen<'a> = Box<dyn Fn() -> gnn_datasets::GraphDataset + 'a>;
-    let graph_specs: [(&str, GraphGen); 3] = [
-        (
-            "ENZYMES",
-            Box::new(|| TudSpec::enzymes().scaled(cfg.scale).generate(cfg.seed)),
-        ),
-        (
-            "MNIST",
-            Box::new(|| {
-                SuperpixelSpec::mnist()
-                    .scaled((cfg.scale * 0.1).min(1.0))
-                    .generate(cfg.seed)
-            }),
-        ),
-        (
-            "DD",
-            Box::new(|| TudSpec::dd().scaled(cfg.scale).generate(cfg.seed)),
-        ),
-    ];
-    for (name, gen) in graph_specs {
-        let ds = gen();
-        let ds_path = format!("table5/{name}");
+    // Table V: graph classification on ENZYMES / DD / MNIST.
+    for name in GRAPH_DATASETS {
+        let ds = graph_dataset(name, cfg.scale, cfg.seed).expect("the grid's datasets generate");
+        let ds_path = format!("{}/{name}", TaskKind::Graph.experiment());
         let batch = cfg.batch_sizes.iter().copied().max().unwrap_or(128);
         check_graph_dataset(&ds, batch, &ds_path, &mut report.findings);
         report.datasets_checked += 1;
-        // The runner clamps the configured batch size against fold 0's
-        // training split; certify at the exact batch it would use.
-        let folds = stratified_kfold(&ds.labels(), 10, cfg.seed);
-        for model in ALL_MODELS {
-            for fw in ALL_FRAMEWORKS {
-                let plan = StackPlan::graph(model, fw, ds.feature_dim, ds.num_classes);
-                let path = format!("{ds_path}/{}/{}", model.label(), fw_dir(fw));
-                lint_cell(&plan, &path, &mut report);
-                let run_batch = graph_hparams(model)
-                    .batch_size
-                    .min((folds[0].train.len() / 3).max(8));
-                let cert = certify_graph_cell(model, fw, &ds, run_batch);
-                check_device_fit(&cert, &mut memory.findings);
-                memory.cells.push(cert);
-            }
+        let folds = folds(&ds, cfg.seed);
+        for cell in CellId::grid(TaskKind::Graph, name) {
+            let (model, fw) = (cell.model, cell.framework);
+            let plan = StackPlan::graph(model, fw, ds.feature_dim, ds.num_classes);
+            lint_cell(&plan, &cell.path(), &mut report);
+            // Certify at the exact (clamped) batch the cell would run.
+            let cert = certify_graph_cell(model, fw, &ds, graph_batch_size(model, &folds));
+            check_device_fit(&cert, &mut memory.findings);
+            memory.cells.push(cert);
         }
     }
 
     // Sampled cells: audited and certified entirely in closed form — no
     // RMAT graph is generated, so linting the million-node spec costs the
-    // same as the 4k one. Each configured spec expands into the sweep's
-    // sampler × framework cells with the fixed SAGE architecture.
+    // same as the 4k one.
     for spec in check_sample_config(&cfg.sample_specs, &mut report.findings) {
         report.datasets_checked += 1;
-        for kind in SamplerKind::all() {
-            for fw in ALL_FRAMEWORKS {
-                let plan = StackPlan::node(
-                    ModelKind::Sage,
-                    fw,
-                    spec.rmat.feature_dim,
-                    spec.rmat.num_classes,
-                );
-                let path = format!(
-                    "sample/{}-{}/{}/{}",
-                    spec.name,
-                    kind.label(),
-                    ModelKind::Sage.label(),
-                    fw_dir(fw)
-                );
-                lint_cell(&plan, &path, &mut report);
-                let cert = certify_sample_cell(fw, &spec, kind);
-                check_device_fit(&cert, &mut memory.findings);
-                memory.cells.push(cert);
-            }
+        for (kind, cell) in CellId::sample_grid(spec.name) {
+            let (f, c) = (spec.rmat.feature_dim, spec.rmat.num_classes);
+            let plan = StackPlan::node(cell.model, cell.framework, f, c);
+            lint_cell(&plan, &cell.path(), &mut report);
+            let cert = certify_sample_cell(cell.framework, &spec, kind);
+            check_device_fit(&cert, &mut memory.findings);
+            memory.cells.push(cert);
         }
     }
 
@@ -199,7 +158,7 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
                 update: 1e-4,
             };
             for n_gpus in [1usize, 2, 4, 8] {
-                let path = format!("fig6/{}/{}/gpus{n_gpus}", model.label(), fw_dir(fw));
+                let path = format!("fig6/{}/{}/gpus{n_gpus}", model.label(), fw.label());
                 let dp = DataParallel::new(n_gpus, param_bytes);
                 match data_parallel_schedule(&dp, &step) {
                     Ok(sched) => sched.check(&path, &mut report.findings),

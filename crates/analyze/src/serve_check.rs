@@ -16,7 +16,7 @@
 //! `max_batch`-sized dispatch cannot fit one replica session's device
 //! memory ([`FindingKind::ServeBatchExceedsReplicaMemory`]).
 
-use gnn_datasets::{CitationSpec, SuperpixelSpec, TudSpec};
+use gnn_core::cell::{graph_dataset, node_dataset};
 use gnn_device::CostModel;
 use gnn_serve::registry::target_count;
 use gnn_serve::{CellId, ServeConfig, TaskKind, WorkloadKind, WorkloadSpec};
@@ -182,63 +182,32 @@ pub fn check_replica_memory(
 /// The certified per-dispatch device footprint of `cell` under `cfg`, with
 /// a human-readable breakdown; `None` for unknown dataset names.
 fn replica_footprint(cell: &CellId, cfg: &ServeConfig) -> Option<(u64, String)> {
-    match cell.task {
+    let (model, fw) = (cell.model, cell.framework);
+    // Per task: the stack, the worst dispatch's nodes / edges / graphs, and
+    // how to describe it.
+    let (plan, n, e, graphs, detail) = match cell.task {
         TaskKind::Node => {
-            let spec = match cell.dataset.as_str() {
-                "Cora" => CitationSpec::cora(),
-                "PubMed" => CitationSpec::pubmed(),
-                _ => return None,
-            };
-            let ds = spec.scaled(cfg.scale).generate(cfg.seed);
-            let plan = StackPlan::node(
-                cell.model,
-                cell.framework,
-                ds.features.cols(),
-                ds.num_classes,
-            );
-            let fp = footprint(&plan);
+            let ds = node_dataset(&cell.dataset, cfg.scale, cfg.seed).ok()?;
             let (n, e) = (ds.graph.num_nodes() as u64, ds.graph.num_edges() as u64);
-            let need = fp.load.eval(n, e, 1) + fp.forward.minus_const(4).eval(n, e, 1);
-            Some((
-                need,
-                format!("full-graph forward over {n} nodes / {e} edges"),
-            ))
+            let plan = StackPlan::node(model, fw, ds.features.cols(), ds.num_classes);
+            let detail = format!("full-graph forward over {n} nodes / {e} edges");
+            (plan, n, e, 1, detail)
         }
         TaskKind::Graph => {
-            let ds = match cell.dataset.as_str() {
-                "ENZYMES" => TudSpec::enzymes().scaled(cfg.scale).generate(cfg.seed),
-                "DD" => TudSpec::dd().scaled(cfg.scale).generate(cfg.seed),
-                "MNIST" => SuperpixelSpec::mnist()
-                    .scaled((cfg.scale * 0.1).min(1.0))
-                    .generate(cfg.seed),
-                _ => return None,
-            };
+            let ds = graph_dataset(&cell.dataset, cfg.scale, cfg.seed).ok()?;
             if ds.samples.is_empty() || cfg.policy.max_batch == 0 {
                 return None; // degenerate cases carry their own findings
             }
-            let b = cfg.policy.max_batch.min(ds.samples.len()) as u64;
-            let mut node_counts: Vec<u64> = ds
-                .samples
-                .iter()
-                .map(|s| s.graph.num_nodes() as u64)
-                .collect();
-            let mut edge_counts: Vec<u64> = ds
-                .samples
-                .iter()
-                .map(|s| s.graph.num_edges() as u64)
-                .collect();
-            node_counts.sort_unstable_by(|a, b| b.cmp(a));
-            edge_counts.sort_unstable_by(|a, b| b.cmp(a));
-            let n_top: u64 = node_counts.iter().take(b as usize).sum();
-            let e_top: u64 = edge_counts.iter().take(b as usize).sum();
-            let plan = StackPlan::graph(cell.model, cell.framework, ds.feature_dim, ds.num_classes);
-            let fp = footprint(&plan);
-            let need =
-                fp.load.eval(n_top, e_top, b) + fp.forward.minus_const(4).eval(n_top, e_top, b);
-            Some((
-                need,
-                format!("worst max_batch={b} composition: {n_top} nodes / {e_top} edges"),
-            ))
+            let b = cfg.policy.max_batch.min(ds.samples.len());
+            let top = |count: fn(&gnn_datasets::GraphSample) -> usize| -> u64 {
+                let mut counts: Vec<u64> = ds.samples.iter().map(|s| count(s) as u64).collect();
+                counts.sort_unstable_by(|a, b| b.cmp(a));
+                counts.iter().take(b).sum()
+            };
+            let (n, e) = (top(|s| s.graph.num_nodes()), top(|s| s.graph.num_edges()));
+            let plan = StackPlan::graph(model, fw, ds.feature_dim, ds.num_classes);
+            let detail = format!("worst max_batch={b} composition: {n} nodes / {e} edges");
+            (plan, n, e, b as u64, detail)
         }
         TaskKind::Sample => {
             // A sampled dispatch forwards the union block of at most
@@ -251,20 +220,14 @@ fn replica_footprint(cell: &CellId, cfg: &ServeConfig) -> Option<(u64, String)> 
             }
             let n = gnn_sample::max_union_nodes(seeds, &spec.fanouts);
             let e = gnn_sample::max_union_edges(seeds, &spec.fanouts);
-            let plan = StackPlan::node(
-                cell.model,
-                cell.framework,
-                spec.rmat.feature_dim,
-                spec.rmat.num_classes,
-            );
-            let fp = footprint(&plan);
-            let need = fp.load.eval(n, e, 1) + fp.forward.minus_const(4).eval(n, e, 1);
-            Some((
-                need,
-                format!("worst max_batch={seeds}-seed union block: {n} nodes / {e} edges"),
-            ))
+            let plan = StackPlan::node(model, fw, spec.rmat.feature_dim, spec.rmat.num_classes);
+            let detail = format!("worst max_batch={seeds}-seed union block: {n} nodes / {e} edges");
+            (plan, n, e, 1, detail)
         }
-    }
+    };
+    let fp = footprint(&plan);
+    let need = fp.load.eval(n, e, graphs) + fp.forward.minus_const(4).eval(n, e, graphs);
+    Some((need, detail))
 }
 
 #[cfg(test)]

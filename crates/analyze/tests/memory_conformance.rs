@@ -17,17 +17,16 @@
 //!    ceilings kill the run with a typed error. `Unknown` is the honest
 //!    middle band and asserts nothing.
 
+use std::rc::Rc;
+
 use gnn_core::{sweep, CellStatus, RunConfig};
-use gnn_datasets::{stratified_kfold, CitationSpec, TudSpec};
+use gnn_datasets::{CitationSpec, TudSpec};
 use gnn_faults::{FaultKind, FaultPlan};
 use gnn_lint::{certify_graph_cell, certify_node_cell, certify_run, MemVerdict};
-use gnn_models::adapt::{RglLoader, RustygLoader};
 use gnn_models::config::{graph_hparams, node_hparams, ALL_FRAMEWORKS, ALL_MODELS};
-use gnn_models::{build, FrameworkKind, ModelKind};
-use gnn_train::{
-    run_graph_fold_supervised, run_node_task_supervised, GraphTaskConfig, NodeTaskConfig,
-    Supervisor,
-};
+use gnn_models::{build as models, FrameworkKind, ModelKind};
+use gnn_train::cell::{build, folds, graph_batch_size, CellData, Task, Trained};
+use gnn_train::{GraphTaskConfig, NodeTaskConfig, Supervised, Supervisor, TrainError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,8 +95,7 @@ fn certified_bounds_hold_under_the_canonical_chaos_plan() {
 #[test]
 fn sampled_certs_dominate_the_runtime_allocator() {
     use gnn_sample::{RmatGraph, SampleSpec, SamplerKind};
-    use gnn_train::{run_sampled_task_supervised, SampledTaskConfig};
-    use std::rc::Rc;
+    use gnn_train::SampledTaskConfig;
 
     let spec = SampleSpec::get("rmat-4k").unwrap();
     let graph = Rc::new(RmatGraph::generate(spec.rmat).unwrap());
@@ -109,27 +107,14 @@ fn sampled_certs_dominate_the_runtime_allocator() {
         eval_seeds: spec.batch_seeds,
         seed: 9,
     };
-    let (f, c) = (spec.rmat.feature_dim, spec.rmat.num_classes);
     let sup = Supervisor::default();
     for kind in SamplerKind::all() {
         for fw in ALL_FRAMEWORKS {
             let cert = gnn_lint::certify_sample_cell(fw, &spec, kind);
-            let mut rng = StdRng::seed_from_u64(9);
-            let run = match fw {
-                FrameworkKind::RustyG => {
-                    let stack = build::node_model_rustyg(ModelKind::Sage, f, c, &mut rng);
-                    let loader =
-                        rustyg::sampled::SampledLoader::new(graph.clone(), &spec, kind).unwrap();
-                    run_sampled_task_supervised(&stack, &loader, &task, &sup)
-                }
-                FrameworkKind::Rgl => {
-                    let stack = build::node_model_rgl(ModelKind::Sage, f, c, &mut rng);
-                    let loader =
-                        rgl::sampled::SampledLoader::new(graph.clone(), &spec, kind).unwrap();
-                    run_sampled_task_supervised(&stack, &loader, &task, &sup)
-                }
-            }
-            .unwrap_or_else(|e| panic!("{}: clean run died: {e}", cert.path()));
+            let data = CellData::Sample(graph.clone(), spec.clone(), kind);
+            let run = build(fw, ModelKind::Sage, &data, 9)
+                .train(&Task::Sampled(task), &sup)
+                .unwrap_or_else(|e| panic!("{}: clean run died: {e}", cert.path()));
             let observed = run.outcome.report.peak_memory;
             assert!(observed > 0, "{}: no peak recorded", cert.path());
             assert!(
@@ -170,12 +155,12 @@ fn node_certs_dominate_the_plain_entry_point() {
             let mut rng = StdRng::seed_from_u64(7);
             let out = match fw {
                 FrameworkKind::RustyG => {
-                    let stack = build::node_model_rustyg(model, f, c, &mut rng);
+                    let stack = models::node_model_rustyg(model, f, c, &mut rng);
                     let batch = rustyg::loader::full_graph_batch(&ds);
                     run_node_task(&stack, &batch, &ds, &task)
                 }
                 FrameworkKind::Rgl => {
-                    let stack = build::node_model_rgl(model, f, c, &mut rng);
+                    let stack = models::node_model_rgl(model, f, c, &mut rng);
                     let batch = rgl::loader::full_graph_batch(&ds);
                     run_node_task(&stack, &batch, &ds, &task)
                 }
@@ -192,7 +177,6 @@ fn node_certs_dominate_the_plain_entry_point() {
 fn sampled_certs_dominate_the_plain_entry_point_at_any_epoch_length() {
     use gnn_sample::{RmatGraph, SampleSpec, SamplerKind};
     use gnn_train::{run_sampled_task, SampledTaskConfig};
-    use std::rc::Rc;
 
     let spec = SampleSpec::get("rmat-4k").unwrap();
     let graph = Rc::new(RmatGraph::generate(spec.rmat).unwrap());
@@ -212,14 +196,14 @@ fn sampled_certs_dominate_the_plain_entry_point_at_any_epoch_length() {
                 let mut rng = StdRng::seed_from_u64(9);
                 let out = match fw {
                     FrameworkKind::RustyG => {
-                        let stack = build::node_model_rustyg(ModelKind::Sage, f, c, &mut rng);
+                        let stack = models::node_model_rustyg(ModelKind::Sage, f, c, &mut rng);
                         let loader =
                             rustyg::sampled::SampledLoader::new(graph.clone(), &spec, kind)
                                 .unwrap();
                         run_sampled_task(&stack, &loader, &task)
                     }
                     FrameworkKind::Rgl => {
-                        let stack = build::node_model_rgl(ModelKind::Sage, f, c, &mut rng);
+                        let stack = models::node_model_rgl(ModelKind::Sage, f, c, &mut rng);
                         let loader =
                             rgl::sampled::SampledLoader::new(graph.clone(), &spec, kind).unwrap();
                         run_sampled_task(&stack, &loader, &task)
@@ -261,36 +245,32 @@ fn ceiling_from(frac: u64, floor_fatal: u64, peak_upper: u64) -> u64 {
 }
 
 fn node_ceiling_case(model: ModelKind, fw: FrameworkKind, frac: u64) {
-    let ds = CitationSpec::cora().scaled(0.05).generate(7);
+    let ds = Rc::new(CitationSpec::cora().scaled(0.05).generate(7));
     let cert = certify_node_cell(model, fw, &ds);
     let ceiling = ceiling_from(frac, cert.floor_fatal, cert.peak_upper);
     let verdict = cert.ceiling_verdict(ceiling);
     if verdict == MemVerdict::Unknown {
         return; // between the bounds: the certifier honestly proves nothing
     }
-    let f = ds.features.cols();
-    let c = ds.num_classes;
-    let mut rng = StdRng::seed_from_u64(7);
-    let task = NodeTaskConfig {
+    let task = Task::Node(NodeTaskConfig {
         max_epochs: 2,
         lr: node_hparams(model).lr,
-    };
-    let sup = Supervisor::default();
+    });
     let handle =
         gnn_faults::install(FaultPlan::empty().with(FaultKind::MemLimit { bytes: ceiling }));
-    let result = match fw {
-        FrameworkKind::RustyG => {
-            let stack = build::node_model_rustyg(model, f, c, &mut rng);
-            let batch = rustyg::loader::full_graph_batch(&ds);
-            run_node_task_supervised(&stack, &batch, &ds, &task, &sup)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::node_model_rgl(model, f, c, &mut rng);
-            let batch = rgl::loader::full_graph_batch(&ds);
-            run_node_task_supervised(&stack, &batch, &ds, &task, &sup)
-        }
-    };
+    let result = build(fw, model, &CellData::Node(ds), 7).train(&task, &Supervisor::default());
     gnn_faults::finish(handle);
+    assert_verdict(&cert, ceiling, verdict, result);
+}
+
+/// The supervised runtime must land on the certified verdict: `Fits` runs
+/// finish clean and undegraded, `Fatal` ceilings kill the run.
+fn assert_verdict(
+    cert: &gnn_lint::CellCert,
+    ceiling: u64,
+    verdict: MemVerdict,
+    result: Result<Supervised<Trained>, TrainError>,
+) {
     match verdict {
         MemVerdict::Fits => {
             let run = result.unwrap_or_else(|e| {
@@ -315,56 +295,23 @@ fn node_ceiling_case(model: ModelKind, fw: FrameworkKind, frac: u64) {
 }
 
 fn graph_ceiling_case(model: ModelKind, fw: FrameworkKind, frac: u64) {
-    let ds = TudSpec::enzymes().scaled(0.15).generate(8);
-    let folds = stratified_kfold(&ds.labels(), 10, 8);
+    let ds = Rc::new(TudSpec::enzymes().scaled(0.15).generate(8));
+    let folds = folds(&ds, 8);
     let mut task = GraphTaskConfig::from_hparams(&graph_hparams(model), 1, 8);
-    task.batch_size = task.batch_size.min((folds[0].train.len() / 3).max(8));
+    task.batch_size = graph_batch_size(model, &folds);
     let cert = certify_graph_cell(model, fw, &ds, task.batch_size);
     let ceiling = ceiling_from(frac, cert.floor_fatal, cert.peak_upper);
     let verdict = cert.ceiling_verdict(ceiling);
     if verdict == MemVerdict::Unknown {
         return;
     }
-    let f = ds.feature_dim;
-    let c = ds.num_classes;
-    let mut rng = StdRng::seed_from_u64(8);
-    let sup = Supervisor::default();
+    let data = CellData::Graph(ds, Rc::default());
     let handle =
         gnn_faults::install(FaultPlan::empty().with(FaultKind::MemLimit { bytes: ceiling }));
-    let result = match fw {
-        FrameworkKind::RustyG => {
-            let stack = build::graph_model_rustyg(model, f, c, &mut rng);
-            let loader = RustygLoader::new(&ds);
-            run_graph_fold_supervised(&stack, &loader, &folds[0], &task, &sup)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::graph_model_rgl(model, f, c, &mut rng);
-            let loader = RglLoader::new(&ds);
-            run_graph_fold_supervised(&stack, &loader, &folds[0], &task, &sup)
-        }
-    };
+    let result =
+        build(fw, model, &data, 8).train(&Task::Graph(task, &folds[0]), &Supervisor::default());
     gnn_faults::finish(handle);
-    match verdict {
-        MemVerdict::Fits => {
-            let run = result.unwrap_or_else(|e| {
-                panic!(
-                    "{}: certified Fits at {ceiling} B but run died: {e}",
-                    cert.path()
-                )
-            });
-            assert!(
-                !run.degraded,
-                "{}: certified Fits at {ceiling} B but the run degraded",
-                cert.path()
-            );
-        }
-        MemVerdict::Fatal => assert!(
-            result.is_err(),
-            "{}: certified Fatal at {ceiling} B but the run survived",
-            cert.path()
-        ),
-        MemVerdict::Unknown => unreachable!(),
-    }
+    assert_verdict(&cert, ceiling, verdict, result);
 }
 
 proptest! {

@@ -10,29 +10,28 @@
 use gnn_core::runner::GraphDs;
 use gnn_core::RunConfig;
 use gnn_device::pipeline::{pipeline_speedup, pipelined_epoch_time, serial_epoch_time};
-use gnn_models::adapt::{RglLoader, RustygLoader};
-use gnn_models::{build, FrameworkKind, Loader, ModelBatch};
+use gnn_models::{GnnStack, Loader, ModelBatch};
 use gnn_tensor::cross_entropy;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gnn_train::cell::{with_graph_stack, GraphJob};
 
-fn measure<L: Loader>(
-    stack: &gnn_models::GnnStack<L::Batch>,
-    loader: &L,
-    idx: &[u32],
-) -> (f64, f64) {
-    let h =
-        gnn_device::session::install(gnn_device::Session::new(gnn_device::CostModel::rtx2080ti()));
-    let batch = loader.load(idx);
-    let mut load = 0.0;
-    gnn_device::with(|s| load = s.now());
-    let logits = stack.forward(&batch, true);
-    cross_entropy(&logits, batch.labels()).backward();
-    let report = gnn_device::session::finish(h);
-    for p in stack.params() {
-        p.zero_grad();
+/// One batch's `(load, compute)` simulated seconds.
+struct Measure<'a>(&'a [u32]);
+
+impl GraphJob for Measure<'_> {
+    type Out = (f64, f64);
+
+    fn run<L: Loader>(self, stack: &GnnStack<L::Batch>, loader: &L) -> (f64, f64) {
+        let h = gnn_device::session::install(gnn_device::Session::new(
+            gnn_device::CostModel::rtx2080ti(),
+        ));
+        let batch = loader.load(self.0);
+        let mut load = 0.0;
+        gnn_device::with(|s| load = s.now());
+        let logits = stack.forward(&batch, true);
+        cross_entropy(&logits, batch.labels()).backward();
+        let report = gnn_device::session::finish(h);
+        (load, report.total_time - load)
     }
-    (load, report.total_time - load)
 }
 
 fn main() {
@@ -53,19 +52,7 @@ fn main() {
     );
     for model in gnn_models::config::ALL_MODELS {
         for fw in gnn_models::config::ALL_FRAMEWORKS {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let (load, compute) = match fw {
-                FrameworkKind::RustyG => {
-                    let stack =
-                        build::graph_model_rustyg(model, ds.feature_dim, ds.num_classes, &mut rng);
-                    measure(&stack, &RustygLoader::new(&ds), &batch)
-                }
-                FrameworkKind::Rgl => {
-                    let stack =
-                        build::graph_model_rgl(model, ds.feature_dim, ds.num_classes, &mut rng);
-                    measure(&stack, &RglLoader::new(&ds), &batch)
-                }
-            };
+            let (load, compute) = with_graph_stack(fw, model, &ds, cfg.seed, Measure(&batch));
             println!(
                 "{:<10} {:<5} {:>7.1}ms {:>8.1}ms {:>9.1}ms {:>9.1}ms {:>7.2}x",
                 model.label(),

@@ -50,10 +50,11 @@
 //! ignore both, `sample` has neither, and `serve`/`fleet` read `--ckpt` to
 //! load trained weights.
 //!
-//! The Criterion benches (`cargo bench -p gnn-bench`) measure the *library
-//! itself* (real CPU time of the tensor kernels, message-passing lowerings,
-//! and the two frameworks' collation paths) rather than the simulated
-//! device.
+//! Every number these binaries print is *simulated* device time. The real
+//! CPU time of the library itself — the tensor kernels, the message-passing
+//! lowerings, the two frameworks' collation paths, whole workloads — is
+//! measured by the standalone `benchmark/` package (see its README), which
+//! records what it times and gates on it.
 
 pub mod report;
 pub mod sample;

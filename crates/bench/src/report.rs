@@ -6,9 +6,11 @@
 //! numbers the regression observatory tracks: per-cell epoch time with its
 //! kernel/transfer/idle split and roofline utilization, per-policy serve
 //! latency percentiles with SLO attainment, and per-routing-policy fleet
-//! resilience counters (sheds, retries, hedges, failover latency). The
-//! result serializes to
-//! a schema-versioned JSON document (`BENCH_<n>.json` at the repo root)
+//! resilience counters (sheds, retries, hedges, failover latency). A cell
+//! is trained as run 0 of the sweep would train it — dataset, recipe,
+//! architecture seed and framework all come from [`gnn_train::cell`]; this
+//! module holds no description of a cell of its own. The result serializes
+//! to a schema-versioned JSON document (`BENCH_<n>.json` at the repo root)
 //! whose every number is *simulated* — no wall-clock anywhere — so a rerun
 //! with the same config reproduces the file byte-for-byte. CI runs the
 //! report twice and `cmp`s the outputs.
@@ -19,24 +21,12 @@
 //! they shrink past `previous * (1 - threshold)`.
 
 use std::path::PathBuf;
-use std::rc::Rc;
 
-use gnn_datasets::{stratified_kfold, CitationSpec, SuperpixelSpec, TudSpec};
 use gnn_faults::FaultPlan;
-use gnn_models::adapt::{RglLoader, RustygLoader};
-use gnn_models::{build, graph_hparams, node_hparams, FrameworkKind};
 use gnn_obs::{json, Value};
-use gnn_sample::RmatGraph;
-use gnn_serve::{
-    default_endpoints, sample_dataset, BatchPolicy, CellId, FleetConfig, RoutingPolicy,
-    ServeConfig, TaskKind,
-};
-use gnn_train::{
-    run_graph_fold, run_node_task, run_sampled_task, GraphTaskConfig, NodeOutcome, NodeTaskConfig,
-    SampledTaskConfig,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gnn_serve::{default_endpoints, BatchPolicy, CellId, FleetConfig, RoutingPolicy, ServeConfig};
+use gnn_train::cell::{train, CellData, Trained};
+use gnn_train::Supervisor;
 
 /// Schema tag every report document carries; bumped on breaking change.
 /// `v2` added the `fleet` section (per-routing-policy resilience rows);
@@ -230,140 +220,45 @@ pub struct BenchReport {
     pub fleet: Vec<FleetPolicyReport>,
 }
 
-/// Trains one cell and returns `(epoch_time, total_time, device_report)`.
-/// Shared between the report harness and the causal what-if profiler
-/// (`crate::whatif`), which needs the raw device report for roofline
-/// attribution and runs under an observability collector to capture the
-/// device schedule.
-pub(crate) fn train_cell(
-    cell: &CellId,
-    scale: f64,
-    epochs: usize,
-    seed: u64,
-) -> (f64, f64, gnn_device::DeviceReport) {
-    match cell.task {
-        TaskKind::Node => {
-            let spec = match cell.dataset.as_str() {
-                "Cora" => CitationSpec::cora(),
-                "PubMed" => CitationSpec::pubmed(),
-                other => panic!("unknown node dataset {other}"),
-            };
-            let ds = spec.scaled(scale).generate(seed);
-            let task = NodeTaskConfig {
-                max_epochs: epochs,
-                lr: node_hparams(cell.model).lr,
-            };
-            let f = ds.features.cols();
-            let c = ds.num_classes;
-            let mut rng = StdRng::seed_from_u64(seed + 1);
-            let out = match cell.framework {
-                FrameworkKind::RustyG => {
-                    let stack = build::node_model_rustyg(cell.model, f, c, &mut rng);
-                    let batch = rustyg::loader::full_graph_batch(&ds);
-                    run_node_task(&stack, &batch, &ds, &task)
-                }
-                FrameworkKind::Rgl => {
-                    let stack = build::node_model_rgl(cell.model, f, c, &mut rng);
-                    let batch = rgl::loader::full_graph_batch(&ds);
-                    run_node_task(&stack, &batch, &ds, &task)
-                }
-            };
-            (out.epoch_time, out.total_time, out.report)
-        }
-        TaskKind::Graph => {
-            let ds = match cell.dataset.as_str() {
-                "ENZYMES" => TudSpec::enzymes().scaled(scale).generate(seed),
-                "DD" => TudSpec::dd().scaled(scale).generate(seed),
-                "MNIST" => SuperpixelSpec::mnist()
-                    .scaled((scale * 0.1).min(1.0))
-                    .generate(seed),
-                other => panic!("unknown graph dataset {other}"),
-            };
-            let folds = stratified_kfold(&ds.labels(), 10, seed);
-            let fold = &folds[0];
-            let mut task = GraphTaskConfig::from_hparams(&graph_hparams(cell.model), epochs, seed);
-            task.batch_size = task.batch_size.min((fold.train.len() / 3).max(8));
-            let f = ds.feature_dim;
-            let c = ds.num_classes;
-            let mut rng = StdRng::seed_from_u64(seed + 1);
-            let out = match cell.framework {
-                FrameworkKind::RustyG => {
-                    let stack = build::graph_model_rustyg(cell.model, f, c, &mut rng);
-                    let loader = RustygLoader::new(&ds);
-                    run_graph_fold(&stack, &loader, fold, &task)
-                }
-                FrameworkKind::Rgl => {
-                    let stack = build::graph_model_rgl(cell.model, f, c, &mut rng);
-                    let loader = RglLoader::new(&ds);
-                    run_graph_fold(&stack, &loader, fold, &task)
-                }
-            };
-            (out.epoch_time, out.total_time, out.report)
-        }
-        TaskKind::Sample => {
-            let (out, _) = train_sample_cell(cell, epochs, seed);
-            (out.epoch_time, out.total_time, out.report)
-        }
-    }
-}
-
-/// Trains one sampled cell with the sweep's conventions (pool salts,
-/// arch seed `seed + 1`, pools sized in batches) and returns the outcome
-/// plus the loader's end-of-run feature-cache hit rate.
-pub(crate) fn train_sample_cell(cell: &CellId, epochs: usize, seed: u64) -> (NodeOutcome, f64) {
-    let (spec, kind) = sample_dataset(&cell.dataset)
-        .unwrap_or_else(|| panic!("unknown sample dataset {}", cell.dataset));
-    let graph = Rc::new(RmatGraph::generate(spec.rmat).expect("catalog specs generate cleanly"));
-    let task = SampledTaskConfig {
-        max_epochs: epochs,
-        lr: node_hparams(cell.model).lr,
-        batch_seeds: spec.batch_seeds,
-        train_seeds: spec.batch_seeds * 4,
-        eval_seeds: spec.batch_seeds,
-        seed,
-    };
-    let f = spec.rmat.feature_dim;
-    let c = spec.rmat.num_classes;
-    let mut rng = StdRng::seed_from_u64(seed + 1);
-    match cell.framework {
-        FrameworkKind::RustyG => {
-            let stack = build::node_model_rustyg(cell.model, f, c, &mut rng);
-            let loader = rustyg::sampled::SampledLoader::new(graph, &spec, kind)
-                .expect("catalog specs validate");
-            let out = run_sampled_task(&stack, &loader, &task);
-            let hit = loader.cache_hit_rate();
-            (out, hit)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::node_model_rgl(cell.model, f, c, &mut rng);
-            let loader = rgl::sampled::SampledLoader::new(graph, &spec, kind)
-                .expect("catalog specs validate");
-            let out = run_sampled_task(&stack, &loader, &task);
-            let hit = loader.cache_hit_rate();
-            (out, hit)
-        }
-    }
+/// Trains one cell — run 0 of it, exactly as the sweep would: the catalog's
+/// dataset, recipe, architecture seed and framework — under the default
+/// policy. Shared between the report harness and the causal what-if
+/// profiler (`crate::whatif`), which needs the raw device report for
+/// roofline attribution and runs under an observability collector to
+/// capture the device schedule.
+///
+/// # Panics
+///
+/// Panics if the cell names an unknown dataset or training fails (both
+/// indicate a broken config, not a run-time condition).
+pub(crate) fn train_cell(cell: &CellId, scale: f64, epochs: usize, seed: u64) -> Trained {
+    let data =
+        CellData::generate(cell.task, &cell.dataset, scale, seed).unwrap_or_else(|e| panic!("{e}"));
+    train(cell, &data, epochs, seed, 0, &Supervisor::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .outcome
 }
 
 fn run_sample_cell(cell: &CellId, cfg: &ReportConfig) -> SampleCellReport {
-    let (out, cache_hit_rate) = train_sample_cell(cell, cfg.epochs, cfg.seed);
+    let out = train_cell(cell, cfg.scale, cfg.epochs, cfg.seed);
     SampleCellReport {
         cell: cell.path(),
         epoch_time: out.epoch_time,
         total_time: out.total_time,
         kernel_time: out.report.kernel_exec_time(),
         transfer_time: out.report.transfer_time(),
-        cache_hit_rate,
+        cache_hit_rate: out.cache_hit_rate,
         test_acc: out.test_acc,
     }
 }
 
 fn run_cell(cell: &CellId, cfg: &ReportConfig) -> CellReport {
-    let (epoch_time, total_time, dev) = train_cell(cell, cfg.scale, cfg.epochs, cfg.seed);
+    let out = train_cell(cell, cfg.scale, cfg.epochs, cfg.seed);
+    let dev = out.report;
     CellReport {
         cell: cell.path(),
-        epoch_time,
-        total_time,
+        epoch_time: out.epoch_time,
+        total_time: out.total_time,
         kernel_time: dev.kernel_exec_time(),
         transfer_time: dev.transfer_time(),
         idle_time: dev.idle_time(),
@@ -1002,12 +897,7 @@ pub fn resolve_baseline(candidates: &[PathBuf]) -> (Option<(PathBuf, BenchReport
 /// A single-cell, single-policy config for tests and smoke runs.
 pub fn tiny_report_config() -> ReportConfig {
     ReportConfig {
-        cells: vec![CellId {
-            task: TaskKind::Node,
-            dataset: "Cora".into(),
-            model: gnn_models::ModelKind::Gcn,
-            framework: FrameworkKind::RustyG,
-        }],
+        cells: vec![CellId::parse("table4/Cora/GCN/PyG").expect("tiny cell is valid")],
         sample_cells: vec![
             CellId::parse("sample/rmat-4k-neighbor/SAGE/PyG").expect("tiny sample cell is valid")
         ],

@@ -16,12 +16,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use gnn_models::build;
-use gnn_models::config::{node_hparams, FrameworkKind, ModelKind, ALL_FRAMEWORKS};
 use gnn_sample::{RmatGraph, SampleSpec, SamplerKind};
-use gnn_train::{run_sampled_task_supervised, SampledTaskConfig, Supervisor, TrainError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gnn_train::cell::{train, CellData, CellId};
+use gnn_train::{Supervisor, TrainError};
 
 /// Schema tag stamped into `sample_metrics.csv` as a leading `# schema:`
 /// comment. Bump on any column change so consumers fail loudly instead of
@@ -149,7 +146,8 @@ impl SampleRunRow {
     }
 }
 
-/// Trains one sampled cell with the fault-tolerant supervised runner and
+/// Trains `cell` — one of the variant's sampler × framework cells, run 0 as
+/// the sweep would train it — with the fault-tolerant supervised runner and
 /// distills it into a CSV row.
 ///
 /// # Errors
@@ -160,63 +158,29 @@ pub fn run_sample_variant_cell(
     variant: &SampleVariant,
     graph: &Rc<RmatGraph>,
     kind: SamplerKind,
-    framework: FrameworkKind,
+    cell: &CellId,
     epochs: usize,
     seed: u64,
 ) -> Result<SampleRunRow, TrainError> {
     let spec = &variant.spec;
-    let model = ModelKind::Sage;
-    let cell = format!(
-        "sample/{}-{}/{}/{}",
-        spec.name,
-        kind.label(),
-        model.label(),
-        framework.label()
-    );
-    gnn_faults::set_cell(&cell);
-    let task = SampledTaskConfig {
-        max_epochs: epochs,
-        lr: node_hparams(model).lr,
-        batch_seeds: spec.batch_seeds,
-        train_seeds: spec.batch_seeds * 4,
-        eval_seeds: spec.batch_seeds,
-        seed,
-    };
-    let sup = Supervisor::default();
-    let f = spec.rmat.feature_dim;
-    let c = spec.rmat.num_classes;
-    let mut rng = StdRng::seed_from_u64(seed + 1);
-    let (run, hit_rate) = match framework {
-        FrameworkKind::RustyG => {
-            let stack = build::node_model_rustyg(model, f, c, &mut rng);
-            let loader = rustyg::sampled::SampledLoader::new(graph.clone(), spec, kind)
-                .expect("variants are linted before cells run");
-            let run = run_sampled_task_supervised(&stack, &loader, &task, &sup)?;
-            let hit = loader.cache_hit_rate();
-            (run, hit)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::node_model_rgl(model, f, c, &mut rng);
-            let loader = rgl::sampled::SampledLoader::new(graph.clone(), spec, kind)
-                .expect("variants are linted before cells run");
-            let run = run_sampled_task_supervised(&stack, &loader, &task, &sup)?;
-            let hit = loader.cache_hit_rate();
-            (run, hit)
-        }
-    };
+    gnn_faults::set_cell(&cell.path());
+    // The variant's spec, not the catalog's: its fan-outs and cache size
+    // are the sweep's axes.
+    let data = CellData::Sample(graph.clone(), spec.clone(), kind);
+    let run = train(cell, &data, epochs, seed, 0, &Supervisor::default())?;
     Ok(SampleRunRow {
         spec: spec.name.to_owned(),
         fanouts: variant.fanout_label(),
         cache_rows: spec.cache_rows,
         sampler: kind.label(),
-        framework: framework.label(),
+        framework: cell.framework.label(),
         batch_seeds: spec.batch_seeds,
         epochs: run.outcome.epochs,
         epoch_time: run.outcome.epoch_time,
         total_time: run.outcome.total_time,
         kernel_time: run.outcome.report.kernel_exec_time(),
         transfer_time: run.outcome.report.transfer_time(),
-        cache_hit_rate: hit_rate,
+        cache_hit_rate: run.outcome.cache_hit_rate,
         test_acc: run.outcome.test_acc,
         peak_memory: run.outcome.report.peak_memory,
         retries: run.retries,
@@ -251,19 +215,14 @@ pub fn run_sample_sweep(
                 }
             },
         };
-        for kind in SamplerKind::all() {
-            for framework in ALL_FRAMEWORKS {
-                match run_sample_variant_cell(variant, &graph, kind, framework, epochs, seed) {
-                    Ok(row) => rows.push(row),
-                    Err(e) => errors.push(format!(
-                        "sample/{}-{}/SAGE/{} (fanouts {}, cache {}): {e}",
-                        variant.spec.name,
-                        kind.label(),
-                        framework.label(),
-                        variant.fanout_label(),
-                        variant.spec.cache_rows,
-                    )),
-                }
+        for (kind, cell) in CellId::sample_grid(variant.spec.name) {
+            match run_sample_variant_cell(variant, &graph, kind, &cell, epochs, seed) {
+                Ok(row) => rows.push(row),
+                Err(e) => errors.push(format!(
+                    "{cell} (fanouts {}, cache {}): {e}",
+                    variant.fanout_label(),
+                    variant.spec.cache_rows,
+                )),
             }
         }
     }

@@ -285,7 +285,7 @@ struct KindAggregate {
 /// its own).
 fn capture_cell(cell: &CellId, cfg: &WhatIfConfig) -> (Vec<SchedEntry>, gnn_device::DeviceReport) {
     let handle = obs::install(obs::Collector::new());
-    let (_, _, dev) = train_cell(cell, cfg.scale, cfg.epochs, cfg.seed);
+    let dev = train_cell(cell, cfg.scale, cfg.epochs, cfg.seed).report;
     let trace = obs::finish(handle);
     (trace.schedule, dev)
 }
@@ -544,8 +544,8 @@ pub fn run_conformance(cfg: &WhatIfConfig, report: &WhatIfReport) -> Vec<Conform
             .predicted_total;
         let overlaid =
             gnn_device::default_cost_model().with_speedups(&Speedups::component(component, k));
-        let (_, _, dev) = gnn_device::with_default_cost_model(overlaid, || {
-            train_cell(cell, cfg.scale, cfg.epochs, cfg.seed)
+        let dev = gnn_device::with_default_cost_model(overlaid, || {
+            train_cell(cell, cfg.scale, cfg.epochs, cfg.seed).report
         });
         records.push(ConformanceRecord {
             subject: cell.path(),
@@ -1044,8 +1044,8 @@ mod tests {
                 .predicted_total;
             let overlaid =
                 gnn_device::default_cost_model().with_speedups(&Speedups::component(component, k));
-            let (_, _, dev) = gnn_device::with_default_cost_model(overlaid, || {
-                train_cell(&cfg.cells[0], cfg.scale, cfg.epochs, cfg.seed)
+            let dev = gnn_device::with_default_cost_model(overlaid, || {
+                train_cell(&cfg.cells[0], cfg.scale, cfg.epochs, cfg.seed).report
             });
             assert_eq!(
                 predicted.to_bits(),

@@ -37,6 +37,10 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 
+/// The cell catalog every runner here builds from, re-exported for the
+/// layers above (`gnn-lint`, `gnn-bench`) that walk the same grid.
+pub use gnn_train::cell;
+
 pub use config::{
     ensure_artifact_dir, ensure_artifact_path, validate_artifact_dir, validate_artifact_path,
     ArtifactPathError, RunConfig, TraceConfig,

@@ -1,23 +1,28 @@
 //! Experiment runners: one function per table/figure of the paper.
+//!
+//! Every runner takes its grid, datasets, recipes and framework dispatch
+//! from [`gnn_train::cell`] — the same catalog the fault-isolated sweep
+//! ([`crate::sweep`]) builds from — and adds only what its table or figure
+//! reports. Tables IV/V train each cell through [`train`] under the default
+//! policy; the profiling figures, whose batch sizes and epoch counts are
+//! their own, build a cell and hand it their task; Figs. 3 and 6, which
+//! need the stack and loader at their real types, are [`GraphJob`]s.
 
-use gnn_datasets::{
-    stratified_kfold, CitationSpec, DatasetStats, GraphDataset, NodeDataset, SuperpixelSpec,
-    TudSpec,
-};
-use gnn_device::KernelKind;
-use gnn_models::adapt::{RglLoader, RustygLoader};
+use std::rc::Rc;
+
+use gnn_datasets::{DatasetStats, GraphDataset};
+use gnn_device::{DeviceReport, KernelKind};
 use gnn_models::{
-    build, config::ALL_FRAMEWORKS, config::ALL_MODELS, graph_hparams, node_hparams, FrameworkKind,
-    ModelKind,
+    config::ALL_FRAMEWORKS, graph_hparams, FrameworkKind, GnnStack, Loader, ModelKind,
 };
 use gnn_obs as obs;
-use gnn_train::{
-    data_parallel_epoch_time, mean_std, run_graph_fold_supervised, run_node_task_supervised,
-    FoldOutcome, GraphTaskConfig, MultiGpuConfig, NodeOutcome, NodeTaskConfig, Summary, Supervised,
-    Supervisor, TrainError,
+use gnn_train::cell::{
+    build, folds, graph_dataset, node_dataset, train, with_graph_stack, CellData, CellId, GraphJob,
+    Task, TaskKind, Trained, FOLDS, NODE_DATASETS,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gnn_train::{
+    mean_std, GraphTaskConfig, MultiGpuConfig, Summary, Supervised, Supervisor, TrainError,
+};
 
 use crate::config::RunConfig;
 
@@ -57,18 +62,18 @@ pub enum GraphDs {
 }
 
 impl GraphDs {
+    /// The dataset's name, as cell paths and the catalog spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            GraphDs::Enzymes => "ENZYMES",
+            GraphDs::Dd => "DD",
+            GraphDs::Mnist => "MNIST",
+        }
+    }
+
     /// Generates the dataset at the config's scale.
     pub fn generate(self, cfg: &RunConfig) -> GraphDataset {
-        match self {
-            GraphDs::Enzymes => TudSpec::enzymes().scaled(cfg.scale).generate(cfg.seed),
-            GraphDs::Dd => TudSpec::dd().scaled(cfg.scale).generate(cfg.seed),
-            GraphDs::Mnist => {
-                // MNIST is 70k graphs; even "paper" runs subsample harder.
-                SuperpixelSpec::mnist()
-                    .scaled((cfg.scale * 0.1).min(1.0))
-                    .generate(cfg.seed)
-            }
-        }
+        graph_dataset(self.name(), cfg.scale, cfg.seed).expect("GraphDs names cataloged datasets")
     }
 }
 
@@ -79,18 +84,18 @@ impl GraphDs {
 /// Regenerates Table I: statistics of all five datasets at the configured
 /// scale.
 pub fn table1(cfg: &RunConfig) -> Vec<DatasetStats> {
+    let node = |name| {
+        node_dataset(name, cfg.scale, cfg.seed)
+            .expect("Table I names cataloged datasets")
+            .stats()
+    };
+    let graph = |ds: GraphDs| ds.generate(cfg).stats();
     vec![
-        CitationSpec::cora()
-            .scaled(cfg.scale)
-            .generate(cfg.seed)
-            .stats(),
-        CitationSpec::pubmed()
-            .scaled(cfg.scale)
-            .generate(cfg.seed)
-            .stats(),
-        GraphDs::Enzymes.generate(cfg).stats(),
-        GraphDs::Mnist.generate(cfg).stats(),
-        GraphDs::Dd.generate(cfg).stats(),
+        node("Cora"),
+        node("PubMed"),
+        graph(GraphDs::Enzymes),
+        graph(GraphDs::Mnist),
+        graph(GraphDs::Dd),
     ]
 }
 
@@ -115,76 +120,70 @@ pub struct Table4Row {
     pub acc: Summary,
 }
 
-/// Builds `model` under `framework` and trains it on `ds` — the one
-/// framework match of the node task. The tables run it under the default
-/// policy and [`healthy`]; the fault-isolated sweep passes each cell's own.
-pub(crate) fn run_node(
-    framework: FrameworkKind,
-    model: ModelKind,
-    ds: &NodeDataset,
-    cfg: &NodeTaskConfig,
-    seed: u64,
-    sup: &Supervisor,
-) -> Result<Supervised<NodeOutcome>, TrainError> {
-    let f = ds.features.cols();
-    let c = ds.num_classes;
-    let mut rng = StdRng::seed_from_u64(seed);
-    match framework {
-        FrameworkKind::RustyG => {
-            let stack = build::node_model_rustyg(model, f, c, &mut rng);
-            let batch = rustyg::loader::full_graph_batch(ds);
-            run_node_task_supervised(&stack, &batch, ds, cfg, sup)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::node_model_rgl(model, f, c, &mut rng);
-            let batch = rgl::loader::full_graph_batch(ds);
-            run_node_task_supervised(&stack, &batch, ds, cfg, sup)
+impl Table4Row {
+    /// Distills a node cell's runs: the last seed's times, accuracy over
+    /// all seeds.
+    pub(crate) fn from_runs(cell: &CellId, runs: &[Trained]) -> Self {
+        let last = runs.last().expect("a cell has at least one run");
+        Table4Row {
+            dataset: cell.dataset.clone(),
+            model: cell.model,
+            framework: cell.framework,
+            epoch_time: last.epoch_time,
+            total_time: last.total_time,
+            acc: mean_over(runs, |r| r.test_acc),
         }
     }
 }
 
+/// Mean ± s.d. of one quantity over a cell's runs.
+pub(crate) fn mean_over(runs: &[Trained], f: fn(&Trained) -> f64) -> Summary {
+    mean_std(&runs.iter().map(f).collect::<Vec<_>>())
+}
+
 /// Unwraps a run the way the plain `gnn_train` entry points do: the tables
 /// have no cell to record a failure in, so a [`TrainError`] is a panic.
-fn healthy<T>(run: Result<Supervised<T>, TrainError>) -> T {
+fn healthy(run: Result<Supervised<Trained>, TrainError>) -> Trained {
     run.unwrap_or_else(|e| panic!("{e}")).outcome
+}
+
+/// How a config trains one cell of `task`: `(epochs, runs)`. Node and
+/// sampled cells repeat over seeds, graph cells over folds.
+pub(crate) fn per_cell(cfg: &RunConfig, task: TaskKind) -> (usize, usize) {
+    match task {
+        TaskKind::Node => (cfg.node_epochs, cfg.seeds),
+        TaskKind::Graph => (cfg.graph_epochs, cfg.folds.min(FOLDS)),
+        TaskKind::Sample => (cfg.sample_epochs, cfg.seeds),
+    }
+}
+
+/// Trains every cell of `task`'s `datasets` under the default policy and
+/// returns each cell with its runs.
+fn train_grid(cfg: &RunConfig, task: TaskKind, datasets: &[&str]) -> Vec<(CellId, Vec<Trained>)> {
+    let (epochs, runs) = per_cell(cfg, task);
+    let sup = Supervisor::default();
+    let mut trained = Vec::new();
+    for dataset in datasets {
+        let data = CellData::generate(task, dataset, cfg.scale, cfg.seed)
+            .expect("the tables name cataloged datasets");
+        for cell in CellId::grid(task, dataset) {
+            mark_cell(task.experiment(), dataset, cell.model, cell.framework);
+            let runs = (0..runs)
+                .map(|i| healthy(train(&cell, &data, epochs, cfg.seed, i, &sup)))
+                .collect();
+            trained.push((cell, runs));
+        }
+    }
+    trained
 }
 
 /// Regenerates Table IV: epoch/total time and accuracy ± s.d. for the six
 /// models × two frameworks on Cora and PubMed.
 pub fn table4(cfg: &RunConfig) -> Vec<Table4Row> {
-    let sup = Supervisor::default();
-    let mut rows = Vec::new();
-    for spec in [CitationSpec::cora(), CitationSpec::pubmed()] {
-        let ds = spec.scaled(cfg.scale).generate(cfg.seed);
-        for model in ALL_MODELS {
-            for framework in ALL_FRAMEWORKS {
-                mark_cell("table4", &ds.name, model, framework);
-                let task = NodeTaskConfig {
-                    max_epochs: cfg.node_epochs,
-                    lr: node_hparams(model).lr,
-                };
-                let mut accs = Vec::with_capacity(cfg.seeds);
-                let mut epoch_time = 0.0;
-                let mut total_time = 0.0;
-                for s in 0..cfg.seeds {
-                    let seed = cfg.seed + 1 + s as u64;
-                    let out = healthy(run_node(framework, model, &ds, &task, seed, &sup));
-                    accs.push(out.test_acc);
-                    epoch_time = out.epoch_time;
-                    total_time = out.total_time;
-                }
-                rows.push(Table4Row {
-                    dataset: ds.name.clone(),
-                    model,
-                    framework,
-                    epoch_time,
-                    total_time,
-                    acc: mean_std(&accs),
-                });
-            }
-        }
-    }
-    rows
+    train_grid(cfg, TaskKind::Node, &NODE_DATASETS)
+        .iter()
+        .map(|(cell, runs)| Table4Row::from_runs(cell, runs))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -208,30 +207,16 @@ pub struct Table5Row {
     pub acc: Summary,
 }
 
-/// Builds `model` under `framework` and trains it on one fold of `ds` —
-/// the one framework match of the graph task (see [`run_node`]).
-pub(crate) fn run_graph(
-    framework: FrameworkKind,
-    model: ModelKind,
-    ds: &GraphDataset,
-    fold: &gnn_datasets::Fold,
-    task: &GraphTaskConfig,
-    seed: u64,
-    sup: &Supervisor,
-) -> Result<Supervised<FoldOutcome>, TrainError> {
-    let f = ds.feature_dim;
-    let c = ds.num_classes;
-    let mut rng = StdRng::seed_from_u64(seed);
-    match framework {
-        FrameworkKind::RustyG => {
-            let stack = build::graph_model_rustyg(model, f, c, &mut rng);
-            let loader = RustygLoader::new(ds);
-            run_graph_fold_supervised(&stack, &loader, fold, task, sup)
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::graph_model_rgl(model, f, c, &mut rng);
-            let loader = RglLoader::new(ds);
-            run_graph_fold_supervised(&stack, &loader, fold, task, sup)
+impl Table5Row {
+    /// Distills a graph cell's runs: times and accuracy over its folds.
+    pub(crate) fn from_runs(cell: &CellId, runs: &[Trained]) -> Self {
+        Table5Row {
+            dataset: cell.dataset.clone(),
+            model: cell.model,
+            framework: cell.framework,
+            epoch_time: mean_over(runs, |r| r.epoch_time).mean,
+            total_time: mean_over(runs, |r| r.total_time).mean,
+            acc: mean_over(runs, |r| r.test_acc),
         }
     }
 }
@@ -239,43 +224,11 @@ pub(crate) fn run_graph(
 /// Regenerates Table V: epoch/total time and 10-fold accuracy for the six
 /// models × two frameworks on ENZYMES and DD.
 pub fn table5(cfg: &RunConfig) -> Vec<Table5Row> {
-    let sup = Supervisor::default();
-    let mut rows = Vec::new();
-    for which in [GraphDs::Enzymes, GraphDs::Dd] {
-        let ds = which.generate(cfg);
-        let folds = stratified_kfold(&ds.labels(), 10, cfg.seed);
-        for model in ALL_MODELS {
-            for framework in ALL_FRAMEWORKS {
-                mark_cell("table5", &ds.name, model, framework);
-                let mut task = GraphTaskConfig::from_hparams(
-                    &graph_hparams(model),
-                    cfg.graph_epochs,
-                    cfg.seed,
-                );
-                // Keep several batches per epoch at reduced dataset scale.
-                task.batch_size = task.batch_size.min((folds[0].train.len() / 3).max(8));
-                let mut accs = Vec::new();
-                let mut epoch_times = Vec::new();
-                let mut total_times = Vec::new();
-                for (i, fold) in folds.iter().take(cfg.folds).enumerate() {
-                    let seed = cfg.seed + 10 + i as u64;
-                    let out = healthy(run_graph(framework, model, &ds, fold, &task, seed, &sup));
-                    accs.push(out.test_acc);
-                    epoch_times.push(out.epoch_time);
-                    total_times.push(out.total_time);
-                }
-                rows.push(Table5Row {
-                    dataset: ds.name.clone(),
-                    model,
-                    framework,
-                    epoch_time: mean_std(&epoch_times).mean,
-                    total_time: mean_std(&total_times).mean,
-                    acc: mean_std(&accs),
-                });
-            }
-        }
-    }
-    rows
+    let datasets = [GraphDs::Enzymes, GraphDs::Dd].map(GraphDs::name);
+    train_grid(cfg, TaskKind::Graph, &datasets)
+        .iter()
+        .map(|(cell, runs)| Table5Row::from_runs(cell, runs))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -315,45 +268,47 @@ impl ProfileRow {
 
 /// Profiles every model × framework × batch size on `dataset` — the data
 /// behind Figs. 1/2 (phase breakdown) and Figs. 4/5 (memory/utilization).
+/// The cells are the catalog's; the task is the figures' own (configured
+/// batch sizes, no lr decay, at most three epochs of fold 0).
 pub fn profile_sweep(cfg: &RunConfig, dataset: GraphDs) -> Vec<ProfileRow> {
-    let ds = dataset.generate(cfg);
-    let folds = stratified_kfold(&ds.labels(), 10, cfg.seed);
+    let ds = Rc::new(dataset.generate(cfg));
+    let folds = folds(&ds, cfg.seed);
     let fold = &folds[0];
+    let data = CellData::Graph(ds.clone(), Rc::default());
     let epochs = cfg.graph_epochs.clamp(1, 3);
     let sup = Supervisor::default();
     let mut rows = Vec::new();
-    for model in ALL_MODELS {
-        for framework in ALL_FRAMEWORKS {
-            for &batch_size in &cfg.batch_sizes {
-                mark_cell("profile_sweep", &ds.name, model, framework);
-                let task = GraphTaskConfig {
-                    batch_size: batch_size.min(fold.train.len().max(1)),
-                    init_lr: graph_hparams(model).init_lr,
-                    patience: 1000,
-                    decay_factor: 0.5,
-                    min_lr: 1e-9,
-                    max_epochs: epochs,
-                    seed: cfg.seed,
-                    shuffle: true,
-                };
-                let seed = cfg.seed + 77;
-                let out = healthy(run_graph(framework, model, &ds, fold, &task, seed, &sup));
-                let e = out.epochs.max(1) as f64;
-                let mut phase_times = out.report.phase_times;
-                for t in &mut phase_times {
-                    *t /= e;
-                }
-                rows.push(ProfileRow {
-                    dataset: ds.name.clone(),
-                    model,
-                    framework,
-                    batch_size,
-                    phase_times,
-                    peak_memory: out.report.peak_memory,
-                    utilization: out.report.utilization(),
-                    kind_counts: out.report.kind_counts,
-                });
+    for cell in CellId::grid(TaskKind::Graph, dataset.name()) {
+        let (model, framework) = (cell.model, cell.framework);
+        for &batch_size in &cfg.batch_sizes {
+            mark_cell("profile_sweep", &ds.name, model, framework);
+            let task = GraphTaskConfig {
+                batch_size: batch_size.min(fold.train.len().max(1)),
+                init_lr: graph_hparams(model).init_lr,
+                patience: 1000,
+                decay_factor: 0.5,
+                min_lr: 1e-9,
+                max_epochs: epochs,
+                seed: cfg.seed,
+                shuffle: true,
+            };
+            let built = build(framework, model, &data, cfg.seed + 77);
+            let out = healthy(built.train(&Task::Graph(task, fold), &sup));
+            let e = out.epochs.max(1) as f64;
+            let mut phase_times = out.report.phase_times;
+            for t in &mut phase_times {
+                *t /= e;
             }
+            rows.push(ProfileRow {
+                dataset: ds.name.clone(),
+                model,
+                framework,
+                batch_size,
+                phase_times,
+                peak_memory: out.report.peak_memory,
+                utilization: out.report.utilization(),
+                kind_counts: out.report.kind_counts,
+            });
         }
     }
     rows
@@ -378,50 +333,39 @@ pub struct LayerTimeRow {
 /// one ENZYMES batch (batch size 128) under both frameworks.
 pub fn layer_times(cfg: &RunConfig) -> Vec<LayerTimeRow> {
     let ds = GraphDs::Enzymes.generate(cfg);
-    let n = ds.samples.len() as u32;
-    let batch: Vec<u32> = (0..128u32.min(n)).collect();
+    let batch: Vec<u32> = (0..128u32.min(ds.samples.len() as u32)).collect();
     let mut rows = Vec::new();
-    for model in ALL_MODELS {
-        for framework in ALL_FRAMEWORKS {
-            mark_cell("layer_times", &ds.name, model, framework);
-            let mut rng = StdRng::seed_from_u64(cfg.seed + 5);
-            let report = match framework {
-                FrameworkKind::RustyG => {
-                    let stack =
-                        build::graph_model_rustyg(model, ds.feature_dim, ds.num_classes, &mut rng);
-                    let loader = RustygLoader::new(&ds);
-                    one_batch_report(&stack, &loader, &batch)
-                }
-                FrameworkKind::Rgl => {
-                    let stack =
-                        build::graph_model_rgl(model, ds.feature_dim, ds.num_classes, &mut rng);
-                    let loader = RglLoader::new(&ds);
-                    one_batch_report(&stack, &loader, &batch)
-                }
-            };
-            rows.push(LayerTimeRow {
-                model,
-                framework,
-                scopes: report.scopes,
-            });
-        }
+    for cell in CellId::grid(TaskKind::Graph, &ds.name) {
+        let (model, framework) = (cell.model, cell.framework);
+        mark_cell("layer_times", &ds.name, model, framework);
+        let report = with_graph_stack(framework, model, &ds, cfg.seed + 5, OneBatch(&batch));
+        rows.push(LayerTimeRow {
+            model,
+            framework,
+            scopes: report.scopes,
+        });
     }
     rows
 }
 
-fn one_batch_report<L: gnn_models::Loader>(
-    stack: &gnn_models::GnnStack<L::Batch>,
-    loader: &L,
-    idx: &[u32],
-) -> gnn_device::DeviceReport {
-    use gnn_models::ModelBatch;
-    let handle =
-        gnn_device::session::install(gnn_device::Session::new(gnn_device::CostModel::rtx2080ti()));
-    let b = loader.load(idx);
-    let logits = stack.forward(&b, true);
-    let loss = gnn_tensor::cross_entropy(&logits, b.labels());
-    loss.backward();
-    gnn_device::session::finish(handle)
+/// One training batch under a throwaway profiling session: load, forward,
+/// loss, backward.
+struct OneBatch<'a>(&'a [u32]);
+
+impl GraphJob for OneBatch<'_> {
+    type Out = DeviceReport;
+
+    fn run<L: Loader>(self, stack: &GnnStack<L::Batch>, loader: &L) -> DeviceReport {
+        use gnn_models::ModelBatch;
+        let handle = gnn_device::session::install(gnn_device::Session::new(
+            gnn_device::CostModel::rtx2080ti(),
+        ));
+        let b = loader.load(self.0);
+        let logits = stack.forward(&b, true);
+        let loss = gnn_tensor::cross_entropy(&logits, b.labels());
+        loss.backward();
+        gnn_device::session::finish(handle)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -452,43 +396,20 @@ pub fn multi_gpu(cfg: &RunConfig) -> Vec<MultiGpuRow> {
     for model in [ModelKind::Gcn, ModelKind::Gat] {
         for framework in ALL_FRAMEWORKS {
             mark_cell("multi_gpu", &ds.name, model, framework);
-            let mut rng = StdRng::seed_from_u64(cfg.seed + 6);
             for &batch_size in &[128usize, 256, 512] {
                 let batch_size = batch_size.min(epoch_samples);
                 for &n_gpus in &[1usize, 2, 4, 8] {
-                    let mcfg = MultiGpuConfig {
+                    let point = MultiGpuConfig {
                         n_gpus,
                         batch_size,
                         epoch_samples,
-                    };
-                    let epoch_time = match framework {
-                        FrameworkKind::RustyG => {
-                            let stack = build::graph_model_rustyg(
-                                model,
-                                ds.feature_dim,
-                                ds.num_classes,
-                                &mut rng,
-                            );
-                            let loader = RustygLoader::new(&ds);
-                            data_parallel_epoch_time(&stack, &loader, &mcfg)
-                        }
-                        FrameworkKind::Rgl => {
-                            let stack = build::graph_model_rgl(
-                                model,
-                                ds.feature_dim,
-                                ds.num_classes,
-                                &mut rng,
-                            );
-                            let loader = RglLoader::new(&ds);
-                            data_parallel_epoch_time(&stack, &loader, &mcfg)
-                        }
                     };
                     rows.push(MultiGpuRow {
                         model,
                         framework,
                         batch_size,
                         n_gpus,
-                        epoch_time,
+                        epoch_time: with_graph_stack(framework, model, &ds, cfg.seed + 6, &point),
                     });
                 }
             }
@@ -500,6 +421,7 @@ pub fn multi_gpu(cfg: &RunConfig) -> Vec<MultiGpuRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnn_models::config::ALL_MODELS;
 
     #[test]
     fn table1_smoke_has_all_datasets() {

@@ -2,13 +2,16 @@
 //! training, with per-cell outcome records.
 //!
 //! [`sweep`] runs the full (dataset × model × framework) grid — 24 node
-//! cells (Cora/PubMed) plus 36 graph cells (ENZYMES/DD/MNIST), 60 in all —
-//! through the supervised loops of `gnn_train::supervisor`. A failure in
-//! one cell (a fault that survives retry and degradation, or a panic from
-//! deeper in the stack) is caught, recorded as a [`CellOutcome`] with
-//! status `failed`, and the sweep moves on to the remaining cells. Cells
-//! that needed degradation (batch halved, world shrunk) finish with status
-//! `degraded`; everything else is `ok`. Under the canonical fault plan
+//! cells (Cora/PubMed) plus 36 graph cells (ENZYMES/DD/MNIST), 60 in all,
+//! then any opted-in sampled cells — through the supervised loops of
+//! `gnn_train`. What a cell is (its path, dataset, recipe, seeds and
+//! framework) comes from [`gnn_train::cell`]; what this module adds is one
+//! cell body, [`run_cell`], whatever the task: a failure in one cell (a
+//! fault that survives retry and degradation, or a panic from deeper in the
+//! stack) is caught, recorded as a [`CellOutcome`] with status `failed`,
+//! and the sweep moves on to the remaining cells. Cells that needed
+//! degradation (batch halved, world shrunk) finish with status `degraded`;
+//! everything else is `ok`. Under the canonical fault plan
 //! (`FaultPlan::canonical()`), every cell must end `ok` or `degraded` —
 //! never `failed` — which is exactly what the CI chaos job asserts.
 //!
@@ -19,23 +22,18 @@
 //! without retraining).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::rc::Rc;
 
-use gnn_datasets::{stratified_kfold, CitationSpec, GraphDataset, NodeDataset};
 use gnn_faults::FaultLog;
-use gnn_models::{
-    build, config::ALL_FRAMEWORKS, config::ALL_MODELS, graph_hparams, node_hparams, FrameworkKind,
-    ModelKind,
-};
+use gnn_models::{FrameworkKind, ModelKind};
 use gnn_sample::{RmatGraph, SampleConfigError, SampleSpec, SamplerKind};
-use gnn_train::supervisor::{run_sampled_task_supervised, Supervised, Supervisor, TrainError};
-use gnn_train::{mean_std, GraphTaskConfig, NodeOutcome, NodeTaskConfig, SampledTaskConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gnn_train::cell::{
+    sample_dataset, train, CellData, CellId, TaskKind, Trained, CLASSIC_DATASETS,
+};
+use gnn_train::{Supervised, Supervisor};
 
 use crate::config::RunConfig;
-use crate::runner::{mark_cell, run_graph, run_node, GraphDs, Table4Row, Table5Row};
+use crate::runner::{mark_cell, mean_over, per_cell, Table4Row, Table5Row};
 
 /// How one sweep cell ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,9 +65,9 @@ impl CellStatus {
 /// did to it.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// Experiment the cell belongs to (`table4` / `table5`).
+    /// Experiment the cell belongs to (`table4` / `table5` / `sample`).
     pub experiment: String,
-    /// Dataset name.
+    /// Dataset name (`<spec>-<sampler>` for sampled cells).
     pub dataset: String,
     /// Model.
     pub model: ModelKind,
@@ -160,14 +158,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "panic with non-string payload".into())
 }
 
-/// Builds the supervisor policy for one training run of a cell.
-fn supervisor_for(cfg: &RunConfig, cell: &str, run_idx: usize) -> Supervisor {
-    let checkpoint_path: Option<PathBuf> = cfg.ckpt_dir.as_ref().map(|dir| {
-        let file = format!("{}_{run_idx}.ckpt", cell.replace('/', "_"));
-        dir.join(file)
-    });
+/// Builds the supervisor policy for run `run_idx` of `cell`.
+fn supervisor_for(cfg: &RunConfig, cell: &CellId, run_idx: usize) -> Supervisor {
     Supervisor {
-        checkpoint_path,
+        checkpoint_path: cfg
+            .ckpt_dir
+            .as_ref()
+            .map(|dir| dir.join(cell.ckpt_file(run_idx))),
         resume: cfg.resume,
         ..Supervisor::default()
     }
@@ -205,22 +202,14 @@ pub fn sweep(cfg: &RunConfig) -> SweepOutcome {
 
     let mut out = SweepOutcome::default();
 
-    // Node cells (Table IV).
-    for spec in [CitationSpec::cora(), CitationSpec::pubmed()] {
-        let ds = spec.scaled(cfg.scale).generate(cfg.seed);
-        for model in ALL_MODELS {
-            for framework in ALL_FRAMEWORKS {
-                node_cell(cfg, &ds, model, framework, &mut out);
-            }
-        }
-    }
-    // Graph cells (Table V grid, plus MNIST for full coverage).
-    for which in [GraphDs::Enzymes, GraphDs::Dd, GraphDs::Mnist] {
-        let ds = which.generate(cfg);
-        let folds = stratified_kfold(&ds.labels(), 10, cfg.seed);
-        for model in ALL_MODELS {
-            for framework in ALL_FRAMEWORKS {
-                graph_cell(cfg, &ds, &folds, model, framework, &mut out);
+    // The classic grid: node cells (Table IV), then graph cells (Table V,
+    // plus MNIST for full coverage). Each dataset is generated once.
+    for (task, datasets) in CLASSIC_DATASETS {
+        for dataset in datasets {
+            let data = CellData::generate(task, dataset, cfg.scale, cfg.seed)
+                .expect("the classic grid names datasets the catalog generates");
+            for cell in CellId::grid(task, dataset) {
+                run_cell(cfg, &cell, &data, &mut out);
             }
         }
     }
@@ -233,179 +222,11 @@ pub fn sweep(cfg: &RunConfig) -> SweepOutcome {
     out
 }
 
-fn node_cell(
-    cfg: &RunConfig,
-    ds: &NodeDataset,
-    model: ModelKind,
-    framework: FrameworkKind,
-    out: &mut SweepOutcome,
-) {
-    let cell = format!("table4/{}/{}/{}", ds.name, model.label(), framework.label());
-    gnn_faults::set_cell(&cell);
-    mark_cell("table4", &ds.name, model, framework);
-    let events_before = gnn_faults::events_since(0).len();
-
-    let task = NodeTaskConfig {
-        max_epochs: cfg.node_epochs,
-        lr: node_hparams(model).lr,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        (0..cfg.seeds)
-            .map(|s| {
-                let sup = supervisor_for(cfg, &cell, s);
-                run_node(framework, model, ds, &task, cfg.seed + 1 + s as u64, &sup)
-            })
-            .collect::<Result<Vec<_>, TrainError>>()
-    }))
-    .map_err(panic_message)
-    .and_then(|r| r.map_err(|e| e.to_string()));
-
-    let (status, detail, retries) = match &result {
-        Ok(runs) => digest(runs),
-        Err(msg) => (CellStatus::Failed, msg.clone(), 0),
-    };
-    let mut peak_memory = 0;
-    if let Ok(runs) = result {
-        let accs: Vec<f64> = runs.iter().map(|r| r.outcome.test_acc).collect();
-        peak_memory = runs
-            .iter()
-            .map(|r| r.outcome.report.peak_memory)
-            .max()
-            .unwrap_or(0);
-        let last = runs.last().expect("seeds >= 1");
-        out.table4.push(Table4Row {
-            dataset: ds.name.clone(),
-            model,
-            framework,
-            epoch_time: last.outcome.epoch_time,
-            total_time: last.outcome.total_time,
-            acc: mean_std(&accs),
-        });
-    }
-    out.cells.push(CellOutcome {
-        experiment: "table4".into(),
-        dataset: ds.name.clone(),
-        model,
-        framework,
-        status,
-        detail,
-        faults: fired_since(events_before),
-        retries,
-        peak_memory,
-    });
-}
-
-fn graph_cell(
-    cfg: &RunConfig,
-    ds: &GraphDataset,
-    folds: &[gnn_datasets::Fold],
-    model: ModelKind,
-    framework: FrameworkKind,
-    out: &mut SweepOutcome,
-) {
-    let cell = format!("table5/{}/{}/{}", ds.name, model.label(), framework.label());
-    gnn_faults::set_cell(&cell);
-    mark_cell("table5", &ds.name, model, framework);
-    let events_before = gnn_faults::events_since(0).len();
-
-    let mut task = GraphTaskConfig::from_hparams(&graph_hparams(model), cfg.graph_epochs, cfg.seed);
-    task.batch_size = task.batch_size.min((folds[0].train.len() / 3).max(8));
-
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        folds
-            .iter()
-            .take(cfg.folds)
-            .enumerate()
-            .map(|(i, fold)| {
-                let sup = supervisor_for(cfg, &cell, i);
-                run_graph(
-                    framework,
-                    model,
-                    ds,
-                    fold,
-                    &task,
-                    cfg.seed + 10 + i as u64,
-                    &sup,
-                )
-            })
-            .collect::<Result<Vec<_>, TrainError>>()
-    }))
-    .map_err(panic_message)
-    .and_then(|r| r.map_err(|e| e.to_string()));
-
-    let (status, detail, retries) = match &result {
-        Ok(runs) => digest(runs),
-        Err(msg) => (CellStatus::Failed, msg.clone(), 0),
-    };
-    let mut peak_memory = 0;
-    if let Ok(runs) = result {
-        let accs: Vec<f64> = runs.iter().map(|r| r.outcome.test_acc).collect();
-        let epoch_times: Vec<f64> = runs.iter().map(|r| r.outcome.epoch_time).collect();
-        let total_times: Vec<f64> = runs.iter().map(|r| r.outcome.total_time).collect();
-        peak_memory = runs
-            .iter()
-            .map(|r| r.outcome.report.peak_memory)
-            .max()
-            .unwrap_or(0);
-        out.table5.push(Table5Row {
-            dataset: ds.name.clone(),
-            model,
-            framework,
-            epoch_time: mean_std(&epoch_times).mean,
-            total_time: mean_std(&total_times).mean,
-            acc: mean_std(&accs),
-        });
-    }
-    out.cells.push(CellOutcome {
-        experiment: "table5".into(),
-        dataset: ds.name.clone(),
-        model,
-        framework,
-        status,
-        detail,
-        faults: fired_since(events_before),
-        retries,
-        peak_memory,
-    });
-}
-
-/// Runs one supervised sampled-training run, returning the outcome and the
-/// loader's lifetime feature-cache hit rate.
-fn run_sample_supervised(
-    framework: FrameworkKind,
-    spec: &SampleSpec,
-    graph: &Rc<RmatGraph>,
-    kind: SamplerKind,
-    task: &SampledTaskConfig,
-    seed: u64,
-    sup: &Supervisor,
-) -> Result<(Supervised<NodeOutcome>, f64), TrainError> {
-    let f = spec.rmat.feature_dim;
-    let c = spec.rmat.num_classes;
-    let mut rng = StdRng::seed_from_u64(seed);
-    match framework {
-        FrameworkKind::RustyG => {
-            let stack = build::node_model_rustyg(ModelKind::Sage, f, c, &mut rng);
-            let loader = rustyg::sampled::SampledLoader::new(graph.clone(), spec, kind)
-                .expect("catalog specs validate before cells run");
-            let run = run_sampled_task_supervised(&stack, &loader, task, sup)?;
-            Ok((run, loader.cache_hit_rate()))
-        }
-        FrameworkKind::Rgl => {
-            let stack = build::node_model_rgl(ModelKind::Sage, f, c, &mut rng);
-            let loader = rgl::sampled::SampledLoader::new(graph.clone(), spec, kind)
-                .expect("catalog specs validate before cells run");
-            let run = run_sampled_task_supervised(&stack, &loader, task, sup)?;
-            Ok((run, loader.cache_hit_rate()))
-        }
-    }
-}
-
 /// Records a sampled cell that could not even be constructed (unknown spec
 /// name or degenerate config) as one failed cell, without running anything.
 fn sample_failed(name: &str, err: &SampleConfigError, out: &mut SweepOutcome) {
     out.cells.push(CellOutcome {
-        experiment: "sample".into(),
+        experiment: TaskKind::Sample.experiment().into(),
         dataset: name.to_owned(),
         model: ModelKind::Sage,
         framework: FrameworkKind::RustyG,
@@ -421,117 +242,86 @@ fn sample_failed(name: &str, err: &SampleConfigError, out: &mut SweepOutcome) {
 /// The RMAT graph is generated once per spec and shared (read-only) by
 /// every cell, so the million-node headline spec pays generation once.
 fn sample_spec_cells(cfg: &RunConfig, name: &str, out: &mut SweepOutcome) {
-    let spec = match SampleSpec::get(name) {
-        Ok(spec) => spec,
+    let prepared = SampleSpec::get(name).and_then(|spec| {
+        spec.validate()?;
+        Ok((Rc::new(RmatGraph::generate(spec.rmat)?), spec))
+    });
+    let (graph, spec) = match prepared {
+        Ok(prepared) => prepared,
         Err(e) => return sample_failed(name, &e, out),
     };
-    if let Err(e) = spec.validate() {
-        return sample_failed(name, &e, out);
-    }
-    let graph = match RmatGraph::generate(spec.rmat) {
-        Ok(g) => Rc::new(g),
-        Err(e) => return sample_failed(name, &e, out),
-    };
-    for kind in SamplerKind::all() {
-        for framework in ALL_FRAMEWORKS {
-            sample_cell(cfg, &spec, &graph, kind, framework, out);
-        }
+    for (kind, cell) in CellId::sample_grid(spec.name) {
+        let data = CellData::Sample(graph.clone(), spec.clone(), kind);
+        run_cell(cfg, &cell, &data, out);
     }
 }
 
-fn sample_cell(
-    cfg: &RunConfig,
-    spec: &SampleSpec,
-    graph: &Rc<RmatGraph>,
-    kind: SamplerKind,
-    framework: FrameworkKind,
-    out: &mut SweepOutcome,
-) {
-    let model = ModelKind::Sage;
-    // The sampler kind rides in the dataset component so the cell path
-    // keeps the 4-segment `experiment/dataset/model/framework` shape.
-    let dataset = format!("{}-{}", spec.name, kind.label());
-    let cell = format!("sample/{dataset}/{}/{}", model.label(), framework.label());
-    gnn_faults::set_cell(&cell);
-    mark_cell("sample", &dataset, model, framework);
+/// The one cell body: trains every run of `cell` on `data` with panics and
+/// typed errors caught, pushes the cell's table row if it completed, and
+/// records its [`CellOutcome`] either way.
+fn run_cell(cfg: &RunConfig, cell: &CellId, data: &CellData, out: &mut SweepOutcome) {
+    gnn_faults::set_cell(&cell.path());
+    let experiment = cell.task.experiment();
+    mark_cell(experiment, &cell.dataset, cell.model, cell.framework);
     let events_before = gnn_faults::events_since(0).len();
 
-    let task = SampledTaskConfig {
-        max_epochs: cfg.sample_epochs,
-        lr: node_hparams(model).lr,
-        batch_seeds: spec.batch_seeds,
-        train_seeds: spec.batch_seeds * 4,
-        eval_seeds: spec.batch_seeds,
-        seed: cfg.seed,
-    };
+    let (epochs, runs) = per_cell(cfg, cell.task);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        (0..cfg.seeds)
-            .map(|s| {
-                let sup = supervisor_for(cfg, &cell, s);
-                run_sample_supervised(
-                    framework,
-                    spec,
-                    graph,
-                    kind,
-                    &task,
-                    cfg.seed + 1 + s as u64,
-                    &sup,
-                )
+        (0..runs)
+            .map(|i| {
+                let sup = supervisor_for(cfg, cell, i);
+                train(cell, data, epochs, cfg.seed, i, &sup)
             })
-            .collect::<Result<Vec<_>, TrainError>>()
+            .collect::<Result<Vec<_>, _>>()
     }))
     .map_err(panic_message)
     .and_then(|r| r.map_err(|e| e.to_string()));
 
     let (status, detail, retries) = match &result {
-        Ok(runs) => {
-            let sups: Vec<&Supervised<NodeOutcome>> = runs.iter().map(|(r, _)| r).collect();
-            let degraded = sups.iter().any(|r| r.degraded);
-            let retries: usize = sups.iter().map(|r| r.retries).sum();
-            let notes: Vec<&str> = sups
-                .iter()
-                .flat_map(|r| r.notes.iter().map(String::as_str))
-                .collect();
-            let status = if degraded {
-                CellStatus::Degraded
-            } else {
-                CellStatus::Ok
-            };
-            (status, notes.join("; "), retries)
-        }
+        Ok(runs) => digest(runs),
         Err(msg) => (CellStatus::Failed, msg.clone(), 0),
     };
     let mut peak_memory = 0;
     if let Ok(runs) = result {
-        let accs: Vec<f64> = runs.iter().map(|(r, _)| r.outcome.test_acc).collect();
-        peak_memory = runs
-            .iter()
-            .map(|(r, _)| r.outcome.report.peak_memory)
-            .max()
-            .unwrap_or(0);
-        let (last, hit_rate) = runs.last().expect("seeds >= 1");
-        out.sample.push(SampleRow {
-            spec: spec.name.to_owned(),
-            sampler: kind,
-            model,
-            framework,
-            epoch_time: last.outcome.epoch_time,
-            total_time: last.outcome.total_time,
-            acc: mean_std(&accs),
-            cache_hit_rate: *hit_rate,
-        });
+        let runs: Vec<Trained> = runs.into_iter().map(|r| r.outcome).collect();
+        peak_memory = runs.iter().map(|r| r.report.peak_memory).max().unwrap_or(0);
+        push_row(cell, &runs, out);
     }
     out.cells.push(CellOutcome {
-        experiment: "sample".into(),
-        dataset,
-        model,
-        framework,
+        experiment: experiment.into(),
+        dataset: cell.dataset.clone(),
+        model: cell.model,
+        framework: cell.framework,
         status,
         detail,
         faults: fired_since(events_before),
         retries,
         peak_memory,
     });
+}
+
+/// Distills a completed cell's runs into its table's row.
+fn push_row(cell: &CellId, runs: &[Trained], out: &mut SweepOutcome) {
+    match cell.task {
+        TaskKind::Node => out.table4.push(Table4Row::from_runs(cell, runs)),
+        TaskKind::Graph => out.table5.push(Table5Row::from_runs(cell, runs)),
+        TaskKind::Sample => {
+            let (spec, sampler) =
+                sample_dataset(&cell.dataset).expect("sampled cells name cataloged specs");
+            // Like Table IV: the last seed's times, accuracy over all seeds.
+            let last = runs.last().expect("a cell has at least one run");
+            out.sample.push(SampleRow {
+                spec: spec.name.to_owned(),
+                sampler,
+                model: cell.model,
+                framework: cell.framework,
+                epoch_time: last.epoch_time,
+                total_time: last.total_time,
+                acc: mean_over(runs, |r| r.test_acc),
+                cache_hit_rate: last.cache_hit_rate,
+            });
+        }
+    }
 }
 
 fn fired_since(n: usize) -> Vec<String> {
@@ -556,6 +346,23 @@ mod tests {
         cfg
     }
 
+    /// FNV-1a over everything a sweep reports: `cell_outcomes.csv`, both
+    /// table CSVs and the sampled rows. The constants in the tests below
+    /// were captured from the commit before the cell catalog existed, on
+    /// sweeps these tests already ran; a deliberate behaviour change
+    /// re-captures them (the failure prints the new value).
+    fn outcome_digest(out: &SweepOutcome) -> u64 {
+        use crate::export::{cell_outcomes_csv, table4_csv, table5_csv};
+        let mut text = cell_outcomes_csv(&out.cells) + &table4_csv(&out.table4);
+        text += &table5_csv(&out.table5);
+        for row in &out.sample {
+            text += &format!("{row:?}\n");
+        }
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |hash, b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn clean_sweep_covers_sixty_cells_all_ok() {
         let out = sweep(&tiny_cfg());
@@ -566,6 +373,11 @@ mod tests {
         assert_eq!((ok, degraded, failed), (60, 0, 0));
         assert!(out.all_survived());
         assert!(out.fault_log.is_none(), "no plan configured");
+        let digest = outcome_digest(&out);
+        assert_eq!(
+            digest, 0xb420_810b_6f94_3215,
+            "clean sweep moved: {digest:#018x}"
+        );
     }
 
     #[test]
@@ -581,6 +393,11 @@ mod tests {
             "canonical plan must leave every cell ok/degraded"
         );
         assert!(out.all_survived());
+        let digest = outcome_digest(&out);
+        assert_eq!(
+            digest, 0xd073_623a_b3f1_8395,
+            "chaos sweep moved: {digest:#018x}"
+        );
         let log = out.fault_log.expect("the sweep armed the plan");
         assert!(!log.is_empty(), "the canonical plan must actually fire");
         // Every fired fault is an instant event on the faults track, so
@@ -617,6 +434,11 @@ mod tests {
         assert!(sampled
             .iter()
             .any(|c| c.dataset == "rmat-4k-neighbor" || c.dataset == "rmat-4k-layerwise"));
+        let digest = outcome_digest(&out);
+        assert_eq!(
+            digest, 0xb338_46b6_643b_91a8,
+            "sampled chaos sweep moved: {digest:#018x}"
+        );
     }
 
     #[test]

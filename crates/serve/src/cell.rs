@@ -1,279 +1,12 @@
 //! Endpoint addressing: every (experiment, dataset, model, framework) cell
 //! of the paper's sweep is a servable endpoint.
 //!
-//! Endpoints reuse the sweep's cell-path convention
-//! (`table4/Cora/GCN/PyG`, `table5/ENZYMES/GIN/DGL`, ...) so a serving run
-//! can restore exactly the checkpoints a training sweep wrote, and trace /
-//! fault events attribute to the same names across subsystems.
+//! An endpoint's address *is* its training cell's — the same
+//! [`CellId`](gnn_train::cell::CellId) from the catalog the sweep builds
+//! from — so a serving run names exactly the checkpoints a training sweep
+//! wrote, and trace / fault events attribute to the same paths across
+//! subsystems. This module re-exports the catalog's address.
 
-use std::fmt;
-
-use gnn_models::config::{ALL_FRAMEWORKS, ALL_MODELS};
-use gnn_models::{FrameworkKind, ModelKind};
-
-use crate::error::ServeConfigError;
-
-/// Which task family an endpoint serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskKind {
-    /// Node classification over a citation graph (`table4` cells): a
-    /// request names a node, a batch is answered by one full-graph forward.
-    Node,
-    /// Graph classification (`table5` cells): a request names a graph, a
-    /// batch goes through the framework's concat/hetero collation path.
-    Graph,
-    /// Seed-node classification over a giant RMAT graph (`sample` cells):
-    /// a request names a seed node, a batch is answered by sampling the
-    /// union block and forwarding it — the graph never fits on device, so
-    /// there is no full-graph path to fall back on.
-    Sample,
-}
-
-impl TaskKind {
-    /// The experiment prefix used in cell paths.
-    pub fn experiment(self) -> &'static str {
-        match self {
-            TaskKind::Node => "table4",
-            TaskKind::Graph => "table5",
-            TaskKind::Sample => "sample",
-        }
-    }
-}
-
-/// The node datasets of Table IV, in paper order.
-pub const NODE_DATASETS: [&str; 2] = ["Cora", "PubMed"];
-/// The graph datasets of Table V (plus MNIST), in paper order.
-pub const GRAPH_DATASETS: [&str; 3] = ["ENZYMES", "DD", "MNIST"];
-
-/// Splits a sampled endpoint's dataset component — `<spec>-<sampler>`,
-/// e.g. `rmat-1m-neighbor` — into its catalog spec and sampler kind.
-/// `None` when either half is unknown.
-pub fn sample_dataset(dataset: &str) -> Option<(gnn_sample::SampleSpec, gnn_sample::SamplerKind)> {
-    for kind in gnn_sample::SamplerKind::all() {
-        if let Some(prefix) = dataset.strip_suffix(kind.label()) {
-            let name = prefix.strip_suffix('-')?;
-            if let Ok(spec) = gnn_sample::SampleSpec::get(name) {
-                return Some((spec, kind));
-            }
-        }
-    }
-    None
-}
-
-/// One addressable endpoint: a sweep cell.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CellId {
-    /// Task family (fixes the experiment prefix).
-    pub task: TaskKind,
-    /// Dataset name as generated (`Cora`, `PubMed`, `ENZYMES`, `DD`,
-    /// `MNIST`).
-    pub dataset: String,
-    /// Model architecture.
-    pub model: ModelKind,
-    /// Framework the model runs under.
-    pub framework: FrameworkKind,
-}
-
-impl CellId {
-    /// The canonical cell path, e.g. `table4/Cora/GCN/PyG`.
-    pub fn path(&self) -> String {
-        format!(
-            "{}/{}/{}/{}",
-            self.task.experiment(),
-            self.dataset,
-            self.model.label(),
-            self.framework.label()
-        )
-    }
-
-    /// The checkpoint filename the training sweep writes for this cell's
-    /// run `run_idx` (seed index for node cells, fold index for graph
-    /// cells) — see `gnn_core::sweep`.
-    pub fn ckpt_file(&self, run_idx: usize) -> String {
-        format!("{}_{run_idx}.ckpt", self.path().replace('/', "_"))
-    }
-
-    /// Parses a cell path back into a [`CellId`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ServeConfigError`] variant naming the unknown
-    /// component (its `Display` is the same diagnostic earlier releases
-    /// returned as a bare string).
-    pub fn parse(path: &str) -> Result<CellId, ServeConfigError> {
-        let parts: Vec<&str> = path.split('/').collect();
-        if parts.len() != 4 {
-            return Err(ServeConfigError::MalformedCellPath(path.to_owned()));
-        }
-        let task = match parts[0] {
-            "table4" => TaskKind::Node,
-            "table5" => TaskKind::Graph,
-            "sample" => TaskKind::Sample,
-            other => {
-                return Err(ServeConfigError::UnknownExperiment {
-                    experiment: other.to_owned(),
-                    path: path.to_owned(),
-                })
-            }
-        };
-        let dataset_known = match task {
-            TaskKind::Node => NODE_DATASETS.contains(&parts[1]),
-            TaskKind::Graph => GRAPH_DATASETS.contains(&parts[1]),
-            TaskKind::Sample => sample_dataset(parts[1]).is_some(),
-        };
-        if !dataset_known {
-            return Err(ServeConfigError::UnknownDataset {
-                experiment: parts[0].to_owned(),
-                dataset: parts[1].to_owned(),
-                path: path.to_owned(),
-            });
-        }
-        let dataset = parts[1];
-        let model = ALL_MODELS
-            .into_iter()
-            .find(|m| m.label() == parts[2])
-            .ok_or_else(|| ServeConfigError::UnknownModel {
-                model: parts[2].to_owned(),
-                path: path.to_owned(),
-            })?;
-        let framework = ALL_FRAMEWORKS
-            .into_iter()
-            .find(|f| f.label() == parts[3])
-            .ok_or_else(|| ServeConfigError::UnknownFramework {
-                framework: parts[3].to_owned(),
-                path: path.to_owned(),
-            })?;
-        Ok(CellId {
-            task,
-            dataset: dataset.to_owned(),
-            model,
-            framework,
-        })
-    }
-
-    /// Every servable cell of the *classic* grid: the full 60-cell sweep
-    /// (24 node + 36 graph), in sweep execution order. Sampled endpoints
-    /// are addressable (`sample/<spec>-<sampler>/<model>/<framework>`) but
-    /// opt-in, so they are deliberately not part of this grid.
-    pub fn all() -> Vec<CellId> {
-        let mut cells = Vec::with_capacity(60);
-        for ds in NODE_DATASETS {
-            for model in ALL_MODELS {
-                for framework in ALL_FRAMEWORKS {
-                    cells.push(CellId {
-                        task: TaskKind::Node,
-                        dataset: ds.to_owned(),
-                        model,
-                        framework,
-                    });
-                }
-            }
-        }
-        for ds in GRAPH_DATASETS {
-            for model in ALL_MODELS {
-                for framework in ALL_FRAMEWORKS {
-                    cells.push(CellId {
-                        task: TaskKind::Graph,
-                        dataset: ds.to_owned(),
-                        model,
-                        framework,
-                    });
-                }
-            }
-        }
-        cells
-    }
-}
-
-impl fmt::Display for CellId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.path())
-    }
-}
-
-/// The reduced representative endpoint set the `gnn-bench serve` binary
-/// targets by default (and CI serves under the canonical fault plan): both
-/// task families, both frameworks, isotropic and anisotropic models.
-pub fn default_endpoints() -> Vec<CellId> {
-    [
-        "table4/Cora/GCN/PyG",
-        "table4/Cora/GAT/DGL",
-        "table4/PubMed/SAGE/PyG",
-        "table5/ENZYMES/GIN/DGL",
-        "table5/ENZYMES/GatedGCN/PyG",
-        "table5/DD/MoNet/DGL",
-    ]
-    .iter()
-    .map(|p| CellId::parse(p).expect("default endpoints are valid cells"))
-    .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paths_round_trip_for_all_sixty_cells() {
-        let cells = CellId::all();
-        assert_eq!(cells.len(), 60);
-        for cell in &cells {
-            let parsed = CellId::parse(&cell.path()).unwrap();
-            assert_eq!(&parsed, cell);
-        }
-    }
-
-    #[test]
-    fn ckpt_file_matches_sweep_convention() {
-        let cell = CellId::parse("table4/Cora/GCN/PyG").unwrap();
-        assert_eq!(cell.ckpt_file(0), "table4_Cora_GCN_PyG_0.ckpt");
-        let cell = CellId::parse("table5/ENZYMES/GatedGCN/DGL").unwrap();
-        assert_eq!(cell.ckpt_file(3), "table5_ENZYMES_GatedGCN_DGL_3.ckpt");
-    }
-
-    #[test]
-    fn parse_rejects_unknown_components() {
-        assert!(CellId::parse("table4/Cora/GCN").is_err());
-        assert!(CellId::parse("table6/Cora/GCN/PyG").is_err());
-        assert!(CellId::parse("table4/ENZYMES/GCN/PyG")
-            .unwrap_err()
-            .to_string()
-            .contains("dataset"));
-        assert!(CellId::parse("table4/Cora/VGG/PyG")
-            .unwrap_err()
-            .to_string()
-            .contains("model"));
-        assert!(CellId::parse("table4/Cora/GCN/TF")
-            .unwrap_err()
-            .to_string()
-            .contains("framework"));
-    }
-
-    #[test]
-    fn sample_cells_parse_but_stay_out_of_the_classic_grid() {
-        let cell = CellId::parse("sample/rmat-1m-neighbor/SAGE/PyG").unwrap();
-        assert_eq!(cell.task, TaskKind::Sample);
-        assert_eq!(cell.dataset, "rmat-1m-neighbor");
-        assert_eq!(cell.path(), "sample/rmat-1m-neighbor/SAGE/PyG");
-        assert_eq!(cell.ckpt_file(0), "sample_rmat-1m-neighbor_SAGE_PyG_0.ckpt");
-        let (spec, kind) = sample_dataset("rmat-1m-neighbor").unwrap();
-        assert_eq!(spec.name, "rmat-1m");
-        assert_eq!(kind.label(), "neighbor");
-        assert!(sample_dataset("rmat-1m").is_none(), "sampler kind required");
-        assert!(sample_dataset("rmat-9z-layerwise").is_none());
-        assert!(CellId::parse("sample/rmat-1m/SAGE/PyG")
-            .unwrap_err()
-            .to_string()
-            .contains("dataset"));
-        assert!(!CellId::all().iter().any(|c| c.task == TaskKind::Sample));
-    }
-
-    #[test]
-    fn default_endpoints_cover_both_tasks_and_frameworks() {
-        let eps = default_endpoints();
-        assert!(eps.len() >= 6);
-        assert!(eps.iter().any(|c| c.task == TaskKind::Node));
-        assert!(eps.iter().any(|c| c.task == TaskKind::Graph));
-        assert!(eps.iter().any(|c| c.framework == FrameworkKind::RustyG));
-        assert!(eps.iter().any(|c| c.framework == FrameworkKind::Rgl));
-    }
-}
+pub use gnn_train::cell::{
+    default_endpoints, sample_dataset, CellError, CellId, TaskKind, GRAPH_DATASETS, NODE_DATASETS,
+};

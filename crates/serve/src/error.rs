@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use crate::cell::CellError;
 use crate::workload::WorkloadError;
 
 /// Why a serving configuration (single-engine or fleet) is impossible, a
@@ -36,48 +37,9 @@ pub enum ServeConfigError {
     },
     /// The config has zero replicas.
     NoReplicas,
-    /// A cell path did not have four `/`-separated components.
-    MalformedCellPath(String),
-    /// A cell path named an experiment other than `table4`/`table5`.
-    UnknownExperiment {
-        /// The unknown experiment component.
-        experiment: String,
-        /// The full path it appeared in.
-        path: String,
-    },
-    /// A cell path named a dataset its experiment does not include.
-    UnknownDataset {
-        /// The experiment component (`table4` or `table5`).
-        experiment: String,
-        /// The unknown dataset component.
-        dataset: String,
-        /// The full path it appeared in.
-        path: String,
-    },
-    /// A cell path named an unknown model.
-    UnknownModel {
-        /// The unknown model component.
-        model: String,
-        /// The full path it appeared in.
-        path: String,
-    },
-    /// A cell path named an unknown framework.
-    UnknownFramework {
-        /// The unknown framework component.
-        framework: String,
-        /// The full path it appeared in.
-        path: String,
-    },
-    /// A [`crate::CellId`] carried a node dataset the generators do not
-    /// know (only reachable by constructing the id directly).
-    UnknownNodeDataset(String),
-    /// A [`crate::CellId`] carried a graph dataset the generators do not
-    /// know (only reachable by constructing the id directly).
-    UnknownGraphDataset(String),
-    /// A [`crate::CellId`] carried a sample dataset that is not a cataloged
-    /// `<spec>-<sampler>` pair (only reachable by constructing the id
-    /// directly).
-    UnknownSampleDataset(String),
+    /// A cell path is unaddressable or a cell's dataset unknown: the
+    /// catalog's own error, rendered unchanged.
+    Cell(CellError),
     /// A checkpoint existed for the endpoint but failed to load.
     Checkpoint {
         /// The endpoint's cell path.
@@ -148,36 +110,7 @@ impl fmt::Display for ServeConfigError {
                  accumulate"
             ),
             ServeConfigError::NoReplicas => write!(f, "need at least one replica"),
-            ServeConfigError::MalformedCellPath(path) => write!(
-                f,
-                "cell path `{path}` must be experiment/dataset/model/framework"
-            ),
-            ServeConfigError::UnknownExperiment { experiment, path } => {
-                write!(f, "unknown experiment `{experiment}` in `{path}`")
-            }
-            ServeConfigError::UnknownDataset {
-                experiment,
-                dataset,
-                path,
-            } => write!(f, "unknown {experiment} dataset `{dataset}` in `{path}`"),
-            ServeConfigError::UnknownModel { model, path } => {
-                write!(f, "unknown model `{model}` in `{path}`")
-            }
-            ServeConfigError::UnknownFramework { framework, path } => {
-                write!(f, "unknown framework `{framework}` in `{path}`")
-            }
-            ServeConfigError::UnknownNodeDataset(name) => {
-                write!(f, "unknown node dataset `{name}`")
-            }
-            ServeConfigError::UnknownGraphDataset(name) => {
-                write!(f, "unknown graph dataset `{name}`")
-            }
-            ServeConfigError::UnknownSampleDataset(name) => {
-                write!(
-                    f,
-                    "unknown sample dataset `{name}` (want `<spec>-<neighbor|layerwise>`)"
-                )
-            }
+            ServeConfigError::Cell(err) => write!(f, "{err}"),
             ServeConfigError::Checkpoint { cell, message } => {
                 write!(f, "endpoint {cell}: {message}")
             }
@@ -223,6 +156,12 @@ impl fmt::Display for ServeConfigError {
 
 impl std::error::Error for ServeConfigError {}
 
+impl From<CellError> for ServeConfigError {
+    fn from(err: CellError) -> Self {
+        ServeConfigError::Cell(err)
+    }
+}
+
 impl From<WorkloadError> for ServeConfigError {
     fn from(err: WorkloadError) -> Self {
         ServeConfigError::Workload(err)
@@ -255,15 +194,15 @@ mod tests {
             "queue_cap 2 below max_batch 4: a full batch could never accumulate"
         );
         assert_eq!(
-            ServeConfigError::MalformedCellPath("a/b".into()).to_string(),
+            ServeConfigError::from(CellError::MalformedCellPath("a/b".into())).to_string(),
             "cell path `a/b` must be experiment/dataset/model/framework"
         );
         assert_eq!(
-            ServeConfigError::UnknownDataset {
+            ServeConfigError::from(CellError::UnknownDataset {
                 experiment: "table4".into(),
                 dataset: "ENZYMES".into(),
                 path: "table4/ENZYMES/GCN/PyG".into()
-            }
+            })
             .to_string(),
             "unknown table4 dataset `ENZYMES` in `table4/ENZYMES/GCN/PyG`"
         );

@@ -3,9 +3,11 @@
 //!
 //! The training side of this repository reproduces the paper's sweep; this
 //! crate closes the loop by *serving* those models. Every one of the 60
-//! sweep cells is an addressable endpoint ([`CellId`]); an immutable
-//! [`ModelRegistry`] rebuilds each cell's dataset and architecture exactly
-//! as the sweep did and pours `gnn-ckpt v1` checkpoint weights back in via
+//! sweep cells is an addressable endpoint ([`CellId`] — the sweep's own
+//! address, re-exported from the cell catalog in [`gnn_train::cell`]); an
+//! immutable [`ModelRegistry`] builds each endpoint's dataset and
+//! architecture with the catalog code the sweep trains with and pours
+//! `gnn-ckpt v1` checkpoint weights back in via
 //! [`gnn_train::Checkpoint::load_params`]. A seeded open-loop client
 //! workload ([`workload::generate`]) flows through a dynamic batcher
 //! ([`BatchPolicy`]: max-batch-size + max-queue-delay over bounded queues

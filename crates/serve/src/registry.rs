@@ -1,49 +1,28 @@
 //! The immutable model registry: every endpoint's dataset + model, with
 //! weights restored from `gnn-ckpt v1` training checkpoints when available.
 //!
-//! Registry construction mirrors the training sweep exactly — same dataset
-//! generators at the same scale/seed, same architecture builders with the
-//! same per-cell RNG seeds — so a checkpoint written by
-//! `gnn_core::sweep` pours back into an identical architecture via
-//! [`gnn_train::Checkpoint::load_params`]. Endpoints without a checkpoint
-//! serve their (deterministic) initialization weights; [`Endpoint::restored`]
-//! records which happened, and the serving report surfaces it.
+//! The registry builds an endpoint with the code the training sweep builds
+//! its cell with — [`gnn_train::cell`]'s dataset generators, its
+//! architecture seed for run 0 and its framework-erased [`Built`] cell — so
+//! a checkpoint written by `gnn_core::sweep` pours back into an identical
+//! architecture via [`Built::restore`]. What is left here is serving:
+//! which rows of a forward answer which request, and where a checkpoint
+//! comes from. Endpoints without a checkpoint serve their (deterministic)
+//! initialization weights; [`Endpoint::restored`] records which happened,
+//! and the serving report surfaces it.
 
 use std::path::Path;
-use std::rc::Rc;
 
-use gnn_datasets::{CitationSpec, GraphDataset, NodeDataset, SuperpixelSpec, TudSpec};
-use gnn_models::adapt::{Loader, RglLoader, RustygLoader};
-use gnn_models::{build, FrameworkKind, GnnStack};
-use gnn_sample::RmatGraph;
-use gnn_tensor::Tensor;
+use gnn_train::cell::{build, Built, CellData};
 use gnn_train::Checkpoint;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::cell::{sample_dataset, CellId, TaskKind};
+use crate::cell::{sample_dataset, CellError, CellId, TaskKind};
 use crate::error::ServeConfigError;
 
 /// The fixed sampling salt of the serving path. Serving is a pure function
 /// of (endpoint, targets): the same seed nodes are answered from the same
 /// sampled blocks on every rerun, which keeps replies bit-reproducible.
 pub const SERVE_SAMPLE_SALT: u64 = 0x5EED;
-
-/// The model of one endpoint, typed by framework batch.
-enum EndpointModel {
-    Rustyg(GnnStack<rustyg::Batch>),
-    Rgl(GnnStack<rgl::HeteroBatch>),
-}
-
-/// The dataset behind one endpoint. Sampled endpoints hold the framework's
-/// sampled loader (RMAT graph + feature cache) because, unlike the classic
-/// datasets, their data path is framework-specific.
-enum EndpointData {
-    Node(NodeDataset),
-    Graph(GraphDataset),
-    SampleRustyg(rustyg::sampled::SampledLoader),
-    SampleRgl(rgl::sampled::SampledLoader),
-}
 
 /// One loaded, servable endpoint: an immutable (dataset, model) pair.
 pub struct Endpoint {
@@ -52,80 +31,50 @@ pub struct Endpoint {
     /// Whether weights came from a checkpoint (`true`) or are the
     /// deterministic initialization (`false`).
     pub restored: bool,
-    data: EndpointData,
-    model: EndpointModel,
+    data: CellData,
+    built: Box<dyn Built>,
 }
 
 impl Endpoint {
-    /// How many distinct targets a request can name: nodes for node
-    /// endpoints, graphs for graph endpoints.
+    /// How many distinct targets a request can name: nodes for node and
+    /// sampled endpoints, graphs for graph endpoints.
     pub fn num_targets(&self) -> u32 {
-        match &self.data {
-            EndpointData::Node(ds) => ds.graph.num_nodes() as u32,
-            EndpointData::Graph(ds) => ds.samples.len() as u32,
-            EndpointData::SampleRustyg(l) => l.graph().num_nodes() as u32,
-            EndpointData::SampleRgl(l) => l.graph().num_nodes() as u32,
-        }
+        num_targets(&self.data)
     }
 
     /// Answers a batch of requests: one logits row per target, in request
     /// order. Runs in inference mode (no tape) with `training = false`
     /// (dropout identity, batch norm on running stats), through the
     /// framework's batch path — full-graph forward for node endpoints,
-    /// concat/hetero collation for graph endpoints. Device kernels land on
-    /// whatever `gnn-device` session is installed.
+    /// concat/hetero collation for graph endpoints, the sampled union block
+    /// for sampled ones. Device kernels land on whatever `gnn-device`
+    /// session is installed.
     ///
     /// # Panics
     ///
     /// Panics if a target is out of range (the workload generator and the
     /// serve-config lint both keep targets in range).
     pub fn serve_batch(&self, targets: &[u32]) -> Vec<Vec<f32>> {
-        gnn_tensor::inference(|| match (&self.model, &self.data) {
-            (EndpointModel::Rustyg(stack), EndpointData::Node(ds)) => {
-                let batch = rustyg::loader::full_graph_batch(ds);
-                rows_at(&stack.forward(&batch, false), targets)
-            }
-            (EndpointModel::Rgl(stack), EndpointData::Node(ds)) => {
-                let batch = rgl::loader::full_graph_batch(ds);
-                rows_at(&stack.forward(&batch, false), targets)
-            }
-            (EndpointModel::Rustyg(stack), EndpointData::Graph(ds)) => {
-                let batch = RustygLoader::new(ds).load(targets);
-                all_rows(&stack.forward(&batch, false))
-            }
-            (EndpointModel::Rgl(stack), EndpointData::Graph(ds)) => {
-                let batch = RglLoader::new(ds).load(targets);
-                all_rows(&stack.forward(&batch, false))
-            }
-            // Sampled endpoints: the targets are the seed nodes of one
-            // sampled block — seeds come first in the union's node order,
-            // so the answer rows are the first `targets.len()` rows.
-            (EndpointModel::Rustyg(stack), EndpointData::SampleRustyg(loader)) => {
-                let batch = loader
-                    .try_load_block(targets, SERVE_SAMPLE_SALT)
-                    .expect("serve targets are in-range seed nodes");
-                first_rows(&stack.forward(&batch, false), targets.len())
-            }
-            (EndpointModel::Rgl(stack), EndpointData::SampleRgl(loader)) => {
-                let batch = loader
-                    .try_load_block(targets, SERVE_SAMPLE_SALT)
-                    .expect("serve targets are in-range seed nodes");
-                first_rows(&stack.forward(&batch, false), targets.len())
-            }
-            _ => unreachable!("endpoint model/data framework mismatch"),
-        })
+        let logits = gnn_tensor::inference(|| self.built.forward(targets, SERVE_SAMPLE_SALT));
+        let data = logits.data();
+        let cols = data.shape().1;
+        let row = |r: usize| data.data()[r * cols..(r + 1) * cols].to_vec();
+        match &self.data {
+            CellData::Node(_) => targets.iter().map(|&t| row(t as usize)).collect(),
+            // One row per collated graph; for a sampled block the seeds
+            // come first in the union's node order, so either way the
+            // answers are the first `targets.len()` rows.
+            CellData::Graph(..) | CellData::Sample(..) => (0..targets.len()).map(row).collect(),
+        }
     }
 
     /// Ground-truth labels for `targets` (accuracy bookkeeping).
     pub fn labels(&self, targets: &[u32]) -> Vec<u32> {
+        let targets = targets.iter().map(|&t| t as usize);
         match &self.data {
-            EndpointData::Node(ds) => targets.iter().map(|&t| ds.labels[t as usize]).collect(),
-            EndpointData::Graph(ds) => targets
-                .iter()
-                .map(|&t| ds.samples[t as usize].label)
-                .collect(),
-            EndpointData::SampleRustyg(l) => targets.iter().map(|&t| l.graph().label(t)).collect(),
-            EndpointData::SampleRgl(l) => targets.iter().map(|&t| l.graph().label(t)).collect(),
+            CellData::Node(ds) => targets.map(|t| ds.labels[t]).collect(),
+            CellData::Graph(ds, _) => targets.map(|t| ds.samples[t].label).collect(),
+            CellData::Sample(graph, ..) => targets.map(|t| graph.label(t as u32)).collect(),
         }
     }
 
@@ -152,20 +101,25 @@ impl Endpoint {
         100.0 * correct as f64 / targets.len() as f64
     }
 
-    /// The node indices of the dataset's test split (node endpoints only).
-    /// Sampled endpoints answer from the training sweep's deterministic
-    /// test seed pool.
+    /// The node indices of the dataset's test split (node endpoints), every
+    /// graph (graph endpoints), or the training sweep's deterministic test
+    /// seed pool (sampled endpoints).
     pub fn test_targets(&self) -> Vec<u32> {
         match &self.data {
-            EndpointData::Node(ds) => ds.test_idx.clone(),
-            EndpointData::Graph(ds) => (0..ds.samples.len() as u32).collect(),
-            EndpointData::SampleRustyg(l) => l
-                .graph()
-                .seed_pool(l.spec().batch_seeds, gnn_train::TEST_POOL_SALT),
-            EndpointData::SampleRgl(l) => l
-                .graph()
-                .seed_pool(l.spec().batch_seeds, gnn_train::TEST_POOL_SALT),
+            CellData::Node(ds) => ds.test_idx.clone(),
+            CellData::Graph(ds, _) => (0..ds.samples.len() as u32).collect(),
+            CellData::Sample(graph, spec, _) => {
+                graph.seed_pool(spec.batch_seeds, gnn_train::TEST_POOL_SALT)
+            }
         }
+    }
+}
+
+fn num_targets(data: &CellData) -> u32 {
+    match data {
+        CellData::Node(ds) => ds.graph.num_nodes() as u32,
+        CellData::Graph(ds, _) => ds.samples.len() as u32,
+        CellData::Sample(graph, ..) => graph.num_nodes() as u32,
     }
 }
 
@@ -180,45 +134,17 @@ pub fn argmax(row: &[f32]) -> u32 {
     best as u32
 }
 
-fn rows_at(logits: &Tensor, targets: &[u32]) -> Vec<Vec<f32>> {
-    let data = logits.data();
-    let (_, cols) = data.shape();
-    targets
-        .iter()
-        .map(|&t| {
-            let start = t as usize * cols;
-            data.data()[start..start + cols].to_vec()
-        })
-        .collect()
-}
-
-fn all_rows(logits: &Tensor) -> Vec<Vec<f32>> {
-    let data = logits.data();
-    let (rows, cols) = data.shape();
-    (0..rows)
-        .map(|r| data.data()[r * cols..(r + 1) * cols].to_vec())
-        .collect()
-}
-
-fn first_rows(logits: &Tensor, n: usize) -> Vec<Vec<f32>> {
-    let data = logits.data();
-    let (_, cols) = data.shape();
-    (0..n)
-        .map(|r| data.data()[r * cols..(r + 1) * cols].to_vec())
-        .collect()
-}
-
 /// The immutable registry of loaded endpoints a serving run answers from.
 pub struct ModelRegistry {
     endpoints: Vec<Endpoint>,
 }
 
 impl ModelRegistry {
-    /// Builds the registry for `cells`: generates each cell's dataset
-    /// (same generators/scale/seed as the sweep), builds its architecture
-    /// (same per-cell RNG seeding as the sweep's run 0), and restores
-    /// weights from `<ckpt_dir>/<cell>_0.ckpt` when the directory is given
-    /// and the file exists.
+    /// Builds the registry for `cells`: generates each cell's dataset once
+    /// (endpoints naming the same dataset share it), builds its
+    /// architecture as the sweep's run 0 does, and restores weights from
+    /// `<ckpt_dir>/<cell>_0.ckpt` when the directory is given and the file
+    /// exists.
     ///
     /// # Errors
     ///
@@ -232,52 +158,17 @@ impl ModelRegistry {
         seed: u64,
         ckpt_dir: Option<&Path>,
     ) -> Result<ModelRegistry, ServeConfigError> {
-        let mut endpoints = Vec::with_capacity(cells.len());
+        let mut endpoints: Vec<Endpoint> = Vec::with_capacity(cells.len());
         for cell in cells {
-            let data = generate_data(cell, scale, seed)?;
-            // Architecture seeding matches `gnn_core::sweep` run 0: node
-            // and sampled cells draw from seed + 1 (+ seed index), graph
-            // cells from seed + 10 (+ fold index). A checkpoint from that
-            // run restores into a bit-identical architecture.
-            let arch_seed = match cell.task {
-                TaskKind::Node | TaskKind::Sample => seed + 1,
-                TaskKind::Graph => seed + 10,
+            let shared = endpoints
+                .iter()
+                .find(|e| (e.cell.task, &e.cell.dataset) == (cell.task, &cell.dataset));
+            let data = match shared {
+                Some(endpoint) => endpoint.data.clone(),
+                None => CellData::generate(cell.task, &cell.dataset, scale, seed)?,
             };
-            let mut rng = StdRng::seed_from_u64(arch_seed);
-            let (feat, classes) = match &data {
-                EndpointData::Node(ds) => (ds.features.cols(), ds.num_classes),
-                EndpointData::Graph(ds) => (ds.feature_dim, ds.num_classes),
-                EndpointData::SampleRustyg(l) => (
-                    l.graph().config().feature_dim,
-                    l.graph().config().num_classes,
-                ),
-                EndpointData::SampleRgl(l) => (
-                    l.graph().config().feature_dim,
-                    l.graph().config().num_classes,
-                ),
-            };
-            let model = match (cell.framework, cell.task) {
-                (FrameworkKind::RustyG, TaskKind::Node | TaskKind::Sample) => {
-                    EndpointModel::Rustyg(build::node_model_rustyg(
-                        cell.model, feat, classes, &mut rng,
-                    ))
-                }
-                (FrameworkKind::RustyG, TaskKind::Graph) => EndpointModel::Rustyg(
-                    build::graph_model_rustyg(cell.model, feat, classes, &mut rng),
-                ),
-                (FrameworkKind::Rgl, TaskKind::Node | TaskKind::Sample) => {
-                    EndpointModel::Rgl(build::node_model_rgl(cell.model, feat, classes, &mut rng))
-                }
-                (FrameworkKind::Rgl, TaskKind::Graph) => {
-                    EndpointModel::Rgl(build::graph_model_rgl(cell.model, feat, classes, &mut rng))
-                }
-            };
-            let mut endpoint = Endpoint {
-                cell: cell.clone(),
-                restored: false,
-                data,
-                model,
-            };
+            let built = build(cell.framework, cell.model, &data, data.arch_seed(seed, 0));
+            let mut restored = false;
             if let Some(dir) = ckpt_dir {
                 let path = dir.join(cell.ckpt_file(0));
                 if path.exists() {
@@ -286,15 +177,16 @@ impl ModelRegistry {
                             cell: cell.to_string(),
                             message: e.to_string(),
                         })?;
-                    let (params, norms) = match &endpoint.model {
-                        EndpointModel::Rustyg(s) => (s.params(), s.norm_layers()),
-                        EndpointModel::Rgl(s) => (s.params(), s.norm_layers()),
-                    };
-                    ckpt.load_params(&params, &norms);
-                    endpoint.restored = true;
+                    built.restore(&ckpt);
+                    restored = true;
                 }
             }
-            endpoints.push(endpoint);
+            endpoints.push(Endpoint {
+                cell: cell.clone(),
+                restored,
+                data,
+                built,
+            });
         }
         Ok(ModelRegistry { endpoints })
     }
@@ -341,61 +233,11 @@ pub fn target_count(cell: &CellId, scale: f64, seed: u64) -> Result<u32, ServeCo
     // RMAT graph) — no generation needed even for the million-node spec.
     if cell.task == TaskKind::Sample {
         let (spec, _) = sample_dataset(&cell.dataset)
-            .ok_or_else(|| ServeConfigError::UnknownSampleDataset(cell.dataset.clone()))?;
+            .ok_or_else(|| CellError::UnknownSampleDataset(cell.dataset.clone()))?;
         return Ok(spec.rmat.num_nodes() as u32);
     }
-    Ok(match generate_data(cell, scale, seed)? {
-        EndpointData::Node(ds) => ds.graph.num_nodes() as u32,
-        EndpointData::Graph(ds) => ds.samples.len() as u32,
-        EndpointData::SampleRustyg(_) | EndpointData::SampleRgl(_) => {
-            unreachable!("sample endpoints take the closed-form path above")
-        }
-    })
-}
-
-fn generate_data(cell: &CellId, scale: f64, seed: u64) -> Result<EndpointData, ServeConfigError> {
-    match cell.task {
-        TaskKind::Sample => {
-            let (spec, kind) = sample_dataset(&cell.dataset)
-                .ok_or_else(|| ServeConfigError::UnknownSampleDataset(cell.dataset.clone()))?;
-            // RMAT specs fix their own size and seed; the serve-level
-            // scale/seed intentionally do not perturb them, so sampled
-            // endpoints answer from the same graph the sweep trained on.
-            let _ = (scale, seed);
-            let graph =
-                Rc::new(RmatGraph::generate(spec.rmat).expect("catalog specs generate cleanly"));
-            Ok(match cell.framework {
-                FrameworkKind::RustyG => EndpointData::SampleRustyg(
-                    rustyg::sampled::SampledLoader::new(graph, &spec, kind)
-                        .expect("catalog specs validate"),
-                ),
-                FrameworkKind::Rgl => EndpointData::SampleRgl(
-                    rgl::sampled::SampledLoader::new(graph, &spec, kind)
-                        .expect("catalog specs validate"),
-                ),
-            })
-        }
-        TaskKind::Node => {
-            let spec = match cell.dataset.as_str() {
-                "Cora" => CitationSpec::cora(),
-                "PubMed" => CitationSpec::pubmed(),
-                other => return Err(ServeConfigError::UnknownNodeDataset(other.to_owned())),
-            };
-            Ok(EndpointData::Node(spec.scaled(scale).generate(seed)))
-        }
-        TaskKind::Graph => {
-            let ds = match cell.dataset.as_str() {
-                "ENZYMES" => TudSpec::enzymes().scaled(scale).generate(seed),
-                "DD" => TudSpec::dd().scaled(scale).generate(seed),
-                // MNIST subsamples 10x harder, matching the runners.
-                "MNIST" => SuperpixelSpec::mnist()
-                    .scaled((scale * 0.1).min(1.0))
-                    .generate(seed),
-                other => return Err(ServeConfigError::UnknownGraphDataset(other.to_owned())),
-            };
-            Ok(EndpointData::Graph(ds))
-        }
-    }
+    let data = CellData::generate(cell.task, &cell.dataset, scale, seed)?;
+    Ok(num_targets(&data))
 }
 
 #[cfg(test)]
@@ -483,7 +325,7 @@ mod tests {
         };
         assert_eq!(
             target_count(&bogus, 0.05, 0).unwrap_err(),
-            ServeConfigError::UnknownSampleDataset("rmat-1m".into())
+            ServeConfigError::from(CellError::UnknownSampleDataset("rmat-1m".into()))
         );
     }
 

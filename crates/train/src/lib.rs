@@ -25,6 +25,7 @@
 //! them. `tests/training_golden.rs` at the workspace root pins all of them
 //! across commits.
 
+pub mod cell;
 pub mod checkpoint;
 mod epoch_trace;
 pub mod graph_task;

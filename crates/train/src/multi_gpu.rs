@@ -55,6 +55,16 @@ pub fn data_parallel_epoch_time<L: Loader>(
         .expect("validated config")
 }
 
+/// One Fig. 6 point as a job for [`crate::cell::with_graph_stack`]: the
+/// data-parallel epoch time of whichever framework's stack it is handed.
+impl crate::cell::GraphJob for &MultiGpuConfig {
+    type Out = f64;
+
+    fn run<L: Loader>(self, stack: &GnnStack<L::Batch>, loader: &L) -> f64 {
+        data_parallel_epoch_time(stack, loader, self)
+    }
+}
+
 /// Host-side collation cost and input size of the full batch (serialized;
 /// DataParallel never parallelizes loading — the paper's scaling ceiling).
 fn measure_host_load<L: Loader>(loader: &L, batch_size: usize) -> (f64, u64) {

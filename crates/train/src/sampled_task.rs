@@ -57,6 +57,8 @@ pub trait SampledLoader {
     fn resident_bytes(&self) -> u64;
     /// Stable name for traces (`<spec>/<sampler-kind>`).
     fn label(&self) -> String;
+    /// Lifetime hit rate of the loader's feature cache, in `[0, 1]`.
+    fn cache_hit_rate(&self) -> f64;
 }
 
 impl SampledLoader for rustyg::sampled::SampledLoader {
@@ -82,6 +84,10 @@ impl SampledLoader for rustyg::sampled::SampledLoader {
     fn label(&self) -> String {
         format!("{}/{}", self.spec().name, self.kind().label())
     }
+
+    fn cache_hit_rate(&self) -> f64 {
+        rustyg::sampled::SampledLoader::cache_hit_rate(self)
+    }
 }
 
 impl SampledLoader for rgl::sampled::SampledLoader {
@@ -106,6 +112,10 @@ impl SampledLoader for rgl::sampled::SampledLoader {
 
     fn label(&self) -> String {
         format!("{}/{}", self.spec().name, self.kind().label())
+    }
+
+    fn cache_hit_rate(&self) -> f64 {
+        rgl::sampled::SampledLoader::cache_hit_rate(self)
     }
 }
 

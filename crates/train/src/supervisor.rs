@@ -164,6 +164,19 @@ pub struct Supervised<T> {
     pub losses: Vec<f64>,
 }
 
+impl<T> Supervised<T> {
+    /// Maps the outcome, keeping the supervisor's record of the run.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Supervised<U> {
+        Supervised {
+            outcome: f(self.outcome),
+            degraded: self.degraded,
+            retries: self.retries,
+            notes: self.notes,
+            losses: self.losses,
+        }
+    }
+}
+
 /// Rolls the device/optimizer state of an aborted step back so it can be
 /// replayed: batch-norm stats restored, gradients cleared, step-scoped
 /// device memory released. Parameters are untouched because `opt.step`

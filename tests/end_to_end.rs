@@ -1,14 +1,28 @@
 //! End-to-end training runs spanning every crate: datasets → loaders →
 //! models → training loop → device report → aggregation.
 
-use gnn_core::runner;
 use gnn_core::RunConfig;
+use gnn_core::{export, runner};
 use gnn_datasets::{stratified_kfold, CitationSpec, TudSpec};
 use gnn_models::adapt::RustygLoader;
 use gnn_models::{build, ModelKind};
 use gnn_train::{mean_std, run_graph_fold, run_node_task, GraphTaskConfig, NodeTaskConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// FNV-1a over the CSV renderings of a run's rows. The constants below pin
+/// the tables and figures across commits the way `tests/training_golden.rs`
+/// pins the loops under them: they were captured from the commit before the
+/// cell catalog existed, on runs these tests already made. A deliberate
+/// behaviour change re-captures them (the failure prints the new value).
+fn csv_digest(csvs: &[String]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for b in csvs.iter().flat_map(|csv| csv.bytes()) {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 #[test]
 fn table4_smoke_produces_full_grid() {
@@ -28,6 +42,11 @@ fn table4_smoke_produces_full_grid() {
         assert_eq!(pyg.model, dgl.model);
         assert!(dgl.epoch_time > pyg.epoch_time, "{:?} vs {:?}", dgl, pyg);
     }
+    let digest = csv_digest(&[export::table4_csv(&rows)]);
+    assert_eq!(
+        digest, 0x37ca_a25b_32f6_fb65,
+        "table4.csv moved: {digest:#018x}"
+    );
 }
 
 #[test]
@@ -42,6 +61,11 @@ fn table5_smoke_produces_full_grid() {
         assert!(r.epoch_time > 0.0);
         assert!((0.0..=100.0).contains(&r.acc.mean));
     }
+    let digest = csv_digest(&[export::table5_csv(&rows)]);
+    assert_eq!(
+        digest, 0x6e64_e6fe_6ba2_d8cf,
+        "table5.csv moved: {digest:#018x}"
+    );
 }
 
 #[test]
@@ -113,17 +137,31 @@ fn cross_validation_aggregates_multiple_folds() {
 fn reports_render_for_every_experiment() {
     let mut cfg = RunConfig::smoke();
     cfg.batch_sizes = [4, 8, 16];
-    let t4 = gnn_core::report::table4_report(&runner::table4(&cfg));
+    let table4 = runner::table4(&cfg);
+    let t4 = gnn_core::report::table4_report(&table4);
     assert!(t4.contains("GatedGCN") && t4.contains("PyG") && t4.contains("DGL"));
     let sweep = runner::profile_sweep(&cfg, runner::GraphDs::Enzymes);
     let fig12 = gnn_core::report::breakdown_report(&sweep);
     assert!(fig12.contains("data_load"));
     let fig45 = gnn_core::report::resources_report(&sweep);
     assert!(fig45.contains("PeakMem"));
-    let fig3 = gnn_core::report::layer_report(&runner::layer_times(&cfg));
+    let layers = runner::layer_times(&cfg);
+    let fig3 = gnn_core::report::layer_report(&layers);
     assert!(fig3.contains("conv1"));
-    let fig6 = gnn_core::report::fig6_report(&runner::multi_gpu(&cfg));
+    let multi = runner::multi_gpu(&cfg);
+    let fig6 = gnn_core::report::fig6_report(&multi);
     assert!(fig6.contains("GPUs"));
+    let digest = csv_digest(&[
+        export::table4_csv(&table4),
+        export::profile_csv(&sweep),
+        export::kernel_counts_csv(&sweep),
+        export::layer_times_csv(&layers),
+        export::multi_gpu_csv(&multi),
+    ]);
+    assert_eq!(
+        digest, 0x2df9_e5d4_daeb_58e7,
+        "a table or figure CSV moved: {digest:#018x}"
+    );
 }
 
 #[test]

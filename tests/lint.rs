@@ -35,6 +35,31 @@ fn all_60_paper_cells_lint_clean_at_smoke_scale() {
     );
 }
 
+/// One grid order: the certifier walks the cells in the order the sweep
+/// trains them and `CellId::all()` lists them — they all iterate the
+/// catalog's grid — with any sampled cells after, sampler × framework.
+#[test]
+fn certificates_follow_the_sweep_order() {
+    let paths = |cfg: &RunConfig| -> Vec<String> {
+        let certs = gnn_lint::certify_run(cfg);
+        certs.cells.iter().map(|cert| cert.path()).collect()
+    };
+    let grid: Vec<String> = gnn_serve::CellId::all().iter().map(|c| c.path()).collect();
+    assert_eq!(paths(&RunConfig::smoke()), grid);
+
+    let sampled = paths(&RunConfig::smoke().with_samples(["rmat-4k"]));
+    assert_eq!(sampled[..60], grid[..]);
+    assert_eq!(
+        sampled[60..],
+        [
+            "sample/rmat-4k-neighbor/SAGE/PyG",
+            "sample/rmat-4k-neighbor/SAGE/DGL",
+            "sample/rmat-4k-layerwise/SAGE/PyG",
+            "sample/rmat-4k-layerwise/SAGE/DGL",
+        ]
+    );
+}
+
 #[test]
 fn every_cell_lowering_reaches_a_loss_and_has_trainable_params() {
     for model in ALL_MODELS {
