@@ -6,8 +6,10 @@
 //! separate pids keep timelines from overlapping); each track becomes a
 //! named *thread* within it. Spans map to `B`/`E` pairs, kernels to `X`
 //! complete slices, counters to `C`, markers to `i`. Timestamps are
-//! simulated microseconds; every slice carries the host wall-clock stamp in
-//! its `args.wall_s` so both clocks survive the export.
+//! simulated microseconds; every event but a counter carries the host
+//! wall-clock stamp in its `args.wall_s` so both clocks survive the export.
+//! A counter's `args` are its series — an extra key would draw a second
+//! series in the viewer — so counters export the simulated clock only.
 
 use crate::json::Value;
 use crate::recorder::{EventKind, TraceEvent};
@@ -52,6 +54,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             }
             EventKind::End => {
                 members.push(("ph".into(), Value::from("E")));
+                members.push(("args".into(), Value::Obj(vec![wall])));
             }
             EventKind::Complete { name, dur, args } => {
                 members.push(("ph".into(), Value::from("X")));
@@ -311,9 +314,10 @@ mod tests {
             assert_eq!(orig.track, back.track);
             assert_eq!(orig.generation, back.generation);
             assert!((orig.sim - back.sim).abs() < 1e-9, "sim drifted");
-            // End/Counter events carry no wall_s in the export; every
-            // other kind's wall stamp survives.
-            if !matches!(orig.kind, EventKind::End | EventKind::Counter { .. }) {
+            // A counter's args are its plotted series, so it carries no
+            // wall_s (an extra key would draw a second series); every other
+            // kind's wall stamp survives.
+            if !matches!(orig.kind, EventKind::Counter { .. }) {
                 assert!((orig.wall - back.wall).abs() < 1e-12, "wall lost");
             }
             // Kinds — including every custom arg — survive verbatim.

@@ -44,8 +44,8 @@
 //!
 //! The two clocks advance at unrelated rates: a simulated second of GPU
 //! work might take microseconds of host time to model. Exports keep both —
-//! Chrome slices put `wall_s` in their `args`; metrics records carry
-//! `sim_time` and `wall_time` side by side.
+//! every Chrome event but a counter puts `wall_s` in its `args`; metrics
+//! records carry `sim_time` and `wall_time` side by side.
 //!
 //! ## No-op guarantee
 //!

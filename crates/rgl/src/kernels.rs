@@ -138,15 +138,13 @@ pub fn gspmm_copy_sum(batch: &HeteroBatch, x: &Tensor) -> Tensor {
 struct GSpmmMulSumBack {
     src: Ids,
     dst: Ids,
-    x: NdArray,
-    w: NdArray,
-    in_rows: usize,
 }
 
 impl Backward for GSpmmMulSumBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
+        let (x, w) = (parents[0].data(), parents[1].data());
         let cols = grad.cols();
-        let heads = self.w.cols();
+        let heads = w.cols();
         let d = cols / heads;
         host(costs::OP_DISPATCH);
         if parents[0].needs_grad() {
@@ -156,11 +154,11 @@ impl Backward for GSpmmMulSumBack {
                 cols,
                 true,
             ));
-            let mut dx = NdArray::zeros(self.in_rows, cols);
+            let mut dx = NdArray::zeros(x.rows(), cols);
             for e in 0..self.src.len() {
                 let s = self.src[e] as usize;
                 let dn = self.dst[e] as usize;
-                let wr = self.w.row(e);
+                let wr = w.row(e);
                 for h in 0..heads {
                     let wv = wr[h];
                     for k in 0..d {
@@ -180,7 +178,7 @@ impl Backward for GSpmmMulSumBack {
                 for h in 0..heads {
                     let mut acc = 0.0;
                     for k in 0..d {
-                        acc += grad.at(dn, h * d + k) * self.x.at(s, h * d + k);
+                        acc += grad.at(dn, h * d + k) * x.at(s, h * d + k);
                     }
                     dwr[h] = acc;
                 }
@@ -203,8 +201,7 @@ impl Backward for GSpmmMulSumBack {
 ///
 /// Panics on shape mismatch.
 pub fn gspmm_mul_sum(batch: &HeteroBatch, x: &Tensor, w: &Tensor) -> Tensor {
-    let xv = x.data().clone();
-    let wv = w.data().clone();
+    let (xv, wv) = (x.data(), w.data());
     assert_eq!(
         xv.rows(),
         batch.num_nodes,
@@ -252,9 +249,6 @@ pub fn gspmm_mul_sum(batch: &HeteroBatch, x: &Tensor, w: &Tensor) -> Tensor {
             Box::new(GSpmmMulSumBack {
                 src: batch.src.clone(),
                 dst: batch.dst.clone(),
-                x: xv,
-                w: wv,
-                in_rows: batch.num_nodes,
             }),
         )
     })

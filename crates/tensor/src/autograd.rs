@@ -22,10 +22,14 @@ use crate::ndarray::NdArray;
 
 /// The backward rule of a differentiable operation.
 ///
-/// Implementations read whatever forward state they captured at construction
-/// and push gradients into `parents` with [`accumulate`]. Frameworks outside
-/// this crate (e.g. `rgl`'s fused GSpMM) implement this trait to register
-/// custom fused operations.
+/// Implementations push gradients into `parents` with [`accumulate`]. The
+/// saved-value contract: a parent's value is never copied into the rule; it
+/// is borrowed again through `parents[i].data()` when the gradient arrives.
+/// A rule may own only state that is not a parent value (index arrays,
+/// shapes, a dropout mask, its own op's output) and should build it only
+/// when the node is recorded, since inference drops the rule unused.
+/// Frameworks outside this crate (e.g. `rgl`'s fused GSpMM) implement this
+/// trait to register custom fused operations.
 pub trait Backward {
     /// Propagates `grad` (gradient w.r.t. this op's output) to `parents`.
     fn backward(&self, grad: &NdArray, parents: &[Tensor]);
@@ -114,6 +118,13 @@ pub fn grad_enabled() -> bool {
     GRAD_ENABLED.with(std::cell::Cell::get)
 }
 
+/// Whether an op over `parents` records a tape node: gradients are enabled
+/// and some parent needs them. [`Tensor::from_op`] keeps a node exactly when
+/// this holds, so ops ask it before building state only backward reads.
+pub(crate) fn records<'a>(parents: impl IntoIterator<Item = &'a Tensor>) -> bool {
+    grad_enabled() && parents.into_iter().any(Tensor::needs_grad)
+}
+
 /// Runs `f` in inference mode: no operation inside records a backward node,
 /// so no forward activation is retained by the tape — PyTorch's
 /// `torch.no_grad()`. Nesting is allowed; the previous state is restored on
@@ -191,7 +202,7 @@ impl Tensor {
     /// (inference mode keeps no tape).
     pub fn from_op(data: NdArray, parents: Vec<Tensor>, op: Box<dyn Backward>) -> Self {
         gnn_device::alloc(data.byte_size());
-        let needs = grad_enabled() && parents.iter().any(Tensor::needs_grad);
+        let needs = records(&parents);
         let node = if needs {
             Some(Node { parents, op })
         } else {
@@ -274,6 +285,12 @@ impl Tensor {
     /// consumed during the walk; gradients of leaves with
     /// `requires_grad == true` remain readable via [`Tensor::grad`] and are
     /// *accumulated* across calls until [`Tensor::zero_grad`].
+    ///
+    /// The walk consumes the graph: each node is released as soon as its
+    /// rule has run, so an intermediate's buffer is freed once its last
+    /// consumer is done. A second `backward` through the same graph finds no
+    /// node to run and leaves every leaf gradient unchanged — PyTorch's
+    /// behaviour without `retain_graph`, minus the error.
     pub fn backward(&self) {
         let seed = {
             let d = self.inner.data.borrow();
@@ -289,7 +306,9 @@ impl Tensor {
     /// Panics if the seed shape does not match the tensor shape.
     pub fn backward_with(&self, seed: NdArray) {
         assert_eq!(seed.shape(), self.shape(), "backward seed shape mismatch");
-        if !self.inner.needs_grad {
+        // An interior tensor without a node has had its graph consumed.
+        let consumed = !self.inner.requires_grad && self.inner.node.borrow().is_none();
+        if !self.inner.needs_grad || consumed {
             return;
         }
         accumulate(self, seed);
@@ -316,14 +335,18 @@ impl Tensor {
             }
         }
 
-        for t in topo.iter().rev() {
-            let node = t.inner.node.borrow();
-            let Some(node) = node.as_ref() else { continue };
-            // Interior gradients are consumed: they are not observable after
-            // backward, matching PyTorch's default.
-            let Some(grad) = t.inner.grad.borrow_mut().take() else {
+        // Every consumer of a tensor pops before it does. The node and the
+        // walk's handle are gone before the rule runs (a rule reads only its
+        // parents), so a tensor nobody else holds is freed right here.
+        while let Some(t) = topo.pop() {
+            let Some(node) = t.inner.node.borrow_mut().take() else {
                 continue;
             };
+            // Interior gradients are consumed: they are not observable after
+            // backward, matching PyTorch's default.
+            let grad = t.inner.grad.borrow_mut().take();
+            drop(t);
+            let Some(grad) = grad else { continue };
             // Engine bookkeeping per executed node (queueing, ready-count
             // tracking, hook dispatch) — the host-side cost of torch's
             // autograd engine.
@@ -383,12 +406,10 @@ mod tests {
     }
 
     /// y = a * a (tests repeated-parent accumulation).
-    struct SquareBack {
-        saved: NdArray,
-    }
+    struct SquareBack;
     impl Backward for SquareBack {
         fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-            let g = grad.zip(&self.saved, |g, x| 2.0 * g * x);
+            let g = grad.zip(&parents[0].data(), |g, x| 2.0 * g * x);
             accumulate(&parents[0], g);
         }
         fn name(&self) -> &'static str {
@@ -397,9 +418,8 @@ mod tests {
     }
 
     fn square(a: &Tensor) -> Tensor {
-        let saved = a.data().clone();
         let data = a.data().map(|x| x * x);
-        Tensor::from_op(data, vec![a.clone()], Box::new(SquareBack { saved }))
+        Tensor::from_op(data, vec![a.clone()], Box::new(SquareBack))
     }
 
     #[test]
@@ -486,6 +506,54 @@ mod tests {
         let y = square(&s);
         y.backward();
         assert!(a.grad().is_none());
+    }
+
+    /// Passes the gradient through and sets its flag when dropped.
+    struct ProbeBack(std::rc::Rc<std::cell::Cell<bool>>);
+    impl Backward for ProbeBack {
+        fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
+            accumulate(&parents[0], grad.clone());
+        }
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+    }
+    impl Drop for ProbeBack {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+
+    #[test]
+    fn backward_releases_each_node_it_runs() {
+        let a = Tensor::param(NdArray::scalar(1.0));
+        let flags: Vec<_> = (0..3)
+            .map(|_| std::rc::Rc::new(std::cell::Cell::new(false)))
+            .collect();
+        let mut y = a.clone();
+        for flag in &flags {
+            let data = y.data().clone();
+            y = Tensor::from_op(data, vec![y], Box::new(ProbeBack(flag.clone())));
+        }
+        assert!(flags.iter().all(|f| !f.get()), "forward keeps every node");
+        y.backward();
+        // `y` is still alive, yet every node it reached has been dropped.
+        assert!(
+            flags.iter().all(|f| f.get()),
+            "backward must free its nodes"
+        );
+        assert_eq!(a.grad().unwrap().item(), 1.0);
+    }
+
+    #[test]
+    fn second_backward_through_a_consumed_graph_leaves_leaf_grads_unchanged() {
+        let a = Tensor::param(NdArray::scalar(3.0));
+        let y = add(&square(&a), &a);
+        y.backward();
+        assert_eq!(a.grad().unwrap().item(), 7.0);
+        y.backward();
+        assert_eq!(a.grad().unwrap().item(), 7.0, "the graph was consumed");
+        assert!(y.grad().is_none(), "no seed is left on a consumed root");
     }
 
     #[test]

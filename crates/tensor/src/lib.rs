@@ -15,6 +15,20 @@
 //!    memory, and utilization reflect the actual op stream of each
 //!    framework.
 //!
+//! # What the tape keeps
+//!
+//! A recorded node holds its parent tensors and a [`Backward`] rule, and
+//! the rule holds only what it reads that is not a parent: index arrays,
+//! shapes, a dropout mask, or its own op's output (sigmoid, tanh, exp,
+//! segment softmax, L2 normalization) and batch norm's normalized input.
+//! Parent values are borrowed again when the gradient arrives, never
+//! copied. Under [`no_grad`] that extra state is not built at all, so an
+//! inference op allocates its output and nothing else. [`Tensor::backward`]
+//! releases each node as soon as its rule has run, so an intermediate
+//! buffer lives exactly until its last consumer's gradient is computed.
+//! None of this changes a recorded kernel, a device allocation or a float:
+//! it only moves host memory.
+//!
 //! # Example: one step of logistic regression
 //!
 //! ```

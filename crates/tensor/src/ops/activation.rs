@@ -2,11 +2,12 @@
 
 use gnn_device::{record, Kernel};
 
-use crate::autograd::{accumulate, Backward, Tensor};
+use crate::autograd::{accumulate, records, Backward, Tensor};
 use crate::ndarray::NdArray;
 
-/// Backward rule of a pointwise op whose derivative can be computed from the
-/// forward *output* (`y`): relu, leaky-relu, sigmoid, tanh, exp.
+/// Backward rule of a pointwise op whose derivative is computed from the
+/// forward *output* (`y`): sigmoid, tanh, exp. The output is not a parent,
+/// so it is saved — and copied only when the node is recorded.
 struct FromOutputBack {
     y: NdArray,
     dydx_from_y: fn(f32) -> f32,
@@ -26,10 +27,9 @@ impl Backward for FromOutputBack {
     }
 }
 
-/// Backward rule of a pointwise op whose derivative needs the forward
-/// *input* (`x`): log, leaky-relu with slope, sqrt-like ops.
+/// Backward rule of a pointwise op whose derivative is computed from the
+/// forward *input* (`x`, the parent): relu, leaky-relu, log.
 struct FromInputBack {
-    x: NdArray,
     dydx_from_x: Box<dyn Fn(f32) -> f32>,
     op: &'static str,
 }
@@ -39,7 +39,7 @@ impl Backward for FromInputBack {
         record(Kernel::elementwise(self.op, grad.len(), 2, 3));
         accumulate(
             &parents[0],
-            grad.zip(&self.x, |g, x| g * (self.dydx_from_x)(x)),
+            grad.zip(&parents[0].data(), |g, x| g * (self.dydx_from_x)(x)),
         );
     }
     fn name(&self) -> &'static str {
@@ -55,37 +55,57 @@ fn unary_from_output(
 ) -> Tensor {
     let y = x.data().map(f);
     record(Kernel::elementwise(op, y.len(), 2, 2));
+    let saved = if records([x]) {
+        y.clone()
+    } else {
+        NdArray::default()
+    };
     Tensor::from_op(
-        y.clone(),
+        y,
         vec![x.clone()],
-        Box::new(FromOutputBack { y, dydx_from_y, op }),
+        Box::new(FromOutputBack {
+            y: saved,
+            dydx_from_y,
+            op,
+        }),
+    )
+}
+
+fn unary_from_input(
+    x: &Tensor,
+    f: impl Fn(f32) -> f32,
+    dydx_from_x: Box<dyn Fn(f32) -> f32>,
+    op: &'static str,
+) -> Tensor {
+    let y = x.data().map(f);
+    record(Kernel::elementwise(op, y.len(), 2, 2));
+    Tensor::from_op(
+        y,
+        vec![x.clone()],
+        Box::new(FromInputBack { dydx_from_x, op }),
     )
 }
 
 impl Tensor {
     /// Rectified linear unit `max(x, 0)`.
     pub fn relu(&self) -> Tensor {
-        unary_from_output(
+        // `x > 0` exactly when `max(x, 0) > 0` (NaN included), so reading
+        // the derivative off the input gives the same bits as off the output.
+        unary_from_input(
             self,
             |x| x.max(0.0),
-            |y| if y > 0.0 { 1.0 } else { 0.0 },
+            Box::new(|x| if x > 0.0 { 1.0 } else { 0.0 }),
             "relu",
         )
     }
 
     /// Leaky ReLU with negative slope `slope` (GAT uses 0.2).
     pub fn leaky_relu(&self, slope: f32) -> Tensor {
-        let x = self.data().clone();
-        let y = x.map(|v| if v > 0.0 { v } else { slope * v });
-        record(Kernel::elementwise("leaky_relu", y.len(), 2, 2));
-        Tensor::from_op(
-            y,
-            vec![self.clone()],
-            Box::new(FromInputBack {
-                x,
-                dydx_from_x: Box::new(move |v| if v > 0.0 { 1.0 } else { slope }),
-                op: "leaky_relu",
-            }),
+        unary_from_input(
+            self,
+            |v| if v > 0.0 { v } else { slope * v },
+            Box::new(move |v| if v > 0.0 { 1.0 } else { slope }),
+            "leaky_relu",
         )
     }
 
@@ -111,18 +131,7 @@ impl Tensor {
 
     /// Elementwise natural logarithm.
     pub fn log(&self) -> Tensor {
-        let x = self.data().clone();
-        let y = x.map(f32::ln);
-        record(Kernel::elementwise("log", y.len(), 2, 2));
-        Tensor::from_op(
-            y,
-            vec![self.clone()],
-            Box::new(FromInputBack {
-                x,
-                dydx_from_x: Box::new(|v| 1.0 / v),
-                op: "log",
-            }),
-        )
+        unary_from_input(self, f32::ln, Box::new(|v| 1.0 / v), "log")
     }
 }
 

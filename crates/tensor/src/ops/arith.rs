@@ -28,31 +28,26 @@ impl Backward for SubBack {
     }
 }
 
-struct MulBack {
-    a: NdArray,
-    b: NdArray,
-}
+struct MulBack;
 impl Backward for MulBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
         record(Kernel::elementwise("mul_back", grad.len(), 2, 4));
-        accumulate(&parents[0], grad.zip(&self.b, |g, b| g * b));
-        accumulate(&parents[1], grad.zip(&self.a, |g, a| g * a));
+        accumulate(&parents[0], grad.zip(&parents[1].data(), |g, b| g * b));
+        accumulate(&parents[1], grad.zip(&parents[0].data(), |g, a| g * a));
     }
     fn name(&self) -> &'static str {
         "mul"
     }
 }
 
-struct DivBack {
-    a: NdArray,
-    b: NdArray,
-}
+struct DivBack;
 impl Backward for DivBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
         record(Kernel::elementwise("div_back", grad.len(), 4, 4));
-        accumulate(&parents[0], grad.zip(&self.b, |g, b| g / b));
-        let mut db = grad.zip(&self.a, |g, a| g * a);
-        for (d, &b) in db.data_mut().iter_mut().zip(self.b.data()) {
+        let (a, b) = (parents[0].data(), parents[1].data());
+        accumulate(&parents[0], grad.zip(&b, |g, b| g / b));
+        let mut db = grad.zip(&a, |g, a| g * a);
+        for (d, &b) in db.data_mut().iter_mut().zip(b.data()) {
             *d = -*d / (b * b);
         }
         accumulate(&parents[1], db);
@@ -102,20 +97,18 @@ impl Backward for AddBiasBack {
     }
 }
 
-struct MulColBack {
-    a: NdArray,
-    c: NdArray,
-}
+struct MulColBack;
 impl Backward for MulColBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
         record(Kernel::elementwise("mul_col_back", grad.len(), 2, 4));
+        let (a, c) = (parents[0].data(), parents[1].data());
         let (n, f) = grad.shape();
         let mut da = NdArray::zeros(n, f);
         let mut dc = NdArray::zeros(n, 1);
         for r in 0..n {
-            let cr = self.c.at(r, 0);
+            let cr = c.at(r, 0);
             let gr = grad.row(r);
-            let ar = self.a.row(r);
+            let ar = a.row(r);
             let dar = da.row_mut(r);
             let mut acc = 0.0;
             for j in 0..f {
@@ -132,18 +125,16 @@ impl Backward for MulColBack {
     }
 }
 
-struct ScaleByBack {
-    x: NdArray,
-    s: f32,
-}
+struct ScaleByBack;
 impl Backward for ScaleByBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
         record(Kernel::elementwise("scale_by_back", grad.len(), 2, 3));
-        accumulate(&parents[0], grad.map(|g| g * self.s));
+        let s = parents[1].item();
+        accumulate(&parents[0], grad.map(|g| g * s));
         let ds: f32 = grad
             .data()
             .iter()
-            .zip(self.x.data())
+            .zip(parents[0].data().data())
             .map(|(&g, &x)| g * x)
             .sum();
         accumulate(&parents[1], NdArray::scalar(ds));
@@ -174,26 +165,16 @@ impl Tensor {
 
     /// Elementwise `self * other` (Hadamard product).
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        let (a, b) = (self.data().clone(), other.data().clone());
-        let data = a.zip(&b, |x, y| x * y);
+        let data = self.data().zip(&other.data(), |x, y| x * y);
         record(Kernel::elementwise("mul", data.len(), 1, 3));
-        Tensor::from_op(
-            data,
-            vec![self.clone(), other.clone()],
-            Box::new(MulBack { a, b }),
-        )
+        Tensor::from_op(data, vec![self.clone(), other.clone()], Box::new(MulBack))
     }
 
     /// Elementwise `self / other`.
     pub fn div(&self, other: &Tensor) -> Tensor {
-        let (a, b) = (self.data().clone(), other.data().clone());
-        let data = a.zip(&b, |x, y| x / y);
+        let data = self.data().zip(&other.data(), |x, y| x / y);
         record(Kernel::elementwise("div", data.len(), 1, 3));
-        Tensor::from_op(
-            data,
-            vec![self.clone(), other.clone()],
-            Box::new(DivBack { a, b }),
-        )
+        Tensor::from_op(data, vec![self.clone(), other.clone()], Box::new(DivBack))
     }
 
     /// `self * c` for a compile-time-known constant `c`.
@@ -219,14 +200,9 @@ impl Tensor {
     pub fn scale_by(&self, s: &Tensor) -> Tensor {
         assert_eq!(s.shape(), (1, 1), "scale_by expects a scalar tensor");
         let sv = s.item();
-        let x = self.data().clone();
-        let data = x.map(|v| v * sv);
+        let data = self.data().map(|v| v * sv);
         record(Kernel::elementwise("scale_by", data.len(), 1, 2));
-        Tensor::from_op(
-            data,
-            vec![self.clone(), s.clone()],
-            Box::new(ScaleByBack { x, s: sv }),
-        )
+        Tensor::from_op(data, vec![self.clone(), s.clone()], Box::new(ScaleByBack))
     }
 
     /// Adds a `[1, F]` bias row to every row of `self [N, F]`.
@@ -235,16 +211,14 @@ impl Tensor {
     ///
     /// Panics if `bias` is not `[1, self.cols]`.
     pub fn add_bias(&self, bias: &Tensor) -> Tensor {
-        let b = bias.data().clone();
-        let x = self.data();
-        assert_eq!(b.shape(), (1, x.cols()), "bias shape mismatch");
-        let mut data = x.clone();
+        let b = bias.data();
+        let mut data = self.data().clone();
+        assert_eq!(b.shape(), (1, data.cols()), "bias shape mismatch");
         for r in 0..data.rows() {
             for (v, &bv) in data.row_mut(r).iter_mut().zip(b.data()) {
                 *v += bv;
             }
         }
-        drop(x);
         record(Kernel::elementwise("add_bias", data.len(), 1, 3));
         Tensor::from_op(
             data,
@@ -260,9 +234,9 @@ impl Tensor {
     ///
     /// Panics if `col` is not `[self.rows, 1]`.
     pub fn mul_col(&self, col: &Tensor) -> Tensor {
-        let (a, c) = (self.data().clone(), col.data().clone());
-        assert_eq!(c.shape(), (a.rows(), 1), "mul_col shape mismatch");
-        let mut data = a.clone();
+        let c = col.data();
+        let mut data = self.data().clone();
+        assert_eq!(c.shape(), (data.rows(), 1), "mul_col shape mismatch");
         for r in 0..data.rows() {
             let cv = c.at(r, 0);
             for v in data.row_mut(r) {
@@ -270,11 +244,7 @@ impl Tensor {
             }
         }
         record(Kernel::elementwise("mul_col", data.len(), 1, 3));
-        Tensor::from_op(
-            data,
-            vec![self.clone(), col.clone()],
-            Box::new(MulColBack { a, c }),
-        )
+        Tensor::from_op(data, vec![self.clone(), col.clone()], Box::new(MulColBack))
     }
 }
 
@@ -382,30 +352,29 @@ mod tests {
     }
 }
 
-struct MulRowBack {
-    a: NdArray,
-    r: NdArray,
-}
+struct MulRowBack;
 impl Backward for MulRowBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
         record(Kernel::elementwise("mul_row_back", grad.len(), 2, 4));
         let (n, f) = grad.shape();
         if parents[0].needs_grad() {
+            let r = parents[1].data();
             let mut da = NdArray::zeros(n, f);
             for row in 0..n {
                 let gr = grad.row(row);
                 let dar = da.row_mut(row);
                 for j in 0..f {
-                    dar[j] = gr[j] * self.r.data()[j];
+                    dar[j] = gr[j] * r.data()[j];
                 }
             }
             accumulate(&parents[0], da);
         }
         if parents[1].needs_grad() {
+            let a = parents[0].data();
             let mut dr = NdArray::zeros(1, f);
             for row in 0..n {
                 let gr = grad.row(row);
-                let ar = self.a.row(row);
+                let ar = a.row(row);
                 for j in 0..f {
                     dr.data_mut()[j] += gr[j] * ar[j];
                 }
@@ -426,20 +395,16 @@ impl Tensor {
     ///
     /// Panics if `row` is not `[1, self.cols]`.
     pub fn mul_row(&self, row: &Tensor) -> Tensor {
-        let (a, r) = (self.data().clone(), row.data().clone());
-        assert_eq!(r.shape(), (1, a.cols()), "mul_row shape mismatch");
-        let mut data = a.clone();
+        let r = row.data();
+        let mut data = self.data().clone();
+        assert_eq!(r.shape(), (1, data.cols()), "mul_row shape mismatch");
         for i in 0..data.rows() {
             for (v, &rv) in data.row_mut(i).iter_mut().zip(r.data()) {
                 *v *= rv;
             }
         }
         record(Kernel::elementwise("mul_row", data.len(), 1, 3));
-        Tensor::from_op(
-            data,
-            vec![self.clone(), row.clone()],
-            Box::new(MulRowBack { a, r }),
-        )
+        Tensor::from_op(data, vec![self.clone(), row.clone()], Box::new(MulRowBack))
     }
 }
 

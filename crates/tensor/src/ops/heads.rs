@@ -23,34 +23,33 @@ fn head_dims(total_cols: usize, heads: usize, op: &str) -> usize {
 }
 
 struct HeadDotBack {
-    x: NdArray,
-    a: NdArray,
     heads: usize,
 }
 
 impl Backward for HeadDotBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-        let d = self.x.cols() / self.heads;
-        record(Kernel::elementwise("head_dot_back", self.x.len(), 2, 4));
+        let (x, a) = (parents[0].data(), parents[1].data());
+        let d = x.cols() / self.heads;
+        record(Kernel::elementwise("head_dot_back", x.len(), 2, 4));
         if parents[0].needs_grad() {
-            let mut dx = NdArray::zeros(self.x.rows(), self.x.cols());
-            for r in 0..self.x.rows() {
+            let mut dx = NdArray::zeros(x.rows(), x.cols());
+            for r in 0..x.rows() {
                 let gr = grad.row(r);
                 let dxr = dx.row_mut(r);
                 for h in 0..self.heads {
                     let g = gr[h];
                     for k in 0..d {
-                        dxr[h * d + k] = g * self.a.data()[h * d + k];
+                        dxr[h * d + k] = g * a.data()[h * d + k];
                     }
                 }
             }
             accumulate(&parents[0], dx);
         }
         if parents[1].needs_grad() {
-            let mut da = NdArray::zeros(1, self.x.cols());
-            for r in 0..self.x.rows() {
+            let mut da = NdArray::zeros(1, x.cols());
+            for r in 0..x.rows() {
                 let gr = grad.row(r);
-                let xr = self.x.row(r);
+                let xr = x.row(r);
                 for h in 0..self.heads {
                     let g = gr[h];
                     for k in 0..d {
@@ -67,20 +66,19 @@ impl Backward for HeadDotBack {
 }
 
 struct MulPerHeadBack {
-    x: NdArray,
-    w: NdArray,
     heads: usize,
 }
 
 impl Backward for MulPerHeadBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-        let d = self.x.cols() / self.heads;
-        record(Kernel::elementwise("mul_per_head_back", self.x.len(), 2, 4));
+        let (x, w) = (parents[0].data(), parents[1].data());
+        let d = x.cols() / self.heads;
+        record(Kernel::elementwise("mul_per_head_back", x.len(), 2, 4));
         if parents[0].needs_grad() {
-            let mut dx = NdArray::zeros(self.x.rows(), self.x.cols());
-            for r in 0..self.x.rows() {
+            let mut dx = NdArray::zeros(x.rows(), x.cols());
+            for r in 0..x.rows() {
                 let gr = grad.row(r);
-                let wr = self.w.row(r);
+                let wr = w.row(r);
                 let dxr = dx.row_mut(r);
                 for h in 0..self.heads {
                     for k in 0..d {
@@ -91,10 +89,10 @@ impl Backward for MulPerHeadBack {
             accumulate(&parents[0], dx);
         }
         if parents[1].needs_grad() {
-            let mut dw = NdArray::zeros(self.x.rows(), self.heads);
-            for r in 0..self.x.rows() {
+            let mut dw = NdArray::zeros(x.rows(), self.heads);
+            for r in 0..x.rows() {
                 let gr = grad.row(r);
-                let xr = self.x.row(r);
+                let xr = x.row(r);
                 let dwr = dw.row_mut(r);
                 for h in 0..self.heads {
                     let mut acc = 0.0;
@@ -121,8 +119,7 @@ impl Tensor {
     ///
     /// Panics if column counts disagree or are not divisible by `heads`.
     pub fn head_dot(&self, a: &Tensor, heads: usize) -> Tensor {
-        let x = self.data().clone();
-        let av = a.data().clone();
+        let (x, av) = (self.data(), a.data());
         assert_eq!(av.shape(), (1, x.cols()), "head_dot attention vector shape");
         let d = head_dims(x.cols(), heads, "head_dot");
         record(Kernel::elementwise("head_dot", x.len(), 2, 3));
@@ -141,7 +138,7 @@ impl Tensor {
         Tensor::from_op(
             out,
             vec![self.clone(), a.clone()],
-            Box::new(HeadDotBack { x, a: av, heads }),
+            Box::new(HeadDotBack { heads }),
         )
     }
 
@@ -153,8 +150,7 @@ impl Tensor {
     ///
     /// Panics on shape mismatch.
     pub fn mul_per_head(&self, w: &Tensor, heads: usize) -> Tensor {
-        let x = self.data().clone();
-        let wv = w.data().clone();
+        let (x, wv) = (self.data(), w.data());
         assert_eq!(wv.shape(), (x.rows(), heads), "mul_per_head weight shape");
         let d = head_dims(x.cols(), heads, "mul_per_head");
         record(Kernel::elementwise("mul_per_head", x.len(), 1, 3));
@@ -172,7 +168,7 @@ impl Tensor {
         Tensor::from_op(
             out,
             vec![self.clone(), w.clone()],
-            Box::new(MulPerHeadBack { x, w: wv, heads }),
+            Box::new(MulPerHeadBack { heads }),
         )
     }
 }

@@ -9,7 +9,7 @@
 
 use gnn_device::{record, Kernel, KernelKind};
 
-use crate::autograd::{accumulate, Backward, Tensor};
+use crate::autograd::{accumulate, records, Backward, Tensor};
 use crate::ndarray::NdArray;
 
 /// Result of a training-mode batch-norm application.
@@ -29,7 +29,6 @@ pub struct BatchNormOutput {
 struct BatchNormBack {
     xhat: NdArray,
     invstd: Vec<f32>,
-    gamma: Vec<f32>,
 }
 
 impl Backward for BatchNormBack {
@@ -53,13 +52,14 @@ impl Backward for BatchNormBack {
         }
         if parents[0].needs_grad() {
             let nf = n as f32;
+            let gamma = parents[1].data();
             let mut dx = NdArray::zeros(n, f);
             for r in 0..n {
                 let g = grad.row(r);
                 let xh = self.xhat.row(r);
                 let dr = dx.row_mut(r);
                 for j in 0..f {
-                    dr[j] = self.gamma[j] * self.invstd[j] / nf
+                    dr[j] = gamma.data()[j] * self.invstd[j] / nf
                         * (nf * g[j] - dbeta[j] - xh[j] * dgamma[j]);
                 }
             }
@@ -156,7 +156,7 @@ impl Tensor {
     ///
     /// Panics on shape mismatch or `N == 0`.
     pub fn batch_norm_train(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> BatchNormOutput {
-        let x = self.data().clone();
+        let x = self.data();
         let (n, f) = x.shape();
         assert!(n > 0, "batch_norm on empty batch");
         assert_eq!(gamma.shape(), (1, f), "gamma shape");
@@ -202,11 +202,7 @@ impl Tensor {
         let t = Tensor::from_op(
             out,
             vec![self.clone(), gamma.clone(), beta.clone()],
-            Box::new(BatchNormBack {
-                xhat,
-                invstd,
-                gamma: gv,
-            }),
+            Box::new(BatchNormBack { xhat, invstd }),
         );
         BatchNormOutput {
             out: t,
@@ -228,7 +224,7 @@ impl Tensor {
         running_var: &NdArray,
         eps: f32,
     ) -> Tensor {
-        let x = self.data().clone();
+        let x = self.data();
         let (n, f) = x.shape();
         assert_eq!(gamma.shape(), (1, f), "gamma shape");
         assert_eq!(beta.shape(), (1, f), "beta shape");
@@ -247,15 +243,25 @@ impl Tensor {
             .collect();
         let gv: Vec<f32> = gamma.data().data().to_vec();
         let bv: Vec<f32> = beta.data().data().to_vec();
-        let mut xhat = NdArray::zeros(n, f);
+        // `out` holds x-hat first; x-hat is backward-only state, copied out
+        // only when the node is recorded.
         let mut out = NdArray::zeros(n, f);
         for r in 0..n {
             let xr = x.row(r);
-            let xhr = xhat.row_mut(r);
             let or = out.row_mut(r);
             for j in 0..f {
-                xhr[j] = (xr[j] - running_mean.data()[j]) * invstd[j];
-                or[j] = gv[j] * xhr[j] + bv[j];
+                or[j] = (xr[j] - running_mean.data()[j]) * invstd[j];
+            }
+        }
+        let xhat = if records([self, gamma, beta]) {
+            out.clone()
+        } else {
+            NdArray::default()
+        };
+        for r in 0..n {
+            let or = out.row_mut(r);
+            for j in 0..f {
+                or[j] = gv[j] * or[j] + bv[j];
             }
         }
         let scale: Vec<f32> = gv.iter().zip(&invstd).map(|(&g, &i)| g * i).collect();
@@ -268,7 +274,7 @@ impl Tensor {
 
     /// Projects each row onto the unit L2 ball: `y = x / max(||x||, eps)`.
     pub fn l2_normalize_rows(&self, eps: f32) -> Tensor {
-        let x = self.data().clone();
+        let x = self.data();
         let (n, f) = x.shape();
         record(Kernel::new(
             "l2_normalize",
@@ -276,21 +282,30 @@ impl Tensor {
             (3 * n * f) as u64,
             (8 * n * f) as u64,
         ));
+        // The norms and the output copy are backward-only state.
+        let keep = records([self]);
         let mut out = NdArray::zeros(n, f);
-        let mut norms = vec![0.0f32; n];
+        let mut norms = Vec::with_capacity(if keep { n } else { 0 });
         for r in 0..n {
             let xr = x.row(r);
             let norm = xr.iter().map(|&v| v * v).sum::<f32>().sqrt().max(eps);
-            norms[r] = norm;
+            if keep {
+                norms.push(norm);
+            }
             let or = out.row_mut(r);
             for j in 0..f {
                 or[j] = xr[j] / norm;
             }
         }
+        let y = if keep {
+            out.clone()
+        } else {
+            NdArray::default()
+        };
         Tensor::from_op(
-            out.clone(),
+            out,
             vec![self.clone()],
-            Box::new(L2NormalizeBack { y: out, norms }),
+            Box::new(L2NormalizeBack { y, norms }),
         )
     }
 }

@@ -8,7 +8,7 @@
 
 use gnn_device::{record, Kernel, KernelKind};
 
-use crate::autograd::{accumulate, Backward, Tensor};
+use crate::autograd::{accumulate, records, Backward, Tensor};
 use crate::ndarray::NdArray;
 use crate::ops::index::gather_raw;
 use crate::ops::Ids;
@@ -322,13 +322,19 @@ impl Tensor {
             }
         }
         drop(x);
+        // The output is not a parent: save a copy only if the node is kept.
+        let saved = if records([self]) {
+            y.clone()
+        } else {
+            NdArray::default()
+        };
         Tensor::from_op(
-            y.clone(),
+            y,
             vec![self.clone()],
             Box::new(SegmentSoftmaxBack {
                 ids: ids.clone(),
                 num_segments,
-                y,
+                y: saved,
             }),
         )
     }
