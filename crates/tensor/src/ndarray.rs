@@ -259,17 +259,6 @@ impl NdArray {
         }
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> NdArray {
-        let mut out = NdArray::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.at_mut(c, r) = self.at(r, c);
-            }
-        }
-        out
-    }
-
     /// Sum of every element.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -347,12 +336,18 @@ mod tests {
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
+    /// `x` transposed, by index.
+    fn transpose(x: &NdArray) -> NdArray {
+        let data = (0..x.cols).flat_map(|c| (0..x.rows).map(move |r| x.at(r, c)));
+        NdArray::from_vec(x.cols, x.rows, data.collect())
+    }
+
     #[test]
     fn matmul_nt_matches_explicit_transpose() {
         let a = NdArray::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = NdArray::from_vec(4, 3, (0..12).map(|i| i as f32).collect());
         let direct = a.matmul_nt(&b);
-        let via_t = a.matmul(&b.transpose());
+        let via_t = a.matmul(&transpose(&b));
         assert_eq!(direct, via_t);
     }
 
@@ -361,7 +356,7 @@ mod tests {
         let a = NdArray::from_vec(5, 3, (0..15).map(|i| i as f32 * 0.5).collect());
         let b = NdArray::from_vec(5, 2, (0..10).map(|i| i as f32).collect());
         let direct = a.matmul_tn(&b);
-        let via_t = a.transpose().matmul(&b);
+        let via_t = transpose(&a).matmul(&b);
         assert_eq!(direct, via_t);
     }
 

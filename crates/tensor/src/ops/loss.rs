@@ -5,7 +5,7 @@
 
 use gnn_device::{record, Kernel, KernelKind};
 
-use crate::autograd::{accumulate, Backward, Tensor};
+use crate::autograd::{accumulate, records, Backward, Tensor};
 use crate::ndarray::NdArray;
 
 struct CrossEntropyBack {
@@ -53,8 +53,14 @@ pub fn cross_entropy(logits: &Tensor, labels: &[u32]) -> Tensor {
         (5 * n * c) as u64,
         (12 * n * c) as u64,
     ));
+    // `dlogits` is backward-only state: under `no_grad` only the loss is built.
+    let keep = records([logits]);
     let mut total = 0.0f64;
-    let mut dlogits = NdArray::zeros(n, c);
+    let mut dlogits = if keep {
+        NdArray::zeros(n, c)
+    } else {
+        NdArray::default()
+    };
     for r in 0..n {
         let row = x.row(r);
         let m = row.iter().cloned().fold(f32::MIN, f32::max);
@@ -62,9 +68,12 @@ pub fn cross_entropy(logits: &Tensor, labels: &[u32]) -> Tensor {
         let lse = m + sum_exp.ln();
         let label = labels[r] as usize;
         total += f64::from(lse - row[label]);
-        let dr = dlogits.row_mut(r);
-        for j in 0..c {
-            dr[j] = ((row[j] - m).exp() / sum_exp - if j == label { 1.0 } else { 0.0 }) / n as f32;
+        if keep {
+            let dr = dlogits.row_mut(r);
+            for j in 0..c {
+                let onehot = if j == label { 1.0 } else { 0.0 };
+                dr[j] = ((row[j] - m).exp() / sum_exp - onehot) / n as f32;
+            }
         }
     }
     let loss = NdArray::scalar((total / n as f64) as f32);

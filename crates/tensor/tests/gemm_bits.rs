@@ -89,13 +89,19 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) -> Result<(), String>
 const POISON: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 
 /// One case: `(m, k, n)`, `a` as `m × k` values with about `zeros`/10 of them
-/// exactly zero (0 = dense, 5 = after a ReLU, 9 = PubMed's bag of words), a
-/// pool of `b` values long enough for any layout, and an index `p` the tests
-/// use to place non-finite values.
+/// zero (0 = dense, 5 = after a ReLU, 9 = PubMed's bag of words), half of
+/// those `-0.0`, a pool of `b` values long enough for any layout, and an
+/// index `p` the tests use to place non-finite values.
 ///
-/// Dimensions include 0 and 1, straddle the `4 × 16` register tile of
-/// `matmul_nt` (remainder rows, a narrow last panel, more than two panels),
-/// and `k` runs past one cache line.
+/// Half the cases have every dimension in `0..=37`: that includes 0 and 1,
+/// straddles the `4 × 16` register tile of `matmul_nt` (remainder rows, a
+/// narrow last panel, more than two panels), and runs `k` past one cache
+/// line. A quarter have `n` in `38..=150`: up to two full 64-column blocks
+/// of `matmul`, then 16-column blocks, then a remainder that is an axpy per
+/// term. A quarter have one to four output columns (remainder only) and
+/// `k` up to 300, the shape of a layer that emits class logits. In every
+/// case about one row of `a` in six is all zero and one in six has no zero,
+/// so `matmul_tn` runs both its sparse and its dense-row path.
 #[derive(Debug)]
 struct Case {
     m: usize,
@@ -107,29 +113,40 @@ struct Case {
 }
 
 fn case() -> impl Strategy<Value = Case> {
-    (
-        0usize..=9,
-        0usize..=37,
-        0usize..=37,
-        0usize..3,
-        0usize..1000,
-    )
-        .prop_flat_map(|(m, k, n, sparsity, p)| {
-            let zeros = [0u32, 5, 9][sparsity];
+    (0usize..4, 0usize..=9, 0usize..3, 0usize..1000).prop_flat_map(|(shape, m, sparsity, p)| {
+        let (k, n) = match shape {
+            0 | 1 => (0usize..=37, 0usize..=37),
+            2 => (0..=37, 38..=150),
+            _ => (0..=300, 1..=4),
+        };
+        let zeros = [0u32, 5, 9][sparsity];
+        (k, n).prop_flat_map(move |(k, n)| {
             (
                 proptest::collection::vec(-3.0f32..3.0, m * k),
-                proptest::collection::vec(0u32..10, m * k),
+                proptest::collection::vec(0u32..20, m * k),
+                proptest::collection::vec(0u32..6, m),
                 proptest::collection::vec(-3.0f32..3.0, (m * n).max(k * n)),
             )
-                .prop_map(move |(mut a, roll, b)| {
-                    for (x, r) in a.iter_mut().zip(roll) {
-                        if r < zeros {
-                            *x = 0.0;
+                .prop_map(move |(mut a, roll, row_kind, b)| {
+                    let rows = a.chunks_mut(k.max(1)).zip(roll.chunks(k.max(1)));
+                    for ((row, rolls), kind) in rows.zip(row_kind) {
+                        for (x, r) in row.iter_mut().zip(rolls) {
+                            let zero = match kind {
+                                0 => true,
+                                1 => false,
+                                _ => r / 2 < zeros,
+                            };
+                            if zero {
+                                *x = if r % 2 == 0 { 0.0 } else { -0.0 };
+                            } else if *x == 0.0 {
+                                *x = 1.0;
+                            }
                         }
                     }
                     Case { m, k, n, a, b, p }
                 })
         })
+    })
 }
 
 proptest! {
@@ -173,6 +190,39 @@ proptest! {
         prop_assert_eq!(got.shape(), (k, n));
         prop_assert!(!got.has_non_finite(), "a skipped term reached the output");
         assert_same_bits(got.data(), matmul_tn_oracle(&a, &b).data(), "matmul_tn")?;
+    }
+
+    /// `-0.0 == 0.0`, so a `-0.0` in `a` is skipped like `+0.0`. The two
+    /// tests above poison `b` opposite `+0.0`; here the column (`matmul`) or
+    /// row (`matmul_tn`) of `a` opposite the poison is all `-0.0`. Against a
+    /// finite `b` a kept `-0.0` term changes no bit, so only this catches it.
+    #[test]
+    fn negative_zero_in_a_is_skipped_like_zero(c in case()) {
+        let Case { m, k, n, a, b, p } = c;
+        if k > 0 {
+            let (mut a, mut b) = (a.clone(), b[..k * n].to_vec());
+            let kk = p % k;
+            a.iter_mut().skip(kk).step_by(k).for_each(|x| *x = -0.0);
+            for (j, x) in b[kk * n..(kk + 1) * n].iter_mut().enumerate() {
+                *x = POISON[j % 3];
+            }
+            let (a, b) = (NdArray::from_vec(m, k, a), NdArray::from_vec(k, n, b));
+            let got = a.matmul(&b);
+            prop_assert!(!got.has_non_finite(), "matmul: a -0.0 term reached the output");
+            assert_same_bits(got.data(), matmul_oracle(&a, &b).data(), "matmul")?;
+        }
+        if m > 0 {
+            let (mut a, mut b) = (a, b[..m * n].to_vec());
+            let i = p % m;
+            a[i * k..(i + 1) * k].fill(-0.0);
+            for (j, x) in b[i * n..(i + 1) * n].iter_mut().enumerate() {
+                *x = POISON[j % 3];
+            }
+            let (a, b) = (NdArray::from_vec(m, k, a), NdArray::from_vec(m, n, b));
+            let got = a.matmul_tn(&b);
+            prop_assert!(!got.has_non_finite(), "matmul_tn: a -0.0 term reached the output");
+            assert_same_bits(got.data(), matmul_tn_oracle(&a, &b).data(), "matmul_tn")?;
+        }
     }
 
     /// `matmul_nt` has no skip: one NaN/±inf in row `j` of `b`, opposite a

@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-use gnn_tensor::{no_grad, Ids, NdArray, Tensor};
+use gnn_tensor::{cross_entropy, no_grad, Ids, NdArray, Tensor};
 
 struct Counting;
 
@@ -177,6 +177,7 @@ fn no_grad_ops_allocate_nothing_beyond_their_output() {
     let beta = Tensor::param(values(1, C, 7));
     let (mean, var) = (values(1, C, 8), NdArray::full(1, C, 1.5));
     let seg = ids(R, SEGMENTS, 1);
+    let labels: Vec<u32> = (0..R as u32).map(|i| i % C as u32).collect();
 
     assert_no_grad_allocates_only_output("relu", || x.relu());
     assert_no_grad_allocates_only_output("sigmoid", || x.sigmoid());
@@ -186,4 +187,5 @@ fn no_grad_ops_allocate_nothing_beyond_their_output() {
     });
     assert_no_grad_allocates_only_output("l2_normalize_rows", || x.l2_normalize_rows(1e-12));
     assert_no_grad_allocates_only_output("mul_per_head", || x.mul_per_head(&w, 2));
+    assert_no_grad_allocates_only_output("cross_entropy", || cross_entropy(&x, &labels));
 }
