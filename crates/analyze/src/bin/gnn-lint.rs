@@ -24,7 +24,8 @@ const USAGE: &str =
   --full       lint at paper scale
   --scale F    override the dataset scale, 0 < F <= 1
   --seed N     override the base RNG seed
-  --faults P   audit a fault plan against the run: 'canonical' or a plan file
+  --faults P   audit a fault plan against the run: canonical, canonical-fleet,
+               seeded:N or a plan file (the same operand every gnn-bench binary takes)
   --json DIR   additionally write DIR/lint.json and DIR/memory.json";
 
 fn parse(args: &[String]) -> Result<RunConfig, String> {
@@ -48,15 +49,8 @@ fn parse(args: &[String]) -> Result<RunConfig, String> {
                 cfg.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
             }
             "--faults" => {
-                let v = it
-                    .next()
-                    .ok_or("--faults needs 'canonical' or a plan file")?;
-                let plan = if v == "canonical" {
-                    FaultPlan::canonical()
-                } else {
-                    FaultPlan::load(std::path::Path::new(v))?
-                };
-                cfg = cfg.with_faults(plan);
+                let v = it.next().ok_or("--faults needs a plan")?;
+                cfg = cfg.with_faults(FaultPlan::from_spec(v)?);
             }
             "--json" => {
                 let dir = it.next().ok_or("--json needs a directory")?;

@@ -7,7 +7,6 @@
 //! data-loading phase collapses, epoch time drops by its share, and GPU
 //! utilization rises.
 
-use gnn_core::RunConfig;
 use gnn_datasets::stratified_kfold;
 use gnn_models::adapt::{CachedRustygLoader, RustygLoader};
 use gnn_models::{build, ModelKind};
@@ -16,8 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let opts = gnn_bench::cli_options();
-    let cfg: RunConfig = opts.config;
+    let cfg = gnn_bench::args(env!("CARGO_BIN_NAME")).run_config();
     let ds = gnn_core::runner::GraphDs::Enzymes.generate(&cfg);
     let folds = stratified_kfold(&ds.labels(), 10, cfg.seed);
     let fold = &folds[0];

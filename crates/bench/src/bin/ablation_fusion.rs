@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let _ = gnn_bench::cli_options();
+    gnn_bench::args(env!("CARGO_BIN_NAME"));
     let mut rng = StdRng::seed_from_u64(0);
     let nodes = 4096;
     let edges = 16384;

@@ -7,7 +7,6 @@
 //! cheaper, which is exactly why kernel fusion and CUDA-graph-style
 //! batched launch are the optimizations that matter for GNNs.
 
-use gnn_core::RunConfig;
 use gnn_models::adapt::RustygLoader;
 use gnn_models::{build, Loader, ModelKind};
 use gnn_tensor::cross_entropy;
@@ -15,8 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let opts = gnn_bench::cli_options();
-    let cfg: RunConfig = opts.config;
+    let cfg = gnn_bench::args(env!("CARGO_BIN_NAME")).run_config();
     let ds = gnn_core::runner::GraphDs::Enzymes.generate(&cfg);
     let loader = RustygLoader::new(&ds);
     let idx: Vec<u32> = (0..64u32.min(ds.samples.len() as u32)).collect();

@@ -8,7 +8,6 @@
 //! pipeline.
 
 use gnn_core::runner::GraphDs;
-use gnn_core::RunConfig;
 use gnn_device::pipeline::{pipeline_speedup, pipelined_epoch_time, serial_epoch_time};
 use gnn_models::{GnnStack, Loader, ModelBatch};
 use gnn_tensor::cross_entropy;
@@ -35,8 +34,7 @@ impl GraphJob for Measure<'_> {
 }
 
 fn main() {
-    let opts = gnn_bench::cli_options();
-    let cfg: RunConfig = opts.config;
+    let cfg = gnn_bench::args(env!("CARGO_BIN_NAME")).run_config();
     let ds = GraphDs::Enzymes.generate(&cfg);
     let batch: Vec<u32> = (0..64u32.min(ds.samples.len() as u32)).collect();
     let n_batches = 8;

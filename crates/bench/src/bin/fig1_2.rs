@@ -3,30 +3,27 @@
 //! frameworks at batch sizes 64/128/256. `--dataset enzymes` gives Fig. 1,
 //! `--dataset dd` gives Fig. 2.
 
+use std::process::ExitCode;
+
+use gnn_core::export::kernel_counts_csv;
 use gnn_core::runner::GraphDs;
 use gnn_core::{report, runner};
 
-fn main() {
-    let opts = gnn_bench::cli_options();
-    let (ds, fig) = match opts.dataset.as_deref() {
-        None | Some("enzymes") => (GraphDs::Enzymes, "Fig. 1 (ENZYMES)"),
-        Some("dd") => (GraphDs::Dd, "Fig. 2 (DD)"),
-        Some(other) => {
-            eprintln!("error: unknown dataset {other}; use enzymes or dd");
-            std::process::exit(2);
-        }
+fn main() -> ExitCode {
+    let args = gnn_bench::args(env!("CARGO_BIN_NAME"));
+    let cfg = args.run_config();
+    let ds = args.dataset.unwrap_or(GraphDs::Enzymes);
+    let fig = match ds {
+        GraphDs::Dd => "Fig. 2 (DD)",
+        _ => "Fig. 1 (ENZYMES)",
     };
-    println!(
-        "{fig} — epoch-time breakdown (scale = {})\n",
-        opts.config.scale
-    );
-    let rows = gnn_bench::traced(&opts.config, || runner::profile_sweep(&opts.config, ds));
+    let mut run = gnn_bench::Run::train(&cfg);
+    println!("{fig} — epoch-time breakdown (scale = {})\n", cfg.scale);
+    let rows = run.exec(|| runner::profile_sweep(&cfg, ds));
     print!("{}", report::breakdown_report(&rows));
-    if let Some(dir) = opts.config.trace.dir() {
+    if let Some(dir) = run.trace_dir() {
         let path = dir.join("kernel_counts.csv");
-        match gnn_core::export::write_csv(&path, &gnn_core::export::kernel_counts_csv(&rows)) {
-            Ok(()) => println!("kernel counts: {}", path.display()),
-            Err(e) => eprintln!("error: writing {}: {e}", path.display()),
-        }
+        run.write("kernels", path, &kernel_counts_csv(&rows));
     }
+    run.finish()
 }

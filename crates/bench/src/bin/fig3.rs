@@ -1,14 +1,18 @@
 //! Reproduces Fig. 3: layer-wise execution time of training one ENZYMES
 //! batch (conv1..conv4 + readout) for six models under both frameworks.
 
+use std::process::ExitCode;
+
 use gnn_core::{report, runner};
 
-fn main() {
-    let opts = gnn_bench::cli_options();
+fn main() -> ExitCode {
+    let cfg = gnn_bench::args(env!("CARGO_BIN_NAME")).run_config();
+    let mut run = gnn_bench::Run::train(&cfg);
     println!(
         "Fig. 3 — layer-wise execution time, one ENZYMES batch (scale = {})\n",
-        opts.config.scale
+        cfg.scale
     );
-    let rows = gnn_bench::traced(&opts.config, || runner::layer_times(&opts.config));
+    let rows = run.exec(|| runner::layer_times(&cfg));
     print!("{}", report::layer_report(&rows));
+    run.finish()
 }

@@ -2,33 +2,36 @@
 //! of six models under both frameworks on ENZYMES and DD, batch 64/128/256.
 //! `--metric memory` or `--metric utilization` filters the columns.
 
+use std::process::ExitCode;
+
+use gnn_core::export::kernel_counts_csv;
 use gnn_core::report::ResourceMetric;
 use gnn_core::runner::GraphDs;
 use gnn_core::{report, runner};
 
-fn main() {
-    let opts = gnn_bench::cli_options();
-    let metric = opts.metric.as_deref().unwrap_or("both");
-    let which = match metric {
-        "memory" => ResourceMetric::Memory,
-        "utilization" => ResourceMetric::Utilization,
-        _ => ResourceMetric::Both,
+fn main() -> ExitCode {
+    let args = gnn_bench::args(env!("CARGO_BIN_NAME"));
+    let cfg = args.run_config();
+    let which = args.metric.unwrap_or(ResourceMetric::Both);
+    let metric = match which {
+        ResourceMetric::Memory => "memory",
+        ResourceMetric::Utilization => "utilization",
+        ResourceMetric::Both => "both",
     };
+    let mut run = gnn_bench::Run::train(&cfg);
     println!(
         "Figs. 4/5 — {metric} (scale = {}, batch sizes = {:?})\n",
-        opts.config.scale, opts.config.batch_sizes
+        cfg.scale, cfg.batch_sizes
     );
-    let rows = gnn_bench::traced(&opts.config, || {
-        let mut rows = runner::profile_sweep(&opts.config, GraphDs::Enzymes);
-        rows.extend(runner::profile_sweep(&opts.config, GraphDs::Dd));
+    let rows = run.exec(|| {
+        let mut rows = runner::profile_sweep(&cfg, GraphDs::Enzymes);
+        rows.extend(runner::profile_sweep(&cfg, GraphDs::Dd));
         rows
     });
     print!("{}", report::resources_report_filtered(&rows, which));
-    if let Some(dir) = opts.config.trace.dir() {
+    if let Some(dir) = run.trace_dir() {
         let path = dir.join("kernel_counts.csv");
-        match gnn_core::export::write_csv(&path, &gnn_core::export::kernel_counts_csv(&rows)) {
-            Ok(()) => println!("kernel counts: {}", path.display()),
-            Err(e) => eprintln!("error: writing {}: {e}", path.display()),
-        }
+        run.write("kernels", path, &kernel_counts_csv(&rows));
     }
+    run.finish()
 }

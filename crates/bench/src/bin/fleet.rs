@@ -17,175 +17,65 @@
 //! `--lint` gate found a degenerate fleet config, or if the fault plan
 //! audit found a spec that can never fire.
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match gnn_bench::parse_fleet_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: fleet [--endpoints cell,cell,...] [--all-endpoints] [--shards n] \
-                 [--replicas n] [--routing p,p] [--policy b@us] [--requests n] \
-                 [--rate req/s] [--seed n] [--scale f] [--queue-cap n] [--admission-cap n] \
-                 [--retry-budget frac] [--hedge-after us|off] [--no-autoscale] [--slo-ms ms] \
-                 [--workload open|diurnal|flash|closed:c@us] [--ckpt dir] [--trace dir] \
-                 [--lint] [--faults canonical|canonical-fleet|seeded:n|path]"
-            );
-            std::process::exit(2);
-        }
-    };
+use std::process::ExitCode;
 
-    if opts.lint {
+use gnn_serve::FleetConfig;
+
+fn main() -> ExitCode {
+    let args = gnn_bench::args(env!("CARGO_BIN_NAME"));
+    let fleet = args.fleet_config();
+    let routings = args.routings();
+    let mut run = gnn_bench::Run::new(args.trace.as_deref(), args.faults.as_ref());
+    if args.lint {
         let mut findings = Vec::new();
-        gnn_lint::check_fleet_config(&opts.endpoints_raw, &opts.fleet, &mut findings);
-        if let Some(plan) = &opts.faults {
-            gnn_lint::check_fleet_fault_plan(plan, &opts.fleet, &mut findings);
+        gnn_lint::check_fleet_config(&args.endpoints().0, &fleet, &mut findings);
+        if let Some(plan) = &args.faults {
+            gnn_lint::check_fleet_fault_plan(plan, &fleet, &mut findings);
         }
-        let report = gnn_lint::LintReport {
+        run.gate(gnn_lint::LintReport {
             findings,
             ..Default::default()
-        };
-        print!("{report}");
-        if let Some(dir) = &opts.trace {
-            if let Err(e) = report.save(dir) {
-                eprintln!("error: writing lint.json to {}: {e}", dir.display());
-            }
-        }
-        if !report.is_clean() {
-            eprintln!("error: gnn-lint found fleet-config problems; refusing to serve");
-            std::process::exit(1);
-        }
+        });
     }
 
     println!(
         "Fleet serving: {} endpoint(s), {} shard(s) x {} replica(s), {} request(s) at \
          {} req/s, seed {}, routing {}, faults {}\n",
-        opts.fleet.endpoints.len(),
-        opts.fleet.shards,
-        opts.fleet.replicas_per_shard,
-        opts.fleet.requests,
-        opts.fleet.rate,
-        opts.fleet.seed,
-        opts.routings
+        fleet.endpoints.len(),
+        fleet.shards,
+        fleet.replicas_per_shard,
+        fleet.requests,
+        fleet.rate,
+        fleet.seed,
+        routings
             .iter()
             .map(|r| r.label())
             .collect::<Vec<_>>()
             .join(","),
-        if opts.faults.is_some() {
+        if args.faults.is_some() {
             "armed"
         } else {
             "off"
         },
     );
 
-    let obs_handle = opts
-        .trace
-        .as_ref()
-        .map(|_| gnn_obs::install(gnn_obs::Collector::new()));
-
-    let mut reports = Vec::with_capacity(opts.routings.len());
-    let mut failed = false;
-    for routing in &opts.routings {
-        let mut cfg = opts.fleet.clone();
-        cfg.routing = *routing;
-        // Re-arm the same plan around every policy run: dp-step-indexed
-        // faults (replica death) count steps from arming, so each policy
-        // faces identical chaos and the comparison stays fair.
-        let fault_handle = match &opts.faults {
-            Some(plan) if !gnn_faults::is_active() => Some(gnn_faults::install(plan.clone())),
-            _ => None,
-        };
-        let outcome = gnn_serve::serve_fleet(&cfg);
-        let log = fault_handle.map(gnn_faults::finish);
-        match outcome {
-            Ok(report) => {
-                print!("{}", report.summary());
-                let terminal = report.answered() + report.rejected() + report.shed();
-                if terminal != cfg.requests {
-                    eprintln!(
-                        "error: routing {} dropped {} request(s)",
-                        routing.label(),
-                        cfg.requests - terminal
-                    );
-                    failed = true;
-                }
-                if let Some(fleet) = &report.fleet {
-                    let bound = (1.0 + fleet.retry_budget) * fleet.submitted as f64;
-                    if fleet.dispatched as f64 > bound + 1e-9 {
-                        eprintln!(
-                            "error: routing {} amplified: {} dispatched > (1 + {}) x {}",
-                            routing.label(),
-                            fleet.dispatched,
-                            fleet.retry_budget,
-                            fleet.submitted
-                        );
-                        failed = true;
-                    }
-                }
-                reports.push(report);
-            }
-            Err(e) => {
-                eprintln!("error: routing {}: {e}", routing.label());
-                failed = true;
-            }
-        }
-        if let Some(log) = log {
-            if !log.is_empty() {
-                println!("faults fired ({}):", log.len());
-                for line in log.summary().lines() {
-                    println!("  {line}");
-                }
-            }
-        }
-        println!();
-    }
-
-    if let Some(report) = reports.first() {
-        if report.restored_endpoints < opts.fleet.endpoints.len() {
-            println!(
-                "note: {}/{} endpoint(s) restored from checkpoints; the rest serve \
-                 their deterministic initialization weights",
-                report.restored_endpoints,
-                opts.fleet.endpoints.len()
-            );
-        }
-    }
-
-    if let Some(dir) = &opts.trace {
-        match gnn_serve::write_serve_metrics(dir, &reports) {
-            // Parse the artifact back and assert its schema stamp, so a
-            // column drift fails the run here rather than in a consumer.
-            Ok(path) => match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| gnn_serve::check_serve_metrics_schema(&text))
-            {
-                Ok(()) => println!("serve:   {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: {}: {e}", path.display());
-                    failed = true;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: writing serve_metrics.csv to {}: {e}", dir.display());
-                failed = true;
-            }
-        }
-        if let Some(h) = obs_handle {
-            let trace = gnn_obs::finish(h);
-            match trace.save(dir) {
-                Ok((trace_path, metrics_path)) => {
-                    println!("trace:   {}", trace_path.display());
-                    println!("metrics: {}", metrics_path.display());
-                }
-                Err(e) => {
-                    eprintln!("error: writing trace artifacts to {}: {e}", dir.display());
-                    failed = true;
-                }
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    let reports: Vec<_> = (routings.iter())
+        .filter_map(|&routing| {
+            let cfg = FleetConfig {
+                routing,
+                ..fleet.clone()
+            };
+            // The plan is re-armed around every policy run: dp-step-indexed
+            // faults (replica death) count steps from arming, so each policy
+            // faces identical chaos and the comparison stays fair.
+            let outcome = run.exec(|| gnn_serve::serve_fleet(&cfg));
+            run.served(
+                &format!("routing {}", routing.label()),
+                cfg.requests,
+                outcome,
+            )
+        })
+        .collect();
+    run.served_all(&reports, fleet.endpoints.len());
+    run.finish()
 }

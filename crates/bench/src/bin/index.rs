@@ -4,6 +4,7 @@
 use gnn_core::experiments::EXPERIMENTS;
 
 fn main() {
+    gnn_bench::args(env!("CARGO_BIN_NAME"));
     println!("Experiment index — \"Performance Analysis of GNN Frameworks\" (ISPASS 2021)\n");
     for e in &EXPERIMENTS {
         println!("{:?} ({})", e.id, e.paper_ref);

@@ -14,91 +14,12 @@
 //! overwritten; unreadable candidates — e.g. an older schema version —
 //! fall through to the next), the two documents are diffed metric by
 //! metric and the process exits nonzero on any regression past
-//! `--threshold` (default 5%).
-//!
-//! Flags: `--out <path>`, `--baseline <path>`, `--threshold <frac>`,
-//! `--scale <f>`, `--epochs <n>`, `--seed <n>`, `--requests <n>`,
-//! `--rate <req/s>`, `--slo-ms <ms>`, `--no-diff`.
+//! `--threshold` (default 5%). `report --help` lists every flag.
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-use gnn_bench::report::{diff_reports, render_diff, resolve_baseline, run_report, ReportConfig};
-
-struct Options {
-    cfg: ReportConfig,
-    out: PathBuf,
-    baseline: Option<PathBuf>,
-    threshold: f64,
-    diff: bool,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut o = Options {
-        cfg: ReportConfig::default(),
-        out: PathBuf::from("BENCH_10.json"),
-        baseline: None,
-        threshold: 0.05,
-        diff: true,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--out" => o.out = value_of("--out")?.into(),
-            "--baseline" => o.baseline = Some(value_of("--baseline")?.into()),
-            "--threshold" => {
-                o.threshold = value_of("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                if o.threshold < 0.0 {
-                    return Err("--threshold must be non-negative".into());
-                }
-            }
-            "--scale" => {
-                let v: f64 = value_of("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-                if !(v > 0.0 && v <= 1.0) {
-                    return Err(format!("--scale {v} out of (0, 1]"));
-                }
-                o.cfg.scale = v;
-            }
-            "--epochs" => {
-                o.cfg.epochs = value_of("--epochs")?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?;
-            }
-            "--seed" => {
-                o.cfg.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--requests" => {
-                o.cfg.requests = value_of("--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--rate" => {
-                o.cfg.rate = value_of("--rate")?
-                    .parse()
-                    .map_err(|e| format!("--rate: {e}"))?;
-            }
-            "--slo-ms" => {
-                let ms: f64 = value_of("--slo-ms")?
-                    .parse()
-                    .map_err(|e| format!("--slo-ms: {e}"))?;
-                o.cfg.slo_target = ms * 1e-3;
-            }
-            "--no-diff" => o.diff = false,
-            other => return Err(format!("unknown flag: {other}")),
-        }
-    }
-    Ok(o)
-}
+use gnn_bench::report::{diff_reports, render_diff, resolve_baseline, run_report};
 
 /// The highest-numbered `BENCH_<n>.json` in `dir` other than `out` —
 /// the natural baseline for a report trajectory.
@@ -128,28 +49,20 @@ fn discover_baseline(out: &Path) -> Option<PathBuf> {
     best.map(|(_, p)| p)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: report [--out path] [--baseline path] [--threshold frac] \
-                 [--scale f] [--epochs n] [--seed n] [--requests n] [--rate req/s] \
-                 [--slo-ms ms] [--no-diff]"
-            );
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    let args = gnn_bench::args(env!("CARGO_BIN_NAME"));
+    let cfg = args.report_config();
+    let out = args.out.clone().unwrap_or_else(|| "BENCH_10.json".into());
+    let threshold = args.threshold.unwrap_or(0.05);
+    let mut run = gnn_bench::Run::new(None, None);
 
     println!(
         "Performance report: {} cell(s), {} serve policy(ies), scale {}, {} epoch(s), seed {}\n",
-        opts.cfg.cells.len(),
-        opts.cfg.policies.len(),
-        opts.cfg.scale,
-        opts.cfg.epochs,
-        opts.cfg.seed,
+        cfg.cells.len(),
+        cfg.policies.len(),
+        cfg.scale,
+        cfg.epochs,
+        cfg.seed,
     );
 
     // The previous document must be read before the new one overwrites it
@@ -158,45 +71,37 @@ fn main() {
     // typically an older schema version (a `v2` report without the
     // sampled rows) still checked in for history — fall through to the
     // next one.
-    let candidates: Vec<PathBuf> = opts
-        .baseline
-        .clone()
-        .into_iter()
-        .chain(discover_baseline(&opts.out))
-        .chain(opts.out.exists().then(|| opts.out.clone()))
+    let candidates: Vec<PathBuf> = (args.baseline.clone().into_iter())
+        .chain(discover_baseline(&out))
+        .chain(out.exists().then(|| out.clone()))
         .collect();
     let (baseline, warnings) = resolve_baseline(&candidates);
     for w in &warnings {
         eprintln!("warning: {w}");
     }
 
-    let report = run_report(&opts.cfg);
+    let report = run_report(&cfg);
     print!("{}", report.summary());
+    println!();
+    run.write("report", out, &report.to_json());
 
-    if let Err(e) = std::fs::write(&opts.out, report.to_json()) {
-        eprintln!("error: writing {}: {e}", opts.out.display());
-        std::process::exit(1);
-    }
-    println!("\nreport: {}", opts.out.display());
-
-    if !opts.diff {
-        return;
+    if args.no_diff {
+        return run.finish();
     }
     let Some((path, previous)) = baseline else {
         println!("no baseline found — skipping diff");
-        return;
+        return run.finish();
     };
     println!(
         "diff vs {} (threshold {:.1}%):",
         path.display(),
-        opts.threshold * 100.0
+        threshold * 100.0
     );
-    let lines = diff_reports(&previous, &report, opts.threshold);
+    let lines = diff_reports(&previous, &report, threshold);
     print!("{}", render_diff(&lines));
-    let regressions = lines.iter().filter(|l| l.regression).count();
-    if regressions > 0 {
-        eprintln!("error: {regressions} metric(s) regressed past the threshold");
-        std::process::exit(1);
+    match lines.iter().filter(|l| l.regression).count() {
+        0 => println!("no regressions"),
+        n => run.error(format!("{n} metric(s) regressed past the threshold")),
     }
-    println!("no regressions");
+    run.finish()
 }

@@ -16,13 +16,12 @@
 //!
 //! Exits nonzero on lint findings, dead cells, or a malformed CSV.
 
-use gnn_bench::sample::{
-    check_sample_metrics_schema, expand_variants, run_sample_sweep, write_sample_metrics,
-    SampleVariant,
-};
+use std::process::ExitCode;
+
+use gnn_bench::sample::{expand_variants, run_sample_sweep, write_sample_metrics, SampleVariant};
 use gnn_lint::{audit_tape, certify_sample_cell, check_sample_spec, lower_stack, StackPlan};
 use gnn_models::config::{ModelKind, ALL_FRAMEWORKS};
-use gnn_sample::{SampleSpec, SamplerKind};
+use gnn_sample::SamplerKind;
 
 /// Audits every variant: all `sample-config` defects at once, the SAGE
 /// lowering's shape/tape findings, and the closed-form memory certificates
@@ -66,65 +65,28 @@ fn lint_variants(variants: &[SampleVariant]) -> gnn_lint::LintReport {
     report
 }
 
-fn resolve_specs(names: &[String]) -> Result<Vec<SampleSpec>, String> {
-    names
-        .iter()
-        .map(|n| SampleSpec::get(n).map_err(|e| e.to_string()))
-        .collect()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match gnn_bench::parse_sample_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: sample [--specs name,name,...] [--fanouts AxB,AxB,...] \
-                 [--cache-rows n,n,...] [--epochs n] [--seed n] [--out path] \
-                 [--lint] [--faults canonical|seeded:n|path]"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    let specs = match resolve_specs(&opts.specs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e} (catalog: {})", SampleSpec::names().join(", "));
-            std::process::exit(2);
-        }
-    };
-    let variants = expand_variants(&specs, &opts.fanouts, &opts.cache_rows);
-
-    if opts.lint {
-        let report = lint_variants(&variants);
-        print!("{report}");
-        if !report.is_clean() {
-            eprintln!("error: gnn-lint found sample-config problems; refusing to run");
-            std::process::exit(1);
-        }
+fn main() -> ExitCode {
+    let args = gnn_bench::args(env!("CARGO_BIN_NAME"));
+    let cfg = args.sample_config();
+    let variants = expand_variants(&cfg.specs, &cfg.fanouts, &cfg.cache_rows);
+    let mut run = gnn_bench::Run::new(None, args.faults.as_ref());
+    if args.lint {
+        run.gate(lint_variants(&variants));
     }
 
     println!(
         "Sampled training: {} spec(s), {} variant(s), {} epoch(s), seed {}, faults {}\n",
-        specs.len(),
+        cfg.specs.len(),
         variants.len(),
-        opts.epochs,
-        opts.seed,
-        if opts.faults.is_some() {
+        cfg.epochs,
+        cfg.seed,
+        if args.faults.is_some() {
             "armed"
         } else {
             "off"
         },
     );
-
-    let fault_handle = match &opts.faults {
-        Some(plan) if !gnn_faults::is_active() => Some(gnn_faults::install(plan.clone())),
-        _ => None,
-    };
-
-    let (rows, errors) = run_sample_sweep(&variants, opts.epochs, opts.seed);
+    let (rows, errors) = run.exec(|| run_sample_sweep(&variants, cfg.epochs, cfg.seed));
 
     println!(
         "{:<9} {:>7} {:>7} {:>10} {:>5} {:>10} {:>8} {:>7} {:>7}",
@@ -144,49 +106,17 @@ fn main() {
             row.test_acc,
         );
     }
-
-    if let Some(h) = fault_handle {
-        let log = gnn_faults::finish(h);
-        if !log.is_empty() {
-            println!("\nfaults fired ({}):", log.len());
-            for line in log.summary().lines() {
-                println!("  {line}");
-            }
-        }
-    }
-
-    let mut failed = false;
+    println!();
     for e in &errors {
-        eprintln!("error: {e}");
-        failed = true;
+        run.error(e);
     }
-
-    // Self-check the artifact before declaring success: a column drift
-    // fails here rather than in a consumer.
-    match write_sample_metrics(&opts.out, &rows) {
-        Ok(path) => match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| check_sample_metrics_schema(&text))
-        {
-            Ok(()) => println!("\nmetrics: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                failed = true;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: writing {}: {e}", opts.out.display());
-            failed = true;
-        }
-    }
-
+    run.wrote("metrics", write_sample_metrics(&cfg.out, &rows));
     let expected = variants.len() * SamplerKind::all().len() * ALL_FRAMEWORKS.len();
     if rows.len() != expected {
-        eprintln!("error: {} of {expected} cell(s) produced rows", rows.len());
-        failed = true;
+        run.error(format!(
+            "{} of {expected} cell(s) produced rows",
+            rows.len()
+        ));
     }
-
-    if failed {
-        std::process::exit(1);
-    }
+    run.finish()
 }

@@ -14,147 +14,55 @@
 //! Exits nonzero if any request went unanswered (dropped — must never
 //! happen) or the `--lint` gate found a degenerate config.
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match gnn_bench::parse_serve_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: serve [--endpoints cell,cell,...] [--all-endpoints] \
-                 [--policies b@us,b@us,...] [--requests n] [--rate req/s] [--seed n] \
-                 [--scale f] [--queue-cap n] [--replicas n] [--ckpt dir] [--trace dir] \
-                 [--lint] [--faults canonical|seeded:n|path]"
-            );
-            std::process::exit(2);
-        }
-    };
+use std::process::ExitCode;
 
-    if opts.lint {
+use gnn_serve::ServeConfig;
+
+fn main() -> ExitCode {
+    let args = gnn_bench::args(env!("CARGO_BIN_NAME"));
+    let serve = args.serve_config();
+    let policies = args.policies();
+    let mut run = gnn_bench::Run::new(args.trace.as_deref(), args.faults.as_ref());
+    if args.lint {
         let mut findings = Vec::new();
-        gnn_lint::check_serve_config(&opts.endpoints_raw, &opts.serve, &mut findings);
-        let report = gnn_lint::LintReport {
+        gnn_lint::check_serve_config(&args.endpoints().0, &serve, &mut findings);
+        run.gate(gnn_lint::LintReport {
             findings,
             ..Default::default()
-        };
-        print!("{report}");
-        if let Some(dir) = &opts.trace {
-            if let Err(e) = report.save(dir) {
-                eprintln!("error: writing lint.json to {}: {e}", dir.display());
-            }
-        }
-        if !report.is_clean() {
-            eprintln!("error: gnn-lint found serve-config problems; refusing to serve");
-            std::process::exit(1);
-        }
+        });
     }
 
     println!(
         "Inference serving: {} endpoint(s), {} request(s) at {} req/s, seed {}, \
          {} replica(s), faults {}\n",
-        opts.serve.endpoints.len(),
-        opts.serve.requests,
-        opts.serve.rate,
-        opts.serve.seed,
-        opts.serve.replicas,
-        if opts.faults.is_some() {
+        serve.endpoints.len(),
+        serve.requests,
+        serve.rate,
+        serve.seed,
+        serve.replicas,
+        if args.faults.is_some() {
             "armed"
         } else {
             "off"
         },
     );
 
-    let fault_handle = match &opts.faults {
-        Some(plan) if !gnn_faults::is_active() => Some(gnn_faults::install(plan.clone())),
-        _ => None,
-    };
-    let obs_handle = opts
-        .trace
-        .as_ref()
-        .map(|_| gnn_obs::install(gnn_obs::Collector::new()));
-
-    let mut reports = Vec::with_capacity(opts.policies.len());
-    let mut failed = false;
-    for policy in &opts.policies {
-        let mut cfg = opts.serve.clone();
-        cfg.policy = *policy;
-        match gnn_serve::serve(&cfg) {
-            Ok(report) => {
-                print!("{}", report.summary());
-                if report.answered() + report.rejected() != cfg.requests {
-                    eprintln!(
-                        "error: policy {} dropped {} request(s)",
-                        policy.label(),
-                        cfg.requests - report.answered() - report.rejected()
-                    );
-                    failed = true;
-                }
-                reports.push(report);
-            }
-            Err(e) => {
-                eprintln!("error: policy {}: {e}", policy.label());
-                failed = true;
-            }
-        }
-        println!();
-    }
-
-    if let Some(report) = reports.first() {
-        if report.restored_endpoints < opts.serve.endpoints.len() {
-            println!(
-                "note: {}/{} endpoint(s) restored from checkpoints; the rest serve \
-                 their deterministic initialization weights",
-                report.restored_endpoints,
-                opts.serve.endpoints.len()
-            );
-        }
-    }
-
-    if let Some(h) = fault_handle {
-        let log = gnn_faults::finish(h);
-        if !log.is_empty() {
-            println!("faults fired ({}):", log.len());
-            for line in log.summary().lines() {
-                println!("  {line}");
-            }
-        }
-    }
-
-    if let Some(dir) = &opts.trace {
-        match gnn_serve::write_serve_metrics(dir, &reports) {
-            // Parse the artifact back and assert its schema stamp, so a
-            // column drift fails the run here rather than in a consumer.
-            Ok(path) => match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| gnn_serve::check_serve_metrics_schema(&text))
-            {
-                Ok(()) => println!("serve:   {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: {}: {e}", path.display());
-                    failed = true;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: writing serve_metrics.csv to {}: {e}", dir.display());
-                failed = true;
-            }
-        }
-        if let Some(h) = obs_handle {
-            let trace = gnn_obs::finish(h);
-            match trace.save(dir) {
-                Ok((trace_path, metrics_path)) => {
-                    println!("trace:   {}", trace_path.display());
-                    println!("metrics: {}", metrics_path.display());
-                }
-                Err(e) => {
-                    eprintln!("error: writing trace artifacts to {}: {e}", dir.display());
-                    failed = true;
-                }
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    // One plan armed across every policy run, in declaration order.
+    let outcomes: Vec<_> = run.exec(|| {
+        (policies.iter())
+            .map(|&policy| {
+                gnn_serve::serve(&ServeConfig {
+                    policy,
+                    ..serve.clone()
+                })
+            })
+            .collect()
+    });
+    let reports: Vec<_> = (policies.iter().zip(outcomes))
+        .filter_map(|(p, outcome)| {
+            run.served(&format!("policy {}", p.label()), serve.requests, outcome)
+        })
+        .collect();
+    run.served_all(&reports, serve.endpoints.len());
+    run.finish()
 }

@@ -5,19 +5,20 @@
 //! This is the chaos-suite entry point: `sweep --faults canonical` must end
 //! with every cell `ok` or `degraded`, and `--ckpt <dir>` + `--resume`
 //! lets a killed run continue bit-identically. With `--trace <dir>`, the
-//! per-cell outcomes are also exported to `<dir>/cell_outcomes.csv` next to
-//! the usual trace artifacts.
+//! per-cell outcomes (`cell_outcomes.csv`) and both tables (`table4.csv`,
+//! `table5.csv`) are also exported next to the usual trace artifacts.
 //!
 //! Exits nonzero if any cell failed.
 
-use gnn_core::export::{
-    cell_outcomes_csv, check_csv_schema, table4_csv, table5_csv, write_csv, CELL_OUTCOMES_SCHEMA,
-};
-use gnn_core::report::{sweep_report, table4_report, table5_report};
+use std::process::ExitCode;
 
-fn main() {
-    let opts = gnn_bench::cli_options();
-    let cfg = &opts.config;
+use gnn_core::export::{cell_outcomes_csv, table4_csv, table5_csv};
+use gnn_core::report::{sweep_report, table4_report, table5_report};
+use gnn_core::CellStatus;
+
+fn main() -> ExitCode {
+    let cfg = gnn_bench::args(env!("CARGO_BIN_NAME")).run_config();
+    let mut run = gnn_bench::Run::train(&cfg);
     println!(
         "Fault-isolated sweep (scale = {}, node epochs = {}, graph epochs = {}, faults = {})\n",
         cfg.scale,
@@ -25,33 +26,28 @@ fn main() {
         cfg.graph_epochs,
         if cfg.faults.is_some() { "armed" } else { "off" },
     );
-    let out = gnn_bench::traced(cfg, || gnn_core::sweep(cfg));
+    let out = run.exec(|| gnn_core::sweep(&cfg));
     print!("{}", table4_report(&out.table4));
     println!();
     print!("{}", table5_report(&out.table5));
     println!();
     print!("{}", sweep_report(&out));
-    if let Some(dir) = cfg.trace.dir() {
-        let path = dir.join("cell_outcomes.csv");
-        match write_csv(&path, &cell_outcomes_csv(&out.cells)) {
-            // Parse the artifact back and assert its schema stamp, so a
-            // column drift fails the run here rather than in a consumer.
-            Ok(()) => match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| check_csv_schema(&text, CELL_OUTCOMES_SCHEMA))
-            {
-                Ok(()) => println!("cells:   {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => eprintln!("error: writing {}: {e}", path.display()),
-        }
-        let _ = write_csv(&dir.join("table4.csv"), &table4_csv(&out.table4));
-        let _ = write_csv(&dir.join("table5.csv"), &table5_csv(&out.table5));
+    if let Some(dir) = run.trace_dir().map(std::path::Path::to_path_buf) {
+        run.write(
+            "cells",
+            dir.join("cell_outcomes.csv"),
+            &cell_outcomes_csv(&out.cells),
+        );
+        run.write("table4", dir.join("table4.csv"), &table4_csv(&out.table4));
+        run.write("table5", dir.join("table5.csv"), &table5_csv(&out.table5));
     }
-    if !out.all_survived() {
-        std::process::exit(1);
+    let failed = out
+        .cells
+        .iter()
+        .filter(|c| c.status == CellStatus::Failed)
+        .count();
+    if failed > 0 {
+        run.error(format!("{failed} cell(s) failed"));
     }
+    run.finish()
 }

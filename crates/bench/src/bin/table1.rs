@@ -1,16 +1,14 @@
 //! Reproduces Table I: dataset statistics.
 
+use std::process::ExitCode;
+
 use gnn_core::runner;
 
-fn main() {
-    let opts = gnn_bench::cli_options();
-    // table1 never enters a traced run, so apply the --lint gate directly.
-    gnn_bench::lint_gate(&opts.config);
-    println!(
-        "Table I — dataset statistics (scale = {})\n",
-        opts.config.scale
-    );
-    let rows = runner::table1(&opts.config);
+fn main() -> ExitCode {
+    let cfg = gnn_bench::args(env!("CARGO_BIN_NAME")).run_config();
+    let run = gnn_bench::Run::train(&cfg);
+    println!("Table I — dataset statistics (scale = {})\n", cfg.scale);
+    let rows = runner::table1(&cfg);
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -38,4 +36,5 @@ fn main() {
             &body
         )
     );
+    run.finish()
 }

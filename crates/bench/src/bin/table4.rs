@@ -2,14 +2,18 @@
 //! and total training time plus test accuracy for six models under both
 //! frameworks.
 
+use std::process::ExitCode;
+
 use gnn_core::{report, runner};
 
-fn main() {
-    let opts = gnn_bench::cli_options();
+fn main() -> ExitCode {
+    let cfg = gnn_bench::args(env!("CARGO_BIN_NAME")).run_config();
+    let mut run = gnn_bench::Run::train(&cfg);
     println!(
         "Table IV — node classification (scale = {}, epochs = {}, seeds = {})\n",
-        opts.config.scale, opts.config.node_epochs, opts.config.seeds
+        cfg.scale, cfg.node_epochs, cfg.seeds
     );
-    let rows = gnn_bench::traced(&opts.config, || runner::table4(&opts.config));
+    let rows = run.exec(|| runner::table4(&cfg));
     print!("{}", report::table4_report(&rows));
+    run.finish()
 }

@@ -11,118 +11,15 @@
 //! under overlaid cost models and refuses to pass unless predictions
 //! match measurements exactly.
 //!
-//! Flags: `--out <path>` (default `out/whatif/whatif.json`),
-//! `--cells <cell,cell,...>`, `--all-cells` (the full 60-cell sweep),
-//! `--scale <f>`, `--epochs <n>`, `--seed <n>`,
-//! `--policies <b@us,b@us,...>`, `--requests <n>`, `--rate <req/s>`,
-//! `--slo-ms <ms>`, `--conformance`.
+//! Writes `out/whatif/whatif.json` unless `--out` says otherwise;
+//! `whatif --help` lists every flag.
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 
 use gnn_bench::whatif::{
     audit_whatif, run_conformance, run_serve_conformance, run_whatif, ConformanceRecord,
-    WhatIfConfig,
 };
 use gnn_device::component_label;
-use gnn_serve::CellId;
-
-struct Options {
-    cfg: WhatIfConfig,
-    out: PathBuf,
-    conformance: bool,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut o = Options {
-        cfg: WhatIfConfig::default(),
-        out: PathBuf::from("out/whatif/whatif.json"),
-        conformance: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--out" => o.out = value_of("--out")?.into(),
-            "--cells" => {
-                o.cfg.cells = value_of("--cells")?
-                    .split(',')
-                    .map(|p| CellId::parse(p).map_err(|e| format!("--cells: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if o.cfg.cells.is_empty() {
-                    return Err("--cells needs at least one cell".into());
-                }
-            }
-            "--all-cells" => o.cfg.cells = CellId::all().to_vec(),
-            "--scale" => {
-                let v: f64 = value_of("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-                if !(v > 0.0 && v <= 1.0) {
-                    return Err(format!("--scale {v} out of (0, 1]"));
-                }
-                o.cfg.scale = v;
-            }
-            "--epochs" => {
-                o.cfg.epochs = value_of("--epochs")?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?;
-            }
-            "--seed" => {
-                o.cfg.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--policies" => {
-                o.cfg.policies = value_of("--policies")?
-                    .split(',')
-                    .map(parse_policy)
-                    .collect::<Result<_, _>>()?;
-                if o.cfg.policies.is_empty() {
-                    return Err("--policies needs at least one policy".into());
-                }
-            }
-            "--requests" => {
-                o.cfg.requests = value_of("--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--rate" => {
-                o.cfg.rate = value_of("--rate")?
-                    .parse()
-                    .map_err(|e| format!("--rate: {e}"))?;
-            }
-            "--slo-ms" => {
-                let ms: f64 = value_of("--slo-ms")?
-                    .parse()
-                    .map_err(|e| format!("--slo-ms: {e}"))?;
-                o.cfg.slo_target = ms * 1e-3;
-            }
-            "--conformance" => o.conformance = true,
-            other => return Err(format!("unknown flag: {other}")),
-        }
-    }
-    Ok(o)
-}
-
-fn parse_policy(spec: &str) -> Result<gnn_serve::BatchPolicy, String> {
-    let (batch, delay) = spec
-        .split_once('@')
-        .ok_or_else(|| format!("policy `{spec}` must be <max_batch>@<delay_us>"))?;
-    let max_batch: usize = batch
-        .parse()
-        .map_err(|e| format!("policy `{spec}` max_batch: {e}"))?;
-    let delay_us: f64 = delay
-        .parse()
-        .map_err(|e| format!("policy `{spec}` delay_us: {e}"))?;
-    Ok(gnn_serve::BatchPolicy {
-        max_batch,
-        max_delay: delay_us * 1e-6,
-    })
-}
 
 /// Prints a conformance table and returns how many records missed.
 fn gate_conformance(title: &str, records: &[ConformanceRecord]) -> usize {
@@ -150,69 +47,59 @@ fn gate_conformance(title: &str, records: &[ConformanceRecord]) -> usize {
     misses
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: whatif [--out path] [--cells c,c,...|--all-cells] [--scale f] \
-                 [--epochs n] [--seed n] [--policies b@us,...] [--requests n] \
-                 [--rate req/s] [--slo-ms ms] [--conformance]"
-            );
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = gnn_core::ensure_artifact_path(&opts.out) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    let args = gnn_bench::args(env!("CARGO_BIN_NAME"));
+    let cfg = args.whatif_config();
+    let out = args
+        .out
+        .clone()
+        .unwrap_or_else(|| "out/whatif/whatif.json".into());
+    let mut run = gnn_bench::Run::new(None, None);
 
     println!(
         "Causal what-if profile: {} cell(s), {} serve policy(ies), scale {}, {} epoch(s), seed {}\n",
-        opts.cfg.cells.len(),
-        opts.cfg.policies.len(),
-        opts.cfg.scale,
-        opts.cfg.epochs,
-        opts.cfg.seed,
+        cfg.cells.len(),
+        cfg.policies.len(),
+        cfg.scale,
+        cfg.epochs,
+        cfg.seed,
     );
 
-    let report = run_whatif(&opts.cfg);
+    let report = run_whatif(&cfg);
 
     let findings = audit_whatif(&report);
     if !findings.is_empty() {
         for f in &findings {
             eprintln!("{f}");
         }
-        eprintln!(
-            "error: {} what-if prediction(s) violate their own physics; refusing to publish",
+        run.error(format!(
+            "{} what-if prediction(s) violate their own physics; refusing to publish",
             findings.len()
-        );
-        std::process::exit(1);
+        ));
+        return run.finish();
     }
 
     print!("{}", report.summary());
-    if let Err(e) = std::fs::write(&opts.out, report.to_json()) {
-        eprintln!("error: writing {}: {e}", opts.out.display());
-        std::process::exit(1);
-    }
-    println!("\nwhatif: {}", opts.out.display());
+    println!();
+    run.write("whatif", out, &report.to_json());
 
-    if !opts.conformance {
-        return;
+    if !args.conformance {
+        return run.finish();
     }
     println!();
     let misses = gate_conformance(
         "conformance (cells: predicted vs re-trained total time)",
-        &run_conformance(&opts.cfg, &report),
+        &run_conformance(&cfg, &report),
     ) + gate_conformance(
         "conformance (serve: predicted vs re-served p95)",
-        &run_serve_conformance(&opts.cfg, &report),
+        &run_serve_conformance(&cfg, &report),
     );
     if misses > 0 {
-        eprintln!("error: {misses} conformance record(s) diverged from reality");
-        std::process::exit(1);
+        run.error(format!(
+            "{misses} conformance record(s) diverged from reality"
+        ));
+    } else {
+        println!("conformance: every prediction matched its re-run");
     }
-    println!("conformance: every prediction matched its re-run");
+    run.finish()
 }

@@ -67,25 +67,23 @@ impl Default for ReportConfig {
             scale: 0.05,
             epochs: 2,
             seed: 0,
-            policies: vec![
-                BatchPolicy {
-                    max_batch: 1,
-                    max_delay: 0.0,
-                },
-                BatchPolicy {
-                    max_batch: 4,
-                    max_delay: 0.001,
-                },
-                BatchPolicy {
-                    max_batch: 8,
-                    max_delay: 0.002,
-                },
-            ],
+            policies: default_policies(),
             requests: 120,
             rate: 2000.0,
             slo_target: 0.005,
         }
     }
+}
+
+/// The batching policies swept when none are named (`serve`, `report`,
+/// `whatif`): unbatched, up to 4 within 1 ms, and up to 8 within 2 ms.
+pub(crate) fn default_policies() -> Vec<BatchPolicy> {
+    [(1, 0.0), (4, 0.001), (8, 0.002)]
+        .map(|(max_batch, max_delay)| BatchPolicy {
+            max_batch,
+            max_delay,
+        })
+        .to_vec()
 }
 
 /// The sampled cells the report trains by default: the CI-speed RMAT

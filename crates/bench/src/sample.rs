@@ -30,6 +30,36 @@ pub const SAMPLE_CSV_HEADER: &str = "spec,fanouts,cache_rows,sampler,framework,b
      epochs,epoch_time,total_time,kernel_time,transfer_time,cache_hit_rate,test_acc,\
      peak_memory,retries,degraded";
 
+/// What one `sample` run sweeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SampleConfig {
+    /// Catalog specs (default: the million-node `rmat-1m`).
+    pub specs: Vec<SampleSpec>,
+    /// Fan-out schedule overrides; empty = each spec's own schedule.
+    pub fanouts: Vec<Vec<usize>>,
+    /// Feature-cache size overrides in rows; empty = each spec's own.
+    pub cache_rows: Vec<usize>,
+    /// Training epochs per cell.
+    pub epochs: usize,
+    /// Base RNG seed.
+    pub seed: u64,
+    /// Destination of `sample_metrics.csv`.
+    pub out: PathBuf,
+}
+
+impl Default for SampleConfig {
+    fn default() -> Self {
+        SampleConfig {
+            specs: vec![SampleSpec::get("rmat-1m").expect("rmat-1m is cataloged")],
+            fanouts: Vec::new(),
+            cache_rows: Vec::new(),
+            epochs: 2,
+            seed: 0,
+            out: PathBuf::from("sample_metrics.csv"),
+        }
+    }
+}
+
 /// One sweep variant: a catalog spec with its fan-out schedule and/or
 /// feature-cache size overridden.
 #[derive(Debug, Clone, PartialEq)]

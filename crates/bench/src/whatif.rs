@@ -45,7 +45,7 @@ use gnn_obs::whatif::{component_budgets, replay_schedule, SchedEntry};
 use gnn_obs::{self as obs, json, Value};
 use gnn_serve::{BatchPolicy, CellId, ServeConfig, ServeReport};
 
-use crate::report::train_cell;
+use crate::report::{default_policies, train_cell};
 
 /// Schema tag every what-if document carries; bumped on breaking change.
 pub const WHATIF_SCHEMA: &str = "gnn-whatif/v1";
@@ -124,20 +124,7 @@ impl Default for WhatIfConfig {
             scale: 0.05,
             epochs: 2,
             seed: 0,
-            policies: vec![
-                BatchPolicy {
-                    max_batch: 1,
-                    max_delay: 0.0,
-                },
-                BatchPolicy {
-                    max_batch: 4,
-                    max_delay: 0.001,
-                },
-                BatchPolicy {
-                    max_batch: 8,
-                    max_delay: 0.002,
-                },
-            ],
+            policies: default_policies(),
             requests: 120,
             rate: 2000.0,
             slo_target: 0.005,

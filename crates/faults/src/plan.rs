@@ -409,6 +409,27 @@ impl FaultPlan {
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         FaultPlan::parse(&text).map_err(|e| e.to_string())
     }
+
+    /// Resolves a `--faults` operand, spelled the same on every binary:
+    /// `canonical`, `canonical-fleet`, `seeded:<n>`, or a path to a plan
+    /// file.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the bad seed, or [`FaultPlan::load`]'s.
+    pub fn from_spec(spec: &str) -> Result<FaultPlan, String> {
+        match spec {
+            "canonical" => Ok(FaultPlan::canonical()),
+            "canonical-fleet" => Ok(FaultPlan::canonical_fleet()),
+            s => match s.strip_prefix("seeded:") {
+                Some(seed) => seed
+                    .parse()
+                    .map(FaultPlan::seeded)
+                    .map_err(|e| format!("seeded:<n>: {e}")),
+                None => FaultPlan::load(std::path::Path::new(s)),
+            },
+        }
+    }
 }
 
 impl fmt::Display for FaultPlan {
@@ -490,5 +511,27 @@ mod tests {
         let plan = FaultPlan::parse("# header\n\n  oom at=3 # trailing\n").unwrap();
         assert_eq!(plan.specs.len(), 1);
         assert_eq!(plan.specs[0].kind, FaultKind::Oom { at: 3 });
+    }
+
+    #[test]
+    fn from_spec_resolves_every_operand_form() {
+        assert_eq!(
+            FaultPlan::from_spec("canonical"),
+            Ok(FaultPlan::canonical())
+        );
+        assert_eq!(
+            FaultPlan::from_spec("canonical-fleet"),
+            Ok(FaultPlan::canonical_fleet())
+        );
+        assert_eq!(FaultPlan::from_spec("seeded:42"), Ok(FaultPlan::seeded(42)));
+        let path = std::env::temp_dir().join(format!("gnn_faults_spec_{}.txt", std::process::id()));
+        std::fs::write(&path, FaultPlan::seeded(7).to_text()).unwrap();
+        assert_eq!(
+            FaultPlan::from_spec(path.to_str().unwrap()),
+            Ok(FaultPlan::seeded(7))
+        );
+        let _ = std::fs::remove_file(&path);
+        assert!(FaultPlan::from_spec("seeded:x").is_err());
+        assert!(FaultPlan::from_spec("/no/such/plan").is_err());
     }
 }
