@@ -10,7 +10,7 @@
 //! (`fail_threshold × probe_interval`) exceeds the run's simulated length
 //! can never eject, so failover paths are dead code under test. This pass
 //! flags every such knob under [`FindingKind::InvalidFleetConfig`] ahead of
-//! the run — the `gnn-bench fleet` binary's `--lint` gate refuses to start
+//! the run — the `gnn-bench fleet` command's `--lint` gate refuses to start
 //! on any finding.
 //!
 //! The fleet fault audit ([`check_fleet_fault_plan`]) cross-checks the

@@ -62,9 +62,9 @@
 //!   supervisor's batch-halving degradation, are rejected statically; the
 //!   full per-cell table exports as `memory.json` next to `lint.json`.
 //!
-//! Entry points: the `gnn-lint` binary, [`run::lint_run`] /
-//! [`run::lint_and_export`] (used by the bench binaries' `--lint` gate),
-//! and the per-pass APIs for tests. Machine-readable findings land in
+//! Entry points: [`run::lint_run`] / [`run::lint_run_with_memory`] (the
+//! `--lint` gate of the `gnn-bench` commands, and `gnn-bench lint`, the
+//! standalone analyzer), and the per-pass APIs for tests. Machine-readable findings land in
 //! `lint.json` next to the `gnn-obs` trace artifacts (see the README's
 //! findings-format reference).
 
@@ -94,7 +94,7 @@ pub use memory::{
     MemExpr, MemVerdict, MemoryReport,
 };
 pub use report::{Finding, FindingKind, LintReport};
-pub use run::{certify_run, lint_and_export, lint_run, lint_run_with_memory};
+pub use run::{certify_run, lint_run, lint_run_with_memory};
 pub use sample_check::{check_sample_config, check_sample_spec};
 pub use schedule::{data_parallel_schedule, Lane, Schedule, Slice};
 pub use serve_check::{check_replica_memory, check_serve_config};

@@ -1,6 +1,6 @@
 //! Whole-run linting: the configured paper sweep, end to end.
 //!
-//! [`lint_run`] expands a [`RunConfig`] into everything the bench binaries
+//! [`lint_run`] expands a [`RunConfig`] into everything the `gnn-bench` commands
 //! would execute — all 60 (model, dataset, framework) cells of Tables IV/V,
 //! the datasets at the configured scale, and the Fig. 6 multi-GPU
 //! schedules — and runs every analysis pass over each piece:
@@ -183,22 +183,6 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
     (report, memory)
 }
 
-/// Lints and — when the config traces — saves `lint.json` and
-/// `memory.json` next to the trace artifacts. Returns the lint report
-/// either way.
-pub fn lint_and_export(cfg: &RunConfig) -> LintReport {
-    let (report, memory) = lint_run_with_memory(cfg);
-    if let Some(dir) = cfg.trace.dir() {
-        if let Err(e) = report.save(dir) {
-            eprintln!("gnn-lint: could not write lint.json: {e}");
-        }
-        if let Err(e) = memory.save(dir) {
-            eprintln!("gnn-lint: could not write memory.json: {e}");
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,26 +211,6 @@ mod tests {
             report.to_string().contains("invalid-fault-plan"),
             "{report}"
         );
-    }
-
-    #[test]
-    fn lint_and_export_writes_lint_and_memory_json() {
-        let dir = std::env::temp_dir().join("gnn-lint-test-export");
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = RunConfig::smoke().with_trace(&dir);
-        let report = lint_and_export(&cfg);
-        assert!(report.is_clean());
-        let json = std::fs::read_to_string(dir.join("lint.json")).unwrap();
-        let v = gnn_obs::json::parse(&json).unwrap();
-        assert_eq!(v.get("clean"), Some(&gnn_obs::Value::Bool(true)));
-        let json = std::fs::read_to_string(dir.join("memory.json")).unwrap();
-        let v = gnn_obs::json::parse(&json).unwrap();
-        assert_eq!(v.get("clean"), Some(&gnn_obs::Value::Bool(true)));
-        assert_eq!(
-            v.get("cells").and_then(|c| c.as_arr()).map(|c| c.len()),
-            Some(60)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (the batcher exists but never batches), and a `max_batch` beyond the
 //! dataset's admissible targets can never fill. This pass flags every
 //! degenerate knob under [`FindingKind::InvalidServeConfig`] ahead of the
-//! run — the `gnn-bench serve` binary's `--lint` gate refuses to start on
+//! run — the `gnn-bench serve` command's `--lint` gate refuses to start on
 //! any finding.
 //!
 //! It also prices every endpoint's inference footprint through the memory

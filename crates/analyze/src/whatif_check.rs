@@ -11,7 +11,7 @@
 //! component entirely only recovers what was spent on it). This pass
 //! checks every prediction against all three invariants and flags
 //! violations under [`FindingKind::WhatIfInconsistent`]; the `whatif`
-//! binary refuses to publish a report that fails its own physics.
+//! command refuses to publish a report that fails its own physics.
 
 use gnn_device::{component_label, WHATIF_COMPONENTS};
 

@@ -1,11 +1,12 @@
-//! The one flag table behind every `gnn-bench` binary.
+//! The command and flag tables behind `gnn-bench <command> [flags]`.
 //!
-//! Every flag any binary takes is one row of [`FLAGS`]: its spelling, its
+//! Every flag any command takes is one row of [`FLAGS`]: its spelling, its
 //! operand, one line of help, and the code that parses and checks the
-//! operand into [`Args`]. Every binary is one row of [`COMMANDS`] naming
-//! the flags it reads; [`parse`] refuses any other flag by name, so no
-//! binary accepts a flag it would ignore, and [`usage`] renders a
-//! binary's help from the same rows. Flags do not depend on their order: a
+//! operand into [`Args`]. Every command is one row of [`COMMANDS`]: its
+//! name, one line of help, the function that runs it, and the flags it
+//! reads; [`parse`] refuses any other flag by name, so no command accepts
+//! a flag it would ignore, and [`usage`] renders a command's help from the
+//! same rows. Flags do not depend on their order: a
 //! preset (`--quick|--full|--smoke`) picks the base configuration and
 //! every other flag overrides it wherever it stands. A flag given twice,
 //! or two flags that set the same thing (`--endpoints` and
@@ -16,6 +17,7 @@
 //! configuration's own `Default`.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use gnn_core::report::ResourceMetric;
 use gnn_core::runner::GraphDs;
@@ -26,6 +28,7 @@ use gnn_serve::{
     BatchPolicy, CellId, FleetConfig, FleetWorkload, RoutingPolicy, ServeConfig, WorkloadKind,
 };
 
+use crate::commands;
 use crate::report::{default_policies, ReportConfig};
 use crate::sample::SampleConfig;
 use crate::whatif::WhatIfConfig;
@@ -56,12 +59,12 @@ const fn row(
     }
 }
 
-/// Every flag of every `gnn-bench` binary: spelling, operand (empty for a
+/// Every flag of every `gnn-bench` command: spelling, operand (empty for a
 /// switch), help, and the parse-and-check that stores it in [`Args`].
 #[rustfmt::skip]
 pub const FLAGS: &[Flag] = &[
     // The training configuration (`RunConfig`).
-    row("--quick", "", "laptop scale: ~15% datasets, short training (the default)",
+    row("--quick", "", "laptop scale: ~15% datasets, short training (default except for lint)",
         |a, _| fill(&mut a.preset, RunConfig::quick(), "another preset")),
     row("--full", "", "paper scale: full datasets, 200 node epochs, 10 folds",
         |a, _| fill(&mut a.preset, RunConfig::paper(), "another preset")),
@@ -88,7 +91,7 @@ pub const FLAGS: &[Flag] = &[
             ("utilization", ResourceMetric::Utilization),
         ]))),
     // The run harness (`crate::Run`).
-    row("--trace", "dir", "record the run: trace.json, metrics.jsonl and artifacts in dir",
+    row("--trace", "dir", "write trace.json, metrics.jsonl and the run's other artifacts into dir",
         |a, v| set(&mut a.trace, artifact_dir(v))),
     row("--lint", "", "gnn-lint what is about to run; refuse to start on any finding",
         |a, _| on(&mut a.lint)),
@@ -162,47 +165,87 @@ pub const FLAGS: &[Flag] = &[
         |a, _| on(&mut a.conformance)),
 ];
 
-/// One binary and the flags it reads.
+/// One `gnn-bench` command: what it does, what runs it, and the flags it
+/// reads.
 pub struct Command {
-    /// Binary name.
+    /// Command name, e.g. `table4`.
     pub name: &'static str,
-    /// The [`FLAGS`] rows the binary reads, space-separated, in usage order.
+    /// One line of help for `gnn-bench --help`.
+    pub about: &'static str,
+    /// The command's body.
+    pub run: fn(Args) -> ExitCode,
+    /// The [`FLAGS`] rows the command reads, space-separated, in usage
+    /// order.
     pub flags: &'static str,
 }
 
-const fn cmd(name: &'static str, flags: &'static str) -> Command {
-    Command { name, flags }
+const fn cmd(
+    name: &'static str,
+    about: &'static str,
+    run: fn(Args) -> ExitCode,
+    flags: &'static str,
+) -> Command {
+    Command {
+        name,
+        about,
+        run,
+        flags,
+    }
 }
 
-/// Every `gnn-bench` binary and the flags it reads.
+/// Every `gnn-bench` command and the flags it reads.
 #[rustfmt::skip]
 pub const COMMANDS: &[Command] = &[
-    cmd("table1", "--quick --full --smoke --scale --seed --lint"),
-    cmd("table4", "--quick --full --smoke --scale --seed --epochs --seeds --trace --lint --faults"),
-    cmd("table5", "--quick --full --smoke --scale --seed --epochs --folds --trace --lint --faults"),
-    cmd("fig1_2", "--quick --full --smoke --scale --seed --epochs --dataset \
-                   --trace --lint --faults"),
-    cmd("fig3", "--quick --full --smoke --scale --seed --trace --lint"),
-    cmd("fig4_5", "--quick --full --smoke --scale --seed --epochs --metric \
-                   --trace --lint --faults"),
-    cmd("fig6", "--quick --full --smoke --scale --seed --trace --lint"),
-    cmd("sweep", "--quick --full --smoke --scale --seed --epochs --folds --seeds \
-                  --trace --lint --faults --ckpt --resume"),
-    cmd("serve", "--endpoints --all-endpoints --policies --requests --rate --seed --scale \
-                  --queue-cap --replicas --ckpt --trace --lint --faults"),
-    cmd("fleet", "--endpoints --all-endpoints --shards --replicas --routing --policy \
-                  --requests --rate --seed --scale --queue-cap --admission-cap --retry-budget \
-                  --hedge-after --no-autoscale --slo-ms --workload --ckpt --trace --lint --faults"),
-    cmd("sample", "--specs --fanouts --cache-rows --epochs --seed --out --lint --faults"),
-    cmd("report", "--out --baseline --threshold --scale --epochs --seed --requests --rate \
-                   --slo-ms --no-diff"),
-    cmd("whatif", "--out --cells --all-cells --scale --epochs --seed --policies --requests \
-                   --rate --slo-ms --conformance"),
-    cmd("ablation_batching", "--quick --full --smoke --scale --seed --epochs"),
-    cmd("ablation_fusion", ""),
-    cmd("ablation_launch", "--quick --full --smoke --scale --seed"),
-    cmd("ablation_overlap", "--quick --full --smoke --scale --seed"),
-    cmd("index", ""),
+    cmd("table1", "Table I: dataset statistics", commands::table1,
+        "--quick --full --smoke --scale --seed --lint"),
+    cmd("table4", "Table IV: node classification time and accuracy", commands::table4,
+        "--quick --full --smoke --scale --seed --epochs --seeds --trace --lint --faults"),
+    cmd("table5", "Table V: graph classification time and accuracy", commands::table5,
+        "--quick --full --smoke --scale --seed --epochs --folds --trace --lint --faults"),
+    cmd("fig1_2", "Figs. 1-2: epoch-time breakdown on ENZYMES or DD", commands::fig1_2,
+        "--quick --full --smoke --scale --seed --epochs --dataset --trace --lint --faults"),
+    cmd("fig3", "Fig. 3: layer-wise execution time of one ENZYMES batch", commands::fig3,
+        "--quick --full --smoke --scale --seed --trace --lint"),
+    cmd("fig4_5", "Figs. 4-5: peak memory and GPU utilization", commands::fig4_5,
+        "--quick --full --smoke --scale --seed --epochs --metric --trace --lint --faults"),
+    cmd("fig6", "Fig. 6: multi-GPU scaling of GCN/GAT on MNIST", commands::fig6,
+        "--quick --full --smoke --scale --seed --trace --lint"),
+    cmd("sweep", "Fault-isolated sweep over all 60 cells", commands::sweep,
+        "--quick --full --smoke --scale --seed --epochs --folds --seeds \
+         --trace --lint --faults --ckpt --resume"),
+    cmd("serve", "Inference serving: batching-policy sweep over trained cells", commands::serve,
+        "--endpoints --all-endpoints --policies --requests --rate --seed --scale \
+         --queue-cap --replicas --ckpt --trace --lint --faults"),
+    cmd("fleet", "Fleet serving: routing-policy sweep over sharded endpoints under chaos",
+        commands::fleet,
+        "--endpoints --all-endpoints --shards --replicas --routing --policy \
+         --requests --rate --seed --scale --queue-cap --admission-cap --retry-budget \
+         --hedge-after --no-autoscale --slo-ms --workload --ckpt --trace --lint --faults"),
+    cmd("sample", "Sampled training: fan-out/cache sweep over RMAT graphs", commands::sample,
+        "--specs --fanouts --cache-rows --epochs --seed --out --lint --faults"),
+    cmd("report", "Regression observatory: BENCH_<n>.json, diffed against a baseline",
+        commands::report,
+        "--out --baseline --threshold --scale --epochs --seed --requests --rate \
+         --slo-ms --no-diff"),
+    cmd("whatif", "Causal profiler: virtual-speedup experiments -> whatif.json",
+        commands::whatif,
+        "--out --cells --all-cells --scale --epochs --seed --policies --requests \
+         --rate --slo-ms --conformance"),
+    cmd("lint", "Static analysis of the whole configured sweep (--smoke by default)",
+        commands::lint,
+        "--quick --full --smoke --scale --seed --faults --trace"),
+    cmd("ablation_batching", "Ablation: per-epoch collation vs pre-collated batches",
+        commands::ablation_batching,
+        "--quick --full --smoke --scale --seed --epochs"),
+    cmd("ablation_fusion", "Ablation: fused GSpMM vs gather+scatter by feature width",
+        commands::ablation_fusion, ""),
+    cmd("ablation_launch", "Ablation: kernel-launch overhead vs GPU utilization",
+        commands::ablation_launch,
+        "--quick --full --smoke --scale --seed"),
+    cmd("ablation_overlap", "Ablation: prefetch overlap of loading and compute",
+        commands::ablation_overlap,
+        "--quick --full --smoke --scale --seed"),
+    cmd("index", "The experiment index: each table/figure and its command", commands::index, ""),
 ];
 
 /// What a command line set, parsed and checked. Each field holds the
@@ -255,13 +298,12 @@ pub struct Args {
     pub conformance: bool,
 }
 
-/// The [`COMMANDS`] row of binary `name`; every binary has one (a test
-/// holds the rows to the `src/bin` files).
-fn command(name: &str) -> &'static Command {
+/// The [`COMMANDS`] row named `name`.
+fn command(name: &str) -> Result<&'static Command, String> {
     COMMANDS
         .iter()
         .find(|c| c.name == name)
-        .unwrap_or_else(|| panic!("no command row for binary `{name}`"))
+        .ok_or_else(|| format!("unknown command: {name}"))
 }
 
 /// The [`FLAGS`] row spelled `name`.
@@ -269,15 +311,61 @@ fn flag(name: &str) -> Option<&'static Flag> {
     FLAGS.iter().find(|f| f.name == name)
 }
 
-/// Parses `argv` (without the program name) as binary `bin`'s command
-/// line.
+/// Runs `gnn-bench <command> [flags]`, given `argv` without the program
+/// name. `--help` prints the command list, `<command> --help` the
+/// command's usage; an unknown command, or a command line [`parse`]
+/// refuses, prints the error and the usage and exits 2.
+pub fn main(argv: &[String]) -> ExitCode {
+    let help = |a: &String| a == "--help" || a == "-h";
+    let Some((name, rest)) = argv.split_first() else {
+        return refuse("no command given", &overview());
+    };
+    if help(name) {
+        print!("{}", overview());
+        return ExitCode::SUCCESS;
+    }
+    let cmd = match command(name) {
+        Ok(cmd) => cmd,
+        Err(msg) => return refuse(&msg, &overview()),
+    };
+    if rest.iter().any(help) {
+        print!("{}", usage(name));
+        return ExitCode::SUCCESS;
+    }
+    match parse(name, rest) {
+        Ok(args) => (cmd.run)(args),
+        Err(msg) => refuse(&msg, &usage(name)),
+    }
+}
+
+/// Prints `msg` and `usage` to stderr; exit status 2.
+fn refuse(msg: &str, usage: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    eprint!("{usage}");
+    ExitCode::from(2)
+}
+
+/// `gnn-bench --help`: every command with its one line of help.
+pub(crate) fn overview() -> String {
+    let width = COMMANDS.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    let mut out = String::from("usage: gnn-bench <command> [flags]\n\ncommands:\n");
+    for c in COMMANDS {
+        out.push_str(&format!("  {:<width$}  {}\n", c.name, c.about));
+    }
+    out.push_str("\n`gnn-bench <command> --help` lists the flags a command reads.\n");
+    out
+}
+
+/// Parses `argv` (the flags after the command name) as command `name`'s
+/// command line.
 ///
 /// # Errors
 ///
-/// Returns a message naming the flag: one the binary does not read, one
-/// given twice, a missing operand, or an operand that fails its check.
-pub fn parse(bin: &str, argv: &[String]) -> Result<Args, String> {
-    let cmd = command(bin);
+/// Returns a message naming the command or the flag: an unknown command,
+/// a flag the command does not read, one given twice, a missing operand,
+/// or an operand that fails its check.
+pub fn parse(name: &str, argv: &[String]) -> Result<Args, String> {
+    let cmd = command(name)?;
     let mut args = Args::default();
     let mut given: Vec<&str> = Vec::new();
     let mut it = argv.iter();
@@ -285,7 +373,7 @@ pub fn parse(bin: &str, argv: &[String]) -> Result<Args, String> {
         let reads = cmd.flags.split_whitespace().any(|n| n == arg);
         let f = match flag(arg) {
             Some(f) if reads => f,
-            Some(_) => return Err(format!("{bin} does not take {arg}")),
+            Some(_) => return Err(format!("{name} does not take {arg}")),
             None => return Err(format!("unknown flag: {arg}")),
         };
         if given.contains(&f.name) {
@@ -303,19 +391,24 @@ pub fn parse(bin: &str, argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Binary `bin`'s usage text: one line per flag it reads.
-pub fn usage(bin: &str) -> String {
-    let rows: Vec<&Flag> = command(bin)
+/// Command `name`'s usage text: one line per flag it reads.
+///
+/// # Panics
+///
+/// Panics if `name` is not a [`COMMANDS`] row.
+pub fn usage(name: &str) -> String {
+    let rows: Vec<&Flag> = command(name)
+        .unwrap_or_else(|e| panic!("{e}"))
         .flags
         .split_whitespace()
         .filter_map(flag)
         .collect();
     if rows.is_empty() {
-        return format!("usage: {bin} (takes no flags)\n");
+        return format!("usage: gnn-bench {name} (takes no flags)\n");
     }
     let spell = |f: &Flag| format!("{} {}", f.name, f.operand).trim_end().to_owned();
     let width = rows.iter().map(|f| spell(f).len()).max().unwrap_or(0);
-    let mut out = format!("usage: {bin} [flags]\n\n");
+    let mut out = format!("usage: gnn-bench {name} [flags]\n\n");
     for f in rows {
         out.push_str(&format!("  {:<width$}  {}\n", spell(f), f.help));
     }
@@ -326,7 +419,17 @@ impl Args {
     /// The training configuration: the preset (`--quick` by default)
     /// with every other training flag applied over it.
     pub fn run_config(&self) -> RunConfig {
-        let mut cfg = self.preset.clone().unwrap_or_else(RunConfig::quick);
+        self.config_over(RunConfig::quick)
+    }
+
+    /// What `lint` checks: [`Args::run_config`] with `--smoke` as the
+    /// default preset, and the lint gate on.
+    pub fn lint_config(&self) -> RunConfig {
+        self.config_over(RunConfig::smoke).with_lint()
+    }
+
+    fn config_over(&self, default: fn() -> RunConfig) -> RunConfig {
+        let mut cfg = self.preset.clone().unwrap_or_else(default);
         cfg.scale = self.scale.unwrap_or(cfg.scale);
         cfg.seed = self.seed.unwrap_or(cfg.seed);
         cfg.node_epochs = self.epochs.unwrap_or(cfg.node_epochs);

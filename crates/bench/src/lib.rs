@@ -1,10 +1,12 @@
 //! # gnn-bench
 //!
-//! Reproduction binaries — one per table/figure of the paper — plus the
-//! one flag table and the one run harness they all share. Each binary
-//! prints the same rows/series the paper reports, at a configurable scale:
+//! The study's one executable, `gnn-bench <command> [flags]`: one command
+//! per table/figure of the paper, the harnesses around them, and the
+//! static analyzer, over one command table, one flag table and one run
+//! harness. Each table/figure command prints the same rows/series the
+//! paper reports, at a configurable scale:
 //!
-//! | Binary    | Reproduces |
+//! | Command   | Reproduces |
 //! |-----------|------------|
 //! | `table1`  | Table I — dataset statistics |
 //! | `table4`  | Table IV — node classification time/accuracy |
@@ -19,32 +21,35 @@
 //! | `fleet`   | Fleet serving: routing-policy sweep over sharded endpoints under chaos |
 //! | `report`  | Regression observatory: canonical cells + serve policies → `BENCH_<n>.json`, diffed against the previous report |
 //! | `whatif`  | Causal profiler: virtual-speedup experiments over the recorded timeline → ranked opportunities in `whatif.json` (`--conformance` re-runs the top predictions for real) |
+//! | `lint`    | `gnn-lint` over the whole configured sweep (`--smoke` by default); `--trace <dir>` writes `lint.json` and `memory.json` |
 //!
 //! plus four ablations (`ablation_*`) and `index`, the experiment index.
 //!
-//! **Flags.** Every flag is parsed, checked and documented once, in
-//! [`cli::FLAGS`]; every binary reads exactly the flags its
-//! [`cli::COMMANDS`] row lists and refuses any other by name (exit 2 with
-//! its usage). `<binary> --help` prints that list. The training binaries
-//! build a `RunConfig` from a preset (`--quick` by default, `--full`,
-//! `--smoke`) with `--scale`, `--seed`, `--epochs`, `--folds`, `--seeds`
-//! over it, in any order.
+//! **Commands and flags.** Every command is one row of [`cli::COMMANDS`]:
+//! its name, one line of help (`gnn-bench --help` lists them), the
+//! function in `commands.rs` that runs it, and the flags it reads. Every
+//! flag is parsed, checked and documented once, in [`cli::FLAGS`]; a
+//! command refuses any flag its row does not list, by name (exit 2 with
+//! its usage). `gnn-bench <command> --help` prints that list. The training
+//! commands build a `RunConfig` from a preset (`--quick` by default,
+//! `--full`, `--smoke`) with `--scale`, `--seed`, `--epochs`, `--folds`,
+//! `--seeds` over it, in any order.
 //!
-//! **The run harness.** [`Run`] is what every binary that lints, traces,
+//! **The run harness.** [`Run`] is what every command that lints, traces,
 //! arms faults or writes artifacts goes through. `--lint` runs `gnn-lint`
 //! over exactly what is about to run and refuses to start on any finding
 //! (exit 1; with `--trace`, the findings also land in `<dir>/lint.json`).
 //! `--faults <plan>` arms a deterministic fault plan — `canonical`,
 //! `canonical-fleet` (the chaos suite plus a shard blackout and a network
 //! straggler), `seeded:<n>`, or a plan file — around the work and prints
-//! the faults that fired. Every training binary runs the one loop per task
+//! the faults that fired. Every training command runs the one loop per task
 //! of `gnn-train`, so `--faults` means the same on `table4`, `table5`,
 //! `fig1_2` and `fig4_5` as on `sweep` and `sample`: a transient fault is
 //! retried (its back-off shows in the simulated times, never in losses or
 //! accuracies), a poisoned loss is rolled back and replayed, a persistent
 //! OOM halves the batch, and what outlasts that surfaces as a typed
 //! `TrainError` — recorded per cell by `sweep`/`sample`, a panic naming it
-//! in the binaries that have no cell record to put it in. `--trace <dir>`
+//! in the commands that have no cell record to put it in. `--trace <dir>`
 //! records the run and writes `trace.json` (Chrome trace-event format) and
 //! `metrics.jsonl` (one record per training epoch) into `<dir>`, followed
 //! by a run-wide summary. Only `sweep` trains under `--ckpt <dir>` (per-cell
@@ -53,13 +58,14 @@
 //! trained weights. A failed artifact write, a dropped request, a failed
 //! cell or a regression ends the run with exit 1.
 //!
-//! Every number these binaries print is *simulated* device time. The real
+//! Every number these commands print is *simulated* device time. The real
 //! CPU time of the library itself — the tensor kernels, the message-passing
 //! lowerings, the two frameworks' collation paths, whole workloads — is
 //! measured by the standalone `benchmark/` package (see its README), which
 //! records what it times and gates on it.
 
 pub mod cli;
+mod commands;
 pub mod report;
 pub mod sample;
 pub mod whatif;
@@ -74,26 +80,9 @@ use gnn_faults::FaultPlan;
 use gnn_lint::LintReport;
 use gnn_serve::{ServeConfigError, ServeReport};
 
-/// Parses this process's command line as binary `bin`'s (each binary
-/// passes `env!("CARGO_BIN_NAME")`). `--help` prints the binary's usage
-/// and exits 0; a command line [`cli::parse`] refuses prints the error and
-/// the usage and exits 2.
-pub fn args(bin: &str) -> cli::Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", cli::usage(bin));
-        std::process::exit(0);
-    }
-    cli::parse(bin, &argv).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        eprint!("{}", cli::usage(bin));
-        std::process::exit(2);
-    })
-}
-
 /// The one run harness: the lint gate, the fault plan, the trace
 /// collector, artifact writes and the exit status, the same for every
-/// binary.
+/// command.
 pub struct Run {
     trace: Option<PathBuf>,
     faults: Option<FaultPlan>,
@@ -128,7 +117,7 @@ impl Run {
         run
     }
 
-    /// The trace directory, where a binary puts its own artifacts.
+    /// The trace directory, where a command puts its own artifacts.
     pub fn trace_dir(&self) -> Option<&Path> {
         self.trace.as_deref()
     }
@@ -279,14 +268,14 @@ mod tests {
     use gnn_core::runner::GraphDs;
     use gnn_serve::{FleetWorkload, RoutingPolicy, WorkloadKind};
 
-    /// Parses `line`, split on whitespace, as binary `bin`'s command line.
-    fn args(bin: &str, line: &str) -> Result<Args, String> {
+    /// Parses `line`, split on whitespace, as command `cmd`'s flags.
+    fn args(cmd: &str, line: &str) -> Result<Args, String> {
         let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
-        parse(bin, &argv)
+        parse(cmd, &argv)
     }
 
-    fn cfg(bin: &str, line: &str) -> RunConfig {
-        args(bin, line).unwrap().run_config()
+    fn cfg(cmd: &str, line: &str) -> RunConfig {
+        args(cmd, line).unwrap().run_config()
     }
 
     #[test]
@@ -617,7 +606,7 @@ mod tests {
 
     #[test]
     fn binaries_refuse_the_flags_they_do_not_read() {
-        for (bin, flag) in [
+        for (cmd, flag) in [
             ("table1", "--trace"),
             ("table1", "--epochs"),
             ("table4", "--ckpt"),
@@ -635,15 +624,57 @@ mod tests {
             ("sample", "--ckpt"),
             ("report", "--trace"),
             ("whatif", "--faults"),
+            ("lint", "--lint"),
         ] {
-            let err = args(bin, flag).unwrap_err();
-            assert_eq!(err, format!("{bin} does not take {flag}"));
+            let err = args(cmd, flag).unwrap_err();
+            assert_eq!(err, format!("{cmd} does not take {flag}"));
             assert!(
-                !usage(bin).contains(&format!("{flag} ")),
-                "{bin} lists {flag}"
+                !usage(cmd).contains(&format!("{flag} ")),
+                "{cmd} lists {flag}"
             );
         }
         assert!(usage("index").contains("takes no flags"));
+    }
+
+    #[test]
+    fn lint_reads_its_flags_in_any_order() {
+        let lint = |line: &str| args("lint", line).unwrap().lint_config();
+        assert_eq!(lint(""), RunConfig::smoke().with_lint());
+        let c = lint("--faults canonical --full");
+        assert_eq!(c, lint("--full --faults canonical"));
+        assert_eq!(c.faults, Some(FaultPlan::canonical()));
+        assert_eq!(c.scale, RunConfig::paper().scale);
+        let c = lint("--scale 0.1 --full --trace out/lint");
+        assert_eq!(c, lint("--full --trace out/lint --scale 0.1"));
+        assert_eq!((c.scale, c.folds), (0.1, RunConfig::paper().folds));
+        assert_eq!(c.trace.dir(), Some(Path::new("out/lint")));
+        for (line, err) in [
+            ("--epochs 3", "lint does not take --epochs"),
+            ("--ckpt out/ckpt", "lint does not take --ckpt"),
+            ("--json out/lint", "unknown flag: --json"),
+        ] {
+            assert_eq!(args("lint", line).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn lint_writes_lint_and_memory_json() {
+        let dir = std::env::temp_dir().join(format!("gnn_bench_lint_{}", std::process::id()));
+        let line = format!("--trace {}", dir.display());
+        let status = commands::lint(args("lint", &line).unwrap());
+        assert_eq!(status, ExitCode::SUCCESS);
+        let doc = |name: &str| {
+            let text = std::fs::read_to_string(dir.join(name)).unwrap();
+            gnn_obs::json::parse(&text).unwrap()
+        };
+        for name in ["lint.json", "memory.json"] {
+            assert_eq!(doc(name).get("clean"), Some(&gnn_obs::Value::Bool(true)));
+        }
+        let cells = doc("memory.json")
+            .get("cells")
+            .and_then(|c| c.as_arr().map(<[_]>::len));
+        assert_eq!(cells, Some(60));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -656,17 +687,15 @@ mod tests {
     }
 
     #[test]
-    fn every_binary_has_one_row_and_every_row_is_read() {
-        let bins: std::collections::BTreeSet<String> =
-            std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin"))
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
-                .collect();
-        let rows: std::collections::BTreeSet<String> =
-            COMMANDS.iter().map(|c| c.name.to_owned()).collect();
-        assert_eq!(bins, rows);
-        assert_eq!(rows.len(), COMMANDS.len(), "one row per binary");
+    fn every_command_has_one_row_and_every_row_is_read() {
+        for (i, c) in COMMANDS.iter().enumerate() {
+            assert!(
+                COMMANDS[..i].iter().all(|d| d.name != c.name),
+                "{} twice",
+                c.name
+            );
+        }
+        assert_eq!(args("tabel4", "").unwrap_err(), "unknown command: tabel4");
         for (i, f) in FLAGS.iter().enumerate() {
             assert!(
                 FLAGS[..i].iter().all(|g| g.name != f.name),
@@ -674,7 +703,11 @@ mod tests {
                 f.name
             );
             let read = |c: &cli::Command| c.flags.split_whitespace().any(|n| n == f.name);
-            assert!(COMMANDS.iter().any(read), "{} is read by no binary", f.name);
+            assert!(
+                COMMANDS.iter().any(read),
+                "{} is read by no command",
+                f.name
+            );
         }
         for c in COMMANDS {
             for name in c.flags.split_whitespace() {
@@ -684,37 +717,66 @@ mod tests {
         }
     }
 
-    /// Every `gnn-bench` invocation a reader or CI is shown — `--bin <name>
-    /// -- <flags>` and `./target/release/<name> <flags>` — as `(name, argv)`.
+    #[test]
+    fn every_command_row_has_a_description() {
+        let overview = cli::overview();
+        for c in COMMANDS {
+            assert!(!c.about.trim().is_empty(), "{} has no description", c.name);
+            let listed = |l: &str| l.trim_start().starts_with(c.name) && l.ends_with(c.about);
+            assert!(overview.lines().any(listed), "{} is not listed", c.name);
+        }
+    }
+
+    /// Every `gnn-bench` command line a reader or CI is shown —
+    /// `gnn-bench <command> <flags>`, `./target/release/gnn-bench <command>
+    /// <flags>` and `cargo run ... -p gnn-bench -- <command> <flags>` — as
+    /// `(command, flags)`. A `--bin <name>` names a binary that no longer
+    /// exists and comes back as the command `--bin <name>`.
     fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
         let text = text.replace("\\\n", " ");
+        let word = |t: &str| t.trim_matches(|c| "`(),.;:".contains(c)).to_owned();
         let mut found = Vec::new();
         for line in text.lines() {
             let tokens: Vec<&str> = line.split_whitespace().collect();
             for (i, &token) in tokens.iter().enumerate() {
-                let (name, rest) = match token.strip_prefix("./target/release/") {
-                    Some(name) => (name, &tokens[i + 1..]),
-                    None if token == "--bin" && i + 1 < tokens.len() => {
-                        let rest = &tokens[i + 2..];
-                        (tokens[i + 1], rest.strip_prefix(&["--"][..]).unwrap_or(&[]))
+                let rest = match token {
+                    "--bin" => {
+                        let name = tokens.get(i + 1).map_or(String::new(), |t| word(t));
+                        found.push((format!("--bin {name}"), Vec::new()));
+                        continue;
                     }
-                    None => continue,
+                    // `cargo run ... -p gnn-bench ... -- <command>`; no other
+                    // cargo subcommand runs a command line.
+                    "gnn-bench" if i > 0 && tokens[i - 1] == "-p" => {
+                        match tokens[i..].iter().position(|&t| t == "--") {
+                            Some(dash) if tokens[..i].contains(&"run") => &tokens[i + dash + 1..],
+                            _ => continue,
+                        }
+                    }
+                    _ if token.trim_start_matches(['`', '(']).rsplit('/').next()
+                        == Some("gnn-bench") =>
+                    {
+                        &tokens[i + 1..]
+                    }
+                    _ => continue,
                 };
-                let name = name.trim_matches(|c| c == '`' || c == '.' || c == ',');
-                if COMMANDS.iter().all(|c| c.name != name) {
-                    continue;
-                }
-                let mut argv = Vec::new();
-                for &arg in rest {
-                    if arg.starts_with('#') || ["&&", "|", ">", ";"].contains(&arg) {
+                let mut words = Vec::new();
+                for &raw in rest {
+                    if raw.starts_with('#') || ["&&", "|", ">", ";"].contains(&raw) {
                         break;
                     }
-                    argv.push(arg.trim_matches('`').to_owned());
-                    if arg.ends_with('`') {
+                    words.push(word(raw));
+                    if raw.trim_end_matches(|c| "),.;:".contains(c)).ends_with('`') {
                         break;
                     }
                 }
-                found.push((name.to_owned(), argv));
+                match words.split_first() {
+                    // Neither `<command>` nor `--help` is a command.
+                    Some((command, argv)) if !command.starts_with(['<', '-']) => {
+                        found.push((command.clone(), argv.to_vec()));
+                    }
+                    _ => {}
+                }
             }
         }
         found
@@ -732,16 +794,18 @@ mod tests {
             ".claude/skills/verify/SKILL.md",
         ] {
             let text = std::fs::read_to_string(format!("{root}/{doc}")).unwrap();
-            for (bin, argv) in documented_invocations(&text) {
-                if let Err(e) = parse(&bin, &argv) {
-                    panic!("{doc}: `{bin} {}`: {e}", argv.join(" "));
+            for (command, argv) in documented_invocations(&text) {
+                if let Err(e) = parse(&command, &argv) {
+                    panic!("{doc}: `gnn-bench {command} {}`: {e}", argv.join(" "));
                 }
                 checked += 1;
             }
         }
         for e in &gnn_core::experiments::EXPERIMENTS {
-            for (bin, argv) in documented_invocations(e.command) {
-                assert!(parse(&bin, &argv).is_ok(), "{}", e.command);
+            let found = documented_invocations(e.command);
+            assert_eq!(found.len(), 1, "{}", e.command);
+            for (command, argv) in found {
+                assert!(parse(&command, &argv).is_ok(), "{}", e.command);
                 checked += 1;
             }
         }

@@ -15,7 +15,9 @@
 //! with the same config reproduces the file byte-for-byte. CI runs the
 //! report twice and `cmp`s the outputs.
 //!
-//! [`diff_reports`] compares two documents metric by metric with a
+//! The document is written once and never parsed back into these types:
+//! [`resolve_baseline`] reads a baseline as a [`Value`] tree, and
+//! [`diff_reports`] compares two trees metric by metric with a
 //! configurable regression threshold: time-like metrics regress when they
 //! grow past `previous * (1 + threshold)`, attainment-like metrics when
 //! they shrink past `previous * (1 - threshold)`.
@@ -200,11 +202,9 @@ pub struct SampleCellReport {
     pub test_acc: f64,
 }
 
-/// The full report document.
+/// The full report document, tagged [`REPORT_SCHEMA`] when rendered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Schema tag ([`REPORT_SCHEMA`]).
-    pub schema: String,
     /// Config echo: scale, epochs, seed, requests, rate, SLO target.
     pub config: Vec<(String, f64)>,
     /// One entry per trained cell, in config order.
@@ -348,7 +348,6 @@ pub fn run_report(cfg: &ReportConfig) -> BenchReport {
         });
     }
     BenchReport {
-        schema: REPORT_SCHEMA.to_owned(),
         config: vec![
             ("scale".to_owned(), cfg.scale),
             ("epochs".to_owned(), cfg.epochs as f64),
@@ -368,7 +367,7 @@ impl BenchReport {
     /// The document as a JSON tree (deterministic key order).
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
-            ("schema".into(), Value::from(self.schema.as_str())),
+            ("schema".into(), Value::from(REPORT_SCHEMA)),
             (
                 "config".into(),
                 Value::Obj(
@@ -562,132 +561,6 @@ impl BenchReport {
     }
 }
 
-/// Parses a report document, validating the schema tag.
-///
-/// # Errors
-///
-/// Returns a diagnostic on malformed JSON, a wrong schema tag, or missing
-/// fields.
-pub fn parse_bench_report(text: &str) -> Result<BenchReport, String> {
-    let doc = json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .ok_or("missing schema tag")?;
-    if schema != REPORT_SCHEMA {
-        return Err(format!(
-            "schema mismatch: file is `{schema}`, this build reads `{REPORT_SCHEMA}`"
-        ));
-    }
-    let config = doc
-        .get("config")
-        .and_then(|c| c.as_obj())
-        .ok_or("missing config object")?
-        .iter()
-        .map(|(k, v)| {
-            v.as_f64()
-                .map(|n| (k.clone(), n))
-                .ok_or_else(|| format!("config.{k} is not a number"))
-        })
-        .collect::<Result<_, _>>()?;
-    let num = |obj: &Value, key: &str| -> Result<f64, String> {
-        obj.get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("missing numeric field `{key}`"))
-    };
-    let text_field = |obj: &Value, key: &str| -> Result<String, String> {
-        obj.get(key)
-            .and_then(|v| v.as_str())
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string field `{key}`"))
-    };
-    let cells = doc
-        .get("cells")
-        .and_then(|c| c.as_arr())
-        .ok_or("missing cells array")?
-        .iter()
-        .map(|c| {
-            Ok(CellReport {
-                cell: text_field(c, "cell")?,
-                epoch_time: num(c, "epoch_time")?,
-                total_time: num(c, "total_time")?,
-                kernel_time: num(c, "kernel_time")?,
-                transfer_time: num(c, "transfer_time")?,
-                idle_time: num(c, "idle_time")?,
-                flops: num(c, "flops")? as u64,
-                bytes: num(c, "bytes")? as u64,
-                arithmetic_intensity: num(c, "arithmetic_intensity")?,
-                roofline_utilization: num(c, "roofline_utilization")?,
-                utilization: num(c, "utilization")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let sample = doc
-        .get("sample")
-        .and_then(|s| s.as_arr())
-        .ok_or("missing sample array")?
-        .iter()
-        .map(|c| {
-            Ok(SampleCellReport {
-                cell: text_field(c, "cell")?,
-                epoch_time: num(c, "epoch_time")?,
-                total_time: num(c, "total_time")?,
-                kernel_time: num(c, "kernel_time")?,
-                transfer_time: num(c, "transfer_time")?,
-                cache_hit_rate: num(c, "cache_hit_rate")?,
-                test_acc: num(c, "test_acc")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let serve = doc
-        .get("serve")
-        .and_then(|s| s.as_arr())
-        .ok_or("missing serve array")?
-        .iter()
-        .map(|s| {
-            Ok(ServePolicyReport {
-                policy: text_field(s, "policy")?,
-                p50: num(s, "p50")?,
-                p95: num(s, "p95")?,
-                p99: num(s, "p99")?,
-                throughput: num(s, "throughput")?,
-                slo_attainment: num(s, "slo_attainment")?,
-                served: num(s, "served")? as usize,
-                rejected: num(s, "rejected")? as usize,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let fleet = doc
-        .get("fleet")
-        .and_then(|f| f.as_arr())
-        .ok_or("missing fleet array")?
-        .iter()
-        .map(|f| {
-            Ok(FleetPolicyReport {
-                routing: text_field(f, "routing")?,
-                p50: num(f, "p50")?,
-                p95: num(f, "p95")?,
-                p99: num(f, "p99")?,
-                throughput: num(f, "throughput")?,
-                slo_attainment: num(f, "slo_attainment")?,
-                answered: num(f, "answered")? as usize,
-                shed: num(f, "shed")? as usize,
-                retries: num(f, "retries")? as usize,
-                hedges: num(f, "hedges")? as usize,
-                failover_p99: num(f, "failover_p99")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(BenchReport {
-        schema: schema.to_owned(),
-        config,
-        cells,
-        sample,
-        serve,
-        fleet,
-    })
-}
-
 /// One metric compared between two reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffLine {
@@ -713,139 +586,75 @@ impl DiffLine {
     }
 }
 
-fn compare(
-    metric: String,
-    previous: f64,
-    current: f64,
-    threshold: f64,
-    higher_is_worse: bool,
-    out: &mut Vec<DiffLine>,
-) {
-    let regression = if higher_is_worse {
-        current > previous * (1.0 + threshold)
-    } else {
-        current < previous * (1.0 - threshold)
-    };
-    out.push(DiffLine {
-        metric,
-        previous,
-        current,
-        regression,
-    });
-}
+/// What [`diff_reports`] compares, one row per metric:
+/// `(section, id field, label prefix, metric, higher_is_worse)`. Rows of
+/// one section are adjacent, in the order their lines are printed.
+#[rustfmt::skip]
+const DIFFED: &[(&str, &str, &str, &str, bool)] = &[
+    ("cells", "cell", "", "epoch_time", true),
+    ("cells", "cell", "", "roofline_utilization", false),
+    ("sample", "cell", "", "epoch_time", true),
+    ("sample", "cell", "", "cache_hit_rate", false),
+    ("serve", "policy", "serve ", "p95", true),
+    ("serve", "policy", "serve ", "p99", true),
+    ("serve", "policy", "serve ", "slo_attainment", false),
+    ("fleet", "routing", "fleet ", "p99", true),
+    ("fleet", "routing", "fleet ", "slo_attainment", false),
+    ("fleet", "routing", "fleet ", "failover_p99", true),
+];
 
-/// Compares `current` against `previous` metric by metric. Time-like
-/// metrics (epoch time, latency percentiles) regress when they grow past
-/// the threshold; attainment regresses when it shrinks past it. Metrics
-/// present on only one side are skipped — the diff tracks drift, not
-/// coverage.
+/// Compares the `current` report document against `previous` metric by
+/// metric, for every `DIFFED` row. Time-like metrics (epoch time,
+/// latency percentiles) regress when they grow past the threshold;
+/// attainment regresses when it shrinks past it. Rows present on only one
+/// side are skipped — the diff tracks drift, not coverage.
+///
+/// # Errors
+///
+/// Names the section or metric when either document lacks a diffed
+/// section, or a matched row lacks a diffed metric or holds a non-number
+/// there.
 pub fn diff_reports(
-    previous: &BenchReport,
-    current: &BenchReport,
+    previous: &Value,
+    current: &Value,
     threshold: f64,
-) -> Vec<DiffLine> {
+) -> Result<Vec<DiffLine>, String> {
+    fn rows<'a>(doc: &'a Value, section: &str) -> Result<&'a [Value], String> {
+        (doc.get(section).and_then(Value::as_arr)).ok_or(format!("no `{section}` array"))
+    }
     let mut out = Vec::new();
-    for cur in &current.cells {
-        let Some(prev) = previous.cells.iter().find(|c| c.cell == cur.cell) else {
-            continue;
-        };
-        compare(
-            format!("{} epoch_time", cur.cell),
-            prev.epoch_time,
-            cur.epoch_time,
-            threshold,
-            true,
-            &mut out,
-        );
-        compare(
-            format!("{} roofline_utilization", cur.cell),
-            prev.roofline_utilization,
-            cur.roofline_utilization,
-            threshold,
-            false,
-            &mut out,
-        );
+    for metrics in DIFFED.chunk_by(|a, b| a.0 == b.0) {
+        let (section, id, prefix, ..) = metrics[0];
+        let previous_rows = rows(previous, section)?;
+        for cur in rows(current, section)? {
+            let name = cur.get(id).and_then(Value::as_str).unwrap_or_default();
+            let Some(prev) = previous_rows
+                .iter()
+                .find(|p| p.get(id).and_then(Value::as_str) == Some(name))
+            else {
+                continue;
+            };
+            for &(.., metric, higher_is_worse) in metrics {
+                let value = |row: &Value| {
+                    (row.get(metric).and_then(Value::as_f64))
+                        .ok_or(format!("{section} `{name}`: `{metric}` is not a number"))
+                };
+                let (previous, current) = (value(prev)?, value(cur)?);
+                let regression = if higher_is_worse {
+                    current > previous * (1.0 + threshold)
+                } else {
+                    current < previous * (1.0 - threshold)
+                };
+                out.push(DiffLine {
+                    metric: format!("{prefix}{name} {metric}"),
+                    previous,
+                    current,
+                    regression,
+                });
+            }
+        }
     }
-    for cur in &current.sample {
-        let Some(prev) = previous.sample.iter().find(|c| c.cell == cur.cell) else {
-            continue;
-        };
-        compare(
-            format!("{} epoch_time", cur.cell),
-            prev.epoch_time,
-            cur.epoch_time,
-            threshold,
-            true,
-            &mut out,
-        );
-        compare(
-            format!("{} cache_hit_rate", cur.cell),
-            prev.cache_hit_rate,
-            cur.cache_hit_rate,
-            threshold,
-            false,
-            &mut out,
-        );
-    }
-    for cur in &current.serve {
-        let Some(prev) = previous.serve.iter().find(|s| s.policy == cur.policy) else {
-            continue;
-        };
-        compare(
-            format!("serve {} p95", cur.policy),
-            prev.p95,
-            cur.p95,
-            threshold,
-            true,
-            &mut out,
-        );
-        compare(
-            format!("serve {} p99", cur.policy),
-            prev.p99,
-            cur.p99,
-            threshold,
-            true,
-            &mut out,
-        );
-        compare(
-            format!("serve {} slo_attainment", cur.policy),
-            prev.slo_attainment,
-            cur.slo_attainment,
-            threshold,
-            false,
-            &mut out,
-        );
-    }
-    for cur in &current.fleet {
-        let Some(prev) = previous.fleet.iter().find(|f| f.routing == cur.routing) else {
-            continue;
-        };
-        compare(
-            format!("fleet {} p99", cur.routing),
-            prev.p99,
-            cur.p99,
-            threshold,
-            true,
-            &mut out,
-        );
-        compare(
-            format!("fleet {} slo_attainment", cur.routing),
-            prev.slo_attainment,
-            cur.slo_attainment,
-            threshold,
-            false,
-            &mut out,
-        );
-        compare(
-            format!("fleet {} failover_p99", cur.routing),
-            prev.failover_p99,
-            cur.failover_p99,
-            threshold,
-            true,
-            &mut out,
-        );
-    }
-    out
+    Ok(out)
 }
 
 /// Renders the diff lines; regressions are prefixed `REGRESSION`.
@@ -871,21 +680,28 @@ pub fn render_diff(lines: &[DiffLine]) -> String {
 }
 
 /// Resolves the first readable baseline among `candidates`, in order,
-/// returning it alongside one warning line per candidate skipped. A
-/// candidate fails (and falls through to the next) when the file is
-/// unreadable or the document does not parse — most commonly an older
-/// schema version still checked in for history, e.g. a `v2` report from
-/// before the `sample` section existed. Falling through instead of
-/// erroring lets a report trajectory cross schema bumps without manual
-/// baseline surgery.
-pub fn resolve_baseline(candidates: &[PathBuf]) -> (Option<(PathBuf, BenchReport)>, Vec<String>) {
+/// returning its document tree alongside one warning line per candidate
+/// skipped. A candidate fails (and falls through to the next) when the
+/// file is unreadable, is not JSON, or carries another schema tag — most
+/// commonly an older schema version still checked in for history, e.g. a
+/// `v2` report from before the `sample` section existed. Falling through
+/// instead of erroring lets a report trajectory cross schema bumps without
+/// manual baseline surgery.
+pub fn resolve_baseline(candidates: &[PathBuf]) -> (Option<(PathBuf, Value)>, Vec<String>) {
     let mut warnings = Vec::new();
     for p in candidates {
-        match std::fs::read_to_string(p)
+        let doc = std::fs::read_to_string(p)
             .map_err(|e| e.to_string())
-            .and_then(|text| parse_bench_report(&text))
-        {
-            Ok(r) => return (Some((p.clone(), r)), warnings),
+            .and_then(|text| json::parse(&text))
+            .and_then(|doc| match doc.get("schema").and_then(Value::as_str) {
+                Some(REPORT_SCHEMA) => Ok(doc),
+                Some(schema) => Err(format!(
+                    "schema mismatch: file is `{schema}`, this build reads `{REPORT_SCHEMA}`"
+                )),
+                None => Err("missing schema tag".to_owned()),
+            });
+        match doc {
+            Ok(doc) => return (Some((p.clone(), doc)), warnings),
             Err(e) => warnings.push(format!("baseline {} unreadable: {e}", p.display())),
         }
     }
@@ -915,7 +731,6 @@ mod tests {
 
     fn sample() -> BenchReport {
         BenchReport {
-            schema: REPORT_SCHEMA.to_owned(),
             config: vec![("scale".into(), 0.05), ("epochs".into(), 2.0)],
             cells: vec![CellReport {
                 cell: "table4/Cora/GCN/PyG".into(),
@@ -965,21 +780,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn document_round_trips() {
-        let r = sample();
-        let text = r.to_json();
-        let back = parse_bench_report(&text).expect("parse own output");
-        assert_eq!(back, r);
-        // And the rendering is stable through a round trip.
-        assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn parser_rejects_wrong_schema() {
-        let text = sample().to_json().replace(REPORT_SCHEMA, "bogus/v9");
-        let err = parse_bench_report(&text).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
+    fn diff(previous: &BenchReport, current: &BenchReport) -> Vec<DiffLine> {
+        diff_reports(&previous.to_value(), &current.to_value(), 0.05).unwrap()
     }
 
     #[test]
@@ -989,16 +791,14 @@ mod tests {
         cur.cells[0].epoch_time *= 1.20; // +20% over a 5% threshold
         cur.serve[0].slo_attainment = 0.80; // attainment drop
         cur.fleet[0].failover_p99 *= 2.0; // failover latency growth
-        let lines = diff_reports(&prev, &cur, 0.05);
+        let lines = diff(&prev, &cur);
         let regressions: Vec<&DiffLine> = lines.iter().filter(|l| l.regression).collect();
         assert_eq!(regressions.len(), 3, "{}", render_diff(&lines));
         assert!(regressions[0].metric.contains("epoch_time"));
         assert!(regressions[1].metric.contains("slo_attainment"));
         assert!(regressions[2].metric.contains("failover_p99"));
         // Identical reports never regress.
-        assert!(diff_reports(&prev, &prev, 0.05)
-            .iter()
-            .all(|l| !l.regression));
+        assert!(diff(&prev, &prev).iter().all(|l| !l.regression));
     }
 
     #[test]
@@ -1006,7 +806,7 @@ mod tests {
         let prev = sample();
         let mut cur = sample();
         cur.cells[0].cell = "table4/PubMed/GCN/PyG".into();
-        let lines = diff_reports(&prev, &cur, 0.05);
+        let lines = diff(&prev, &cur);
         assert!(lines.iter().all(|l| {
             l.metric.starts_with("sample/")
                 || l.metric.starts_with("serve ")
@@ -1014,7 +814,7 @@ mod tests {
         }));
         cur.sample[0].cell = "sample/rmat-64k-neighbor/SAGE/PyG".into();
         cur.fleet[0].routing = "least-loaded".into();
-        let lines = diff_reports(&prev, &cur, 0.05);
+        let lines = diff(&prev, &cur);
         assert!(lines.iter().all(|l| l.metric.starts_with("serve ")));
     }
 
@@ -1024,11 +824,52 @@ mod tests {
         let mut cur = sample();
         cur.sample[0].epoch_time *= 1.20;
         cur.sample[0].cache_hit_rate = 0.40; // hit-rate collapse
-        let lines = diff_reports(&prev, &cur, 0.05);
+        let lines = diff(&prev, &cur);
         let regressions: Vec<&DiffLine> = lines.iter().filter(|l| l.regression).collect();
         assert_eq!(regressions.len(), 2, "{}", render_diff(&lines));
         assert!(regressions[0].metric.contains("epoch_time"));
         assert!(regressions[1].metric.contains("cache_hit_rate"));
+    }
+
+    #[test]
+    fn diff_lines_follow_the_document_order() {
+        let mut prev = sample();
+        prev.cells.push(CellReport {
+            cell: "table5/DD/GIN/DGL".into(),
+            ..prev.cells[0].clone()
+        });
+        let labels: Vec<String> = diff(&prev, &prev).into_iter().map(|l| l.metric).collect();
+        assert_eq!(
+            labels[..5],
+            [
+                "table4/Cora/GCN/PyG epoch_time",
+                "table4/Cora/GCN/PyG roofline_utilization",
+                "table5/DD/GIN/DGL epoch_time",
+                "table5/DD/GIN/DGL roofline_utilization",
+                "sample/rmat-4k-neighbor/SAGE/PyG epoch_time",
+            ]
+        );
+        assert_eq!(labels.len(), 12);
+        assert_eq!(labels[6], "serve b4/d1000us p95");
+        assert_eq!(labels[11], "fleet consistent-hash failover_p99");
+    }
+
+    #[test]
+    fn diff_refuses_a_baseline_row_without_its_metric() {
+        let current = sample().to_value();
+        let text = sample()
+            .to_json()
+            .replace("\"p99\":0.003", "\"p99\":\"fast\"");
+        let err = diff_reports(&json::parse(&text).unwrap(), &current, 0.05).unwrap_err();
+        assert_eq!(err, "serve `b4/d1000us`: `p99` is not a number");
+        let text = sample()
+            .to_json()
+            .replace("\"roofline_utilization\"", "\"roofline\"");
+        let err = diff_reports(&json::parse(&text).unwrap(), &current, 0.05).unwrap_err();
+        assert!(err.contains("`roofline_utilization`"), "{err}");
+        let text = sample().to_json().replace("\"fleet\"", "\"fleets\"");
+        let err = diff_reports(&json::parse(&text).unwrap(), &current, 0.05).unwrap_err();
+        assert_eq!(err, "no `fleet` array");
     }
 
     #[test]
@@ -1047,7 +888,7 @@ mod tests {
         let (found, warnings) = resolve_baseline(&[missing.clone(), old.clone(), new.clone()]);
         let (path, report) = found.expect("v3 candidate resolves");
         assert_eq!(path, new);
-        assert_eq!(report, sample());
+        assert_eq!(report, sample().to_value());
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("nope.json"), "{}", warnings[0]);
         assert!(

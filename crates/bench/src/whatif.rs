@@ -42,7 +42,7 @@ use gnn_device::{
 use gnn_lint::report::Finding;
 use gnn_lint::whatif_check::{check_whatif, WhatIfCellAudit};
 use gnn_obs::whatif::{component_budgets, replay_schedule, SchedEntry};
-use gnn_obs::{self as obs, json, Value};
+use gnn_obs::{self as obs, Value};
 use gnn_serve::{BatchPolicy, CellId, ServeConfig, ServeReport};
 
 use crate::report::{default_policies, train_cell};
@@ -58,39 +58,20 @@ pub const SPEEDUP_GRID: [f64; 5] = [1.1, 1.25, 1.5, 2.0, f64::INFINITY];
 /// "what a focused optimization effort plausibly buys" reference point.
 pub const REFERENCE_SPEEDUP: f64 = 2.0;
 
-/// Stable string label of a grid factor (`inf` for `INFINITY`) — the JSON
-/// encoding, since infinity is not a valid JSON number.
+/// Stable string label of each [`SPEEDUP_GRID`] factor, in grid order —
+/// the JSON encoding, since infinity is not a valid JSON number.
+const SPEEDUP_LABELS: [&str; 5] = ["1.1", "1.25", "1.5", "2", "inf"];
+
+/// The label of grid factor `k`: its `SPEEDUP_LABELS` entry.
 ///
 /// # Panics
 ///
 /// Panics on a factor outside [`SPEEDUP_GRID`].
 pub fn speedup_label(k: f64) -> &'static str {
-    if k == 1.1 {
-        "1.1"
-    } else if k == 1.25 {
-        "1.25"
-    } else if k == 1.5 {
-        "1.5"
-    } else if k == 2.0 {
-        "2"
-    } else if k == f64::INFINITY {
-        "inf"
-    } else {
-        panic!("speedup {k} is not on the what-if grid")
+    match SPEEDUP_GRID.iter().position(|&g| g == k) {
+        Some(i) => SPEEDUP_LABELS[i],
+        None => panic!("speedup {k} is not on the what-if grid"),
     }
-}
-
-/// Inverse of [`speedup_label`].
-pub fn parse_speedup(label: &str) -> Option<f64> {
-    SPEEDUP_GRID
-        .iter()
-        .copied()
-        .find(|&k| speedup_label(k) == label)
-}
-
-/// Component index of a [`component_label`] string.
-pub fn component_from_label(label: &str) -> Option<usize> {
-    (0..WHATIF_COMPONENTS).find(|&c| component_label(c) == label)
 }
 
 /// What one what-if profiling run covers. Mirrors the report harness's
@@ -242,11 +223,9 @@ pub struct Opportunity {
     pub bound: String,
 }
 
-/// The full what-if document.
+/// The full what-if document, tagged [`WHATIF_SCHEMA`] when rendered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIfReport {
-    /// Schema tag ([`WHATIF_SCHEMA`]).
-    pub schema: String,
     /// Config echo: scale, epochs, seed, requests, rate, SLO target.
     pub config: Vec<(String, f64)>,
     /// One entry per profiled cell, in config order.
@@ -378,7 +357,6 @@ pub fn run_whatif(cfg: &WhatIfConfig) -> WhatIfReport {
 
     let opportunities = rank_opportunities(&cells, &aggregates);
     WhatIfReport {
-        schema: WHATIF_SCHEMA.to_owned(),
         config: vec![
             ("scale".to_owned(), cfg.scale),
             ("epochs".to_owned(), cfg.epochs as f64),
@@ -511,7 +489,7 @@ impl ConformanceRecord {
 /// index, so a full 60-cell run samples every component and factor
 /// several times over — really re-trains the cell under the overlaid
 /// cost model, and records predicted vs measured end-to-end time. The
-/// replay is exact, so the two must agree to the bit; the binary gates on
+/// replay is exact, so the two must agree to the bit; the `whatif` command gates on
 /// [`ConformanceRecord::relative_error`].
 pub fn run_conformance(cfg: &WhatIfConfig, report: &WhatIfReport) -> Vec<ConformanceRecord> {
     let mut records = Vec::with_capacity(cfg.cells.len());
@@ -595,7 +573,7 @@ impl WhatIfReport {
     /// The document as a JSON tree (deterministic key order).
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
-            ("schema".into(), Value::from(self.schema.as_str())),
+            ("schema".into(), Value::from(WHATIF_SCHEMA)),
             (
                 "config".into(),
                 Value::Obj(
@@ -772,165 +750,10 @@ impl WhatIfReport {
     }
 }
 
-fn parse_latency(v: &Value) -> Result<ServeLatency, String> {
-    let num = |key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(|x| x.as_f64())
-            .ok_or_else(|| format!("missing numeric field `{key}`"))
-    };
-    Ok(ServeLatency {
-        p50: num("p50")?,
-        p95: num("p95")?,
-        p99: num("p99")?,
-        slo_attainment: num("slo_attainment")?,
-        throughput: num("throughput")?,
-        makespan: num("makespan")?,
-    })
-}
-
-/// Parses a what-if document, validating the schema tag.
-///
-/// # Errors
-///
-/// Returns a diagnostic on malformed JSON, a wrong schema tag, unknown
-/// component or speedup labels, or missing fields.
-pub fn parse_whatif_report(text: &str) -> Result<WhatIfReport, String> {
-    let doc = json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .ok_or("missing schema tag")?;
-    if schema != WHATIF_SCHEMA {
-        return Err(format!(
-            "schema mismatch: file is `{schema}`, this build reads `{WHATIF_SCHEMA}`"
-        ));
-    }
-    let config = doc
-        .get("config")
-        .and_then(|c| c.as_obj())
-        .ok_or("missing config object")?
-        .iter()
-        .map(|(k, v)| {
-            v.as_f64()
-                .map(|n| (k.clone(), n))
-                .ok_or_else(|| format!("config.{k} is not a number"))
-        })
-        .collect::<Result<_, _>>()?;
-    let num = |obj: &Value, key: &str| -> Result<f64, String> {
-        obj.get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("missing numeric field `{key}`"))
-    };
-    let text_field = |obj: &Value, key: &str| -> Result<String, String> {
-        obj.get(key)
-            .and_then(|v| v.as_str())
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string field `{key}`"))
-    };
-    let component_of = |obj: &Value| -> Result<usize, String> {
-        let label = text_field(obj, "component")?;
-        component_from_label(&label).ok_or_else(|| format!("unknown component `{label}`"))
-    };
-    let speedup_of = |obj: &Value| -> Result<f64, String> {
-        let label = text_field(obj, "speedup")?;
-        parse_speedup(&label).ok_or_else(|| format!("unknown speedup `{label}`"))
-    };
-    let cells = doc
-        .get("cells")
-        .and_then(|c| c.as_arr())
-        .ok_or("missing cells array")?
-        .iter()
-        .map(|c| {
-            let mut budgets = [0.0; WHATIF_COMPONENTS];
-            let budget_obj = c
-                .get("budgets")
-                .and_then(|b| b.as_obj())
-                .ok_or("missing budgets object")?;
-            for (label, v) in budget_obj {
-                let i = component_from_label(label)
-                    .ok_or_else(|| format!("unknown budget component `{label}`"))?;
-                budgets[i] = v
-                    .as_f64()
-                    .ok_or_else(|| format!("budget `{label}` is not a number"))?;
-            }
-            let predictions = c
-                .get("predictions")
-                .and_then(|p| p.as_arr())
-                .ok_or("missing predictions array")?
-                .iter()
-                .map(|p| {
-                    Ok(CellPrediction {
-                        component: component_of(p)?,
-                        speedup: speedup_of(p)?,
-                        predicted_total: num(p, "predicted_total")?,
-                        predicted_epoch: num(p, "predicted_epoch")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(CellWhatIf {
-                cell: text_field(c, "cell")?,
-                epochs: num(c, "epochs")? as usize,
-                base_total_time: num(c, "base_total_time")?,
-                base_epoch_time: num(c, "base_epoch_time")?,
-                budgets,
-                predictions,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let serve = doc
-        .get("serve")
-        .and_then(|s| s.as_arr())
-        .ok_or("missing serve array")?
-        .iter()
-        .map(|s| {
-            let predictions = s
-                .get("predictions")
-                .and_then(|p| p.as_arr())
-                .ok_or("missing predictions array")?
-                .iter()
-                .map(|p| {
-                    Ok(ServePrediction {
-                        component: component_of(p)?,
-                        speedup: speedup_of(p)?,
-                        latency: parse_latency(p.get("latency").ok_or("missing latency")?)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(ServeWhatIf {
-                policy: text_field(s, "policy")?,
-                base: parse_latency(s.get("base").ok_or("missing base latency")?)?,
-                predictions,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let opportunities = doc
-        .get("opportunities")
-        .and_then(|o| o.as_arr())
-        .ok_or("missing opportunities array")?
-        .iter()
-        .map(|o| {
-            Ok(Opportunity {
-                component: component_of(o)?,
-                speedup: speedup_of(o)?,
-                predicted_win: num(o, "predicted_win")?,
-                win_fraction: num(o, "win_fraction")?,
-                ceiling: num(o, "ceiling")?,
-                bound: text_field(o, "bound")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(WhatIfReport {
-        schema: schema.to_owned(),
-        config,
-        cells,
-        serve,
-        opportunities,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnn_obs::json;
 
     /// One tiny cell, one epoch, one policy: enough structure to exercise
     /// every code path while keeping the test fast.
@@ -992,11 +815,8 @@ mod tests {
     fn whatif_json_round_trips() {
         let report = run_whatif(&tiny_cfg());
         let text = report.to_json();
-        let parsed = parse_whatif_report(&text).unwrap();
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.to_json(), text);
-        assert!(parse_whatif_report("{}").is_err());
-        assert!(parse_whatif_report(&text.replace(WHATIF_SCHEMA, "gnn-whatif/v0")).is_err());
+        assert_eq!(json::parse(&text).unwrap(), report.to_value());
+        assert!(text.starts_with(&format!("{{\"schema\":\"{WHATIF_SCHEMA}\"")));
     }
 
     #[test]
@@ -1060,13 +880,12 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for k in SPEEDUP_GRID {
-            assert_eq!(parse_speedup(speedup_label(k)), Some(k));
-        }
-        assert_eq!(parse_speedup("3"), None);
-        for c in 0..WHATIF_COMPONENTS {
-            assert_eq!(component_from_label(component_label(c)), Some(c));
-        }
-        assert_eq!(component_from_label("flux-capacitor"), None);
+        // Every grid factor and every component has a label of its own, so
+        // a label in the document names exactly one.
+        let speedups: std::collections::BTreeSet<_> = SPEEDUP_GRID.map(speedup_label).into();
+        assert_eq!(speedups.len(), SPEEDUP_GRID.len());
+        let components: std::collections::BTreeSet<_> =
+            (0..WHATIF_COMPONENTS).map(component_label).collect();
+        assert_eq!(components.len(), WHATIF_COMPONENTS);
     }
 }

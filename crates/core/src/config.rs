@@ -10,7 +10,7 @@ use gnn_faults::FaultPlan;
 ///
 /// Before this existed, a bad artifact path surfaced only when the first
 /// write happened — after minutes of training, and for some paths as a
-/// panic. The bench binaries now validate destinations at flag-parse time
+/// panic. The `gnn-bench` commands now validate destinations at flag-parse time
 /// and report this error instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactPathError {
@@ -145,7 +145,7 @@ pub fn ensure_artifact_path(path: &Path) -> Result<(), ArtifactPathError> {
 
 /// Trace-emission settings for a run (see the `gnn-obs` crate).
 ///
-/// Disabled by default. When a directory is set, binaries that honor the
+/// Disabled by default. When a directory is set, commands that honor the
 /// config install a `gnn_obs::Collector` around the experiment and write
 /// `trace.json` (Chrome trace-event format, loadable in Perfetto or
 /// `chrome://tracing`) and `metrics.jsonl` (one record per training epoch)
@@ -206,10 +206,10 @@ pub struct RunConfig {
     pub trace: TraceConfig,
     /// Run the `gnn-lint` static analyzer over the configured sweep before
     /// executing anything, and abort on findings (off in every preset; the
-    /// bench binaries enable it via `--lint`).
+    /// `gnn-bench` commands enable it via `--lint`).
     pub lint_first: bool,
     /// Deterministic fault-injection plan armed around the run (`None` in
-    /// every preset; the bench binaries set it via `--faults <plan>`).
+    /// every preset; the `gnn-bench` commands set it via `--faults <plan>`).
     pub faults: Option<FaultPlan>,
     /// Directory for per-cell training checkpoints (`None` disables
     /// checkpointing; set via `--ckpt <dir>`, or implied by `--resume`).
@@ -220,7 +220,7 @@ pub struct RunConfig {
     /// Sampled-training specs (`gnn_sample::SampleSpec` names) appended to
     /// the sweep as `sample/…` cells. Empty in every preset: the classic
     /// 60-cell grid is unchanged unless a caller opts in (the
-    /// `gnn-bench sample` binary, or [`RunConfig::with_samples`]).
+    /// `gnn-bench sample` command, or [`RunConfig::with_samples`]).
     pub sample_specs: Vec<String>,
     /// Epochs per sampled-training cell (each epoch is one pass over the
     /// seed pool in mini-batches, so this is deliberately small).

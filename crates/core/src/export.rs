@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::runner::{LayerTimeRow, MultiGpuRow, ProfileRow, Table4Row, Table5Row};
+use crate::runner::{LayerTimeRow, MultiGpuRow, ProfileRow, TableRow};
 use crate::sweep::CellOutcome;
 
 fn esc(field: &str) -> String {
@@ -19,27 +19,8 @@ fn esc(field: &str) -> String {
     }
 }
 
-/// Renders Table IV rows as CSV.
-pub fn table4_csv(rows: &[Table4Row]) -> String {
-    let mut out = String::from("dataset,model,framework,epoch_s,total_s,acc_mean,acc_std\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            esc(&r.dataset),
-            r.model.label(),
-            r.framework.label(),
-            r.epoch_time,
-            r.total_time,
-            r.acc.mean,
-            r.acc.std
-        );
-    }
-    out
-}
-
-/// Renders Table V rows as CSV.
-pub fn table5_csv(rows: &[Table5Row]) -> String {
+/// Renders Table IV or Table V rows as CSV.
+pub fn table_csv(rows: &[TableRow]) -> String {
     let mut out = String::from("dataset,model,framework,epoch_s,total_s,acc_mean,acc_std\n");
     for r in rows {
         let _ = writeln!(
@@ -208,8 +189,8 @@ mod tests {
     use gnn_models::{FrameworkKind, ModelKind};
     use gnn_train::Summary;
 
-    fn t4_row() -> Table4Row {
-        Table4Row {
+    fn t4_row() -> TableRow {
+        TableRow {
             dataset: "Cora".into(),
             model: ModelKind::Gcn,
             framework: FrameworkKind::RustyG,
@@ -223,8 +204,8 @@ mod tests {
     }
 
     #[test]
-    fn table4_csv_shape() {
-        let csv = table4_csv(&[t4_row()]);
+    fn table_csv_shape() {
+        let csv = table_csv(&[t4_row()]);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].split(',').count(), 7);

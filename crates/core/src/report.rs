@@ -2,7 +2,7 @@
 
 use gnn_device::session::PHASES;
 
-use crate::runner::{LayerTimeRow, MultiGpuRow, ProfileRow, Table4Row, Table5Row};
+use crate::runner::{LayerTimeRow, MultiGpuRow, ProfileRow, TableRow};
 use crate::sweep::SweepOutcome;
 
 /// Renders a padded ASCII table.
@@ -52,28 +52,9 @@ fn fmt_secs(t: f64) -> String {
     }
 }
 
-/// Renders Table IV (node classification).
-pub fn table4_report(rows: &[Table4Row]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.dataset.clone(),
-                r.model.label().to_string(),
-                r.framework.label().to_string(),
-                format!("{}/{}", fmt_secs(r.epoch_time), fmt_secs(r.total_time)),
-                format!("{}", r.acc),
-            ]
-        })
-        .collect();
-    render_table(
-        &["Dataset", "Model", "Framework", "Epoch/Total", "Acc±s.d."],
-        &body,
-    )
-}
-
-/// Renders Table V (graph classification).
-pub fn table5_report(rows: &[Table5Row]) -> String {
+/// Renders Table IV (node classification) or Table V (graph
+/// classification).
+pub fn table_report(rows: &[TableRow]) -> String {
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -291,7 +272,7 @@ pub fn sweep_report(out: &SweepOutcome) -> String {
 /// Renders a run-wide summary of a finished trace: one row per training
 /// run (from the JSONL epoch records) plus aggregate kernel/event totals.
 ///
-/// This is what the reproduction binaries print after saving trace
+/// This is what the reproduction commands print after saving trace
 /// artifacts, so a `--trace` run ends with a human-readable digest of what
 /// the trace contains.
 pub fn run_summary(trace: &gnn_obs::Trace) -> String {

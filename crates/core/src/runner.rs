@@ -103,9 +103,9 @@ pub fn table1(cfg: &RunConfig) -> Vec<DatasetStats> {
 // Table IV — node classification
 // ---------------------------------------------------------------------------
 
-/// One cell of Table IV.
+/// One cell of Table IV or Table V.
 #[derive(Debug, Clone)]
-pub struct Table4Row {
+pub struct TableRow {
     /// Dataset name.
     pub dataset: String,
     /// Model.
@@ -116,23 +116,38 @@ pub struct Table4Row {
     pub epoch_time: f64,
     /// Simulated total training seconds.
     pub total_time: f64,
-    /// Test accuracy over seeds, percent.
+    /// Test accuracy over seeds (Table IV) or folds (Table V), percent.
     pub acc: Summary,
 }
 
-impl Table4Row {
-    /// Distills a node cell's runs: the last seed's times, accuracy over
-    /// all seeds.
-    pub(crate) fn from_runs(cell: &CellId, runs: &[Trained]) -> Self {
-        let last = runs.last().expect("a cell has at least one run");
-        Table4Row {
+impl TableRow {
+    fn new(cell: &CellId, epoch_time: f64, total_time: f64, runs: &[Trained]) -> Self {
+        TableRow {
             dataset: cell.dataset.clone(),
             model: cell.model,
             framework: cell.framework,
-            epoch_time: last.epoch_time,
-            total_time: last.total_time,
+            epoch_time,
+            total_time,
             acc: mean_over(runs, |r| r.test_acc),
         }
+    }
+
+    /// Distills a node cell's runs: the last seed's times, accuracy over
+    /// all seeds.
+    pub(crate) fn from_node_runs(cell: &CellId, runs: &[Trained]) -> Self {
+        let last = runs.last().expect("a cell has at least one run");
+        TableRow::new(cell, last.epoch_time, last.total_time, runs)
+    }
+
+    /// Distills a graph cell's runs: times and accuracy over its folds.
+    pub(crate) fn from_graph_runs(cell: &CellId, runs: &[Trained]) -> Self {
+        let epoch_time = mean_over(runs, |r| r.epoch_time).mean;
+        TableRow::new(
+            cell,
+            epoch_time,
+            mean_over(runs, |r| r.total_time).mean,
+            runs,
+        )
     }
 }
 
@@ -179,10 +194,10 @@ fn train_grid(cfg: &RunConfig, task: TaskKind, datasets: &[&str]) -> Vec<(CellId
 
 /// Regenerates Table IV: epoch/total time and accuracy ± s.d. for the six
 /// models × two frameworks on Cora and PubMed.
-pub fn table4(cfg: &RunConfig) -> Vec<Table4Row> {
+pub fn table4(cfg: &RunConfig) -> Vec<TableRow> {
     train_grid(cfg, TaskKind::Node, &NODE_DATASETS)
         .iter()
-        .map(|(cell, runs)| Table4Row::from_runs(cell, runs))
+        .map(|(cell, runs)| TableRow::from_node_runs(cell, runs))
         .collect()
 }
 
@@ -190,44 +205,13 @@ pub fn table4(cfg: &RunConfig) -> Vec<Table4Row> {
 // Table V — graph classification
 // ---------------------------------------------------------------------------
 
-/// One cell of Table V.
-#[derive(Debug, Clone)]
-pub struct Table5Row {
-    /// Dataset name.
-    pub dataset: String,
-    /// Model.
-    pub model: ModelKind,
-    /// Framework.
-    pub framework: FrameworkKind,
-    /// Simulated seconds per epoch (mean over folds).
-    pub epoch_time: f64,
-    /// Simulated total seconds (mean over folds).
-    pub total_time: f64,
-    /// Test accuracy over folds, percent.
-    pub acc: Summary,
-}
-
-impl Table5Row {
-    /// Distills a graph cell's runs: times and accuracy over its folds.
-    pub(crate) fn from_runs(cell: &CellId, runs: &[Trained]) -> Self {
-        Table5Row {
-            dataset: cell.dataset.clone(),
-            model: cell.model,
-            framework: cell.framework,
-            epoch_time: mean_over(runs, |r| r.epoch_time).mean,
-            total_time: mean_over(runs, |r| r.total_time).mean,
-            acc: mean_over(runs, |r| r.test_acc),
-        }
-    }
-}
-
 /// Regenerates Table V: epoch/total time and 10-fold accuracy for the six
 /// models × two frameworks on ENZYMES and DD.
-pub fn table5(cfg: &RunConfig) -> Vec<Table5Row> {
+pub fn table5(cfg: &RunConfig) -> Vec<TableRow> {
     let datasets = [GraphDs::Enzymes, GraphDs::Dd].map(GraphDs::name);
     train_grid(cfg, TaskKind::Graph, &datasets)
         .iter()
-        .map(|(cell, runs)| Table5Row::from_runs(cell, runs))
+        .map(|(cell, runs)| TableRow::from_graph_runs(cell, runs))
         .collect()
 }
 

@@ -33,7 +33,7 @@ use gnn_train::cell::{
 use gnn_train::{Supervised, Supervisor};
 
 use crate::config::RunConfig;
-use crate::runner::{mark_cell, mean_over, per_cell, Table4Row, Table5Row};
+use crate::runner::{mark_cell, mean_over, per_cell, TableRow};
 
 /// How one sweep cell ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,10 +115,10 @@ pub struct SampleRow {
 #[derive(Debug, Clone, Default)]
 pub struct SweepOutcome {
     /// Table IV rows for every node cell that completed.
-    pub table4: Vec<Table4Row>,
+    pub table4: Vec<TableRow>,
     /// Table V-style rows for every graph cell that completed (ENZYMES, DD,
     /// and MNIST).
-    pub table5: Vec<Table5Row>,
+    pub table5: Vec<TableRow>,
     /// Sampled-training rows for every `sample/…` cell that completed
     /// (empty unless the config names sample specs).
     pub sample: Vec<SampleRow>,
@@ -303,8 +303,8 @@ fn run_cell(cfg: &RunConfig, cell: &CellId, data: &CellData, out: &mut SweepOutc
 /// Distills a completed cell's runs into its table's row.
 fn push_row(cell: &CellId, runs: &[Trained], out: &mut SweepOutcome) {
     match cell.task {
-        TaskKind::Node => out.table4.push(Table4Row::from_runs(cell, runs)),
-        TaskKind::Graph => out.table5.push(Table5Row::from_runs(cell, runs)),
+        TaskKind::Node => out.table4.push(TableRow::from_node_runs(cell, runs)),
+        TaskKind::Graph => out.table5.push(TableRow::from_graph_runs(cell, runs)),
         TaskKind::Sample => {
             let (spec, sampler) =
                 sample_dataset(&cell.dataset).expect("sampled cells name cataloged specs");
@@ -352,9 +352,9 @@ mod tests {
     /// sweeps these tests already ran; a deliberate behaviour change
     /// re-captures them (the failure prints the new value).
     fn outcome_digest(out: &SweepOutcome) -> u64 {
-        use crate::export::{cell_outcomes_csv, table4_csv, table5_csv};
-        let mut text = cell_outcomes_csv(&out.cells) + &table4_csv(&out.table4);
-        text += &table5_csv(&out.table5);
+        use crate::export::{cell_outcomes_csv, table_csv};
+        let mut text = cell_outcomes_csv(&out.cells) + &table_csv(&out.table4);
+        text += &table_csv(&out.table5);
         for row in &out.sample {
             text += &format!("{row:?}\n");
         }

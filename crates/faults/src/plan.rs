@@ -219,7 +219,7 @@ impl FaultPlan {
     /// The canonical chaos-campaign plan: the acceptance plan of the
     /// robustness layer, covering device OOM, a transient kernel fault, a
     /// PCIe straggler, NaN-loss poisoning, and a replica failure. Used by
-    /// the CI `chaos` job and accepted by the bench binaries as
+    /// the CI `chaos` job and accepted by the `gnn-bench` commands as
     /// `--faults canonical`.
     pub fn canonical() -> Self {
         let mut plan = FaultPlan::seeded(42);
@@ -234,7 +234,7 @@ impl FaultPlan {
     /// shard blackout and a router↔shard network straggler, with windows
     /// sized to the default fleet horizon (400 requests at 2000 req/s ≈
     /// 0.2 s). Used by the CI `serving` job and accepted by the bench
-    /// binaries as `--faults canonical-fleet`.
+    /// commands as `--faults canonical-fleet`.
     pub fn canonical_fleet() -> Self {
         let mut plan = FaultPlan::canonical();
         plan.specs.push(FaultSpec {
@@ -410,7 +410,7 @@ impl FaultPlan {
         FaultPlan::parse(&text).map_err(|e| e.to_string())
     }
 
-    /// Resolves a `--faults` operand, spelled the same on every binary:
+    /// Resolves a `--faults` operand, spelled the same on every command:
     /// `canonical`, `canonical-fleet`, `seeded:<n>`, or a path to a plan
     /// file.
     ///

@@ -6,7 +6,7 @@
 //! result resident on the device, and replays it on later epochs for a tiny
 //! fixed host cost. The trade-off is fixed batch composition (no per-epoch
 //! reshuffling across chunk boundaries), which is how real pre-batching
-//! pipelines work. The `ablation_batching` binary quantifies the effect:
+//! pipelines work. The `ablation_batching` command quantifies the effect:
 //! the data-loading phase collapses and GPU utilization rises accordingly.
 
 use std::cell::RefCell;

@@ -42,7 +42,7 @@ fn table4_smoke_produces_full_grid() {
         assert_eq!(pyg.model, dgl.model);
         assert!(dgl.epoch_time > pyg.epoch_time, "{:?} vs {:?}", dgl, pyg);
     }
-    let digest = csv_digest(&[export::table4_csv(&rows)]);
+    let digest = csv_digest(&[export::table_csv(&rows)]);
     assert_eq!(
         digest, 0x37ca_a25b_32f6_fb65,
         "table4.csv moved: {digest:#018x}"
@@ -61,7 +61,7 @@ fn table5_smoke_produces_full_grid() {
         assert!(r.epoch_time > 0.0);
         assert!((0.0..=100.0).contains(&r.acc.mean));
     }
-    let digest = csv_digest(&[export::table5_csv(&rows)]);
+    let digest = csv_digest(&[export::table_csv(&rows)]);
     assert_eq!(
         digest, 0x6e64_e6fe_6ba2_d8cf,
         "table5.csv moved: {digest:#018x}"
@@ -138,7 +138,7 @@ fn reports_render_for_every_experiment() {
     let mut cfg = RunConfig::smoke();
     cfg.batch_sizes = [4, 8, 16];
     let table4 = runner::table4(&cfg);
-    let t4 = gnn_core::report::table4_report(&table4);
+    let t4 = gnn_core::report::table_report(&table4);
     assert!(t4.contains("GatedGCN") && t4.contains("PyG") && t4.contains("DGL"));
     let sweep = runner::profile_sweep(&cfg, runner::GraphDs::Enzymes);
     let fig12 = gnn_core::report::breakdown_report(&sweep);
@@ -152,7 +152,7 @@ fn reports_render_for_every_experiment() {
     let fig6 = gnn_core::report::fig6_report(&multi);
     assert!(fig6.contains("GPUs"));
     let digest = csv_digest(&[
-        export::table4_csv(&table4),
+        export::table_csv(&table4),
         export::profile_csv(&sweep),
         export::kernel_counts_csv(&sweep),
         export::layer_times_csv(&layers),
