@@ -131,30 +131,13 @@ impl Graph {
     /// Converts to CSC (in-edges grouped per destination node).
     ///
     /// This is the format DGL-style frameworks aggregate over; the conversion
-    /// cost is part of their batching overhead.
+    /// cost is part of their batching overhead. The grouping is a stable
+    /// counting sort: within each destination, [`Csc::in_edges`] lists edge
+    /// ids in strictly ascending order, so a sum over a destination's
+    /// in-edges adds them in COO order — the order a scatter-add over the
+    /// COO arrays uses, which every fused aggregation's bits depend on.
     pub fn csc(&self) -> Csc {
-        let mut indptr = vec![0u32; self.num_nodes + 1];
-        for &d in &self.dst {
-            indptr[d as usize + 1] += 1;
-        }
-        for i in 0..self.num_nodes {
-            indptr[i + 1] += indptr[i];
-        }
-        let mut cursor = indptr.clone();
-        let mut src_sorted = vec![0u32; self.src.len()];
-        let mut edge_ids = vec![0u32; self.src.len()];
-        for e in 0..self.src.len() {
-            let d = self.dst[e] as usize;
-            let pos = cursor[d] as usize;
-            cursor[d] += 1;
-            src_sorted[pos] = self.src[e];
-            edge_ids[pos] = e as u32;
-        }
-        Csc {
-            indptr,
-            src: src_sorted,
-            edge_ids,
-        }
+        Csc::from_coo(self.num_nodes, &self.src, &self.dst)
     }
 }
 
@@ -171,6 +154,44 @@ pub struct Csc {
 }
 
 impl Csc {
+    /// Groups the COO edges `src[e] -> dst[e]` by destination with a stable
+    /// counting sort (see [`Graph::csc`]). Sources need not be below
+    /// `num_dst`: a bipartite block reads sources from its own row space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrays differ in length or a destination is not below
+    /// `num_dst`.
+    pub fn from_coo(num_dst: usize, src: &[u32], dst: &[u32]) -> Csc {
+        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
+        let mut indptr = vec![0u32; num_dst + 1];
+        for &d in dst {
+            indptr[d as usize + 1] += 1;
+        }
+        for i in 0..num_dst {
+            indptr[i + 1] += indptr[i];
+        }
+        let mut cursor = indptr.clone();
+        let mut src_sorted = vec![0u32; src.len()];
+        let mut edge_ids = vec![0u32; src.len()];
+        for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
+            let pos = cursor[d as usize] as usize;
+            cursor[d as usize] += 1;
+            src_sorted[pos] = s;
+            edge_ids[pos] = e as u32;
+        }
+        Csc {
+            indptr,
+            src: src_sorted,
+            edge_ids,
+        }
+    }
+
+    /// Number of destination nodes.
+    pub fn num_dst(&self) -> usize {
+        self.indptr.len() - 1
+    }
+
     /// In-neighbour sources of node `d`.
     pub fn in_sources(&self, d: usize) -> &[u32] {
         &self.src[self.indptr[d] as usize..self.indptr[d + 1] as usize]

@@ -53,6 +53,22 @@ proptest! {
         prop_assert_eq!(ids, expect);
     }
 
+    /// Within each destination, `in_edges` ascends strictly and pairs each
+    /// edge id with its own source: the CSC is a stable sort of the COO
+    /// edges, so a sum over a destination adds its messages in COO order.
+    #[test]
+    fn csc_in_edges_ascend_within_each_destination(edges in edges_strategy(9, 30)) {
+        let g = Graph::from_edges(9, &edges);
+        let csc = g.csc();
+        for d in 0..9 {
+            let ids = csc.in_edges(d);
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "node {}: {:?}", d, ids);
+            for (&e, &s) in ids.iter().zip(csc.in_sources(d)) {
+                prop_assert_eq!((g.src()[e as usize], g.dst()[e as usize]), (s, d as u32));
+            }
+        }
+    }
+
     /// Disjoint union preserves node/edge counts and never crosses
     /// component boundaries.
     #[test]

@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gnn_graph::{Csc, Graph};
+use gnn_tensor::mp::Edges;
 use gnn_tensor::{Ids, NdArray, Tensor};
 
 /// A collated mini-batch wrapped as a (single-type) heterograph.
@@ -21,7 +22,8 @@ pub struct HeteroBatch {
     pub src: Ids,
     /// Edge destinations (COO).
     pub dst: Ids,
-    /// CSC layout (in-edges grouped per destination).
+    /// CSC layout (in-edges grouped per destination), which the fused
+    /// kernels aggregate over.
     pub csc: Csc,
     /// Node type of every node (all zero for homogeneous data, still built).
     pub ntypes: Vec<u32>,
@@ -103,6 +105,15 @@ impl HeteroBatch {
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.src.len()
+    }
+
+    /// The edges, for `gnn_tensor::mp`.
+    pub fn edges(&self) -> Edges<'_> {
+        Edges {
+            src: &self.src,
+            dst: &self.dst,
+            csc: &self.csc,
+        }
     }
 
     /// Clears per-forward state (GatedGCN edge features). Model stacks call

@@ -60,7 +60,8 @@ impl GatConv {
         gnn_device::host(costs::OP_DISPATCH);
         let al = z.head_dot(&self.attn_l, self.heads); // attending (dst) half
         let ar = z.head_dot(&self.attn_r, self.heads); // attended (src) half
-                                                       // Per-edge scores via fused u_add_v, then leaky relu + edge softmax.
+
+        // Per-edge scores via fused u_add_v, then leaky relu + edge softmax.
         let scores = gsddmm_u_add_v(batch, &ar, &al).leaky_relu(0.2);
         let alpha = edge_softmax(batch, &scores);
         gspmm_mul_sum(batch, &z, &alpha)

@@ -1,7 +1,7 @@
 //! The six conv layers of the study, DGL style.
 //!
 //! Every layer lowers message passing onto the fused [`crate::kernels`]
-//! (GSpMM/GSDDMM/edge-softmax), pays the heavier DGL dispatch overhead
+//! (GSpMM/GSDDMM/edge-softmax, computed by `gnn_tensor::mp`), pays the heavier DGL dispatch overhead
 //! [`crate::costs::LAYER_OVERHEAD`] per forward, and exposes
 //! `forward(&HeteroBatch, &Tensor, training) -> Tensor` plus `params()`.
 //!

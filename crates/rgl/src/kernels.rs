@@ -1,18 +1,18 @@
-//! Fused generalized sparse kernels (DGL's GSpMM / GSDDMM).
+//! DGL's generalized sparse kernels (GSpMM / GSDDMM) and their lowering.
 //!
 //! GSpMM "fuses two steps, computing messages by the source node and edge
 //! features and aggregating the messages as the features on destination
-//! nodes, into one kernel" (Section IV-C). These are custom autograd
-//! operations registered against `gnn-tensor`'s [`Backward`] extension
-//! point: each records one fused device kernel (plus DGL's host-side
-//! dispatch cost [`crate::costs::OP_DISPATCH`]) instead of the gather/
-//! scatter pair the PyG-like framework launches.
-
-// Kernel-style loops co-index several slices; index form is clearer here.
-#![allow(clippy::needless_range_loop)]
+//! nodes, into one kernel" (Section IV-C). Each op here is DGL's *lowering*
+//! of a `gnn_tensor::mp` kernel: it records the frame writes that stage its
+//! operands, one fused device kernel per direction and DGL's host-side
+//! dispatch cost [`crate::costs::OP_DISPATCH`], where the PyG-like
+//! framework records a gather/scatter pair. The lowering decides what is
+//! recorded; `mp` computes both frameworks' sums on the same host kernels,
+//! over the batch's CSC.
 
 use gnn_device::{host, record, Kernel, KernelKind};
-use gnn_tensor::{accumulate, Backward, Ids, NdArray, Tensor};
+use gnn_tensor::mp::{self, Lowering, Shape};
+use gnn_tensor::Tensor;
 
 use crate::batch::HeteroBatch;
 use crate::costs;
@@ -49,54 +49,72 @@ fn sddmm_kernel(name: &'static str, edges: usize, cols: usize) -> Kernel {
     )
 }
 
-/// Debug-build bounds check on an edge index pair; release builds rely on
-/// `gnn-lint` having proven the indices in-bounds before the run.
-fn debug_check_edges(src: &[u32], dst: &[u32], num_nodes: usize) {
-    debug_assert!(
-        src.iter().chain(dst).all(|&v| (v as usize) < num_nodes),
-        "edge index out of bounds (num_nodes = {num_nodes})"
-    );
+/// `update_all(copy_u, sum)`: the source features are staged in the ndata
+/// frame, then one GSpMM each way.
+#[derive(Debug)]
+pub struct CopySum;
+
+impl Lowering for CopySum {
+    fn forward(&self, s: Shape) {
+        host(costs::OP_DISPATCH);
+        frame_write(s.in_rows, s.cols);
+        record(spmm_kernel("gspmm_copy_sum", s.edges, s.cols, false));
+    }
+    fn backward(&self, s: Shape, _needs: [bool; 2], grad: &mut dyn FnMut(usize)) {
+        host(costs::OP_DISPATCH);
+        // Reverse-direction SpMM: dx[src] += grad[dst].
+        record(spmm_kernel("gspmm_copy_sum_back", s.edges, s.cols, false));
+        grad(0);
+    }
 }
 
-fn copy_sum_raw(x: &NdArray, src: &[u32], dst: &[u32], out_rows: usize) -> NdArray {
-    let cols = x.cols();
-    debug_check_edges(src, &[], x.rows());
-    debug_check_edges(&[], dst, out_rows);
-    let mut out = NdArray::zeros(out_rows, cols);
-    for e in 0..src.len() {
-        let s = src[e] as usize;
-        let d = dst[e] as usize;
-        let (srow_start, drow_start) = (s * cols, d * cols);
-        for c in 0..cols {
-            out.data_mut()[drow_start + c] += x.data()[srow_start + c];
+/// `update_all(u_mul_e, sum)`: source features and edge weights are staged
+/// in the ndata/edata frames; the backward is a GSpMM for the features and
+/// a GSDDMM dot for the weights.
+#[derive(Debug)]
+pub struct MulSum;
+
+impl Lowering for MulSum {
+    fn forward(&self, s: Shape) {
+        host(costs::OP_DISPATCH);
+        frame_write(s.in_rows, s.cols);
+        frame_write(s.edges, s.heads);
+        record(spmm_kernel("gspmm_mul_sum", s.edges, s.cols, true));
+    }
+    fn backward(&self, s: Shape, needs: [bool; 2], grad: &mut dyn FnMut(usize)) {
+        host(costs::OP_DISPATCH);
+        if needs[0] {
+            record(spmm_kernel("gspmm_mul_sum_back_x", s.edges, s.cols, true));
+            grad(0);
+        }
+        if needs[1] {
+            record(sddmm_kernel("gsddmm_dot_back_w", s.edges, s.cols));
+            grad(1);
         }
     }
-    out
 }
 
-struct GSpmmCopySumBack {
-    src: Ids,
-    dst: Ids,
-    in_rows: usize,
-}
+/// `apply_edges(u_add_v)`: one GSDDMM whose result lands in the edata
+/// frame; the backward reduces the edge gradient onto each endpoint.
+#[derive(Debug)]
+pub struct AddUV;
 
-impl Backward for GSpmmCopySumBack {
-    fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
+impl Lowering for AddUV {
+    fn forward(&self, s: Shape) {
         host(costs::OP_DISPATCH);
-        record(spmm_kernel(
-            "gspmm_copy_sum_back",
-            self.src.len(),
-            grad.cols(),
-            false,
-        ));
-        // Reverse-direction SpMM: dx[src] += grad[dst].
-        accumulate(
-            &parents[0],
-            copy_sum_raw(grad, &self.dst, &self.src, self.in_rows),
-        );
+        record(sddmm_kernel("gsddmm_u_add_v", s.edges, s.cols));
+        frame_write(s.edges, s.cols);
     }
-    fn name(&self) -> &'static str {
-        "gspmm_copy_sum"
+    fn backward(&self, s: Shape, needs: [bool; 2], grad: &mut dyn FnMut(usize)) {
+        host(costs::OP_DISPATCH);
+        if needs[0] {
+            record(spmm_kernel("gsddmm_add_back_u", s.edges, s.cols, false));
+            grad(0);
+        }
+        if needs[1] {
+            record(spmm_kernel("gsddmm_add_back_v", s.edges, s.cols, false));
+            grad(1);
+        }
     }
 }
 
@@ -104,91 +122,16 @@ impl Backward for GSpmmCopySumBack {
 ///
 /// # Panics
 ///
-/// Panics if `x` has fewer rows than the batch has nodes.
+/// Panics if `x` does not have one row per node of the batch.
 pub fn gspmm_copy_sum(batch: &HeteroBatch, x: &Tensor) -> Tensor {
-    let xv = x.data();
     assert_eq!(
-        xv.rows(),
+        x.shape().0,
         batch.num_nodes,
         "gspmm: node feature rows mismatch"
     );
     gnn_device::traced("rgl", "gspmm_copy_sum", || {
-        host(costs::OP_DISPATCH);
-        // `update_all` stages the source features in the ndata frame first.
-        frame_write(batch.num_nodes, xv.cols());
-        record(spmm_kernel(
-            "gspmm_copy_sum",
-            batch.num_edges(),
-            xv.cols(),
-            false,
-        ));
-        let out = copy_sum_raw(&xv, &batch.src, &batch.dst, batch.num_nodes);
-        Tensor::from_op(
-            out,
-            vec![x.clone()],
-            Box::new(GSpmmCopySumBack {
-                src: batch.src.clone(),
-                dst: batch.dst.clone(),
-                in_rows: batch.num_nodes,
-            }),
-        )
+        mp::copy_u_sum(batch.edges(), x, &CopySum)
     })
-}
-
-struct GSpmmMulSumBack {
-    src: Ids,
-    dst: Ids,
-}
-
-impl Backward for GSpmmMulSumBack {
-    fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-        let (x, w) = (parents[0].data(), parents[1].data());
-        let cols = grad.cols();
-        let heads = w.cols();
-        let d = cols / heads;
-        host(costs::OP_DISPATCH);
-        if parents[0].needs_grad() {
-            record(spmm_kernel(
-                "gspmm_mul_sum_back_x",
-                self.src.len(),
-                cols,
-                true,
-            ));
-            let mut dx = NdArray::zeros(x.rows(), cols);
-            for e in 0..self.src.len() {
-                let s = self.src[e] as usize;
-                let dn = self.dst[e] as usize;
-                let wr = w.row(e);
-                for h in 0..heads {
-                    let wv = wr[h];
-                    for k in 0..d {
-                        *dx.at_mut(s, h * d + k) += wv * grad.at(dn, h * d + k);
-                    }
-                }
-            }
-            accumulate(&parents[0], dx);
-        }
-        if parents[1].needs_grad() {
-            record(sddmm_kernel("gsddmm_dot_back_w", self.src.len(), cols));
-            let mut dw = NdArray::zeros(self.src.len(), heads);
-            for e in 0..self.src.len() {
-                let s = self.src[e] as usize;
-                let dn = self.dst[e] as usize;
-                let dwr = dw.row_mut(e);
-                for h in 0..heads {
-                    let mut acc = 0.0;
-                    for k in 0..d {
-                        acc += grad.at(dn, h * d + k) * x.at(s, h * d + k);
-                    }
-                    dwr[h] = acc;
-                }
-            }
-            accumulate(&parents[1], dw);
-        }
-    }
-    fn name(&self) -> &'static str {
-        "gspmm_mul_sum"
-    }
 }
 
 /// Fused multiply-by-edge-weight + sum-by-destination:
@@ -201,144 +144,25 @@ impl Backward for GSpmmMulSumBack {
 ///
 /// Panics on shape mismatch.
 pub fn gspmm_mul_sum(batch: &HeteroBatch, x: &Tensor, w: &Tensor) -> Tensor {
-    let (xv, wv) = (x.data(), w.data());
     assert_eq!(
-        xv.rows(),
+        x.shape().0,
         batch.num_nodes,
         "gspmm: node feature rows mismatch"
     );
-    assert_eq!(
-        wv.rows(),
-        batch.num_edges(),
-        "gspmm: edge weight rows mismatch"
-    );
-    let heads = wv.cols();
-    assert!(
-        heads > 0 && xv.cols().is_multiple_of(heads),
-        "gspmm: cols not divisible by heads"
-    );
-    let d = xv.cols() / heads;
-    debug_check_edges(&batch.src, &batch.dst, batch.num_nodes);
     gnn_device::traced("rgl", "gspmm_mul_sum", || {
-        host(costs::OP_DISPATCH);
-        // Source features and edge weights are staged in the ndata/edata
-        // frames before the fused kernel can read them.
-        frame_write(batch.num_nodes, xv.cols());
-        frame_write(batch.num_edges(), heads);
-        record(spmm_kernel(
-            "gspmm_mul_sum",
-            batch.num_edges(),
-            xv.cols(),
-            true,
-        ));
-        let mut out = NdArray::zeros(batch.num_nodes, xv.cols());
-        for e in 0..batch.num_edges() {
-            let s = batch.src[e] as usize;
-            let dn = batch.dst[e] as usize;
-            let wr = wv.row(e);
-            for h in 0..heads {
-                let wvv = wr[h];
-                for k in 0..d {
-                    *out.at_mut(dn, h * d + k) += wvv * xv.at(s, h * d + k);
-                }
-            }
-        }
-        Tensor::from_op(
-            out,
-            vec![x.clone(), w.clone()],
-            Box::new(GSpmmMulSumBack {
-                src: batch.src.clone(),
-                dst: batch.dst.clone(),
-            }),
-        )
+        mp::u_mul_e_sum(batch.edges(), x, w, &MulSum)
     })
-}
-
-struct GsddmmAddBack {
-    src: Ids,
-    dst: Ids,
-    u_rows: usize,
-    v_rows: usize,
-}
-
-impl Backward for GsddmmAddBack {
-    fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-        host(costs::OP_DISPATCH);
-        if parents[0].needs_grad() {
-            record(spmm_kernel(
-                "gsddmm_add_back_u",
-                self.src.len(),
-                grad.cols(),
-                false,
-            ));
-            let mut du = NdArray::zeros(self.u_rows, grad.cols());
-            for (e, &s) in self.src.iter().enumerate() {
-                let dr = du.row_mut(s as usize);
-                for (c, &g) in grad.row(e).iter().enumerate() {
-                    dr[c] += g;
-                }
-            }
-            accumulate(&parents[0], du);
-        }
-        if parents[1].needs_grad() {
-            record(spmm_kernel(
-                "gsddmm_add_back_v",
-                self.dst.len(),
-                grad.cols(),
-                false,
-            ));
-            let mut dv = NdArray::zeros(self.v_rows, grad.cols());
-            for (e, &dn) in self.dst.iter().enumerate() {
-                let dr = dv.row_mut(dn as usize);
-                for (c, &g) in grad.row(e).iter().enumerate() {
-                    dr[c] += g;
-                }
-            }
-            accumulate(&parents[1], dv);
-        }
-    }
-    fn name(&self) -> &'static str {
-        "gsddmm_u_add_v"
-    }
 }
 
 /// Fused per-edge binary add (DGL's `u_add_v`): `out[e] = u[src_e] + v[dst_e]`.
 ///
 /// # Panics
 ///
-/// Panics if `u` and `v` disagree in width or don't cover the batch's nodes.
+/// Panics if `u` and `v` disagree in width or an endpoint is not one of
+/// their rows.
 pub fn gsddmm_u_add_v(batch: &HeteroBatch, u: &Tensor, v: &Tensor) -> Tensor {
-    let uv = u.data();
-    let vv = v.data();
-    assert_eq!(uv.cols(), vv.cols(), "gsddmm: operand widths differ");
-    assert_eq!(uv.rows(), batch.num_nodes, "gsddmm: u rows mismatch");
-    assert_eq!(vv.rows(), batch.num_nodes, "gsddmm: v rows mismatch");
-    debug_check_edges(&batch.src, &batch.dst, batch.num_nodes);
     gnn_device::traced("rgl", "gsddmm_u_add_v", || {
-        host(costs::OP_DISPATCH);
-        record(sddmm_kernel("gsddmm_u_add_v", batch.num_edges(), uv.cols()));
-        // The per-edge result lands in the edata frame.
-        frame_write(batch.num_edges(), uv.cols());
-        let mut out = NdArray::zeros(batch.num_edges(), uv.cols());
-        for e in 0..batch.num_edges() {
-            let s = batch.src[e] as usize;
-            let dn = batch.dst[e] as usize;
-            let orow = out.row_mut(e);
-            for c in 0..uv.cols() {
-                orow[c] = uv.at(s, c) + vv.at(dn, c);
-            }
-        }
-        let (u_rows, v_rows) = (uv.rows(), vv.rows());
-        Tensor::from_op(
-            out,
-            vec![u.clone(), v.clone()],
-            Box::new(GsddmmAddBack {
-                src: batch.src.clone(),
-                dst: batch.dst.clone(),
-                u_rows,
-                v_rows,
-            }),
-        )
+        mp::u_add_v(batch.edges(), u, v, &AddUV)
     })
 }
 
@@ -356,6 +180,7 @@ pub fn edge_softmax(batch: &HeteroBatch, scores: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use gnn_graph::Graph;
+    use gnn_tensor::NdArray;
 
     fn toy_batch() -> HeteroBatch {
         // edges: 0->1, 2->1, 1->0

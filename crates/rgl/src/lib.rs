@@ -17,7 +17,9 @@
 //!    [`kernels::gspmm_copy_sum`] / [`kernels::gspmm_mul_sum`] (message +
 //!    aggregate fused into one kernel) and [`kernels::gsddmm_u_add_v`]
 //!    (per-edge binary ops), each paying a framework dispatch cost on the
-//!    host. Fewer, fatter kernels than `rustyg`'s gather/scatter — but more
+//!    host. These are DGL's lowerings of the `gnn_tensor::mp` kernels, which
+//!    compute `rustyg`'s sums too: the framework decides what is recorded,
+//!    `mp` how it is computed. Fewer, fatter kernels than `rustyg`'s gather/scatter — but more
 //!    surrounding normalization ops per layer (e.g. [`GraphConv`]'s pre- and
 //!    post-norm, Section IV-C).
 //! 3. **Mandatory edge state in GatedGCN.** [`GatedGcnConv`] updates an

@@ -2,7 +2,8 @@
 
 use std::rc::Rc;
 
-use gnn_graph::Graph;
+use gnn_graph::{Csc, Graph};
+use gnn_tensor::mp::Edges;
 use gnn_tensor::{Ids, NdArray, Tensor};
 
 /// A collated mini-batch (or a full graph for node-level tasks), ready for
@@ -17,6 +18,9 @@ pub struct Batch {
     pub src: Ids,
     /// Edge destinations.
     pub dst: Ids,
+    /// The edges grouped by destination: the host computes message passing
+    /// over it; the simulated device never sees it.
+    pub csc: Rc<Csc>,
     /// Total node count.
     pub num_nodes: usize,
     /// Number of graphs collated into this batch (1 for node tasks).
@@ -37,8 +41,9 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Assembles a batch from an already-collated graph. Degree tensors are
-    /// derived here; features are registered as a device allocation.
+    /// Assembles a batch from an already-collated graph. Degree tensors and
+    /// the host-side CSC are derived here; features are registered as a
+    /// device allocation.
     pub fn from_parts(
         graph: &Graph,
         features: NdArray,
@@ -74,6 +79,7 @@ impl Batch {
             x: Tensor::new(features),
             src: Rc::new(graph.src().to_vec()),
             dst: Rc::new(graph.dst().to_vec()),
+            csc: Rc::new(graph.csc()),
             num_nodes: graph.num_nodes(),
             num_graphs,
             graph_ids: Rc::new(graph_ids),
@@ -88,6 +94,15 @@ impl Batch {
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.src.len()
+    }
+
+    /// The edges, for `gnn_tensor::mp`.
+    pub fn edges(&self) -> Edges<'_> {
+        Edges {
+            src: &self.src,
+            dst: &self.dst,
+            csc: &self.csc,
+        }
     }
 }
 

@@ -1,11 +1,12 @@
 //! GAT convolution (Veličković et al.), multi-head attention.
 
+use gnn_tensor::mp;
 use gnn_tensor::nn::{init, Linear};
 use gnn_tensor::Tensor;
 use rand::Rng;
 
 use crate::batch::Batch;
-use crate::costs;
+use crate::{costs, message};
 
 /// Multi-head graph attention. Per head `h` with projected features
 /// `z = W x`:
@@ -57,16 +58,16 @@ impl GatConv {
         // Per-node attention halves.
         let al = z.head_dot(&self.attn_l, self.heads); // [N, H]
         let ar = z.head_dot(&self.attn_r, self.heads); // [N, H]
-                                                       // Per-edge scores e = leaky(al[dst] + ar[src]) — dst is the
-                                                       // attending node i, src the attended j.
+
+        // Per-edge scores e = leaky(al[dst] + ar[src]) — dst is the
+        // attending node i, src the attended j.
         gnn_device::traced("rustyg", "gat.gather_scatter", || {
             let scores = al
                 .gather_rows(&batch.dst)
                 .add(&ar.gather_rows(&batch.src))
                 .leaky_relu(0.2);
             let alpha = scores.segment_softmax(&batch.dst, batch.num_nodes); // [E, H]
-            let msg = z.gather_rows(&batch.src).mul_per_head(&alpha, self.heads);
-            msg.scatter_add_rows(&batch.dst, batch.num_nodes)
+            mp::u_mul_e_sum(batch.edges(), &z, &alpha, &message::MUL_PER_HEAD)
         })
     }
 

@@ -4,12 +4,13 @@
 // Kernel-style loops co-index several slices; index form is clearer here.
 #![allow(clippy::needless_range_loop)]
 
+use gnn_tensor::mp;
 use gnn_tensor::nn::Linear;
 use gnn_tensor::Tensor;
 use rand::Rng;
 
 use crate::batch::Batch;
-use crate::costs;
+use crate::{costs, message};
 
 /// Residual gated graph convolution:
 ///
@@ -57,8 +58,7 @@ impl GatedGcnConv {
             let denom = gates
                 .scatter_add_rows(&batch.dst, batch.num_nodes)
                 .add_scalar(1e-6); // [N, F]
-            let msg = bh.gather_rows(&batch.src).mul(&gates);
-            let num = msg.scatter_add_rows(&batch.dst, batch.num_nodes);
+            let num = mp::u_mul_e_sum(batch.edges(), &bh, &gates, &message::MUL);
             num.div(&denom)
         });
         ah.add(&agg)

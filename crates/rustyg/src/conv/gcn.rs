@@ -1,11 +1,12 @@
 //! GCN convolution (Kipf & Welling), PyG lowering.
 
+use gnn_tensor::mp;
 use gnn_tensor::nn::Linear;
 use gnn_tensor::Tensor;
 use rand::Rng;
 
 use crate::batch::Batch;
-use crate::costs;
+use crate::{costs, message};
 
 /// Graph convolution with degree-renormalized mean aggregation:
 /// `h_i' = (1 / deg_i) * (W h_i + sum_{j in N(i)} W h_j)`, the paper's
@@ -33,8 +34,7 @@ impl GcnConv {
         gnn_device::host(costs::LAYER_OVERHEAD);
         let h = self.lin.forward(x);
         let agg = gnn_device::traced("rustyg", "gcn.gather_scatter", || {
-            let msg = h.gather_rows(&batch.src);
-            msg.scatter_add_rows(&batch.dst, batch.num_nodes)
+            mp::copy_u_sum(batch.edges(), &h, &message::COPY)
         });
         // Self-loop contribution + mean normalization.
         agg.add(&h).mul_col(&batch.inv_deg)

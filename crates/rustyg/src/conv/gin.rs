@@ -1,11 +1,12 @@
 //! GIN convolution (Xu et al.).
 
+use gnn_tensor::mp;
 use gnn_tensor::nn::{BatchNorm1d, Linear};
 use gnn_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 use crate::batch::Batch;
-use crate::costs;
+use crate::{costs, message};
 
 /// Graph Isomorphism Network layer, the paper's Eq. (3):
 ///
@@ -36,8 +37,7 @@ impl GinConv {
     pub fn forward(&self, batch: &Batch, x: &Tensor, training: bool) -> Tensor {
         gnn_device::host(costs::LAYER_OVERHEAD);
         let agg = gnn_device::traced("rustyg", "gin.gather_scatter", || {
-            x.gather_rows(&batch.src)
-                .scatter_add_rows(&batch.dst, batch.num_nodes)
+            mp::copy_u_sum(batch.edges(), x, &message::COPY)
         });
         // (1 + eps) * h_i + sum of neighbours.
         let one_plus_eps = self.eps.add_scalar(1.0);

@@ -1,11 +1,12 @@
 //! MoNet / GMM convolution (Monti et al.).
 
+use gnn_tensor::mp;
 use gnn_tensor::nn::{init, Linear};
 use gnn_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 use crate::batch::Batch;
-use crate::costs;
+use crate::{costs, message};
 
 /// Gaussian Mixture Model convolution with degree pseudo-coordinates
 /// (the benchmarking-gnns construction the study follows):
@@ -76,8 +77,7 @@ impl MoNetConv {
                 .mul_row(&self.inv_sigma[k].mul(&self.inv_sigma[k]));
             let w = scaled.sum_cols().scale(-0.5).exp(); // [E, 1]
             let agg = gnn_device::traced("rustyg", "monet.gather_scatter", || {
-                let msg = self.fc[k].forward(x).gather_rows(&batch.src).mul_col(&w);
-                msg.scatter_add_rows(&batch.dst, batch.num_nodes)
+                mp::u_mul_e_sum(batch.edges(), &self.fc[k].forward(x), &w, &message::MUL_COL)
             });
             out = Some(match out {
                 Some(acc) => acc.add(&agg),

@@ -1,11 +1,12 @@
 //! GraphSAGE convolution (Hamilton et al.), max/mean-pool aggregator family.
 
+use gnn_tensor::mp;
 use gnn_tensor::nn::Linear;
 use gnn_tensor::Tensor;
 use rand::Rng;
 
 use crate::batch::Batch;
-use crate::costs;
+use crate::{costs, message};
 
 /// GraphSAGE with the mean-pool aggregator of the study's Table II/III
 /// (`sage_aggregator: meanpool`):
@@ -36,10 +37,7 @@ impl SageConv {
         // renormalized degree (counts self once; the isolated-node case
         // stays finite).
         let agg = gnn_device::traced("rustyg", "sage.gather_scatter", || {
-            pooled
-                .gather_rows(&batch.src)
-                .scatter_add_rows(&batch.dst, batch.num_nodes)
-                .mul_col(&batch.inv_deg)
+            mp::copy_u_sum(batch.edges(), &pooled, &message::COPY).mul_col(&batch.inv_deg)
         });
         let h = self.lin.forward(&x.concat_cols(&agg));
         h.l2_normalize_rows(1e-12)

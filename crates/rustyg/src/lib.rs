@@ -4,8 +4,12 @@
 //! Geometric:
 //!
 //! - **Message passing as gather → edge-compute → scatter** over flat COO
-//!   index arrays ([`Batch::src`]/[`Batch::dst`]), exactly PyG's
-//!   `MessagePassing` lowering onto `index_select`/`scatter_add`.
+//!   index arrays ([`Batch::src`]/[`Batch::dst`]): that is what the
+//!   simulated device records, per-edge `[E, F]` tensors included — PyG's
+//!   `MessagePassing` lowering onto `index_select`/`scatter_add`
+//!   ([`message`]). The host computes the same sums, bit for bit, on the
+//!   fused `gnn_tensor::mp` kernels over [`Batch::csc`]: the lowering decides
+//!   what is recorded, `mp` how it is computed.
 //! - **Zero-overhead mini-batching**: a batch of graphs is collated by plain
 //!   concatenation with offset edge indices — the "advanced mini-batching
 //!   strategy in which there is no computational or memory overhead" the
@@ -38,6 +42,7 @@ pub mod cached;
 pub mod conv;
 pub mod costs;
 pub mod loader;
+pub mod message;
 pub mod pool;
 pub mod sampled;
 

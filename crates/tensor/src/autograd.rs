@@ -28,8 +28,8 @@ use crate::ndarray::NdArray;
 /// A rule may own only state that is not a parent value (index arrays,
 /// shapes, a dropout mask, its own op's output) and should build it only
 /// when the node is recorded, since inference drops the rule unused.
-/// Frameworks outside this crate (e.g. `rgl`'s fused GSpMM) implement this
-/// trait to register custom fused operations.
+/// The fused message-passing ops of [`crate::mp`] implement it once for
+/// both frameworks; a framework supplies only their [`crate::mp::Lowering`].
 pub trait Backward {
     /// Propagates `grad` (gradient w.r.t. this op's output) to `parents`.
     fn backward(&self, grad: &NdArray, parents: &[Tensor]);
@@ -112,6 +112,14 @@ thread_local! {
 /// Host cost of the autograd engine per executed backward node (queueing,
 /// ready-count tracking, hook dispatch — torch's engine overhead).
 const ENGINE_OVERHEAD_PER_NODE: f64 = 12e-6;
+
+/// Charges the engine's host cost of one executed backward node. A fused
+/// rule that stands in for a chain of nodes calls it once for each chain
+/// node beyond its own, so the modeled engine cost stays the chain's (see
+/// [`crate::mp`]).
+pub fn charge_node() {
+    gnn_device::host(ENGINE_OVERHEAD_PER_NODE);
+}
 
 /// Whether operations currently record the tape (see [`no_grad`]).
 pub fn grad_enabled() -> bool {
@@ -347,10 +355,7 @@ impl Tensor {
             let grad = t.inner.grad.borrow_mut().take();
             drop(t);
             let Some(grad) = grad else { continue };
-            // Engine bookkeeping per executed node (queueing, ready-count
-            // tracking, hook dispatch) — the host-side cost of torch's
-            // autograd engine.
-            gnn_device::host(ENGINE_OVERHEAD_PER_NODE);
+            charge_node();
             node.op.backward(&grad, &node.parents);
         }
     }

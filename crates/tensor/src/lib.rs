@@ -47,6 +47,7 @@
 
 pub mod autograd;
 mod gemm;
+pub mod mp;
 pub mod ndarray;
 pub mod nn;
 pub mod ops;

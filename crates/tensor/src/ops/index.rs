@@ -1,9 +1,10 @@
 //! Row gather and scatter-add through index arrays.
 //!
-//! These two kernels are the backbone of PyG-style message passing: messages
-//! are built by gathering source-node rows along edges and aggregated by
-//! scatter-adding them into destination-node rows. Their backward rules are
-//! each other.
+//! These two kernels are the vocabulary of PyG-style message passing:
+//! messages are built by gathering source-node rows along edges and
+//! aggregated by scatter-adding them into destination-node rows. Their
+//! backward rules are each other. A whole message chain is computed fused
+//! by [`crate::mp`], whose PyG lowering replays these kernels' events.
 
 use gnn_device::{record, Kernel};
 

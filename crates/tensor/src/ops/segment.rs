@@ -10,7 +10,7 @@ use gnn_device::{record, Kernel, KernelKind};
 
 use crate::autograd::{accumulate, records, Backward, Tensor};
 use crate::ndarray::NdArray;
-use crate::ops::index::gather_raw;
+use crate::ops::index::{gather_raw, scatter_add_raw};
 use crate::ops::Ids;
 use crate::shape_error::ShapeError;
 
@@ -186,13 +186,7 @@ impl Tensor {
             x.cols(),
             num_segments,
         ));
-        let mut out = NdArray::zeros(num_segments, x.cols());
-        for (r, &i) in ids.iter().enumerate() {
-            let dst = out.row_mut(i as usize);
-            for (d, &s) in dst.iter_mut().zip(x.row(r)) {
-                *d += s;
-            }
-        }
+        let out = scatter_add_raw(&x, ids, num_segments);
         drop(x);
         Tensor::from_op(
             out,
@@ -217,13 +211,7 @@ impl Tensor {
             .iter()
             .map(|&c| if c > 0.0 { 1.0 / c } else { 0.0 })
             .collect();
-        let mut out = NdArray::zeros(num_segments, x.cols());
-        for (r, &i) in ids.iter().enumerate() {
-            let dst = out.row_mut(i as usize);
-            for (d, &s) in dst.iter_mut().zip(x.row(r)) {
-                *d += s;
-            }
-        }
+        let mut out = scatter_add_raw(&x, ids, num_segments);
         for (s, &ic) in inv_counts.iter().enumerate() {
             for v in out.row_mut(s) {
                 *v *= ic;

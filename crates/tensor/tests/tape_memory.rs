@@ -10,6 +10,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
+use gnn_graph::Csc;
+use gnn_tensor::mp::{self, Edges, Lowering, Shape};
 use gnn_tensor::{cross_entropy, no_grad, Ids, NdArray, Tensor};
 
 struct Counting;
@@ -188,4 +190,45 @@ fn no_grad_ops_allocate_nothing_beyond_their_output() {
     assert_no_grad_allocates_only_output("l2_normalize_rows", || x.l2_normalize_rows(1e-12));
     assert_no_grad_allocates_only_output("mul_per_head", || x.mul_per_head(&w, 2));
     assert_no_grad_allocates_only_output("cross_entropy", || cross_entropy(&x, &labels));
+}
+
+/// Records nothing: host bytes are all this file measures.
+struct Unrecorded;
+
+impl Lowering for Unrecorded {
+    fn forward(&self, _: Shape) {}
+    fn backward(&self, _: Shape, _: [bool; 2], grad: &mut dyn FnMut(usize)) {
+        grad(1);
+        grad(0);
+    }
+}
+
+#[test]
+fn fused_gat_chain_holds_no_edge_by_feature_buffer() {
+    let gat = Gat::new();
+    let csc = Csc::from_coo(N, &gat.src, &gat.dst);
+    let edges = Edges {
+        src: &gat.src,
+        dst: &gat.dst,
+        csc: &csc,
+    };
+    // The chain above with the message fused: per-edge scores are `[E, H]`
+    // and nothing else per-edge is built, forward or backward.
+    let ((), peak) = peak_above(|| {
+        let score = gat.x.head_dot(&gat.att, H).gather_rows(&gat.src).relu();
+        mp::u_mul_e_sum(edges, &gat.x, &score, &Unrecorded)
+            .mul_col(&gat.norm)
+            .sum_all()
+            .backward()
+    });
+    assert!(
+        peak <= SMALL_BYTES,
+        "peak {:.2} × E·F·4 exceeds the node-sized and E·H terms",
+        peak as f64 / EF_BYTES as f64
+    );
+    assert!(gat.x.grad().is_some() && gat.att.grad().is_some());
+    let score = gat.x.head_dot(&gat.att, H).gather_rows(&gat.src);
+    assert_no_grad_allocates_only_output("u_mul_e_sum", || {
+        mp::u_mul_e_sum(edges, &gat.x, &score, &Unrecorded)
+    });
 }
