@@ -819,6 +819,19 @@ mod tests {
         assert!(text.starts_with(&format!("{{\"schema\":\"{WHATIF_SCHEMA}\"")));
     }
 
+    /// Cross-commit pin of the whole document: FNV-1a over its bytes.
+    /// A deliberate format change re-captures it (the failure prints the
+    /// new value).
+    #[test]
+    fn whatif_json_bytes_are_pinned() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for b in run_whatif(&tiny_cfg()).to_json().bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(format!("{hash:#018x}"), "0x649b32d9915fbd51");
+    }
+
     #[test]
     fn sweep_conformance_is_exact_on_a_real_retrain() {
         let cfg = tiny_cfg();
