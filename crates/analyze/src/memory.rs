@@ -32,19 +32,16 @@
 //! `memory.json` next to it (see EXPERIMENTS.md).
 
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use gnn_datasets::{GraphDataset, NodeDataset};
 use gnn_device::CostModel;
 use gnn_models::config::{FrameworkKind, ModelKind};
-use gnn_obs::Value;
+use gnn_obs::{Column, Table, Value};
 
 use crate::ir::{NodeId, OpGraph, Rows, SymShape};
 use crate::liveness;
 use crate::lower::{lower_stack, StackPlan};
-use crate::report::{Finding, FindingKind};
+use crate::report::{Finding, FindingKind, FINDINGS};
 
 /// Bytes as a closed-form linear expression over the symbolic batch sizes:
 /// `per_node·N + per_edge·E + per_graph·G + constant`.
@@ -654,68 +651,42 @@ impl MemoryReport {
     /// EXPERIMENTS.md). Field order is fixed, so equal reports serialize
     /// byte-identically.
     pub fn to_value(&self) -> Value {
-        let rtx = CostModel::rtx2080ti().device_memory;
-        let a100 = CostModel::a100().device_memory;
         Value::Obj(vec![
-            ("clean".into(), Value::Bool(self.is_clean())),
-            (
-                "cells".into(),
-                Value::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            Value::Obj(vec![
-                                ("cell".into(), Value::Str(c.path())),
-                                ("nodes".into(), Value::Num(c.nodes as f64)),
-                                ("edges".into(), Value::Num(c.edges as f64)),
-                                ("graphs".into(), Value::Num(c.graphs as f64)),
-                                ("batch".into(), Value::Num(c.batch as f64)),
-                                ("param_bytes".into(), Value::Num(c.param_bytes as f64)),
-                                ("persistent".into(), Value::Num(c.persistent as f64)),
-                                ("peak_upper".into(), Value::Num(c.peak_upper as f64)),
-                                ("floor_fatal".into(), Value::Num(c.floor_fatal as f64)),
-                                ("ideal_peak".into(), Value::Num(c.ideal_peak as f64)),
-                                (
-                                    "bump_over_ideal".into(),
-                                    Value::Num(c.peak_upper as f64 / c.ideal_peak.max(1) as f64),
-                                ),
-                                ("forward".into(), Value::Str(c.forward.to_string())),
-                                ("backward".into(), Value::Str(c.backward.to_string())),
-                                ("load".into(), Value::Str(c.load.to_string())),
-                                ("fits_rtx2080ti".into(), Value::Bool(c.peak_upper <= rtx)),
-                                ("fits_a100".into(), Value::Bool(c.peak_upper <= a100)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "findings".into(),
-                Value::Arr(
-                    self.findings
-                        .iter()
-                        .map(|f| {
-                            Value::Obj(vec![
-                                ("kind".into(), Value::Str(f.kind.label().into())),
-                                ("path".into(), Value::Str(f.path.clone())),
-                                ("message".into(), Value::Str(f.message.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("clean".into(), self.is_clean().into()),
+            ("cells".into(), CERTS.json_rows(&self.cells)),
+            ("findings".into(), FINDINGS.json_rows(&self.findings)),
         ])
     }
-
-    /// Writes `memory.json` into `dir` (created if missing), next to
-    /// `lint.json`, returning its path.
-    pub fn save(&self, dir: &Path) -> io::Result<PathBuf> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join("memory.json");
-        fs::write(&path, self.to_value().to_json())?;
-        Ok(path)
-    }
 }
+
+/// The cell rows of `memory.json`: one certificate per sweep cell.
+const CERTS: Table<CellCert> = Table {
+    schema: None,
+    columns: &[
+        Column::new("cell", |c| c.path().into()),
+        Column::new("nodes", |c| c.nodes.into()),
+        Column::new("edges", |c| c.edges.into()),
+        Column::new("graphs", |c| c.graphs.into()),
+        Column::new("batch", |c| c.batch.into()),
+        Column::new("param_bytes", |c| c.param_bytes.into()),
+        Column::new("persistent", |c| c.persistent.into()),
+        Column::new("peak_upper", |c| c.peak_upper.into()),
+        Column::new("floor_fatal", |c| c.floor_fatal.into()),
+        Column::new("ideal_peak", |c| c.ideal_peak.into()),
+        Column::new("bump_over_ideal", |c| {
+            (c.peak_upper as f64 / c.ideal_peak.max(1) as f64).into()
+        }),
+        Column::new("forward", |c| c.forward.to_string().into()),
+        Column::new("backward", |c| c.backward.to_string().into()),
+        Column::new("load", |c| c.load.to_string().into()),
+        Column::new("fits_rtx2080ti", |c| {
+            (c.peak_upper <= CostModel::rtx2080ti().device_memory).into()
+        }),
+        Column::new("fits_a100", |c| {
+            (c.peak_upper <= CostModel::a100().device_memory).into()
+        }),
+    ],
+};
 
 impl fmt::Display for MemoryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

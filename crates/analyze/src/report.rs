@@ -5,11 +5,8 @@
 //! the trace artifacts of the observability layer.
 
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
-use gnn_obs::Value;
+use gnn_obs::{Column, Table, Value};
 
 /// The category of a finding, one per analysis rule family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,64 +148,34 @@ impl LintReport {
         self.findings.iter().filter(|f| f.kind == kind).collect()
     }
 
-    /// Merges another report into this one (summing coverage counters).
-    pub fn merge(&mut self, other: LintReport) {
-        self.findings.extend(other.findings);
-        self.cells_checked += other.cells_checked;
-        self.ops_checked += other.ops_checked;
-        self.datasets_checked += other.datasets_checked;
-        self.schedules_checked += other.schedules_checked;
-        self.kernel_kinds_checked += other.kernel_kinds_checked;
-    }
-
     /// The report as a JSON tree (the `lint.json` schema; see README).
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
             (
                 "coverage".into(),
                 Value::Obj(vec![
-                    ("cells".into(), Value::Num(self.cells_checked as f64)),
-                    ("ops".into(), Value::Num(self.ops_checked as f64)),
-                    ("datasets".into(), Value::Num(self.datasets_checked as f64)),
-                    (
-                        "schedules".into(),
-                        Value::Num(self.schedules_checked as f64),
-                    ),
-                    (
-                        "kernel_kinds".into(),
-                        Value::Num(self.kernel_kinds_checked as f64),
-                    ),
+                    ("cells".into(), self.cells_checked.into()),
+                    ("ops".into(), self.ops_checked.into()),
+                    ("datasets".into(), self.datasets_checked.into()),
+                    ("schedules".into(), self.schedules_checked.into()),
+                    ("kernel_kinds".into(), self.kernel_kinds_checked.into()),
                 ]),
             ),
             ("clean".into(), Value::Bool(self.is_clean())),
-            (
-                "findings".into(),
-                Value::Arr(
-                    self.findings
-                        .iter()
-                        .map(|f| {
-                            Value::Obj(vec![
-                                ("kind".into(), Value::Str(f.kind.label().into())),
-                                ("path".into(), Value::Str(f.path.clone())),
-                                ("message".into(), Value::Str(f.message.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("findings".into(), FINDINGS.json_rows(&self.findings)),
         ])
     }
-
-    /// Writes `lint.json` into `dir` (created if missing), returning its
-    /// path. Lives alongside `trace.json`/`metrics.jsonl` when the run is
-    /// traced.
-    pub fn save(&self, dir: &Path) -> io::Result<PathBuf> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join("lint.json");
-        fs::write(&path, self.to_value().to_json())?;
-        Ok(path)
-    }
 }
+
+/// The findings rows of `lint.json` and `memory.json`.
+pub const FINDINGS: Table<Finding> = Table {
+    schema: None,
+    columns: &[
+        Column::new("kind", |f| f.kind.label().into()),
+        Column::new("path", |f| f.path.as_str().into()),
+        Column::new("message", |f| f.message.as_str().into()),
+    ],
+};
 
 impl fmt::Display for LintReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use gnn_core::export::{cell_outcomes_csv, kernel_counts_csv, table_csv};
+use gnn_core::export::{kernel_counts_csv, table_csv, CELL_OUTCOMES};
 use gnn_core::report::{self as render, ResourceMetric};
 use gnn_core::runner::{self, GraphDs};
 use gnn_core::CellStatus;
@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::cli::Args;
 use crate::report::{diff_reports, render_diff, resolve_baseline, run_report};
-use crate::sample::{expand_variants, run_sample_sweep, write_sample_metrics, SampleVariant};
+use crate::sample::{expand_variants, run_sample_sweep, SampleVariant, SAMPLE_METRICS};
 use crate::whatif::{
     audit_whatif, run_conformance, run_serve_conformance, run_whatif, ConformanceRecord,
 };
@@ -203,11 +203,8 @@ pub(crate) fn sweep(args: Args) -> ExitCode {
     println!();
     print!("{}", render::sweep_report(&out));
     if let Some(dir) = run.trace_dir().map(Path::to_path_buf) {
-        run.write(
-            "cells",
-            dir.join("cell_outcomes.csv"),
-            &cell_outcomes_csv(&out.cells),
-        );
+        let cells = CELL_OUTCOMES.csv(&out.cells);
+        run.write("cells", dir.join("cell_outcomes.csv"), &cells);
         run.write("table4", dir.join("table4.csv"), &table_csv(&out.table4));
         run.write("table5", dir.join("table5.csv"), &table_csv(&out.table5));
     }
@@ -419,7 +416,7 @@ fn lint_variants(variants: &[SampleVariant]) -> gnn_lint::LintReport {
 /// lowering, tape audit, and closed-form memory certification at the
 /// fan-out union bounds) and refuses to run on any finding.
 ///
-/// Exits nonzero on lint findings, dead cells, or a malformed CSV.
+/// Exits nonzero on lint findings, dead cells, or a failed write.
 pub(crate) fn sample(args: Args) -> ExitCode {
     let cfg = args.sample_config();
     let variants = expand_variants(&cfg.specs, &cfg.fanouts, &cfg.cache_rows);
@@ -464,7 +461,7 @@ pub(crate) fn sample(args: Args) -> ExitCode {
     for e in &errors {
         run.error(e);
     }
-    run.wrote("metrics", write_sample_metrics(&cfg.out, &rows));
+    run.write("metrics", cfg.out.clone(), &SAMPLE_METRICS.csv(&rows));
     let expected = variants.len() * SamplerKind::all().len() * ALL_FRAMEWORKS.len();
     if rows.len() != expected {
         run.error(format!(

@@ -71,14 +71,13 @@ pub mod sample;
 pub mod whatif;
 
 use std::fmt::Display;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use gnn_core::RunConfig;
 use gnn_faults::FaultPlan;
 use gnn_lint::LintReport;
-use gnn_serve::{ServeConfigError, ServeReport};
+use gnn_serve::{ServeConfigError, ServeReport, SERVE_METRICS};
 
 /// The one run harness: the lint gate, the fault plan, the trace
 /// collector, artifact writes and the exit status, the same for every
@@ -110,7 +109,11 @@ impl Run {
         if cfg.lint_first {
             let (report, memory) = gnn_lint::lint_run_with_memory(cfg);
             if let Some(dir) = cfg.trace.dir() {
-                run.wrote("memory", memory.save(dir));
+                run.write(
+                    "memory",
+                    dir.join("memory.json"),
+                    &memory.to_value().to_json(),
+                );
             }
             run.gate(report);
         }
@@ -128,7 +131,7 @@ impl Run {
     pub fn gate(&mut self, report: LintReport) {
         print!("{report}");
         if let Some(dir) = self.trace.clone() {
-            self.wrote("lint", report.save(&dir));
+            self.write("lint", dir.join("lint.json"), &report.to_value().to_json());
         }
         if !report.is_clean() {
             eprintln!("error: gnn-lint found problems; refusing to run");
@@ -162,24 +165,18 @@ impl Run {
         out
     }
 
-    /// Reports an artifact write: its path, or the error (which fails the
-    /// run).
-    pub fn wrote(&mut self, label: &str, written: io::Result<PathBuf>) {
-        match written {
-            Ok(path) => println!("{:<8} {}", format!("{label}:"), path.display()),
-            Err(e) => self.error(format!("writing {label}: {e}")),
-        }
-    }
-
-    /// Writes `text` to `path`, creating its directory, and reports it.
+    /// Writes `text` to `path`, creating its directory, and reports it:
+    /// its path, or the error (which fails the run).
     pub fn write(&mut self, label: &str, path: PathBuf, text: &str) {
         let written = path
             .parent()
             .filter(|dir| !dir.as_os_str().is_empty())
             .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(&path, text))
-            .map(|()| path);
-        self.wrote(label, written);
+            .and_then(|()| std::fs::write(&path, text));
+        match written {
+            Ok(()) => println!("{:<8} {}", format!("{label}:"), path.display()),
+            Err(e) => self.error(format!("writing {label}: {e}")),
+        }
     }
 
     /// Prints an error; the run will exit with status 1.
@@ -193,13 +190,12 @@ impl Run {
     pub fn finish(mut self) -> ExitCode {
         if let (Some(handle), Some(dir)) = (self.collector.take(), self.trace.clone()) {
             let trace = gnn_obs::finish(handle);
-            match trace.save(&dir) {
-                Ok((trace_path, metrics_path)) => {
-                    self.wrote("trace", Ok(trace_path));
-                    self.wrote("metrics", Ok(metrics_path));
-                }
-                Err(e) => self.error(format!("writing trace artifacts to {}: {e}", dir.display())),
-            }
+            self.write("trace", dir.join("trace.json"), &trace.to_chrome_json());
+            self.write(
+                "metrics",
+                dir.join("metrics.jsonl"),
+                &trace.to_metrics_jsonl(),
+            );
             print!("{}", gnn_core::report::run_summary(&trace));
         }
         if self.failed {
@@ -255,7 +251,8 @@ impl Run {
             }
         }
         if let Some(dir) = self.trace.clone() {
-            self.wrote("serve", gnn_serve::write_serve_metrics(&dir, reports));
+            let csv = SERVE_METRICS.csv(reports.iter().flat_map(ServeReport::metrics_rows));
+            self.write("serve", dir.join("serve_metrics.csv"), &csv);
         }
     }
 }
@@ -674,6 +671,20 @@ mod tests {
             .get("cells")
             .and_then(|c| c.as_arr().map(<[_]>::len));
         assert_eq!(cells, Some(60));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_creates_parent_directories_and_fails_the_run_on_error() {
+        let dir = std::env::temp_dir().join(format!("gnn_bench_write_{}", std::process::id()));
+        let mut run = Run::new(None, None);
+        run.write("csv", dir.join("nested/out.csv"), "a,b\n1,2\n");
+        let text = std::fs::read_to_string(dir.join("nested/out.csv")).unwrap();
+        assert_eq!(text, "a,b\n1,2\n");
+        assert!(!run.failed);
+        // A parent that is a plain file cannot be created.
+        run.write("csv", dir.join("nested/out.csv/x.csv"), "");
+        assert!(run.failed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

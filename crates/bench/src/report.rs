@@ -25,7 +25,7 @@
 use std::path::PathBuf;
 
 use gnn_faults::FaultPlan;
-use gnn_obs::{json, Value};
+use gnn_obs::{json, Column, Table, Value};
 use gnn_serve::{default_endpoints, BatchPolicy, CellId, FleetConfig, RoutingPolicy, ServeConfig};
 use gnn_train::cell::{train, CellData, Trained};
 use gnn_train::Supervisor;
@@ -218,6 +218,71 @@ pub struct BenchReport {
     pub fleet: Vec<FleetPolicyReport>,
 }
 
+/// The `cells` rows of the report document.
+pub const CELL_ROWS: Table<CellReport> = Table {
+    schema: None,
+    columns: &[
+        Column::new("cell", |c| c.cell.as_str().into()),
+        Column::new("epoch_time", |c| c.epoch_time.into()),
+        Column::new("total_time", |c| c.total_time.into()),
+        Column::new("kernel_time", |c| c.kernel_time.into()),
+        Column::new("transfer_time", |c| c.transfer_time.into()),
+        Column::new("idle_time", |c| c.idle_time.into()),
+        Column::new("flops", |c| c.flops.into()),
+        Column::new("bytes", |c| c.bytes.into()),
+        Column::new("arithmetic_intensity", |c| c.arithmetic_intensity.into()),
+        Column::new("roofline_utilization", |c| c.roofline_utilization.into()),
+        Column::new("utilization", |c| c.utilization.into()),
+    ],
+};
+
+/// The `sample` rows of the report document.
+pub const SAMPLE_ROWS: Table<SampleCellReport> = Table {
+    schema: None,
+    columns: &[
+        Column::new("cell", |c| c.cell.as_str().into()),
+        Column::new("epoch_time", |c| c.epoch_time.into()),
+        Column::new("total_time", |c| c.total_time.into()),
+        Column::new("kernel_time", |c| c.kernel_time.into()),
+        Column::new("transfer_time", |c| c.transfer_time.into()),
+        Column::new("cache_hit_rate", |c| c.cache_hit_rate.into()),
+        Column::new("test_acc", |c| c.test_acc.into()),
+    ],
+};
+
+/// The `serve` rows of the report document.
+pub const SERVE_ROWS: Table<ServePolicyReport> = Table {
+    schema: None,
+    columns: &[
+        Column::new("policy", |s| s.policy.as_str().into()),
+        Column::new("p50", |s| s.p50.into()),
+        Column::new("p95", |s| s.p95.into()),
+        Column::new("p99", |s| s.p99.into()),
+        Column::new("throughput", |s| s.throughput.into()),
+        Column::new("slo_attainment", |s| s.slo_attainment.into()),
+        Column::new("served", |s| s.served.into()),
+        Column::new("rejected", |s| s.rejected.into()),
+    ],
+};
+
+/// The `fleet` rows of the report document.
+pub const FLEET_ROWS: Table<FleetPolicyReport> = Table {
+    schema: None,
+    columns: &[
+        Column::new("routing", |f| f.routing.as_str().into()),
+        Column::new("p50", |f| f.p50.into()),
+        Column::new("p95", |f| f.p95.into()),
+        Column::new("p99", |f| f.p99.into()),
+        Column::new("throughput", |f| f.throughput.into()),
+        Column::new("slo_attainment", |f| f.slo_attainment.into()),
+        Column::new("answered", |f| f.answered.into()),
+        Column::new("shed", |f| f.shed.into()),
+        Column::new("retries", |f| f.retries.into()),
+        Column::new("hedges", |f| f.hedges.into()),
+        Column::new("failover_p99", |f| f.failover_p99.into()),
+    ],
+};
+
 /// Trains one cell — run 0 of it, exactly as the sweep would: the catalog's
 /// dataset, recipe, architecture seed and framework — under the default
 /// policy. Shared between the report harness and the causal what-if
@@ -377,105 +442,16 @@ impl BenchReport {
                         .collect(),
                 ),
             ),
-            (
-                "cells".into(),
-                Value::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            Value::Obj(vec![
-                                ("cell".into(), Value::from(c.cell.as_str())),
-                                ("epoch_time".into(), Value::Num(c.epoch_time)),
-                                ("total_time".into(), Value::Num(c.total_time)),
-                                ("kernel_time".into(), Value::Num(c.kernel_time)),
-                                ("transfer_time".into(), Value::Num(c.transfer_time)),
-                                ("idle_time".into(), Value::Num(c.idle_time)),
-                                ("flops".into(), Value::from(c.flops)),
-                                ("bytes".into(), Value::from(c.bytes)),
-                                (
-                                    "arithmetic_intensity".into(),
-                                    Value::Num(c.arithmetic_intensity),
-                                ),
-                                (
-                                    "roofline_utilization".into(),
-                                    Value::Num(c.roofline_utilization),
-                                ),
-                                ("utilization".into(), Value::Num(c.utilization)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "sample".into(),
-                Value::Arr(
-                    self.sample
-                        .iter()
-                        .map(|c| {
-                            Value::Obj(vec![
-                                ("cell".into(), Value::from(c.cell.as_str())),
-                                ("epoch_time".into(), Value::Num(c.epoch_time)),
-                                ("total_time".into(), Value::Num(c.total_time)),
-                                ("kernel_time".into(), Value::Num(c.kernel_time)),
-                                ("transfer_time".into(), Value::Num(c.transfer_time)),
-                                ("cache_hit_rate".into(), Value::Num(c.cache_hit_rate)),
-                                ("test_acc".into(), Value::Num(c.test_acc)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "serve".into(),
-                Value::Arr(
-                    self.serve
-                        .iter()
-                        .map(|s| {
-                            Value::Obj(vec![
-                                ("policy".into(), Value::from(s.policy.as_str())),
-                                ("p50".into(), Value::Num(s.p50)),
-                                ("p95".into(), Value::Num(s.p95)),
-                                ("p99".into(), Value::Num(s.p99)),
-                                ("throughput".into(), Value::Num(s.throughput)),
-                                ("slo_attainment".into(), Value::Num(s.slo_attainment)),
-                                ("served".into(), Value::from(s.served)),
-                                ("rejected".into(), Value::from(s.rejected)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "fleet".into(),
-                Value::Arr(
-                    self.fleet
-                        .iter()
-                        .map(|f| {
-                            Value::Obj(vec![
-                                ("routing".into(), Value::from(f.routing.as_str())),
-                                ("p50".into(), Value::Num(f.p50)),
-                                ("p95".into(), Value::Num(f.p95)),
-                                ("p99".into(), Value::Num(f.p99)),
-                                ("throughput".into(), Value::Num(f.throughput)),
-                                ("slo_attainment".into(), Value::Num(f.slo_attainment)),
-                                ("answered".into(), Value::from(f.answered)),
-                                ("shed".into(), Value::from(f.shed)),
-                                ("retries".into(), Value::from(f.retries)),
-                                ("hedges".into(), Value::from(f.hedges)),
-                                ("failover_p99".into(), Value::Num(f.failover_p99)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("cells".into(), CELL_ROWS.json_rows(&self.cells)),
+            ("sample".into(), SAMPLE_ROWS.json_rows(&self.sample)),
+            ("serve".into(), SERVE_ROWS.json_rows(&self.serve)),
+            ("fleet".into(), FLEET_ROWS.json_rows(&self.fleet)),
         ])
     }
 
     /// Renders the document as pretty-stable JSON (one trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = self.to_value().to_json();
-        s.push('\n');
-        s
+        self.to_value().to_json() + "\n"
     }
 
     /// Human-readable summary table.

@@ -12,10 +12,10 @@
 //! with the same flags reproduces the CSV byte-for-byte; CI enforces this
 //! with `cmp`.
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::rc::Rc;
 
+use gnn_obs::{Column, Table};
 use gnn_sample::{RmatGraph, SampleSpec, SamplerKind};
 use gnn_train::cell::{train, CellData, CellId};
 use gnn_train::{Supervisor, TrainError};
@@ -25,10 +25,29 @@ use gnn_train::{Supervisor, TrainError};
 /// misreading shifted fields.
 pub const SAMPLE_METRICS_SCHEMA: &str = "gnn-sample-metrics/v1";
 
-/// Column header of `sample_metrics.csv`.
-pub const SAMPLE_CSV_HEADER: &str = "spec,fanouts,cache_rows,sampler,framework,batch_seeds,\
-     epochs,epoch_time,total_time,kernel_time,transfer_time,cache_hit_rate,test_acc,\
-     peak_memory,retries,degraded";
+/// `sample_metrics.csv`: one line per [`SampleRunRow`]. Fixed-precision
+/// times and rates keep equal runs byte-identical.
+pub const SAMPLE_METRICS: Table<SampleRunRow> = Table {
+    schema: Some(SAMPLE_METRICS_SCHEMA),
+    columns: &[
+        Column::new("spec", |r| r.spec.as_str().into()),
+        Column::new("fanouts", |r| r.fanouts.as_str().into()),
+        Column::new("cache_rows", |r| r.cache_rows.into()),
+        Column::new("sampler", |r| r.sampler.into()),
+        Column::new("framework", |r| r.framework.into()),
+        Column::new("batch_seeds", |r| r.batch_seeds.into()),
+        Column::new("epochs", |r| r.epochs.into()),
+        Column::fixed("epoch_time", 6, |r| r.epoch_time.into()),
+        Column::fixed("total_time", 6, |r| r.total_time.into()),
+        Column::fixed("kernel_time", 6, |r| r.kernel_time.into()),
+        Column::fixed("transfer_time", 6, |r| r.transfer_time.into()),
+        Column::fixed("cache_hit_rate", 4, |r| r.cache_hit_rate.into()),
+        Column::fixed("test_acc", 2, |r| r.test_acc.into()),
+        Column::new("peak_memory", |r| r.peak_memory.into()),
+        Column::new("retries", |r| r.retries.into()),
+        Column::new("degraded", |r| r.degraded.into()),
+    ],
+};
 
 /// What one `sample` run sweeps.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,7 +132,7 @@ pub fn expand_variants(
     variants
 }
 
-/// One finished cell of the sample sweep: a CSV row of `sample_metrics.csv`.
+/// One finished cell of the sample sweep: a row of [`SAMPLE_METRICS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleRunRow {
     /// Catalog spec name.
@@ -148,32 +167,6 @@ pub struct SampleRunRow {
     pub retries: usize,
     /// Whether the supervisor degraded (halved the seed batch).
     pub degraded: bool,
-}
-
-impl SampleRunRow {
-    /// The row as a CSV line (no trailing newline). Fixed-precision float
-    /// formatting keeps equal runs byte-identical.
-    pub fn to_csv(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.4},{:.2},{},{},{}",
-            self.spec,
-            self.fanouts,
-            self.cache_rows,
-            self.sampler,
-            self.framework,
-            self.batch_seeds,
-            self.epochs,
-            self.epoch_time,
-            self.total_time,
-            self.kernel_time,
-            self.transfer_time,
-            self.cache_hit_rate,
-            self.test_acc,
-            self.peak_memory,
-            self.retries,
-            self.degraded,
-        )
-    }
 }
 
 /// Trains `cell` — one of the variant's sampler × framework cells, run 0 as
@@ -259,59 +252,6 @@ pub fn run_sample_sweep(
     (rows, errors)
 }
 
-/// Validates a `sample_metrics.csv` text: the `# schema:` stamp followed
-/// by [`SAMPLE_CSV_HEADER`], with every data row carrying the header's
-/// column count.
-///
-/// # Errors
-///
-/// Human-readable message naming the first malformed line.
-pub fn check_sample_metrics_schema(text: &str) -> Result<(), String> {
-    let expected = format!("# schema: {SAMPLE_METRICS_SCHEMA}");
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(first) if first == expected => {}
-        Some(first) => return Err(format!("schema mismatch: `{first}` (want `{expected}`)")),
-        None => return Err("empty file".into()),
-    }
-    let cols = SAMPLE_CSV_HEADER.split(',').count();
-    match lines.next() {
-        Some(h) if h == SAMPLE_CSV_HEADER => {}
-        Some(h) => return Err(format!("header mismatch: `{h}`")),
-        None => return Err("missing header".into()),
-    }
-    for (i, line) in lines.enumerate() {
-        let n = line.split(',').count();
-        if n != cols {
-            return Err(format!(
-                "row {} has {n} column(s), want {cols}: `{line}`",
-                i + 1
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Writes `sample_metrics.csv` to `path` (parent directories created),
-/// self-checking the written text against the schema first.
-///
-/// # Errors
-///
-/// I/O errors from directory creation or the write.
-pub fn write_sample_metrics(path: &Path, rows: &[SampleRunRow]) -> io::Result<PathBuf> {
-    if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut csv = format!("# schema: {SAMPLE_METRICS_SCHEMA}\n{SAMPLE_CSV_HEADER}\n");
-    for row in rows {
-        csv.push_str(&row.to_csv());
-        csv.push('\n');
-    }
-    check_sample_metrics_schema(&csv).expect("writer stamped a malformed schema header");
-    std::fs::write(path, csv)?;
-    Ok(path.to_path_buf())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,24 +292,48 @@ mod tests {
         let (again, _) = run_sample_sweep(&variants, 2, 11);
         assert_eq!(rows, again, "same flags, same rows");
 
-        let dir = std::env::temp_dir().join(format!("gnn_sample_csv_{}", std::process::id()));
-        let path = dir.join("sample_metrics.csv");
-        write_sample_metrics(&path, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        check_sample_metrics_schema(&text).unwrap();
+        let text = SAMPLE_METRICS.csv(&rows);
+        assert!(text.starts_with(&SAMPLE_METRICS.header()));
         assert_eq!(text.lines().count(), 2 + rows.len());
-        let _ = std::fs::remove_dir_all(&dir);
+        for line in text.lines().skip(2) {
+            assert_eq!(
+                line.split(',').count(),
+                SAMPLE_METRICS.columns.len(),
+                "{line}"
+            );
+        }
     }
 
     #[test]
     fn schema_check_rejects_drift() {
-        assert!(check_sample_metrics_schema("").is_err());
-        assert!(check_sample_metrics_schema("# schema: gnn-sample-metrics/v0\n").is_err());
-        let good = format!("# schema: {SAMPLE_METRICS_SCHEMA}\n{SAMPLE_CSV_HEADER}\n");
-        check_sample_metrics_schema(&good).unwrap();
-        let bad_row = format!("{good}a,b,c\n");
-        let err = check_sample_metrics_schema(&bad_row).unwrap_err();
-        assert!(err.contains("row 1"), "{err}");
+        // The tag and the header come from the one column list, and each
+        // row prints its times, rate and accuracy at fixed precision.
+        let row = SampleRunRow {
+            spec: "rmat-4k".into(),
+            fanouts: "4x2".into(),
+            cache_rows: 512,
+            sampler: "neighbor",
+            framework: "PyG",
+            batch_seeds: 64,
+            epochs: 2,
+            epoch_time: 0.1,
+            total_time: 1.0 / 3.0,
+            kernel_time: 0.0,
+            transfer_time: 2e-7,
+            cache_hit_rate: 0.65,
+            test_acc: 12.5,
+            peak_memory: 1 << 20,
+            retries: 0,
+            degraded: false,
+        };
+        let text = SAMPLE_METRICS.csv(&[row]);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], format!("# schema: {SAMPLE_METRICS_SCHEMA}"));
+        assert_eq!(
+            lines[2],
+            "rmat-4k,4x2,512,neighbor,PyG,64,2,0.100000,0.333333,0.000000,0.000000,0.6500,\
+             12.50,1048576,0,false"
+        );
     }
 
     #[test]

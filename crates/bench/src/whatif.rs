@@ -42,7 +42,7 @@ use gnn_device::{
 use gnn_lint::report::Finding;
 use gnn_lint::whatif_check::{check_whatif, WhatIfCellAudit};
 use gnn_obs::whatif::{component_budgets, replay_schedule, SchedEntry};
-use gnn_obs::{self as obs, Value};
+use gnn_obs::{self as obs, Column, Table, Value};
 use gnn_serve::{BatchPolicy, CellId, ServeConfig, ServeReport};
 
 use crate::report::{default_policies, train_cell};
@@ -558,16 +558,87 @@ pub fn run_serve_conformance(cfg: &WhatIfConfig, report: &WhatIfReport) -> Vec<C
     records
 }
 
-fn latency_value(l: &ServeLatency) -> Value {
-    Value::Obj(vec![
-        ("p50".into(), Value::Num(l.p50)),
-        ("p95".into(), Value::Num(l.p95)),
-        ("p99".into(), Value::Num(l.p99)),
-        ("slo_attainment".into(), Value::Num(l.slo_attainment)),
-        ("throughput".into(), Value::Num(l.throughput)),
-        ("makespan".into(), Value::Num(l.makespan)),
-    ])
-}
+/// The `cells` rows of the what-if document.
+pub const CELL_ROWS: Table<CellWhatIf> = Table {
+    schema: None,
+    columns: &[
+        Column::new("cell", |c| c.cell.as_str().into()),
+        Column::new("epochs", |c| c.epochs.into()),
+        Column::new("base_total_time", |c| c.base_total_time.into()),
+        Column::new("base_epoch_time", |c| c.base_epoch_time.into()),
+        Column::new("budgets", |c| {
+            let budgets = c.budgets.iter().enumerate();
+            Value::Obj(
+                budgets
+                    .map(|(i, &b)| (component_label(i).into(), b.into()))
+                    .collect(),
+            )
+        }),
+        Column::new("predictions", |c| {
+            CELL_PREDICTION_ROWS.json_rows(&c.predictions)
+        }),
+    ],
+};
+
+/// The `predictions` rows of one what-if cell.
+pub const CELL_PREDICTION_ROWS: Table<CellPrediction> = Table {
+    schema: None,
+    columns: &[
+        Column::new("component", |p| component_label(p.component).into()),
+        Column::new("speedup", |p| speedup_label(p.speedup).into()),
+        Column::new("predicted_total", |p| p.predicted_total.into()),
+        Column::new("predicted_epoch", |p| p.predicted_epoch.into()),
+    ],
+};
+
+/// The `serve` rows of the what-if document.
+pub const SERVE_ROWS: Table<ServeWhatIf> = Table {
+    schema: None,
+    columns: &[
+        Column::new("policy", |s| s.policy.as_str().into()),
+        Column::new("base", |s| LATENCY.json_row(&s.base)),
+        Column::new("predictions", |s| {
+            SERVE_PREDICTION_ROWS.json_rows(&s.predictions)
+        }),
+    ],
+};
+
+/// The `predictions` rows of one what-if serve policy.
+pub const SERVE_PREDICTION_ROWS: Table<ServePrediction> = Table {
+    schema: None,
+    columns: &[
+        Column::new("component", |p| component_label(p.component).into()),
+        Column::new("speedup", |p| speedup_label(p.speedup).into()),
+        Column::new("latency", |p| LATENCY.json_row(&p.latency)),
+    ],
+};
+
+/// A serve run's latency numbers: each serve row's `base`, and each of
+/// its predictions' `latency`.
+pub const LATENCY: Table<ServeLatency> = Table {
+    schema: None,
+    columns: &[
+        Column::new("p50", |l| l.p50.into()),
+        Column::new("p95", |l| l.p95.into()),
+        Column::new("p99", |l| l.p99.into()),
+        Column::new("slo_attainment", |l| l.slo_attainment.into()),
+        Column::new("throughput", |l| l.throughput.into()),
+        Column::new("makespan", |l| l.makespan.into()),
+    ],
+};
+
+/// The `opportunities` rows of the what-if document.
+pub const OPPORTUNITY_ROWS: Table<Opportunity> = Table {
+    schema: None,
+    columns: &[
+        Column::new("component", |o| component_label(o.component).into()),
+        Column::new("speedup", |o| speedup_label(o.speedup).into()),
+        Column::new("predicted_win", |o| o.predicted_win.into()),
+        Column::new("win_fraction", |o| o.win_fraction.into()),
+        Column::new("ceiling", |o| o.ceiling.into()),
+        Column::new("bound", |o| o.bound.as_str().into()),
+    ],
+};
 
 impl WhatIfReport {
     /// The document as a JSON tree (deterministic key order).
@@ -585,133 +656,20 @@ impl WhatIfReport {
             ),
             (
                 "speedups".into(),
-                Value::Arr(
-                    SPEEDUP_GRID
-                        .iter()
-                        .map(|&k| Value::from(speedup_label(k)))
-                        .collect(),
-                ),
+                Value::Arr(SPEEDUP_LABELS.map(Value::from).to_vec()),
             ),
-            (
-                "cells".into(),
-                Value::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            Value::Obj(vec![
-                                ("cell".into(), Value::from(c.cell.as_str())),
-                                ("epochs".into(), Value::from(c.epochs)),
-                                ("base_total_time".into(), Value::Num(c.base_total_time)),
-                                ("base_epoch_time".into(), Value::Num(c.base_epoch_time)),
-                                (
-                                    "budgets".into(),
-                                    Value::Obj(
-                                        c.budgets
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(i, &b)| {
-                                                (component_label(i).to_owned(), Value::Num(b))
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                                (
-                                    "predictions".into(),
-                                    Value::Arr(
-                                        c.predictions
-                                            .iter()
-                                            .map(|p| {
-                                                Value::Obj(vec![
-                                                    (
-                                                        "component".into(),
-                                                        Value::from(component_label(p.component)),
-                                                    ),
-                                                    (
-                                                        "speedup".into(),
-                                                        Value::from(speedup_label(p.speedup)),
-                                                    ),
-                                                    (
-                                                        "predicted_total".into(),
-                                                        Value::Num(p.predicted_total),
-                                                    ),
-                                                    (
-                                                        "predicted_epoch".into(),
-                                                        Value::Num(p.predicted_epoch),
-                                                    ),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "serve".into(),
-                Value::Arr(
-                    self.serve
-                        .iter()
-                        .map(|s| {
-                            Value::Obj(vec![
-                                ("policy".into(), Value::from(s.policy.as_str())),
-                                ("base".into(), latency_value(&s.base)),
-                                (
-                                    "predictions".into(),
-                                    Value::Arr(
-                                        s.predictions
-                                            .iter()
-                                            .map(|p| {
-                                                Value::Obj(vec![
-                                                    (
-                                                        "component".into(),
-                                                        Value::from(component_label(p.component)),
-                                                    ),
-                                                    (
-                                                        "speedup".into(),
-                                                        Value::from(speedup_label(p.speedup)),
-                                                    ),
-                                                    ("latency".into(), latency_value(&p.latency)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("cells".into(), CELL_ROWS.json_rows(&self.cells)),
+            ("serve".into(), SERVE_ROWS.json_rows(&self.serve)),
             (
                 "opportunities".into(),
-                Value::Arr(
-                    self.opportunities
-                        .iter()
-                        .map(|o| {
-                            Value::Obj(vec![
-                                (
-                                    "component".into(),
-                                    Value::from(component_label(o.component)),
-                                ),
-                                ("speedup".into(), Value::from(speedup_label(o.speedup))),
-                                ("predicted_win".into(), Value::Num(o.predicted_win)),
-                                ("win_fraction".into(), Value::Num(o.win_fraction)),
-                                ("ceiling".into(), Value::Num(o.ceiling)),
-                                ("bound".into(), Value::from(o.bound.as_str())),
-                            ])
-                        })
-                        .collect(),
-                ),
+                OPPORTUNITY_ROWS.json_rows(&self.opportunities),
             ),
         ])
     }
 
     /// Renders the document as pretty-stable JSON (one trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = self.to_value().to_json();
-        s.push('\n');
-        s
+        self.to_value().to_json() + "\n"
     }
 
     /// Human-readable opportunity table plus per-policy base latencies.

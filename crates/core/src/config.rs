@@ -113,36 +113,6 @@ pub fn validate_artifact_path(path: &Path) -> Result<(), ArtifactPathError> {
     validate_artifact_dir(parent).map_err(|e| ArtifactPathError::new(path, e.reason))
 }
 
-/// Like [`validate_artifact_dir`], then actually creates the directory
-/// (and parents). For use right before writing artifacts.
-///
-/// # Errors
-///
-/// Returns an [`ArtifactPathError`] naming `dir` and the blocking
-/// condition.
-pub fn ensure_artifact_dir(dir: &Path) -> Result<(), ArtifactPathError> {
-    validate_artifact_dir(dir)?;
-    std::fs::create_dir_all(dir)
-        .map_err(|e| ArtifactPathError::new(dir, format!("cannot create: {e}")))
-}
-
-/// Like [`validate_artifact_path`], then creates the parent directory so
-/// a subsequent write of `path` can succeed.
-///
-/// # Errors
-///
-/// Returns an [`ArtifactPathError`] naming `path` and the blocking
-/// condition.
-pub fn ensure_artifact_path(path: &Path) -> Result<(), ArtifactPathError> {
-    validate_artifact_path(path)?;
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => return Ok(()),
-    };
-    std::fs::create_dir_all(parent)
-        .map_err(|e| ArtifactPathError::new(path, format!("cannot create parent: {e}")))
-}
-
 /// Trace-emission settings for a run (see the `gnn-obs` crate).
 ///
 /// Disabled by default. When a directory is set, commands that honor the
@@ -430,15 +400,6 @@ mod tests {
         assert!(validate_artifact_path(&dir).is_err());
         assert!(validate_artifact_path(&file.join("x.json")).is_err());
         assert!(validate_artifact_path(&dir.join("out/report.json")).is_ok());
-
-        // ensure_* actually creates.
-        let made = dir.join("made/deep");
-        assert!(ensure_artifact_dir(&made).is_ok());
-        assert!(made.is_dir());
-        let target = dir.join("made2/file.json");
-        assert!(ensure_artifact_path(&target).is_ok());
-        assert!(target.parent().unwrap().is_dir());
-        assert!(!target.exists());
 
         assert!(validate_artifact_dir(Path::new("")).is_err());
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,124 +1,105 @@
 //! CSV export of experiment results, for downstream plotting.
 //!
-//! Each exporter mirrors a runner's row type. Fields are stable,
-//! machine-readable column names; times are seconds, memory is bytes,
-//! utilization is a fraction.
+//! Each exporter mirrors a runner's row type, and each CSV's columns are
+//! declared once, as a [`Table`] on the `gnn_obs` table writer. Fields are
+//! stable, machine-readable column names; times are seconds, memory is
+//! bytes, utilization is a fraction.
 
-use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
+use gnn_device::KernelKind;
+use gnn_models::{FrameworkKind, ModelKind};
+use gnn_obs::{Column, Table};
 
 use crate::runner::{LayerTimeRow, MultiGpuRow, ProfileRow, TableRow};
 use crate::sweep::CellOutcome;
 
-fn esc(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
 /// Renders Table IV or Table V rows as CSV.
 pub fn table_csv(rows: &[TableRow]) -> String {
-    let mut out = String::from("dataset,model,framework,epoch_s,total_s,acc_mean,acc_std\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            esc(&r.dataset),
-            r.model.label(),
-            r.framework.label(),
-            r.epoch_time,
-            r.total_time,
-            r.acc.mean,
-            r.acc.std
-        );
-    }
-    out
+    const TABLE: Table<TableRow> = Table {
+        schema: None,
+        columns: &[
+            Column::new("dataset", |r| r.dataset.as_str().into()),
+            Column::new("model", |r| r.model.label().into()),
+            Column::new("framework", |r| r.framework.label().into()),
+            Column::new("epoch_s", |r| r.epoch_time.into()),
+            Column::new("total_s", |r| r.total_time.into()),
+            Column::new("acc_mean", |r| r.acc.mean.into()),
+            Column::new("acc_std", |r| r.acc.std.into()),
+        ],
+    };
+    TABLE.csv(rows)
 }
 
 /// Renders profile-sweep rows (Figs. 1/2/4/5) as CSV.
 pub fn profile_csv(rows: &[ProfileRow]) -> String {
-    let mut out = String::from(
-        "dataset,model,framework,batch_size,data_load_s,forward_s,backward_s,update_s,\
-         other_s,epoch_s,peak_memory_bytes,utilization\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{}",
-            esc(&r.dataset),
-            r.model.label(),
-            r.framework.label(),
-            r.batch_size,
-            r.phase_times[0],
-            r.phase_times[1],
-            r.phase_times[2],
-            r.phase_times[3],
-            r.phase_times[4],
-            r.epoch_time(),
-            r.peak_memory,
-            r.utilization
-        );
-    }
-    out
+    const PROFILE: Table<ProfileRow> = Table {
+        schema: None,
+        columns: &[
+            Column::new("dataset", |r| r.dataset.as_str().into()),
+            Column::new("model", |r| r.model.label().into()),
+            Column::new("framework", |r| r.framework.label().into()),
+            Column::new("batch_size", |r| r.batch_size.into()),
+            Column::new("data_load_s", |r| r.phase_times[0].into()),
+            Column::new("forward_s", |r| r.phase_times[1].into()),
+            Column::new("backward_s", |r| r.phase_times[2].into()),
+            Column::new("update_s", |r| r.phase_times[3].into()),
+            Column::new("other_s", |r| r.phase_times[4].into()),
+            Column::new("epoch_s", |r| r.epoch_time().into()),
+            Column::new("peak_memory_bytes", |r| r.peak_memory.into()),
+            Column::new("utilization", |r| r.utilization.into()),
+        ],
+    };
+    PROFILE.csv(rows)
 }
 
 /// Renders per-kind kernel launch counts from profile-sweep rows as
 /// long-format CSV: one line per (configuration, kernel kind).
 pub fn kernel_counts_csv(rows: &[ProfileRow]) -> String {
-    let mut out = String::from("dataset,model,framework,batch_size,kind,count\n");
-    for r in rows {
-        for (kind, count) in &r.kind_counts {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{}",
-                esc(&r.dataset),
-                r.model.label(),
-                r.framework.label(),
-                r.batch_size,
-                kind.label(),
-                count
-            );
-        }
-    }
-    out
+    let table: Table<(&ProfileRow, KernelKind, u64)> = Table {
+        schema: None,
+        columns: &[
+            Column::new("dataset", |(r, ..)| r.dataset.as_str().into()),
+            Column::new("model", |(r, ..)| r.model.label().into()),
+            Column::new("framework", |(r, ..)| r.framework.label().into()),
+            Column::new("batch_size", |(r, ..)| r.batch_size.into()),
+            Column::new("kind", |(_, kind, _)| kind.label().into()),
+            Column::new("count", |&(.., count)| count.into()),
+        ],
+    };
+    table.csv(
+        rows.iter()
+            .flat_map(|r| r.kind_counts.iter().map(move |&(kind, n)| (r, kind, n))),
+    )
 }
 
 /// Renders layer-time rows (Fig. 3) as long-format CSV.
 pub fn layer_times_csv(rows: &[LayerTimeRow]) -> String {
-    let mut out = String::from("model,framework,scope,seconds\n");
-    for r in rows {
-        for (scope, t) in &r.scopes {
-            let _ = writeln!(
-                out,
-                "{},{},{},{}",
-                r.model.label(),
-                r.framework.label(),
-                esc(scope),
-                t
-            );
-        }
-    }
-    out
+    let table: Table<(ModelKind, FrameworkKind, &str, f64)> = Table {
+        schema: None,
+        columns: &[
+            Column::new("model", |(model, ..)| model.label().into()),
+            Column::new("framework", |(_, framework, ..)| framework.label().into()),
+            Column::new("scope", |&(_, _, scope, _)| scope.into()),
+            Column::new("seconds", |&(.., t)| t.into()),
+        ],
+    };
+    table.csv(rows.iter().flat_map(|r| {
+        (r.scopes.iter()).map(|(scope, t)| (r.model, r.framework, scope.as_str(), *t))
+    }))
 }
 
 /// Renders multi-GPU rows (Fig. 6) as CSV.
 pub fn multi_gpu_csv(rows: &[MultiGpuRow]) -> String {
-    let mut out = String::from("model,framework,batch_size,n_gpus,epoch_s\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{}",
-            r.model.label(),
-            r.framework.label(),
-            r.batch_size,
-            r.n_gpus,
-            r.epoch_time
-        );
-    }
-    out
+    const MULTI_GPU: Table<MultiGpuRow> = Table {
+        schema: None,
+        columns: &[
+            Column::new("model", |r| r.model.label().into()),
+            Column::new("framework", |r| r.framework.label().into()),
+            Column::new("batch_size", |r| r.batch_size.into()),
+            Column::new("n_gpus", |r| r.n_gpus.into()),
+            Column::new("epoch_s", |r| r.epoch_time.into()),
+        ],
+    };
+    MULTI_GPU.csv(rows)
 }
 
 /// Schema tag stamped into `cell_outcomes.csv` as a leading `# schema:`
@@ -126,62 +107,24 @@ pub fn multi_gpu_csv(rows: &[MultiGpuRow]) -> String {
 /// loudly on drift instead of misreading shifted columns.
 pub const CELL_OUTCOMES_SCHEMA: &str = "gnn-cell-outcomes/v1";
 
-/// Verifies that `text` (a CSV artifact) starts with the expected
-/// `# schema: <tag>` comment line.
-///
-/// # Errors
-///
-/// Returns a diagnostic naming the expected and found tags.
-pub fn check_csv_schema(text: &str, schema: &str) -> Result<(), String> {
-    let expected = format!("# schema: {schema}");
-    match text.lines().next() {
-        Some(first) if first == expected => Ok(()),
-        Some(first) => Err(format!(
-            "CSV schema mismatch: expected `{expected}`, found `{first}`"
-        )),
-        None => Err(format!("empty CSV, expected `{expected}`")),
-    }
-}
-
-/// Renders per-cell sweep outcomes as CSV: one line per (experiment,
-/// dataset, model, framework) cell, with its status, retry count, detail
-/// message and the faults that fired while it ran. The first line is a
-/// `# schema:` comment ([`CELL_OUTCOMES_SCHEMA`]); consumers should skip
-/// `#` lines and may assert the tag via [`check_csv_schema`].
-pub fn cell_outcomes_csv(cells: &[CellOutcome]) -> String {
-    let mut out = format!("# schema: {CELL_OUTCOMES_SCHEMA}\n");
-    out.push_str(
-        "experiment,dataset,model,framework,status,retries,detail,faults,peak_mem_bytes\n",
-    );
-    for c in cells {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{}",
-            esc(&c.experiment),
-            esc(&c.dataset),
-            c.model.label(),
-            c.framework.label(),
-            c.status.label(),
-            c.retries,
-            esc(&c.detail),
-            esc(&c.faults.join("; ")),
-            c.peak_memory
-        );
-    }
-    out
-}
-
-/// Writes `csv` to `path`, creating parent directories.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_csv(path: &Path, csv: &str) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, csv)
-}
+/// `cell_outcomes.csv`: one line per (experiment, dataset, model,
+/// framework) cell, with its status, retry count, detail message and the
+/// faults that fired while it ran, under a `# schema:` comment
+/// ([`CELL_OUTCOMES_SCHEMA`]); consumers should skip `#` lines.
+pub const CELL_OUTCOMES: Table<CellOutcome> = Table {
+    schema: Some(CELL_OUTCOMES_SCHEMA),
+    columns: &[
+        Column::new("experiment", |c| c.experiment.as_str().into()),
+        Column::new("dataset", |c| c.dataset.as_str().into()),
+        Column::new("model", |c| c.model.label().into()),
+        Column::new("framework", |c| c.framework.label().into()),
+        Column::new("status", |c| c.status.label().into()),
+        Column::new("retries", |c| c.retries.into()),
+        Column::new("detail", |c| c.detail.as_str().into()),
+        Column::new("faults", |c| c.faults.join("; ").into()),
+        Column::new("peak_mem_bytes", |c| c.peak_memory.into()),
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -210,13 +153,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].split(',').count(), 7);
         assert!(lines[1].starts_with("Cora,GCN,PyG,0.005,1,"));
-    }
-
-    #[test]
-    fn escaping_quotes_and_commas() {
-        assert_eq!(esc("plain"), "plain");
-        assert_eq!(esc("a,b"), "\"a,b\"");
-        assert_eq!(esc("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]
@@ -294,7 +230,7 @@ mod tests {
                 peak_memory: 2 << 20,
             },
         ];
-        let csv = cell_outcomes_csv(&cells);
+        let csv = CELL_OUTCOMES.csv(&cells);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], format!("# schema: {CELL_OUTCOMES_SCHEMA}"));
@@ -305,20 +241,7 @@ mod tests {
         // The comma-bearing detail must be quoted to keep the column count.
         assert!(lines[3].contains("\"device OOM, halving batch size to 16\""));
         assert!(lines[3].contains("degraded"));
-        // Parse-back guard: consumers assert the tag and fail on drift.
-        assert!(check_csv_schema(&csv, CELL_OUTCOMES_SCHEMA).is_ok());
-        assert!(check_csv_schema(&csv, "gnn-cell-outcomes/v2").is_err());
-        assert!(check_csv_schema("", CELL_OUTCOMES_SCHEMA).is_err());
-        let err = check_csv_schema("a,b\n1,2\n", CELL_OUTCOMES_SCHEMA).unwrap_err();
-        assert!(err.contains(CELL_OUTCOMES_SCHEMA), "{err}");
-    }
-
-    #[test]
-    fn write_csv_roundtrip() {
-        let dir = std::env::temp_dir().join("gnn_export_test");
-        let path = dir.join("nested/out.csv");
-        write_csv(&path, "a,b\n1,2\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
-        let _ = std::fs::remove_dir_all(&dir);
+        // The header is the writer's column list, under the schema line.
+        assert!(csv.starts_with(&CELL_OUTCOMES.header()));
     }
 }

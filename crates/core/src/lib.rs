@@ -42,8 +42,7 @@ pub mod sweep;
 pub use gnn_train::cell;
 
 pub use config::{
-    ensure_artifact_dir, ensure_artifact_path, validate_artifact_dir, validate_artifact_path,
-    ArtifactPathError, RunConfig, TraceConfig,
+    validate_artifact_dir, validate_artifact_path, ArtifactPathError, RunConfig, TraceConfig,
 };
 pub use report::render_table;
 pub use sweep::{sweep, CellOutcome, CellStatus, SampleRow, SweepOutcome};

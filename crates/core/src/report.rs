@@ -135,32 +135,10 @@ pub fn resources_report_filtered(rows: &[ProfileRow], metric: ResourceMetric) ->
     render_table(&headers, &body)
 }
 
-/// Renders the Fig. 4 (memory) and Fig. 5 (utilization) sweep.
+/// Renders the Fig. 4 (memory) and Fig. 5 (utilization) sweep: both
+/// columns.
 pub fn resources_report(rows: &[ProfileRow]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.dataset.clone(),
-                r.model.label().to_string(),
-                r.framework.label().to_string(),
-                r.batch_size.to_string(),
-                format!("{:.1}MB", r.peak_memory as f64 / 1e6),
-                format!("{:.1}%", r.utilization * 100.0),
-            ]
-        })
-        .collect();
-    render_table(
-        &[
-            "Dataset",
-            "Model",
-            "Framework",
-            "Batch",
-            "PeakMem",
-            "GPUUtil",
-        ],
-        &body,
-    )
+    resources_report_filtered(rows, ResourceMetric::Both)
 }
 
 /// Renders Fig. 3 (layer-wise execution time of one training batch).

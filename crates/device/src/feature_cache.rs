@@ -96,11 +96,6 @@ impl FeatureCache {
         ((node as u64 * self.partitions as u64) / self.num_nodes as u64) as usize
     }
 
-    /// Capacity in feature rows.
-    pub fn capacity_rows(&self) -> usize {
-        self.capacity
-    }
-
     /// Cumulative counters since construction.
     pub fn totals(&self) -> FetchStats {
         self.total

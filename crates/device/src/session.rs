@@ -275,11 +275,6 @@ impl Session {
         &self.kind_counts
     }
 
-    /// Accumulated per-kind counter profile so far, in first-seen order.
-    pub fn profile_so_far(&self) -> &[KindProfile] {
-        &self.profile
-    }
-
     /// Total `(flops, bytes)` accumulated across all launches so far.
     pub fn counter_totals_so_far(&self) -> (u64, u64) {
         (self.total_flops, self.total_bytes)
@@ -289,11 +284,6 @@ impl Session {
     /// [`Session::sim_now`].
     pub fn busy_so_far(&self) -> f64 {
         self.timeline.busy()
-    }
-
-    /// Kernels launched so far.
-    pub fn kernel_count_so_far(&self) -> u64 {
-        self.timeline.kernel_count()
     }
 
     /// Device utilization so far: busy time over the simulated horizon.

@@ -27,6 +27,12 @@
 //! The Chrome export also parses back ([`parse_chrome_trace`]), so saved
 //! traces can be re-analyzed offline with the same code paths.
 //!
+//! Every other artifact of the study — the Table IV/V and figure CSVs,
+//! `serve_metrics.csv`, `sample_metrics.csv`, and the row sections of the
+//! BENCH, what-if, `lint.json` and `memory.json` documents — is written by
+//! one [`Table`] writer ([`table`]): each artifact's columns are declared
+//! once, and its header and rows both come from that list.
+//!
 //! ## Dual timestamps
 //!
 //! The workspace *simulates* a GPU: kernel durations come from a roofline
@@ -85,6 +91,7 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
+pub mod table;
 pub mod whatif;
 
 pub use analysis::{analyze, ServeAttribution, SessionAttribution, TraceAnalysis};
@@ -97,6 +104,7 @@ pub use recorder::{
     EventKind, Trace, TraceEvent,
 };
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use table::{Column, Table};
 pub use whatif::{SchedEntry, SchedOp, Speedups};
 
 /// Well-known track names used by the workspace's instrumentation, so the

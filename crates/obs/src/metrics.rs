@@ -16,51 +16,47 @@
 
 use crate::json::{self, Value};
 use crate::recorder::EpochRecord;
+use crate::table::{Column, Table};
 
-/// Renders `records` as JSONL, one object per line (trailing newline when
-/// non-empty).
+/// Renders `records` as JSONL, one [`EPOCHS`] row per line (trailing
+/// newline when non-empty).
 pub fn metrics_jsonl(records: &[EpochRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        let doc = Value::Obj(vec![
-            ("run".into(), Value::from(r.run.as_str())),
-            ("epoch".into(), Value::from(r.epoch)),
-            ("loss".into(), Value::Num(r.loss)),
-            (
-                "accuracy".into(),
-                r.accuracy.map(Value::Num).unwrap_or(Value::Null),
-            ),
-            ("lr".into(), Value::Num(r.lr)),
-            ("sim_time".into(), Value::Num(r.sim_time)),
-            ("wall_time".into(), Value::Num(r.wall_time)),
-            ("utilization".into(), Value::Num(r.utilization)),
-            ("flops".into(), Value::from(r.flops)),
-            ("bytes".into(), Value::from(r.bytes)),
-            ("peak_memory".into(), Value::from(r.peak_memory)),
-            (
-                "phase_times".into(),
-                Value::Obj(
-                    r.phase_times
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Num(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "kernel_counts".into(),
-                Value::Obj(
-                    r.kernel_counts
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::from(*v)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        out.push_str(&doc.to_json());
-        out.push('\n');
-    }
-    out
+    (records.iter())
+        .map(|r| EPOCHS.json_row(r).to_json() + "\n")
+        .collect()
 }
+
+/// The fields of one `metrics.jsonl` line.
+pub const EPOCHS: Table<EpochRecord> = Table {
+    schema: None,
+    columns: &[
+        Column::new("run", |r| r.run.as_str().into()),
+        Column::new("epoch", |r| r.epoch.into()),
+        Column::new("loss", |r| r.loss.into()),
+        Column::new("accuracy", |r| r.accuracy.map_or(Value::Null, Value::Num)),
+        Column::new("lr", |r| r.lr.into()),
+        Column::new("sim_time", |r| r.sim_time.into()),
+        Column::new("wall_time", |r| r.wall_time.into()),
+        Column::new("utilization", |r| r.utilization.into()),
+        Column::new("flops", |r| r.flops.into()),
+        Column::new("bytes", |r| r.bytes.into()),
+        Column::new("peak_memory", |r| r.peak_memory.into()),
+        Column::new("phase_times", |r| {
+            Value::Obj(
+                (r.phase_times.iter())
+                    .map(|(k, v)| (k.clone(), Value::from(*v)))
+                    .collect(),
+            )
+        }),
+        Column::new("kernel_counts", |r| {
+            Value::Obj(
+                (r.kernel_counts.iter())
+                    .map(|(k, v)| (k.clone(), Value::from(*v)))
+                    .collect(),
+            )
+        }),
+    ],
+};
 
 /// Parses a JSONL metrics stream back into records.
 ///

@@ -71,11 +71,6 @@ impl RmatConfig {
         self.edge_factor << self.scale
     }
 
-    /// Total bytes of the (never materialized) dense feature matrix.
-    pub fn feature_bytes_total(&self) -> u64 {
-        self.num_nodes() as u64 * self.feature_dim as u64 * 4
-    }
-
     /// Checks the configuration for degeneracy.
     ///
     /// # Errors

@@ -64,8 +64,8 @@ pub use error::ServeConfigError;
 pub use fleet::{serve_fleet, FleetConfig, FleetWorkload};
 pub use health::{HealthPolicy, HealthState, HealthTransition};
 pub use metrics::{
-    check_serve_metrics_schema, percentile, write_serve_metrics, BatchRecord, FleetStats, Outcome,
-    QueueStats, RequestRecord, ServeReport, CSV_HEADER, SERVE_METRICS_SCHEMA,
+    percentile, BatchRecord, FleetStats, MetricsRow, Outcome, QueueStats, RequestRecord,
+    ServeReport, SERVE_METRICS, SERVE_METRICS_SCHEMA,
 };
 pub use registry::{argmax, Endpoint, ModelRegistry, SERVE_SAMPLE_SALT};
 pub use router::{Router, RoutingPolicy};

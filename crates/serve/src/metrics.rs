@@ -7,10 +7,8 @@
 //! round-trip formatting, so the CSV itself is byte-stable across reruns.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
 
-use gnn_obs::Histogram;
+use gnn_obs::{Column, Histogram, Table};
 
 use crate::batcher::{BatchPolicy, ServeError};
 
@@ -339,95 +337,103 @@ impl ServeReport {
         s
     }
 
-    /// Per-endpoint CSV rows (see [`write_serve_metrics`] for the header).
-    pub fn csv_rows(&self) -> String {
-        let mut out = String::new();
+    /// This report's rows of [`SERVE_METRICS`]: one aggregate row (`all`),
+    /// then one row per endpoint, each scoping the report to its
+    /// endpoint's requests, batches and queue. Router-level counters
+    /// (retries, hedges, failover) have no per-endpoint decomposition: the
+    /// aggregate row carries them and endpoint rows read 0.
+    pub fn metrics_rows(&self) -> Vec<MetricsRow> {
         let mut endpoints: Vec<&str> = self.queues.iter().map(|q| q.endpoint.as_str()).collect();
         endpoints.sort_unstable();
-        // One aggregate row, then one row per endpoint.
-        self.csv_row(&mut out, "all", |_| true);
+        let row = |scope: &str, report| MetricsRow {
+            scope: scope.to_owned(),
+            report,
+            throughput: self.throughput(),
+        };
+        let mut rows = vec![row("all", self.clone())];
         for ep in endpoints {
-            self.csv_row(&mut out, ep, |r| r.endpoint == ep);
+            let mut scoped = self.clone();
+            scoped.fleet = None;
+            scoped.requests.retain(|r| r.endpoint == ep);
+            scoped.batches.retain(|b| b.endpoint == ep);
+            scoped.queues = (self.queues.iter().find(|q| q.endpoint == ep).cloned())
+                .into_iter()
+                .collect();
+            rows.push(row(ep, scoped));
         }
-        out
+        rows
     }
 
-    fn csv_row(&self, out: &mut String, scope: &str, keep: impl Fn(&RequestRecord) -> bool) {
-        let reqs: Vec<&RequestRecord> = self.requests.iter().filter(|r| keep(r)).collect();
-        let served: Vec<&&RequestRecord> = reqs.iter().filter(|r| r.served()).collect();
-        let rejected = reqs
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Rejected(_)))
-            .count();
-        let shed = reqs
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Shed(_)))
-            .count();
-        let mut lats = Histogram::from_values(served.iter().map(|r| r.latency()));
-        let attainment = if reqs.is_empty() {
-            1.0
-        } else {
-            lats.fraction_le(self.slo_target) * served.len() as f64 / reqs.len() as f64
-        };
-        let batches: Vec<&BatchRecord> = self
-            .batches
-            .iter()
-            .filter(|b| scope == "all" || b.endpoint == scope)
-            .collect();
-        let mean_batch = if batches.is_empty() {
-            0.0
-        } else {
-            batches.iter().map(|b| b.size as f64).sum::<f64>() / batches.len() as f64
-        };
-        let (max_q, mean_q) = if scope == "all" {
-            (
-                self.queues.iter().map(|q| q.max_depth).max().unwrap_or(0),
-                mean(self.queues.iter().map(|q| q.mean_depth)),
-            )
-        } else {
-            self.queues
-                .iter()
-                .find(|q| q.endpoint == scope)
-                .map(|q| (q.max_depth, q.mean_depth))
-                .unwrap_or((0, 0.0))
-        };
-        let peak_mem = batches.iter().map(|b| b.peak_memory).max().unwrap_or(0);
-        // Router-level counters (retries, hedges, failover) have no
-        // per-endpoint decomposition: the aggregate row carries them and
-        // endpoint rows read 0.
-        let (retries, hedges, failover_p99) = match (&self.fleet, scope) {
-            (Some(fleet), "all") => (fleet.retries, fleet.hedges, fleet.failover_p99()),
-            _ => (0, 0, 0.0),
-        };
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.policy.label(),
-            self.routing,
-            self.policy.max_batch,
-            self.policy.max_delay,
-            scope,
-            reqs.len(),
-            served.len(),
-            rejected,
-            shed,
-            0, // dropped: the dispatch core asserts records == submitted on every run
-            lats.quantile(50.0),
-            lats.quantile(95.0),
-            lats.quantile(99.0),
-            self.throughput(),
-            mean_batch,
-            mean_batch / self.policy.max_batch as f64,
-            max_q,
-            mean_q,
-            peak_mem,
-            attainment,
-            retries,
-            hedges,
-            failover_p99,
-        );
+    /// [`ServeReport::metrics_rows`] as CSV lines, without the header.
+    pub fn csv_rows(&self) -> String {
+        SERVE_METRICS.csv_rows(self.metrics_rows())
     }
 }
+
+/// One line of `serve_metrics.csv`: the report scoped to one endpoint (or
+/// `all`), beside the whole run's throughput.
+pub struct MetricsRow {
+    scope: String,
+    report: ServeReport,
+    throughput: f64,
+}
+
+/// Schema tag stamped into `serve_metrics.csv` as a leading `# schema:`
+/// comment line; bumped on any column change so downstream consumers fail
+/// loudly on drift instead of misreading shifted columns. v2 added the
+/// fleet columns (`routing`, `shed`, `slo_attainment`, `retries`,
+/// `hedges`, `failover_p99_s`).
+pub const SERVE_METRICS_SCHEMA: &str = "gnn-serve-metrics/v2";
+
+/// `serve_metrics.csv`: every policy's [`ServeReport::metrics_rows`] under
+/// one header.
+pub const SERVE_METRICS: Table<MetricsRow> = Table {
+    schema: Some(SERVE_METRICS_SCHEMA),
+    columns: &[
+        Column::new("policy", |r| r.report.policy.label().into()),
+        Column::new("routing", |r| r.report.routing.as_str().into()),
+        Column::new("max_batch", |r| r.report.policy.max_batch.into()),
+        Column::new("max_delay_s", |r| r.report.policy.max_delay.into()),
+        Column::new("endpoint", |r| r.scope.as_str().into()),
+        Column::new("requests", |r| r.report.requests.len().into()),
+        Column::new("answered", |r| r.report.answered().into()),
+        Column::new("rejected", |r| r.report.rejected().into()),
+        Column::new("shed", |r| r.report.shed().into()),
+        // The dispatch core asserts records == submitted on every run.
+        Column::new("dropped", |_| 0u64.into()),
+        Column::new("p50_s", |r| r.report.latency_percentiles().0.into()),
+        Column::new("p95_s", |r| r.report.latency_percentiles().1.into()),
+        Column::new("p99_s", |r| r.report.latency_percentiles().2.into()),
+        Column::new("throughput_rps", |r| r.throughput.into()),
+        Column::new("mean_batch", |r| r.report.mean_batch_size().into()),
+        Column::new("occupancy", |r| r.report.occupancy().into()),
+        Column::new("max_queue_depth", |r| {
+            (r.report.queues.iter())
+                .map(|q| q.max_depth)
+                .max()
+                .unwrap_or(0)
+                .into()
+        }),
+        Column::new("mean_queue_depth", |r| {
+            mean(r.report.queues.iter().map(|q| q.mean_depth)).into()
+        }),
+        Column::new("peak_mem_bytes", |r| r.report.peak_memory().into()),
+        Column::new("slo_attainment", |r| {
+            r.report.slo_attainment(r.report.slo_target).into()
+        }),
+        Column::new("retries", |r| {
+            r.report.fleet.as_ref().map_or(0, |f| f.retries).into()
+        }),
+        Column::new("hedges", |r| {
+            r.report.fleet.as_ref().map_or(0, |f| f.hedges).into()
+        }),
+        Column::new("failover_p99_s", |r| {
+            (r.report.fleet.as_ref())
+                .map_or(0.0, FleetStats::failover_p99)
+                .into()
+        }),
+    ],
+};
 
 fn mean(values: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0u64);
@@ -451,66 +457,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Header line of `serve_metrics.csv`.
-pub const CSV_HEADER: &str = "policy,routing,max_batch,max_delay_s,endpoint,requests,answered,\
-rejected,shed,dropped,p50_s,p95_s,p99_s,throughput_rps,mean_batch,occupancy,max_queue_depth,\
-mean_queue_depth,peak_mem_bytes,slo_attainment,retries,hedges,failover_p99_s";
-
-/// Schema tag stamped into `serve_metrics.csv` as a leading `# schema:`
-/// comment line; bumped on any column change so downstream consumers fail
-/// loudly on drift instead of misreading shifted columns. v2 added the
-/// fleet columns (`routing`, `shed`, `slo_attainment`, `retries`,
-/// `hedges`, `failover_p99_s`).
-pub const SERVE_METRICS_SCHEMA: &str = "gnn-serve-metrics/v2";
-
-/// Verifies that serve-metrics CSV `text` starts with the expected
-/// `# schema:` comment line followed by [`CSV_HEADER`].
-///
-/// # Errors
-///
-/// Returns a diagnostic naming what was expected and what was found.
-pub fn check_serve_metrics_schema(text: &str) -> Result<(), String> {
-    let expected = format!("# schema: {SERVE_METRICS_SCHEMA}");
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(first) if first == expected => {}
-        Some(first) => {
-            return Err(format!(
-                "serve-metrics schema mismatch: expected `{expected}`, found `{first}`"
-            ))
-        }
-        None => return Err(format!("empty serve metrics, expected `{expected}`")),
-    }
-    match lines.next() {
-        Some(header) if header == CSV_HEADER => Ok(()),
-        Some(header) => Err(format!(
-            "serve-metrics header drifted: expected `{CSV_HEADER}`, found `{header}`"
-        )),
-        None => Err("serve metrics ends after the schema line".into()),
-    }
-}
-
-/// Writes `serve_metrics.csv` into `dir` (created if missing): a
-/// `# schema:` comment line ([`SERVE_METRICS_SCHEMA`]), the header, then
-/// one aggregate row plus one per-endpoint row for every policy's report.
-/// The written text is verified with [`check_serve_metrics_schema`]
-/// before it lands on disk.
-///
-/// # Errors
-///
-/// Returns the underlying IO error.
-pub fn write_serve_metrics(dir: &Path, reports: &[ServeReport]) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let mut csv = format!("# schema: {SERVE_METRICS_SCHEMA}\n{CSV_HEADER}\n");
-    for report in reports {
-        csv.push_str(&report.csv_rows());
-    }
-    check_serve_metrics_schema(&csv).expect("writer stamped a malformed schema header");
-    let path = dir.join("serve_metrics.csv");
-    std::fs::write(&path, csv)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -594,12 +540,10 @@ mod tests {
         assert!((r.mean_batch_size() - 2.0).abs() < 1e-12);
         assert!((r.occupancy() - 0.5).abs() < 1e-12);
         assert_eq!(r.peak_memory(), 4096);
-        let dir = std::env::temp_dir().join("gnn-serve-metrics-test");
-        let path = write_serve_metrics(&dir, &[r]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = SERVE_METRICS.csv(r.metrics_rows());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], format!("# schema: {SERVE_METRICS_SCHEMA}"));
-        assert_eq!(lines[1], CSV_HEADER);
+        assert!(lines[1].starts_with("policy,routing,max_batch,"));
         assert_eq!(lines.len(), 4, "schema + header + all + one endpoint");
         assert!(
             lines[2].starts_with("b4/d1000us,single,4,0.001,all,3,2,1,0,0,"),
@@ -613,14 +557,14 @@ mod tests {
             lines[2]
         );
         assert!(lines[3].contains("table4/Cora/GCN/PyG"));
-        // Parse-back guard: consumers fail loudly on drift.
-        assert!(check_serve_metrics_schema(&text).is_ok());
-        assert!(check_serve_metrics_schema("").is_err());
-        assert!(check_serve_metrics_schema(&text.replacen("/v2", "/v0", 1)).is_err());
-        let headerless = format!("# schema: {SERVE_METRICS_SCHEMA}\npolicy,oops\n");
-        let err = check_serve_metrics_schema(&headerless).unwrap_err();
-        assert!(err.contains("header drifted"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+        // Every row carries the header's column count.
+        for line in &lines[1..] {
+            assert_eq!(
+                line.split(',').count(),
+                SERVE_METRICS.columns.len(),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -698,9 +642,7 @@ mod tests {
             retry_budget: 0.5,
         });
         assert_eq!(r.fleet.as_ref().unwrap().failover_p99(), 0.009);
-        let dir = std::env::temp_dir().join("gnn-serve-metrics-fleet-test");
-        let path = write_serve_metrics(&dir, &[r]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = SERVE_METRICS.csv(r.metrics_rows());
         let lines: Vec<&str> = text.lines().collect();
         assert!(
             lines[2].starts_with("b4/d1000us,least-loaded,"),
@@ -717,7 +659,6 @@ mod tests {
             "endpoint rows read 0 for router-level counters: {}",
             lines[3]
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use gnn_faults::{FaultKind, FaultPlan};
 use gnn_serve::{
     serve_fleet, BatchPolicy, CellId, FleetConfig, FleetWorkload, HealthPolicy, RoutingPolicy,
-    WorkloadKind, CSV_HEADER, SERVE_METRICS_SCHEMA,
+    WorkloadKind, SERVE_METRICS,
 };
 use proptest::prelude::*;
 
@@ -41,10 +41,7 @@ fn base_cfg() -> FleetConfig {
 
 /// Renders a report the way `gnn-bench fleet` writes `serve_metrics.csv`.
 fn csv_of(report: &gnn_serve::ServeReport) -> String {
-    format!(
-        "# schema: {SERVE_METRICS_SCHEMA}\n{CSV_HEADER}\n{}",
-        report.csv_rows()
-    )
+    SERVE_METRICS.csv(report.metrics_rows())
 }
 
 proptest! {

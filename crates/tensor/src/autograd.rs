@@ -263,11 +263,6 @@ impl Tensor {
         self.inner.grad.borrow().clone()
     }
 
-    /// Borrows the accumulated gradient.
-    pub fn grad_ref(&self) -> Ref<'_, Option<NdArray>> {
-        self.inner.grad.borrow()
-    }
-
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
         *self.inner.grad.borrow_mut() = None;
