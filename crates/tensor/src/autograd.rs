@@ -10,8 +10,11 @@
 //! have `needs_grad == false` produces a plain leaf, so inference-mode
 //! forward passes keep no graph alive.
 //!
-//! The engine is single-threaded (`Rc`/`RefCell`); the study's simulated
-//! device executes one stream, so there is nothing to parallelize.
+//! The engine is single-threaded (`Rc`/`RefCell`), as is the study's
+//! simulated device, which executes one stream. Only the host arithmetic
+//! under an op is split: a large kernel hands whole output rows to the
+//! host's cores (`crate::par`) while the tape, the kernel records and every
+//! other thread-local stay on the calling thread.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::HashSet;

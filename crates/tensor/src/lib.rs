@@ -51,6 +51,7 @@ pub mod mp;
 pub mod ndarray;
 pub mod nn;
 pub mod ops;
+mod par;
 pub mod shape_error;
 
 pub use autograd::{accumulate, grad_enabled, inference, no_grad, Backward, Tensor};

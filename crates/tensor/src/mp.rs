@@ -22,6 +22,8 @@
 //! the fused node lists its parents in the order the chain reaches them,
 //! so the rest of the walk is unchanged.
 
+use std::ops::Range;
+
 use gnn_graph::Csc;
 
 pub use crate::autograd::charge_node;
@@ -29,6 +31,7 @@ use crate::autograd::{accumulate, Backward, Tensor};
 use crate::ndarray::NdArray;
 use crate::ops::index::scatter_add_raw;
 use crate::ops::Ids;
+use crate::par;
 
 /// The edges an op runs over: edge `e` carries `src[e] -> dst[e]`, and
 /// `csc` ([`Csc::from_coo`] of the two) groups them by destination.
@@ -53,6 +56,13 @@ pub struct Shape {
     pub cols: usize,
     /// Width `H` of the edge operand (`0` when there is none).
     pub heads: usize,
+}
+
+impl Shape {
+    /// The part count of the op's `[E, F]` loop.
+    fn parts(self) -> usize {
+        par::scalar_parts(self.edges * self.cols)
+    }
 }
 
 /// The simulated events of one framework's formulation of an op.
@@ -89,18 +99,22 @@ impl Backward for MpBack {
             parents.get(1).is_some_and(Tensor::needs_grad),
         ];
         let (src, dst) = (&self.src[..], &self.dst[..]);
+        let parts = self.shape.parts();
         self.lowering.backward(self.shape, needs, &mut |i| {
             if !needs[i] {
                 return;
             }
             let g = match (self.pattern, i) {
-                (Pattern::CopyUSum, _) => scatter_sum(grad, None, src, dst, self.shape.in_rows),
+                (Pattern::CopyUSum, _) => {
+                    scatter_sum(grad, None, src, dst, self.shape.in_rows, parts)
+                }
                 (Pattern::UMulESum, 0) => {
                     let w = parents[1].data();
-                    scatter_sum(grad, Some(&w), src, dst, self.shape.in_rows)
+                    scatter_sum(grad, Some(&w), src, dst, self.shape.in_rows, parts)
                 }
                 (Pattern::UMulESum, _) => {
-                    edge_dots(grad, &parents[0].data(), src, dst, self.shape.heads)
+                    let x = parents[0].data();
+                    edge_dots(grad, &x, src, dst, self.shape.heads, parts)
                 }
                 (Pattern::UAddV, 0) => scatter_add_raw(grad, src, self.shape.in_rows),
                 (Pattern::UAddV, _) => scatter_add_raw(grad, dst, parents[1].shape().0),
@@ -118,7 +132,10 @@ impl Backward for MpBack {
 }
 
 /// `x[s] · w[e, h]` accumulated into `out` head block by head block; an
-/// unweighted message scales by `1.0`, which is `x` bit for bit.
+/// unweighted message scales by `1.0`, which is `x` bit for bit. Callers
+/// pass a literal `None` for unweighted sums, so that once inlined those
+/// compile to plain adds.
+#[inline(always)]
 fn add_scaled(out: &mut [f32], x: &[f32], w: Option<&NdArray>, e: usize) {
     let heads = w.map_or(1, NdArray::cols);
     let d = x.len() / heads;
@@ -131,25 +148,61 @@ fn add_scaled(out: &mut [f32], x: &[f32], w: Option<&NdArray>, e: usize) {
 }
 
 /// `out[v] = Σ_{e: src_e → v} x[src_e] · w[e]`, per destination in
-/// ascending `e`.
-fn gather_sum(x: &NdArray, w: Option<&NdArray>, csc: &Csc) -> NdArray {
-    let mut out = NdArray::zeros(csc.num_dst(), x.cols());
-    for v in 0..csc.num_dst() {
+/// ascending `e`; in `parts` destination ranges of near-equal edge count.
+fn gather_sum(x: &NdArray, w: Option<&NdArray>, csc: &Csc, parts: usize) -> NdArray {
+    let cols = x.cols();
+    let mut out = NdArray::zeros(csc.num_dst(), cols);
+    if cols == 0 {
+        return out;
+    }
+    let bound = |i| par::balanced(&csc.indptr, parts, i);
+    par::for_rows(
+        parts,
+        bound,
+        out.data_mut(),
+        cols,
+        &mut [(); 0],
+        |dsts, out, _| match w {
+            None => sum_in_edges(x, None, csc, dsts, out),
+            Some(w) => sum_in_edges(x, Some(w), csc, dsts, out),
+        },
+    );
+    out
+}
+
+/// Rows `dsts` of [`gather_sum`]'s output, which `out` holds.
+#[inline(always)]
+fn sum_in_edges(x: &NdArray, w: Option<&NdArray>, csc: &Csc, dsts: Range<usize>, out: &mut [f32]) {
+    let cols = x.cols();
+    for v in dsts.clone() {
         let range = csc.indptr[v] as usize..csc.indptr[v + 1] as usize;
-        let row = out.row_mut(v);
+        let row = &mut out[(v - dsts.start) * cols..(v - dsts.start + 1) * cols];
         for (&s, &e) in csc.src[range.clone()].iter().zip(&csc.edge_ids[range]) {
             add_scaled(row, x.row(s as usize), w, e as usize);
         }
     }
-    out
 }
 
 /// The source-side gradient of [`gather_sum`]:
-/// `dx[src_e] += g[dst_e] · w[e]` in ascending `e`.
-fn scatter_sum(g: &NdArray, w: Option<&NdArray>, src: &[u32], dst: &[u32], rows: usize) -> NdArray {
+/// `dx[src_e] += g[dst_e] · w[e]` in ascending `e`, in `parts` source
+/// ranges.
+fn scatter_sum(
+    g: &NdArray,
+    w: Option<&NdArray>,
+    src: &[u32],
+    dst: &[u32],
+    rows: usize,
+    parts: usize,
+) -> NdArray {
     let mut dx = NdArray::zeros(rows, g.cols());
-    for (e, (&s, &t)) in src.iter().zip(dst).enumerate() {
-        add_scaled(dx.row_mut(s as usize), g.row(t as usize), w, e);
+    let (cols, out) = (g.cols(), dx.data_mut());
+    match w {
+        None => par::scatter_rows(parts, src, out, cols, |e, row| {
+            add_scaled(row, g.row(dst[e] as usize), None, e);
+        }),
+        Some(w) => par::scatter_rows(parts, src, out, cols, |e, row| {
+            add_scaled(row, g.row(dst[e] as usize), Some(w), e);
+        }),
     }
     dx
 }
@@ -157,32 +210,39 @@ fn scatter_sum(g: &NdArray, w: Option<&NdArray>, src: &[u32], dst: &[u32], rows:
 /// The edge-side gradient of [`gather_sum`]: `dw[e, h]` is the dot product
 /// of head `h`'s blocks of `g[dst_e]` and `x[src_e]`, summed from `0.0` —
 /// or, for one-column heads, the product itself, as the elementwise `mul`
-/// rule computes it.
-fn edge_dots(g: &NdArray, x: &NdArray, src: &[u32], dst: &[u32], heads: usize) -> NdArray {
+/// rule computes it. In `parts` edge ranges.
+fn edge_dots(
+    g: &NdArray,
+    x: &NdArray,
+    src: &[u32],
+    dst: &[u32],
+    heads: usize,
+    parts: usize,
+) -> NdArray {
     let d = g.cols() / heads;
     let mut dw = NdArray::zeros(src.len(), heads);
-    for (e, (&s, &t)) in src.iter().zip(dst).enumerate() {
-        let (gr, xr) = (g.row(t as usize), x.row(s as usize));
-        for (h, out) in dw.row_mut(e).iter_mut().enumerate() {
+    par::each_row(parts, dw.data_mut(), heads, |e, dwr| {
+        let (gr, xr) = (g.row(dst[e] as usize), x.row(src[e] as usize));
+        for (h, out) in dwr.iter_mut().enumerate() {
             let block = gr[h * d..(h + 1) * d].iter().zip(&xr[h * d..]);
             *out = match d {
                 1 => gr[h] * xr[h],
                 _ => block.fold(0.0, |acc, (&gv, &xv)| acc + gv * xv),
             };
         }
-    }
+    });
     dw
 }
 
-/// `out[e] = u[src_e] + v[dst_e]`.
-fn add_ends(u: &NdArray, v: &NdArray, src: &[u32], dst: &[u32]) -> NdArray {
+/// `out[e] = u[src_e] + v[dst_e]`, in `parts` edge ranges.
+fn add_ends(u: &NdArray, v: &NdArray, src: &[u32], dst: &[u32], parts: usize) -> NdArray {
     let mut out = NdArray::zeros(src.len(), u.cols());
-    for (e, (&s, &t)) in src.iter().zip(dst).enumerate() {
-        let ends = u.row(s as usize).iter().zip(v.row(t as usize));
-        for (o, (&a, &b)) in out.row_mut(e).iter_mut().zip(ends) {
+    par::each_row(parts, out.data_mut(), u.cols(), |e, row| {
+        let ends = u.row(src[e] as usize).iter().zip(v.row(dst[e] as usize));
+        for (o, (&a, &b)) in row.iter_mut().zip(ends) {
             *o = a + b;
         }
-    }
+    });
     out
 }
 
@@ -214,9 +274,12 @@ fn fused(
     let out = {
         let x = parents[0].data();
         match pattern {
-            Pattern::CopyUSum => gather_sum(&x, None, edges.csc),
-            Pattern::UMulESum => gather_sum(&x, Some(&parents[1].data()), edges.csc),
-            Pattern::UAddV => add_ends(&x, &parents[1].data(), edges.src, edges.dst),
+            Pattern::CopyUSum => gather_sum(&x, None, edges.csc, shape.parts()),
+            Pattern::UMulESum => gather_sum(&x, Some(&parents[1].data()), edges.csc, shape.parts()),
+            Pattern::UAddV => {
+                let v = parents[1].data();
+                add_ends(&x, &v, edges.src, edges.dst, shape.parts())
+            }
         }
     };
     let back = MpBack {
@@ -287,4 +350,98 @@ pub fn u_add_v(
         "mp: u_add_v operand widths differ"
     );
     fused(Pattern::UAddV, edges, vec![u.clone(), v.clone()], lowering)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64 values over several binades, with `-0.0` and NaN.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn array(&mut self, rows: usize, cols: usize) -> NdArray {
+            let data = (0..rows * cols)
+                .map(|_| match self.below(12) {
+                    0 => -0.0,
+                    1 => f32::NAN,
+                    b => (self.below(1 << 20) as f32 - (1 << 19) as f32) * 2f32.powi(b as i32 - 24),
+                })
+                .collect();
+            NdArray::from_vec(rows, cols, data)
+        }
+    }
+
+    fn bits(a: &NdArray) -> Vec<u32> {
+        a.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every kernel at 2, 3 and 7 parts against its serial run: destination
+    /// ranges balanced on the CSC, source ranges that scan every edge, and
+    /// edge ranges; on bipartite blocks, rows with no edge, `E = 0` and
+    /// more parts than rows.
+    #[test]
+    fn parts_equal_the_serial_kernels() {
+        let mut rng = Rng(30);
+        for case in 0..64 {
+            let (n_in, n_out) = (1 + rng.below(9), 1 + rng.below(9));
+            let edges = if case % 8 == 0 { 0 } else { rng.below(40) };
+            // Half the edges on row 0, so one destination outweighs the rest.
+            let dst: Vec<u32> = (0..edges)
+                .map(|_| {
+                    if rng.below(2) == 0 {
+                        0
+                    } else {
+                        rng.below(n_out) as u32
+                    }
+                })
+                .collect();
+            let src: Vec<u32> = (0..edges).map(|_| rng.below(n_in) as u32).collect();
+            let csc = Csc::from_coo(n_out, &src, &dst);
+            let heads = 1 + rng.below(3);
+            let cols = heads * (1 + rng.below(3));
+            let x = rng.array(n_in, cols);
+            let w = rng.array(edges, heads);
+            let g = rng.array(n_out, cols);
+            let v = rng.array(n_out, cols);
+            let serial = [
+                bits(&gather_sum(&x, None, &csc, 1)),
+                bits(&gather_sum(&x, Some(&w), &csc, 1)),
+                bits(&scatter_sum(&g, Some(&w), &src, &dst, n_in, 1)),
+                bits(&edge_dots(&g, &x, &src, &dst, heads, 1)),
+                bits(&add_ends(&x, &v, &src, &dst, 1)),
+            ];
+            for parts in [2, 3, 7] {
+                let parted = [
+                    bits(&gather_sum(&x, None, &csc, parts)),
+                    bits(&gather_sum(&x, Some(&w), &csc, parts)),
+                    bits(&scatter_sum(&g, Some(&w), &src, &dst, n_in, parts)),
+                    bits(&edge_dots(&g, &x, &src, &dst, heads, parts)),
+                    bits(&add_ends(&x, &v, &src, &dst, parts)),
+                ];
+                let names = [
+                    "copy_u_sum",
+                    "u_mul_e_sum",
+                    "scatter_sum",
+                    "edge_dots",
+                    "add_ends",
+                ];
+                for ((name, got), want) in names.iter().zip(&parted).zip(&serial) {
+                    assert_eq!(got, want, "case {case}: {name} in {parts} parts");
+                }
+            }
+        }
+    }
 }

@@ -13,6 +13,9 @@ use proptest::prelude::*;
 #[allow(dead_code)]
 #[path = "../src/gemm.rs"]
 mod gemm;
+#[allow(dead_code)]
+#[path = "../src/par.rs"]
+mod par;
 
 fn matmul_oracle(a: &NdArray, b: &NdArray) -> NdArray {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -281,4 +284,211 @@ fn reports_the_dispatched_instruction_set() {
     } else {
         println!("gemm: no avx2 here, dispatched = baseline; the comparison passes trivially");
     }
+}
+
+/// The part counts of the partition property: one (the serial split), two
+/// (this host), and counts that leave parts uneven or empty.
+const PARTS: [usize; 4] = [1, 2, 3, 7];
+
+/// `case` with one NaN and one `-0.0` placed in each of `a` and `b` by `p`
+/// (when `specials`), so a boundary that moved a term across a part, or a
+/// select that let a skipped term through, shows in the bits.
+fn with_specials(c: Case, specials: bool) -> Case {
+    let Case {
+        m,
+        k,
+        n,
+        mut a,
+        mut b,
+        p,
+    } = c;
+    if specials {
+        for (v, at) in [(f32::NAN, p), (-0.0, p / 7)] {
+            if !a.is_empty() {
+                let i = at % a.len();
+                a[i] = v;
+            }
+            if !b.is_empty() {
+                let i = (at / 3) % b.len();
+                b[i] = v;
+            }
+        }
+    }
+    Case { m, k, n, a, b, p }
+}
+
+/// Widths of the small-width paths: `n` and `k` in `1..=15`, `m` up to
+/// `4 × 16 + 9` rows (whole tiles of the small-width `matmul` and a rest).
+fn small_case() -> impl Strategy<Value = Case> {
+    (1usize..=73, 1usize..=15, 1usize..=15, 0usize..1000).prop_flat_map(|(m, k, n, p)| {
+        (
+            proptest::collection::vec(-3.0f32..3.0, m * k),
+            proptest::collection::vec(0u32..3, m * k),
+            proptest::collection::vec(-3.0f32..3.0, (m * n).max(k * n)),
+        )
+            .prop_map(move |(mut a, zero, b)| {
+                for (x, z) in a.iter_mut().zip(zero) {
+                    match z {
+                        0 => *x = 0.0,
+                        1 => *x = -0.0,
+                        _ => {}
+                    }
+                }
+                Case { m, k, n, a, b, p }
+            })
+    })
+}
+
+/// A kernel body on row-major slices, `(a, b, out, m, k, n)`.
+type Serial = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// Runs each kernel in every part count of [`PARTS`] and compares it with
+/// the serial body.
+fn parts_equal_serial(c: &Case) -> Result<(), String> {
+    type Parted = fn(usize, &[f32], &[f32], &mut [f32], usize, usize, usize);
+    let Case { m, k, n, a, b, .. } = c;
+    let (m, k, n) = (*m, *k, *n);
+    let layouts: [(&str, Serial, Parted, usize, usize); 3] = [
+        ("matmul", gemm::nn, gemm::matmul_in, k * n, m * n),
+        ("matmul_nt", gemm::nt, gemm::matmul_nt_in, n * k, m * n),
+        ("matmul_tn", gemm::tn, gemm::matmul_tn_in, m * n, k * n),
+    ];
+    for (what, serial, parted, b_len, out_len) in layouts {
+        let mut want = vec![0.0f32; out_len];
+        serial(a, &b[..b_len], &mut want, m, k, n);
+        for parts in PARTS {
+            let mut got = vec![0.0f32; out_len];
+            parted(parts, a, &b[..b_len], &mut got, m, k, n);
+            assert_same_bits(&got, &want, &format!("{what} in {parts} parts"))?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    /// Parts split output rows (for `matmul_tn`, a window of `a`'s
+    /// columns) and never `k`, so every part count gives the serial bits:
+    /// with fewer rows than parts, at every width the general case draws,
+    /// and with NaN and `-0.0` in either operand.
+    #[test]
+    fn row_parts_equal_the_serial_body(c in case(), specials in 0u8..2) {
+        parts_equal_serial(&with_specials(c, specials == 1))?;
+    }
+
+    /// The same at the widths of the small-width paths, where `matmul` and
+    /// `matmul_tn` skip zeros by a masked select.
+    #[test]
+    fn small_width_parts_equal_the_serial_body(c in small_case(), specials in 0u8..2) {
+        let c = with_specials(c, specials == 1);
+        parts_equal_serial(&c)?;
+        let (a, b) = (NdArray::from_vec(c.m, c.k, c.a.clone()), NdArray::from_vec(c.k, c.n, c.b[..c.k * c.n].to_vec()));
+        assert_same_bits(a.matmul(&b).data(), matmul_oracle(&a, &b).data(), "small-width matmul")?;
+        let b = NdArray::from_vec(c.m, c.n, c.b[..c.m * c.n].to_vec());
+        assert_same_bits(a.matmul_tn(&b).data(), matmul_tn_oracle(&a, &b).data(), "small-width matmul_tn")?;
+    }
+}
+
+/// PubMed's shapes through the public API against the serial body. All are
+/// above the part threshold, so on a host with more than one core they run
+/// split (none of the goldens' smoke sizes reaches it): layer 1's on the
+/// sparse-list paths, layer 2's on the small-width paths and the packed
+/// `k` = 3 `matmul_nt`, and a `k` = 8 `matmul_nt` (GAT's eight heads).
+#[test]
+fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
+    /// xorshift values in `[-0.5, 0.5)`, a fraction `density` non-zero.
+    fn array(seed: &mut u64, rows: usize, cols: usize, density: f32) -> NdArray {
+        let mut next = || {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            (*seed >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let data = (0..rows * cols)
+            .map(|_| {
+                let v = next() - 0.5;
+                if next() < density {
+                    v
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        NdArray::from_vec(rows, cols, data)
+    }
+    fn check(
+        got: &NdArray,
+        a: &NdArray,
+        b: &NdArray,
+        serial: Serial,
+        (m, k, n): (usize, usize, usize),
+        what: &str,
+    ) {
+        let mut want = vec![0.0f32; got.len()];
+        serial(a.data(), b.data(), &mut want, m, k, n);
+        assert_same_bits(got.data(), &want, what).unwrap();
+    }
+    let mut seed = 0x9E37_79B9_7F4A_7C15;
+    let (nodes, feats, hidden, classes) = (19717, 500, 256, 3);
+    // Layer 1 forward and its weight gradient: the bag-of-words input.
+    let x = array(&mut seed, nodes, feats, 0.1);
+    let w1 = array(&mut seed, feats, hidden, 1.0);
+    check(
+        &x.matmul(&w1),
+        &x,
+        &w1,
+        gemm::nn,
+        (nodes, feats, hidden),
+        "[19717, 500] · [500, 256]",
+    );
+    let dh = array(&mut seed, nodes, hidden, 1.0);
+    check(
+        &x.matmul_tn(&dh),
+        &x,
+        &dh,
+        gemm::tn,
+        (nodes, feats, hidden),
+        "[19717, 500]ᵀ · [19717, 256]",
+    );
+    // Layer 2: 3 class columns forward, `k` = 3 in backward.
+    let h = array(&mut seed, nodes, hidden, 0.5);
+    let w2 = array(&mut seed, hidden, classes, 1.0);
+    check(
+        &h.matmul(&w2),
+        &h,
+        &w2,
+        gemm::nn,
+        (nodes, hidden, classes),
+        "[19717, 256] · [256, 3]",
+    );
+    let dy = array(&mut seed, nodes, classes, 1.0);
+    check(
+        &dy.matmul_nt(&w2),
+        &dy,
+        &w2,
+        gemm::nt,
+        (nodes, classes, hidden),
+        "[19717, 3] · [256, 3]ᵀ",
+    );
+    check(
+        &h.matmul_tn(&dy),
+        &h,
+        &dy,
+        gemm::tn,
+        (nodes, hidden, classes),
+        "[19717, 256]ᵀ · [19717, 3]",
+    );
+    let (da, w) = (
+        array(&mut seed, nodes, 8, 1.0),
+        array(&mut seed, hidden, 8, 1.0),
+    );
+    check(
+        &da.matmul_nt(&w),
+        &da,
+        &w,
+        gemm::nt,
+        (nodes, 8, hidden),
+        "[19717, 8] · [256, 8]ᵀ",
+    );
 }

@@ -345,6 +345,51 @@ proptest! {
     }
 }
 
+/// One graph at PubMed's layer-1 GAT width with `E·F` well above the part
+/// threshold, so on a host with more than one core the fused kernels and
+/// the chain's gather and scatter all run in parts: the two must still
+/// agree on every bit and event.
+#[test]
+fn above_the_part_threshold_matches_the_chain() {
+    let mut rng = Rng(28);
+    let (nodes, edges, cols, heads) = (4096, 20_000, 256, 8);
+    let dst: Vec<u32> = (0..edges).map(|_| rng.below(nodes) as u32).collect();
+    let src: Vec<u32> = (0..edges).map(|_| rng.below(nodes) as u32).collect();
+    let mut case = Case {
+        csc: Csc::from_coo(nodes, &src, &dst),
+        src: Rc::new(src),
+        dst: Rc::new(dst),
+        n_in: nodes,
+        n_out: nodes,
+        cols,
+        heads,
+        rng,
+        specials: true,
+    };
+    let x = case.array(nodes, cols);
+    let w = case.array(edges, heads);
+    let seed_grad = case.array(nodes, cols);
+
+    let copy = |op: &dyn Fn(&Tensor) -> Tensor| {
+        observe(std::slice::from_ref(&x), &[true], &seed_grad, |p| op(&p[0]))
+    };
+    let unfused = copy(&|x| chain(&case, x, None));
+    let pyg = copy(&|x| mp::copy_u_sum(case.edges(), x, &rustyg::message::COPY));
+    same_values(&pyg, &unfused, "copy_u_sum/pyg").unwrap();
+    same_events(&pyg, &unfused, "copy_u_sum/pyg").unwrap();
+
+    let values = [x.clone(), w];
+    let mul = |op: &dyn Fn(&Tensor, &Tensor) -> Tensor| {
+        observe(&values, &[true, true], &seed_grad, |p| op(&p[0], &p[1]))
+    };
+    let unfused = mul(&|x, w| chain(&case, x, Some(w)));
+    let pyg = mul(&|x, w| mp::u_mul_e_sum(case.edges(), x, w, pyg_mul(&case)));
+    same_values(&pyg, &unfused, "u_mul_e_sum/pyg").unwrap();
+    same_events(&pyg, &unfused, "u_mul_e_sum/pyg").unwrap();
+    let dgl = mul(&|x, w| mp::u_mul_e_sum(case.edges(), x, w, &rgl::kernels::MulSum));
+    same_values(&dgl, &unfused, "u_mul_e_sum/dgl").unwrap();
+}
+
 /// The fused host kernels `rgl` ran before `mp`, from their last version:
 /// the reference for the DGL lowerings' events. Only the row counts are
 /// generalized to bipartite blocks (`x`'s rows for the source side, the

@@ -2,7 +2,9 @@
 //! every reproduced result, asserted at smoke scale. Each test names the
 //! paper section it guards.
 
-use gnn_core::runner::{self, GraphDs};
+use std::sync::OnceLock;
+
+use gnn_core::runner::{self, GraphDs, ProfileRow};
 use gnn_core::RunConfig;
 use gnn_models::{FrameworkKind, ModelKind};
 
@@ -12,11 +14,20 @@ fn smoke() -> RunConfig {
     cfg
 }
 
+/// `runner::profile_sweep` at smoke scale on ENZYMES, computed once and
+/// copied to every claim that reads it (the sweep is seeded, so each test
+/// sees the rows it used to compute for itself).
+fn enzymes_profile() -> Vec<ProfileRow> {
+    static ROWS: OnceLock<Vec<ProfileRow>> = OnceLock::new();
+    ROWS.get_or_init(|| runner::profile_sweep(&smoke(), GraphDs::Enzymes))
+        .clone()
+}
+
 #[test]
 fn claim_dgl_data_loading_dominates_and_exceeds_pyg() {
     // Section IV-C: "the data loading time of DGL is significantly longer
     // than that of PyG across all models".
-    let rows = runner::profile_sweep(&smoke(), GraphDs::Enzymes);
+    let rows = enzymes_profile();
     for model in gnn_models::config::ALL_MODELS {
         let pyg = rows
             .iter()
@@ -50,7 +61,7 @@ fn claim_dgl_data_loading_dominates_and_exceeds_pyg() {
 fn claim_total_epoch_time_pyg_beats_dgl_for_all_models() {
     // Tables IV/V headline: "the implementations with framework PyG can get
     // the best training time performance for all models".
-    let rows = runner::profile_sweep(&smoke(), GraphDs::Enzymes);
+    let rows = enzymes_profile();
     for model in gnn_models::config::ALL_MODELS {
         for bs in [8usize, 16, 32] {
             let t = |fw: FrameworkKind| {
@@ -71,7 +82,7 @@ fn claim_total_epoch_time_pyg_beats_dgl_for_all_models() {
 fn claim_gatedgcn_gap_is_the_largest() {
     // Section IV-A observation 3: GatedGCN under DGL can be ~2x its PyG
     // time — the widest framework gap among the six models.
-    let rows = runner::profile_sweep(&smoke(), GraphDs::Enzymes);
+    let rows = enzymes_profile();
     // Compare compute (forward + backward): at smoke scale the collation
     // cost is framework-constant and would wash the per-model signal out.
     let ratio = |model: ModelKind| {
@@ -99,7 +110,7 @@ fn claim_gatedgcn_gap_is_the_largest() {
 fn claim_gpu_utilization_is_low() {
     // Section IV-D observation 4: "for many cases, the maximum is no more
     // than 40%" — utilization is low across the board.
-    let rows = runner::profile_sweep(&smoke(), GraphDs::Enzymes);
+    let rows = enzymes_profile();
     let max_util = rows.iter().map(|r| r.utilization).fold(0.0f64, f64::max);
     assert!(max_util < 0.5, "utilization should be low, got {max_util}");
     for r in &rows {
@@ -111,7 +122,7 @@ fn claim_gpu_utilization_is_low() {
 fn claim_dgl_memory_gap_is_extreme_for_gatedgcn() {
     // Section IV-D observation 2: DGL memory >= PyG in most cases, with the
     // gap "very big" for GatedGCN (explicit edge features).
-    let rows = runner::profile_sweep(&smoke(), GraphDs::Enzymes);
+    let rows = enzymes_profile();
     let mem = |model: ModelKind, fw: FrameworkKind| {
         rows.iter()
             .find(|r| r.model == model && r.framework == fw && r.batch_size == 32)
@@ -137,7 +148,7 @@ fn claim_dgl_memory_gap_is_extreme_for_gatedgcn() {
 #[test]
 fn claim_anisotropic_models_cost_more_memory() {
     // Section IV-D observation 1: anisotropic GNNs need more memory.
-    let rows = runner::profile_sweep(&smoke(), GraphDs::Enzymes);
+    let rows = enzymes_profile();
     let mem = |model: ModelKind| {
         rows.iter()
             .find(|r| {
