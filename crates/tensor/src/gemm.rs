@@ -141,8 +141,8 @@ dispatched! {
     fn nt_part(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, panel: &mut [f32]) => nt_rows
 }
 dispatched! {
-    /// One part of `matmul_nt` against all of `b`, packed.
-    fn nt_packed_part(a: &[f32], packed: &[f32], out: &mut [f32], k: usize, n: usize) => nt_packed_rows
+    /// One part of `matmul_nt` against all of `b`, packed (`j0` = 0).
+    fn nt_packed_part(a: &[f32], packed: &[f32], out: &mut [f32], k: usize, n: usize, j0: usize) => nt_tiles
 }
 dispatched! {
     /// One part of `matmul_tn`: the rows `cols` of `out`.
@@ -242,7 +242,7 @@ pub(crate) fn nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
 #[cfg(test)]
 #[allow(dead_code)]
 pub(crate) fn nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    nt_split(1, a, b, out, (m, k, n), (nt_rows, nt_packed_rows));
+    nt_split(1, a, b, out, (m, k, n), (nt_rows, nt_tiles));
 }
 
 /// Body of [`matmul_tn`], serial; called directly it is the baseline
@@ -255,7 +255,7 @@ pub(crate) fn tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
 
 type NnPart = fn(&[f32], &[f32], &mut [f32], usize, usize, &mut [(usize, f32)]);
 type NtPart = fn(&[f32], &[f32], &mut [f32], usize, usize, &mut [f32]);
-type NtPackedPart = fn(&[f32], &[f32], &mut [f32], usize, usize);
+type NtPackedPart = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 type TnPart = fn(&[f32], &[f32], &mut [f32], usize, usize, Range<usize>, &mut [(usize, f32)]);
 
 fn nn_split(
@@ -299,7 +299,7 @@ fn nt_split(
             pack(b, k, p * NR, NR.min(n - p * NR), panel);
         }
         par::for_rows(parts, bound, out, n, &mut [(); 0], |rows, out, _| {
-            packed_part(&a[rows.start * k..rows.end * k], &packed, out, k, n);
+            packed_part(&a[rows.start * k..rows.end * k], &packed, out, k, n, 0);
         });
     } else {
         // One panel of `b^T`, `k` rows of `NR`, per part.
@@ -593,56 +593,43 @@ fn pack(b: &[f32], k: usize, j0: usize, nr: usize, panel: &mut [f32]) {
 /// the part. `k > 0`.
 #[inline(always)]
 fn nt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, panel: &mut [f32]) {
-    let m = a.len() / k;
     for j0 in (0..n).step_by(NR) {
-        let nr = NR.min(n - j0);
-        pack(b, k, j0, nr, panel);
-        let mut i = 0;
-        while i + MR <= m {
-            tile::<MR>(&a[i * k..], panel, &mut out[i * n + j0..], k, n, nr);
-            i += MR;
-        }
-        while i < m {
-            tile::<1>(&a[i * k..], panel, &mut out[i * n + j0..], k, n, nr);
-            i += 1;
-        }
+        pack(b, k, j0, NR.min(n - j0), panel);
+        nt_tiles(a, panel, out, k, n, j0);
     }
 }
 
-/// Body of one part of [`matmul_nt`] against all of `b^T`, packed as
-/// consecutive panels: row tiles outermost, so each tile of `out` is
-/// written once. `k > 0`.
+/// Body of one part of [`matmul_nt`] against `packed`, consecutive panels
+/// of `b^T` whose first is column `j0` of `out`: row tiles outermost, so
+/// with all of `b^T` packed each tile of `out` is written once. `k > 0`.
 #[inline(always)]
-fn nt_packed_rows(a: &[f32], packed: &[f32], out: &mut [f32], k: usize, n: usize) {
+fn nt_tiles(a: &[f32], packed: &[f32], out: &mut [f32], k: usize, n: usize, j0: usize) {
     let m = a.len() / k;
     let mut i = 0;
     while i + MR <= m {
-        for (p, panel) in packed.chunks_exact(NR * k).enumerate() {
-            let j0 = p * NR;
-            tile::<MR>(
-                &a[i * k..],
-                panel,
-                &mut out[i * n + j0..],
-                k,
-                n,
-                NR.min(n - j0),
-            );
-        }
+        row_tile::<MR>(&a[i * k..], packed, &mut out[i * n..], k, n, j0);
         i += MR;
     }
     while i < m {
-        for (p, panel) in packed.chunks_exact(NR * k).enumerate() {
-            let j0 = p * NR;
-            tile::<1>(
-                &a[i * k..],
-                panel,
-                &mut out[i * n + j0..],
-                k,
-                n,
-                NR.min(n - j0),
-            );
-        }
+        row_tile::<1>(&a[i * k..], packed, &mut out[i * n..], k, n, j0);
         i += 1;
+    }
+}
+
+/// `R` rows of `a` against every panel of `packed`, the first at column
+/// `j0`.
+#[inline(always)]
+fn row_tile<const R: usize>(
+    a: &[f32],
+    packed: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+) {
+    for (p, panel) in packed.chunks_exact(NR * k).enumerate() {
+        let j = j0 + p * NR;
+        tile::<R>(a, panel, &mut out[j..], k, n, NR.min(n - j));
     }
 }
 

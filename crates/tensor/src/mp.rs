@@ -234,15 +234,15 @@ fn edge_dots(
     dw
 }
 
-/// `out[e] = u[src_e] + v[dst_e]`, in `parts` edge ranges.
-fn add_ends(u: &NdArray, v: &NdArray, src: &[u32], dst: &[u32], parts: usize) -> NdArray {
+/// `out[e] = u[src_e] + v[dst_e]`.
+fn add_ends(u: &NdArray, v: &NdArray, src: &[u32], dst: &[u32]) -> NdArray {
     let mut out = NdArray::zeros(src.len(), u.cols());
-    par::each_row(parts, out.data_mut(), u.cols(), |e, row| {
-        let ends = u.row(src[e] as usize).iter().zip(v.row(dst[e] as usize));
-        for (o, (&a, &b)) in row.iter_mut().zip(ends) {
+    for (e, (&s, &t)) in src.iter().zip(dst).enumerate() {
+        let ends = u.row(s as usize).iter().zip(v.row(t as usize));
+        for (o, (&a, &b)) in out.row_mut(e).iter_mut().zip(ends) {
             *o = a + b;
         }
-    });
+    }
     out
 }
 
@@ -276,10 +276,7 @@ fn fused(
         match pattern {
             Pattern::CopyUSum => gather_sum(&x, None, edges.csc, shape.parts()),
             Pattern::UMulESum => gather_sum(&x, Some(&parents[1].data()), edges.csc, shape.parts()),
-            Pattern::UAddV => {
-                let v = parents[1].data();
-                add_ends(&x, &v, edges.src, edges.dst, shape.parts())
-            }
+            Pattern::UAddV => add_ends(&x, &parents[1].data(), edges.src, edges.dst),
         }
     };
     let back = MpBack {
@@ -415,13 +412,11 @@ mod tests {
             let x = rng.array(n_in, cols);
             let w = rng.array(edges, heads);
             let g = rng.array(n_out, cols);
-            let v = rng.array(n_out, cols);
             let serial = [
                 bits(&gather_sum(&x, None, &csc, 1)),
                 bits(&gather_sum(&x, Some(&w), &csc, 1)),
                 bits(&scatter_sum(&g, Some(&w), &src, &dst, n_in, 1)),
                 bits(&edge_dots(&g, &x, &src, &dst, heads, 1)),
-                bits(&add_ends(&x, &v, &src, &dst, 1)),
             ];
             for parts in [2, 3, 7] {
                 let parted = [
@@ -429,15 +424,8 @@ mod tests {
                     bits(&gather_sum(&x, Some(&w), &csc, parts)),
                     bits(&scatter_sum(&g, Some(&w), &src, &dst, n_in, parts)),
                     bits(&edge_dots(&g, &x, &src, &dst, heads, parts)),
-                    bits(&add_ends(&x, &v, &src, &dst, parts)),
                 ];
-                let names = [
-                    "copy_u_sum",
-                    "u_mul_e_sum",
-                    "scatter_sum",
-                    "edge_dots",
-                    "add_ends",
-                ];
+                let names = ["copy_u_sum", "u_mul_e_sum", "scatter_sum", "edge_dots"];
                 for ((name, got), want) in names.iter().zip(&parted).zip(&serial) {
                     assert_eq!(got, want, "case {case}: {name} in {parts} parts");
                 }

@@ -11,7 +11,6 @@ use gnn_device::{record, Kernel};
 use crate::autograd::{accumulate, Backward, Tensor};
 use crate::ndarray::NdArray;
 use crate::ops::Ids;
-use crate::par;
 use crate::shape_error::ShapeError;
 
 /// Validates a gather index array against the number of source rows.
@@ -45,45 +44,32 @@ pub fn check_scatter_idx(idx: &[u32], src_rows: usize, out_rows: usize) -> Resul
 }
 
 pub(crate) fn gather_raw(x: &NdArray, idx: &[u32]) -> NdArray {
-    gather_in(par::scalar_parts(idx.len() * x.cols()), x, idx)
-}
-
-/// [`gather_raw`] in `parts` ranges of output rows.
-fn gather_in(parts: usize, x: &NdArray, idx: &[u32]) -> NdArray {
-    let mut out = NdArray::zeros(idx.len(), x.cols());
-    par::each_row(parts, out.data_mut(), x.cols(), |r, orow| {
-        let i = idx[r] as usize;
+    let cols = x.cols();
+    let mut out = NdArray::zeros(idx.len(), cols);
+    for (r, &i) in idx.iter().enumerate() {
         debug_assert!(
-            i < x.rows(),
+            (i as usize) < x.rows(),
             "gather_raw index out of bounds (n = {})",
             x.rows()
         );
-        orow.copy_from_slice(x.row(i));
-    });
+        out.row_mut(r).copy_from_slice(x.row(i as usize));
+    }
     out
 }
 
 pub(crate) fn scatter_add_raw(src: &NdArray, idx: &[u32], out_rows: usize) -> NdArray {
-    scatter_add_in(
-        par::scalar_parts(idx.len() * src.cols()),
-        src,
-        idx,
-        out_rows,
-    )
-}
-
-/// [`scatter_add_raw`] in `parts` ranges of output rows.
-pub(crate) fn scatter_add_in(parts: usize, src: &NdArray, idx: &[u32], out_rows: usize) -> NdArray {
-    debug_assert!(
-        idx.iter().all(|&i| (i as usize) < out_rows),
-        "scatter_add_raw index out of bounds (out_rows = {out_rows})"
-    );
-    let mut out = NdArray::zeros(out_rows, src.cols());
-    par::scatter_rows(parts, idx, out.data_mut(), src.cols(), |r, dst| {
+    let cols = src.cols();
+    let mut out = NdArray::zeros(out_rows, cols);
+    for (r, &i) in idx.iter().enumerate() {
+        debug_assert!(
+            (i as usize) < out_rows,
+            "scatter_add_raw index out of bounds (out_rows = {out_rows})"
+        );
+        let dst = &mut out.data_mut()[i as usize * cols..(i as usize + 1) * cols];
         for (d, &s) in dst.iter_mut().zip(src.row(r)) {
             *d += s;
         }
-    });
+    }
     out
 }
 
@@ -222,40 +208,6 @@ mod tests {
         assert_eq!(agg.data().data(), &[20., 10.]);
         agg.backward();
         assert_eq!(x.grad().unwrap().data(), &[1., 1.]);
-    }
-
-    /// Output rows split into 2, 3 or 7 parts (more than there are rows,
-    /// too) give the serial bits; a scatter's parts each scan every index.
-    #[test]
-    fn parts_equal_the_serial_kernels() {
-        let x = NdArray::from_vec(
-            5,
-            2,
-            vec![
-                1.5,
-                -0.0,
-                f32::NAN,
-                3.25,
-                1e-30,
-                -7.0,
-                0.1,
-                0.2,
-                1e30,
-                -1e30,
-            ],
-        );
-        let idx = [4u32, 0, 4, 2, 2, 2, 1, 0, 4];
-        let big = NdArray::from_vec(9, 2, (0..18).map(|v| 0.1 * v as f32 - 0.5).collect());
-        let bits = |a: &NdArray| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for parts in [2, 3, 7] {
-            let (got, want) = (gather_in(parts, &x, &idx), gather_in(1, &x, &idx));
-            assert_eq!(bits(&got), bits(&want), "gather in {parts} parts");
-            let (got, want) = (
-                scatter_add_in(parts, &big, &idx, 6),
-                scatter_add_in(1, &big, &idx, 6),
-            );
-            assert_eq!(bits(&got), bits(&want), "scatter_add in {parts} parts");
-        }
     }
 
     #[test]

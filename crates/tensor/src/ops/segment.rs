@@ -10,9 +10,8 @@ use gnn_device::{record, Kernel, KernelKind};
 
 use crate::autograd::{accumulate, records, Backward, Tensor};
 use crate::ndarray::NdArray;
-use crate::ops::index::{gather_raw, scatter_add_in, scatter_add_raw};
+use crate::ops::index::{gather_raw, scatter_add_raw};
 use crate::ops::Ids;
-use crate::par;
 use crate::shape_error::ShapeError;
 
 /// Number of rows per segment as f32 (0 for empty segments).
@@ -141,70 +140,31 @@ impl Backward for SegmentSoftmaxBack {
             2 * grad.len() as u64,
             16 * grad.len() as u64,
         ));
-        let parts = par::scalar_parts(grad.len());
-        let dx = softmax_back(parts, grad, &self.y, &self.ids, self.num_segments);
+        let cols = grad.cols();
+        let mut seg_dot = NdArray::zeros(self.num_segments, cols);
+        for (r, &i) in self.ids.iter().enumerate() {
+            let gr = grad.row(r);
+            let yr = self.y.row(r);
+            let sd = seg_dot.row_mut(i as usize);
+            for c in 0..cols {
+                sd[c] += gr[c] * yr[c];
+            }
+        }
+        let mut dx = NdArray::zeros(grad.rows(), cols);
+        for (r, &i) in self.ids.iter().enumerate() {
+            let gr = grad.row(r);
+            let yr = self.y.row(r);
+            let sd = seg_dot.row(i as usize);
+            let dr = dx.row_mut(r);
+            for c in 0..cols {
+                dr[c] = yr[c] * (gr[c] - sd[c]);
+            }
+        }
         accumulate(&parents[0], dx);
     }
     fn name(&self) -> &'static str {
         "segment_softmax"
     }
-}
-
-/// The segment softmax of `x`'s rows, column-wise, in `parts` ranges of
-/// segments (the max and the sum, each a scatter that scans every id) and
-/// of rows (the shifted exp and the division).
-fn softmax(parts: usize, x: &NdArray, ids: &[u32], num_segments: usize) -> NdArray {
-    let cols = x.cols();
-    // Shifted exp for numerical stability.
-    let mut seg_max = NdArray::full(num_segments, cols, f32::NEG_INFINITY);
-    par::scatter_rows(parts, ids, seg_max.data_mut(), cols, |r, sm| {
-        for (m, &v) in sm.iter_mut().zip(x.row(r)) {
-            if v > *m {
-                *m = v;
-            }
-        }
-    });
-    let mut y = NdArray::zeros(x.rows(), cols);
-    par::each_row(parts, y.data_mut(), cols, |r, yr| {
-        let sm = seg_max.row(ids[r] as usize);
-        for ((o, &v), &m) in yr.iter_mut().zip(x.row(r)).zip(sm) {
-            *o = (v - m).exp();
-        }
-    });
-    let seg_sum = scatter_add_in(parts, &y, ids, num_segments);
-    par::each_row(parts, y.data_mut(), cols, |r, yr| {
-        for (o, &s) in yr.iter_mut().zip(seg_sum.row(ids[r] as usize)) {
-            *o /= s.max(1e-16);
-        }
-    });
-    y
-}
-
-/// The gradient of [`softmax`]: `dx = y * (g - s[seg])` with
-/// `s[seg] = Σ_{rows in seg} g * y` in ascending row, in `parts` ranges of
-/// segments, then of rows.
-fn softmax_back(
-    parts: usize,
-    grad: &NdArray,
-    y: &NdArray,
-    ids: &[u32],
-    num_segments: usize,
-) -> NdArray {
-    let cols = grad.cols();
-    let mut seg_dot = NdArray::zeros(num_segments, cols);
-    par::scatter_rows(parts, ids, seg_dot.data_mut(), cols, |r, sd| {
-        for ((s, &g), &yv) in sd.iter_mut().zip(grad.row(r)).zip(y.row(r)) {
-            *s += g * yv;
-        }
-    });
-    let mut dx = NdArray::zeros(grad.rows(), cols);
-    par::each_row(parts, dx.data_mut(), cols, |r, dr| {
-        let terms = grad.row(r).iter().zip(y.row(r));
-        for ((d, (&g, &yv)), &s) in dr.iter_mut().zip(terms).zip(seg_dot.row(ids[r] as usize)) {
-            *d = yv * (g - s);
-        }
-    });
-    dx
 }
 
 impl Tensor {
@@ -318,7 +278,37 @@ impl Tensor {
             3 * x.len() as u64,
             20 * x.len() as u64,
         ));
-        let y = softmax(par::scalar_parts(x.len()), &x, ids, num_segments);
+        let cols = x.cols();
+        // Shifted exp for numerical stability.
+        let mut seg_max = NdArray::full(num_segments, cols, f32::NEG_INFINITY);
+        for (r, &i) in ids.iter().enumerate() {
+            let sm = seg_max.row_mut(i as usize);
+            for (c, &v) in x.row(r).iter().enumerate() {
+                if v > sm[c] {
+                    sm[c] = v;
+                }
+            }
+        }
+        let mut y = NdArray::zeros(x.rows(), cols);
+        let mut seg_sum = NdArray::zeros(num_segments, cols);
+        for (r, &i) in ids.iter().enumerate() {
+            let sm = seg_max.row(i as usize);
+            let yr = y.row_mut(r);
+            for (c, &v) in x.row(r).iter().enumerate() {
+                yr[c] = (v - sm[c]).exp();
+            }
+            let ss = seg_sum.row_mut(i as usize);
+            for c in 0..cols {
+                ss[c] += yr[c];
+            }
+        }
+        for (r, &i) in ids.iter().enumerate() {
+            let ss = seg_sum.row(i as usize);
+            let yr = y.row_mut(r);
+            for c in 0..cols {
+                yr[c] /= ss[c].max(1e-16);
+            }
+        }
         drop(x);
         // The output is not a parent: save a copy only if the node is kept.
         let saved = if records([self]) {
@@ -345,35 +335,6 @@ mod tests {
 
     fn ids(v: Vec<u32>) -> Ids {
         Rc::new(v)
-    }
-
-    /// The softmax and its gradient at 2, 3 and 7 parts (segments scanned
-    /// per part, rows split) give the serial bits, including an empty
-    /// segment and more parts than segments.
-    #[test]
-    fn softmax_parts_equal_the_serial_kernels() {
-        let vals = |n: usize, salt: f32| -> Vec<f32> {
-            (0..n)
-                .map(|i| ((i as f32 + salt) * 0.61).sin() * 7.0)
-                .collect()
-        };
-        let seg = [3u32, 0, 3, 1, 3, 0, 1, 3];
-        let x = NdArray::from_vec(8, 2, vals(16, 0.25));
-        let g = NdArray::from_vec(8, 2, vals(16, 4.0));
-        let bits = |a: &NdArray| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let y = softmax(1, &x, &seg, 5);
-        for parts in [2, 3, 7] {
-            assert_eq!(
-                bits(&softmax(parts, &x, &seg, 5)),
-                bits(&y),
-                "forward in {parts} parts"
-            );
-            assert_eq!(
-                bits(&softmax_back(parts, &g, &y, &seg, 5)),
-                bits(&softmax_back(1, &g, &y, &seg, 5)),
-                "backward in {parts} parts"
-            );
-        }
     }
 
     #[test]

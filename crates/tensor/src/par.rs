@@ -27,11 +27,13 @@ use std::sync::OnceLock;
 /// blocks are full (each GEMM counts the multiply-adds it does; see
 /// `gemm`); a kernel whose elements cost more counts each as [`SCALAR`]
 /// units, so that equal work takes about equal time whatever the kernel.
-/// From a sweep of the host benchmark at 8, 20 and 32 Mi (see
-/// `CHANGES.md`). A scoped spawn and join costs about 45 µs, but the
+/// From a sweep of the host benchmark at 8, 20 and 32 Mi on a 2-core host
+/// (see `CHANGES.md`). A scoped spawn and join costs about 45 µs, but the
 /// second core can start its part hundreds of µs late, so ops of a few ms
 /// lost when split: sampled minibatches' 15–19 Mi GEMMs at 8 and 16 Mi, and
-/// a 23 Mi serving GEMM at 20 Mi.
+/// a 23 Mi serving GEMM at 20 Mi. Neither the threshold nor the spawn cost
+/// has been measured with more than two cores, where an op spawns a thread
+/// per core and each part of a scatter scans every index.
 pub(crate) const PAR_WORK: usize = 32 << 20;
 
 /// Work units per element of a kernel that handles its elements one at a
@@ -47,7 +49,7 @@ pub(crate) fn threads() -> usize {
 }
 
 /// The part count for an op of `work` units: one below [`PAR_WORK`], one
-/// per core from it.
+/// per core from it (with no upper limit; measured at two cores only).
 pub(crate) fn parts(work: usize) -> usize {
     if work < PAR_WORK {
         1
@@ -94,7 +96,9 @@ pub(crate) fn balanced(indptr: &[u32], parts: usize, i: usize) -> usize {
 /// equal share of `scratch`. `bound(0)` must be `0`, `bound(parts)` the row
 /// count, and `bound` non-decreasing. With one part this is a plain call;
 /// otherwise part 0 runs on the calling thread and the others on scoped
-/// threads, all joined before return (a worker's panic resumes here).
+/// threads, all joined before return. A panic in any part resumes on the
+/// calling thread with that part's own payload (the lowest part's, if
+/// several panic), so it reads the same at any core count.
 pub(crate) fn for_rows<T: Send, S: Send>(
     parts: usize,
     bound: impl Fn(usize) -> usize,
@@ -111,6 +115,7 @@ pub(crate) fn for_rows<T: Send, S: Send>(
         let body = &body;
         let (mut out, mut scratch) = (out, scratch);
         let mut first = None;
+        let mut workers = Vec::with_capacity(parts - 1);
         for i in 0..parts {
             let rows = bound(i)..bound(i + 1);
             let (o, rest) = std::mem::take(&mut out).split_at_mut(rows.len() * width);
@@ -119,11 +124,18 @@ pub(crate) fn for_rows<T: Send, S: Send>(
             if i == 0 {
                 first = Some((rows, o, sc));
             } else if !rows.is_empty() {
-                s.spawn(move || body(rows, o, sc));
+                workers.push(s.spawn(move || body(rows, o, sc)));
             }
         }
         if let Some((rows, o, sc)) = first {
             body(rows, o, sc);
+        }
+        // Joined by hand: the scope alone would replace a worker's payload
+        // with its own message.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 }
@@ -231,5 +243,25 @@ mod tests {
             );
             assert_eq!(out, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
         }
+    }
+
+    /// A worker's panic reaches the caller with its own message, as the
+    /// same panic in part 0 or on one core would.
+    #[test]
+    #[should_panic(expected = "row 3 out of bounds")]
+    fn a_worker_panic_keeps_its_payload() {
+        let mut out = vec![0u8; 4];
+        for_rows(
+            2,
+            |i| even(4, 2, i),
+            &mut out,
+            1,
+            &mut [(); 0],
+            |rows, _, _| {
+                if rows.contains(&3) {
+                    panic!("row 3 out of bounds");
+                }
+            },
+        );
     }
 }
