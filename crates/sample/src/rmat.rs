@@ -7,6 +7,11 @@
 //! *incoming* edges — `neighbors(v)` are the message sources of `v` —
 //! because that is exactly the set a GraphSAGE-style sampler expands.
 //!
+//! Generation holds nothing edge-sized but the CSR it returns: the edge
+//! stream is replayed from the seed twice, once to count in-degrees and
+//! once to scatter sources into place (see [`RmatGraph::generate`]), so
+//! at `rmat-1m` the transient peak is the ~42 MB CSR itself.
+//!
 //! Two properties matter more than realism here:
 //!
 //! - **Determinism**: the same [`RmatConfig`] (including its seed)
@@ -116,6 +121,59 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Edges drawn per chunk: the buffer stays in L1/L2 while the chunk is
+/// counted or scattered in a tight loop.
+const EDGE_CHUNK: usize = 4096;
+
+/// Integer quadrant thresholds `[ta, tb, tc]`, so a quadrant needs one
+/// `u64` draw per scale bit. Ordered `ta <= tb <= tc` for every config
+/// [`RmatConfig::validate`] accepts: the weights are non-negative, and
+/// float addition, the scaling and the saturating cast are all monotone.
+fn thresholds(cfg: &RmatConfig) -> [u64; 3] {
+    let ta = (cfg.a * u64::MAX as f64) as u64;
+    let tb = ((cfg.a + cfg.b) * u64::MAX as f64) as u64;
+    let tc = ((cfg.a + cfg.b + cfg.c) * u64::MAX as f64) as u64;
+    debug_assert!(ta <= tb && tb <= tc, "unordered thresholds {ta} {tb} {tc}");
+    [ta, tb, tc]
+}
+
+/// One scale bit of an edge, `(source bit, destination bit)`, without a
+/// branch: quadrant a is `r < ta`, b is `ta <= r < tb`, c is
+/// `tb <= r < tc` and d is `r >= tc`. The source bit is set in c and d;
+/// the destination bit is the parity of the three comparisons, set in b
+/// and d. Equal to the `if r < ta .. else if` chain whenever the
+/// thresholds are ordered, which [`thresholds`] guarantees.
+#[inline]
+fn quadrant(r: u64, [ta, tb, tc]: [u64; 3]) -> (u32, u32) {
+    let hi = u32::from(r >= tb);
+    (hi, u32::from(r >= ta) ^ hi ^ u32::from(r >= tc))
+}
+
+/// Replays `cfg`'s edge stream from its seed, handing `sink` the
+/// `(source, destination)` pairs in edge-index order, [`EDGE_CHUNK`] at a
+/// time.
+fn for_each_edge_chunk(cfg: &RmatConfig, mut sink: impl FnMut(&[(u32, u32)])) {
+    let t = thresholds(cfg);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut chunk = Vec::with_capacity(EDGE_CHUNK);
+    let mut left = cfg.num_edges();
+    while left > 0 {
+        let len = left.min(EDGE_CHUNK);
+        chunk.clear();
+        chunk.extend((0..len).map(|_| {
+            let (mut u, mut v) = (0u32, 0u32);
+            for _ in 0..cfg.scale {
+                let (ubit, vbit) = quadrant(rng.next_u64(), t);
+                u = (u << 1) | ubit;
+                v = (v << 1) | vbit;
+            }
+            (u, v)
+        }));
+        sink(&chunk);
+        left -= len;
+    }
+}
+
 /// A generated RMAT graph in CSR (incoming-edge) form.
 #[derive(Debug, Clone)]
 pub struct RmatGraph {
@@ -131,60 +189,42 @@ impl RmatGraph {
     /// Generates the graph for `cfg`. Deterministic per seed: the edge
     /// stream is a pure function of `cfg.seed`.
     ///
+    /// The CSR is built in two passes over one replayed stream, so nothing
+    /// edge-sized is held but the `adj` that is returned. Every edge takes
+    /// exactly `scale` draws, so re-seeding the generator replays the same
+    /// edges in the same order:
+    ///
+    /// 1. count each destination's in-degree into `indptr[v + 2]`, then
+    ///    prefix-sum, which leaves `v`'s first slot in `indptr[v + 1]`;
+    /// 2. replay, placing each source at `indptr[v + 1]` and bumping it,
+    ///    which leaves `indptr[v + 1]` at `v`'s end (= `v + 1`'s start);
+    ///    the spare last entry is then popped.
+    ///
+    /// Each neighbour list holds its sources in edge-index order.
+    ///
     /// # Errors
     ///
     /// Returns the config's validation error; generation itself cannot fail.
     pub fn generate(cfg: RmatConfig) -> Result<RmatGraph, SampleConfigError> {
         cfg.validate()?;
-        let n = cfg.num_nodes();
-        let m = cfg.num_edges();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-        // Integer thresholds so quadrant choice needs one u64 draw per bit.
-        let ta = (cfg.a * u64::MAX as f64) as u64;
-        let tb = ((cfg.a + cfg.b) * u64::MAX as f64) as u64;
-        let tc = ((cfg.a + cfg.b + cfg.c) * u64::MAX as f64) as u64;
-
-        let mut src = vec![0u32; m];
-        let mut dst = vec![0u32; m];
-        for i in 0..m {
-            let mut u = 0u32;
-            let mut v = 0u32;
-            for _ in 0..cfg.scale {
-                let r = rng.next_u64();
-                let (ubit, vbit) = if r < ta {
-                    (0, 0)
-                } else if r < tb {
-                    (0, 1)
-                } else if r < tc {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                u = (u << 1) | ubit;
-                v = (v << 1) | vbit;
+        let mut indptr = vec![0u64; cfg.num_nodes() + 2];
+        for_each_edge_chunk(&cfg, |edges| {
+            for &(_, v) in edges {
+                indptr[v as usize + 2] += 1;
             }
-            src[i] = u;
-            dst[i] = v;
+        });
+        for i in 1..indptr.len() {
+            indptr[i] += indptr[i - 1];
         }
-
-        // Counting sort by destination into CSR.
-        let mut counts = vec![0u64; n + 1];
-        for &v in &dst {
-            counts[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let indptr = counts.clone();
-        let mut cursor = counts;
-        let mut adj = vec![0u32; m];
-        for i in 0..m {
-            let v = dst[i] as usize;
-            adj[cursor[v] as usize] = src[i];
-            cursor[v] += 1;
-        }
-
+        let mut adj = vec![0u32; cfg.num_edges()];
+        for_each_edge_chunk(&cfg, |edges| {
+            for &(u, v) in edges {
+                let slot = &mut indptr[v as usize + 1];
+                adj[*slot as usize] = u;
+                *slot += 1;
+            }
+        });
+        indptr.pop();
         Ok(RmatGraph { cfg, indptr, adj })
     }
 
@@ -247,12 +287,13 @@ impl RmatGraph {
         let n = self.num_nodes();
         let count = count.min(n);
         let mut pool = Vec::with_capacity(count);
-        let mut seen = vec![false; n];
+        let mut seen = vec![0u64; n.div_ceil(64)];
         let mut i = 0u64;
         while pool.len() < count {
             let v = (splitmix64(self.cfg.seed ^ salt.wrapping_add(i)) % n as u64) as u32;
-            if !seen[v as usize] {
-                seen[v as usize] = true;
+            let (word, bit) = (&mut seen[v as usize / 64], 1u64 << (v % 64));
+            if *word & bit == 0 {
+                *word |= bit;
                 pool.push(v);
             }
             i += 1;
@@ -267,6 +308,50 @@ mod tests {
 
     fn tiny() -> RmatConfig {
         RmatConfig::graph500(10, 4, 7)
+    }
+
+    /// The `if r < ta .. else if` chain the branch-free draw replaces.
+    fn quadrant_chain(r: u64, [ta, tb, tc]: [u64; 3]) -> (u32, u32) {
+        if r < ta {
+            (0, 0)
+        } else if r < tb {
+            (0, 1)
+        } else if r < tc {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn branch_free_quadrant_matches_the_chain_at_every_boundary() {
+        let weights = [
+            (0.57, 0.19, 0.19, 0.05),
+            (1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0),
+            (0.0, 0.5, 0.5, 0.0),
+        ];
+        for (a, b, c, d) in weights {
+            let cfg = RmatConfig {
+                a,
+                b,
+                c,
+                d,
+                ..tiny()
+            };
+            assert_eq!(cfg.validate(), Ok(()));
+            let t @ [ta, tb, tc] = thresholds(&cfg);
+            let probes = [0, ta, tb, tc, u64::MAX]
+                .into_iter()
+                .chain([ta, tb, tc].map(|x| x.saturating_sub(1)));
+            for r in probes {
+                assert_eq!(
+                    quadrant(r, t),
+                    quadrant_chain(r, t),
+                    "weights ({a}, {b}, {c}, {d}), r = {r:#x}"
+                );
+            }
+        }
     }
 
     #[test]

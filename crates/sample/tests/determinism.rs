@@ -5,7 +5,9 @@
 //! two facts these tests pin down over random configurations:
 //!
 //! 1. an [`RmatConfig`] (seed included) generates a bit-identical graph
-//!    every time, and
+//!    every time — the same graph as a reference copy of the old
+//!    three-array generator, and for the catalog specs the same CSR
+//!    digest at every commit — and
 //! 2. a sampled block is a pure function of
 //!    `(graph seed, salt, seeds, fanouts, kind)`.
 //!
@@ -15,25 +17,105 @@
 //! kinds to "take everything", where the salt cannot matter.
 
 use gnn_sample::{
-    max_union_edges, max_union_nodes, sample_block, RmatConfig, RmatGraph, SamplerKind,
+    max_union_edges, max_union_nodes, sample_block, RmatConfig, RmatGraph, SampleSpec, SamplerKind,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
+/// Quadrant weights `[a, b, c, d]`: half the draws take Graph500's or a
+/// degenerate set that zeroes whole quadrants, the rest arbitrary
+/// non-negative weights (zeros included) normalised to sum to 1.
+fn weights_strategy() -> impl Strategy<Value = [f64; 4]> {
+    const FIXED: [[f64; 4]; 4] = [
+        [0.57, 0.19, 0.19, 0.05],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.5, 0.5, 0.0],
+    ];
+    (0usize..8, 0u32..=8, 0u32..=8, 0u32..=8, 0u32..=8).prop_map(|(pick, a, b, c, d)| {
+        let sum = a + b + c + d;
+        match FIXED.get(pick) {
+            Some(&w) => w,
+            None if sum == 0 => FIXED[0],
+            None => [a, b, c, d].map(|x| f64::from(x) / f64::from(sum)),
+        }
+    })
+}
 
 fn config_strategy() -> impl Strategy<Value = RmatConfig> {
     (
-        4u32..=8,
-        2usize..=8,
-        2usize..=8,
-        1usize..=4,
-        0u64..=u64::MAX,
+        (
+            4u32..=8,
+            2usize..=8,
+            2usize..=8,
+            1usize..=4,
+            0u64..=u64::MAX,
+        ),
+        weights_strategy(),
     )
-        .prop_map(|(scale, edge_factor, num_classes, dim_mul, seed)| {
-            let mut cfg = RmatConfig::graph500(scale, edge_factor, seed);
-            cfg.num_classes = num_classes;
-            cfg.feature_dim = num_classes * dim_mul;
-            cfg
-        })
+        .prop_map(
+            |((scale, edge_factor, num_classes, dim_mul, seed), [a, b, c, d])| RmatConfig {
+                a,
+                b,
+                c,
+                d,
+                num_classes,
+                feature_dim: num_classes * dim_mul,
+                ..RmatConfig::graph500(scale, edge_factor, seed)
+            },
+        )
+}
+
+/// The generator as it was before the two-pass rewrite: draw every edge
+/// into `src`/`dst` with the branchy quadrant chain, then counting-sort by
+/// destination through a `cursor` copy. Returns `(indptr, adj)`.
+fn reference_csr(cfg: &RmatConfig) -> (Vec<u64>, Vec<u32>) {
+    let n = cfg.num_nodes();
+    let m = cfg.num_edges();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let ta = (cfg.a * u64::MAX as f64) as u64;
+    let tb = ((cfg.a + cfg.b) * u64::MAX as f64) as u64;
+    let tc = ((cfg.a + cfg.b + cfg.c) * u64::MAX as f64) as u64;
+    let mut src = vec![0u32; m];
+    let mut dst = vec![0u32; m];
+    for i in 0..m {
+        let mut u = 0u32;
+        let mut v = 0u32;
+        for _ in 0..cfg.scale {
+            let r = rng.next_u64();
+            let (ubit, vbit) = if r < ta {
+                (0, 0)
+            } else if r < tb {
+                (0, 1)
+            } else if r < tc {
+                (1, 0)
+            } else {
+                (1, 1)
+            };
+            u = (u << 1) | ubit;
+            v = (v << 1) | vbit;
+        }
+        src[i] = u;
+        dst[i] = v;
+    }
+    let mut counts = vec![0u64; n + 1];
+    for &v in &dst {
+        counts[v as usize + 1] += 1;
+    }
+    for i in 0..n {
+        counts[i + 1] += counts[i];
+    }
+    let indptr = counts.clone();
+    let mut cursor = counts;
+    let mut adj = vec![0u32; m];
+    for i in 0..m {
+        let v = dst[i] as usize;
+        adj[cursor[v] as usize] = src[i];
+        cursor[v] += 1;
+    }
+    (indptr, adj)
 }
 
 fn fanouts_strategy() -> impl Strategy<Value = Vec<usize>> {
@@ -75,6 +157,19 @@ proptest! {
         let g1 = RmatGraph::generate(cfg).unwrap();
         let g2 = RmatGraph::generate(cfg).unwrap();
         assert_same_graph(&g1, &g2);
+    }
+
+    /// The two-pass generator reproduces the reference generator's CSR,
+    /// neighbour list for neighbour list, under any valid weights.
+    #[test]
+    fn generate_matches_the_reference_generator(cfg in config_strategy()) {
+        let g = RmatGraph::generate(cfg).unwrap();
+        let (indptr, adj) = reference_csr(&cfg);
+        prop_assert_eq!(g.num_nodes() + 1, indptr.len());
+        for v in 0..g.num_nodes() {
+            let want = &adj[indptr[v] as usize..indptr[v + 1] as usize];
+            prop_assert_eq!(g.neighbors(v as u32), want, "adjacency of {}", v);
+        }
     }
 
     /// A sampled block replays exactly, and always respects its contract:
@@ -169,4 +264,45 @@ fn different_seeds_and_salts_actually_diverge() {
             kind.label()
         );
     }
+}
+
+/// Word-wise FNV-1a over the graph's CSR as the accessors expose it: the
+/// `n + 1` row pointers (rebuilt from `neighbors`, starting at 0), then
+/// every adjacency entry widened to `u64`.
+fn csr_digest(g: &RmatGraph) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut end = 0u64;
+    mix(end);
+    for v in 0..g.num_nodes() as u32 {
+        end += g.degree(v) as u64;
+        mix(end);
+    }
+    for v in 0..g.num_nodes() as u32 {
+        for &u in g.neighbors(v) {
+            mix(u64::from(u));
+        }
+    }
+    h
+}
+
+/// The catalog graphs, pinned across commits: a generator rewrite must
+/// reproduce every row pointer and every neighbour list bit for bit, or
+/// every sampled artifact downstream moves.
+#[test]
+fn catalog_graphs_match_their_pinned_digests() {
+    let pinned = [
+        ("rmat-4k", 0xd1ca_17dc_099e_c099u64),
+        ("rmat-64k", 0x1812_bef9_b375_232c),
+        ("rmat-1m", 0x1ec7_2584_3e77_f16e),
+    ];
+    let moved: Vec<String> = pinned
+        .iter()
+        .filter_map(|&(name, want)| {
+            let spec = SampleSpec::get(name).unwrap();
+            let got = csr_digest(&RmatGraph::generate(spec.rmat).unwrap());
+            (got != want).then(|| format!("{name}: digest {got:016x}, pinned {want:016x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "catalog graphs moved: {moved:#?}");
 }
