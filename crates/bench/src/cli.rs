@@ -19,7 +19,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gnn_core::report::ResourceMetric;
 use gnn_core::runner::GraphDs;
 use gnn_core::{RunConfig, TraceConfig};
 use gnn_faults::FaultPlan;
@@ -84,11 +83,6 @@ pub const FLAGS: &[Flag] = &[
         |a, v| set(&mut a.dataset, one_of(v, &[
             ("enzymes", GraphDs::Enzymes),
             ("dd", GraphDs::Dd),
-        ]))),
-    row("--metric", "memory|utilization", "show one resource column (default both)",
-        |a, v| set(&mut a.metric, one_of(v, &[
-            ("memory", ResourceMetric::Memory),
-            ("utilization", ResourceMetric::Utilization),
         ]))),
     // The run harness (`crate::Run`).
     row("--trace", "dir", "write trace.json, metrics.jsonl and the run's other artifacts into dir",
@@ -202,12 +196,11 @@ pub const COMMANDS: &[Command] = &[
         "--quick --full --smoke --scale --seed --epochs --seeds --trace --lint --faults"),
     cmd("table5", "Table V: graph classification time and accuracy", commands::table5,
         "--quick --full --smoke --scale --seed --epochs --folds --trace --lint --faults"),
-    cmd("fig1_2", "Figs. 1-2: epoch-time breakdown on ENZYMES or DD", commands::fig1_2,
+    cmd("fig1_2", "Figs. 1-2, 4-5: epoch-time breakdown, memory, utilization on ENZYMES or DD",
+        commands::fig1_2,
         "--quick --full --smoke --scale --seed --epochs --dataset --trace --lint --faults"),
     cmd("fig3", "Fig. 3: layer-wise execution time of one ENZYMES batch", commands::fig3,
         "--quick --full --smoke --scale --seed --trace --lint"),
-    cmd("fig4_5", "Figs. 4-5: peak memory and GPU utilization", commands::fig4_5,
-        "--quick --full --smoke --scale --seed --epochs --metric --trace --lint --faults"),
     cmd("fig6", "Fig. 6: multi-GPU scaling of GCN/GAT on MNIST", commands::fig6,
         "--quick --full --smoke --scale --seed --trace --lint"),
     cmd("sweep", "Fault-isolated sweep over all 60 cells", commands::sweep,
@@ -261,7 +254,6 @@ pub struct Args {
     pub folds: Option<usize>,
     pub seeds: Option<usize>,
     pub dataset: Option<GraphDs>,
-    pub metric: Option<ResourceMetric>,
     pub trace: Option<PathBuf>,
     pub lint: bool,
     pub faults: Option<FaultPlan>,
@@ -312,9 +304,11 @@ fn flag(name: &str) -> Option<&'static Flag> {
 }
 
 /// Runs `gnn-bench <command> [flags]`, given `argv` without the program
-/// name. `--help` prints the command list, `<command> --help` the
-/// command's usage; an unknown command, or a command line [`parse`]
-/// refuses, prints the error and the usage and exits 2.
+/// name. A command's output starts with its command line, so a saved
+/// output names the command that reproduces it. `--help` prints the
+/// command list, `<command> --help` the command's usage; an unknown
+/// command, or a command line [`parse`] refuses, prints the error and the
+/// usage and exits 2.
 pub fn main(argv: &[String]) -> ExitCode {
     let help = |a: &String| a == "--help" || a == "-h";
     let Some((name, rest)) = argv.split_first() else {
@@ -333,7 +327,10 @@ pub fn main(argv: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match parse(name, rest) {
-        Ok(args) => (cmd.run)(args),
+        Ok(args) => {
+            println!("gnn-bench {}", argv.join(" "));
+            (cmd.run)(args)
+        }
         Err(msg) => refuse(&msg, &usage(name)),
     }
 }

@@ -6,8 +6,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use gnn_core::export::{kernel_counts_csv, table_csv, CELL_OUTCOMES};
-use gnn_core::report::{self as render, ResourceMetric};
+use gnn_core::export::{
+    kernel_counts_csv, layer_time_rows, CELL_OUTCOMES, LAYER_TIMES, MULTI_GPU, PROFILE, TABLE1,
+    TABLE_ROWS,
+};
 use gnn_core::runner::{self, GraphDs};
 use gnn_core::CellStatus;
 use gnn_device::component_label;
@@ -36,34 +38,7 @@ pub(crate) fn table1(args: Args) -> ExitCode {
     let cfg = args.run_config();
     let run = Run::train(&cfg);
     println!("Table I — dataset statistics (scale = {})\n", cfg.scale);
-    let rows = runner::table1(&cfg);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.num_graphs.to_string(),
-                format!("{:.2}", r.avg_nodes),
-                format!("{:.2}", r.avg_edges),
-                r.feature_dim.to_string(),
-                r.num_classes.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        gnn_core::render_table(
-            &[
-                "Dataset",
-                "#Graph",
-                "#Nodes(Avg.)",
-                "#Edges(Avg.)",
-                "#Feature",
-                "#Classes"
-            ],
-            &body
-        )
-    );
+    print!("{}", TABLE1.text(runner::table1(&cfg)));
     run.finish()
 }
 
@@ -78,7 +53,7 @@ pub(crate) fn table4(args: Args) -> ExitCode {
         cfg.scale, cfg.node_epochs, cfg.seeds
     );
     let rows = run.exec(|| runner::table4(&cfg));
-    print!("{}", render::table_report(&rows));
+    print!("{}", TABLE_ROWS.text(&rows));
     run.finish()
 }
 
@@ -92,14 +67,16 @@ pub(crate) fn table5(args: Args) -> ExitCode {
         cfg.scale, cfg.graph_epochs, cfg.folds
     );
     let rows = run.exec(|| runner::table5(&cfg));
-    print!("{}", render::table_report(&rows));
+    print!("{}", TABLE_ROWS.text(&rows));
     run.finish()
 }
 
 /// Reproduces Figs. 1 and 2: execution-time breakdown per epoch (data
 /// loading / forward / backward / update / other) for six models under both
-/// frameworks at batch sizes 64/128/256. `--dataset enzymes` gives Fig. 1,
-/// `--dataset dd` gives Fig. 2.
+/// frameworks at batch sizes 64/128/256, with each configuration's peak
+/// device memory (Fig. 4) and GPU compute utilization (Fig. 5).
+/// `--dataset enzymes` gives Fig. 1, `--dataset dd` gives Fig. 2; the two
+/// runs together give Figs. 4 and 5.
 pub(crate) fn fig1_2(args: Args) -> ExitCode {
     let cfg = args.run_config();
     let ds = args.dataset.unwrap_or(GraphDs::Enzymes);
@@ -108,9 +85,12 @@ pub(crate) fn fig1_2(args: Args) -> ExitCode {
         _ => "Fig. 1 (ENZYMES)",
     };
     let mut run = Run::train(&cfg);
-    println!("{fig} — epoch-time breakdown (scale = {})\n", cfg.scale);
+    println!(
+        "{fig} — epoch-time breakdown, peak memory and utilization (scale = {})\n",
+        cfg.scale
+    );
     let rows = run.exec(|| runner::profile_sweep(&cfg, ds));
-    print!("{}", render::breakdown_report(&rows));
+    print!("{}", PROFILE.text(&rows));
     if let Some(dir) = run.trace_dir() {
         let path = dir.join("kernel_counts.csv");
         run.write("kernels", path, &kernel_counts_csv(&rows));
@@ -128,36 +108,7 @@ pub(crate) fn fig3(args: Args) -> ExitCode {
         cfg.scale
     );
     let rows = run.exec(|| runner::layer_times(&cfg));
-    print!("{}", render::layer_report(&rows));
-    run.finish()
-}
-
-/// Reproduces Figs. 4 and 5: peak device memory and GPU compute utilization
-/// of six models under both frameworks on ENZYMES and DD, batch 64/128/256.
-/// `--metric memory` or `--metric utilization` filters the columns.
-pub(crate) fn fig4_5(args: Args) -> ExitCode {
-    let cfg = args.run_config();
-    let which = args.metric.unwrap_or(ResourceMetric::Both);
-    let metric = match which {
-        ResourceMetric::Memory => "memory",
-        ResourceMetric::Utilization => "utilization",
-        ResourceMetric::Both => "both",
-    };
-    let mut run = Run::train(&cfg);
-    println!(
-        "Figs. 4/5 — {metric} (scale = {}, batch sizes = {:?})\n",
-        cfg.scale, cfg.batch_sizes
-    );
-    let rows = run.exec(|| {
-        let mut rows = runner::profile_sweep(&cfg, GraphDs::Enzymes);
-        rows.extend(runner::profile_sweep(&cfg, GraphDs::Dd));
-        rows
-    });
-    print!("{}", render::resources_report_filtered(&rows, which));
-    if let Some(dir) = run.trace_dir() {
-        let path = dir.join("kernel_counts.csv");
-        run.write("kernels", path, &kernel_counts_csv(&rows));
-    }
+    print!("{}", LAYER_TIMES.text(layer_time_rows(&rows)));
     run.finish()
 }
 
@@ -171,7 +122,7 @@ pub(crate) fn fig6(args: Args) -> ExitCode {
         cfg.scale
     );
     let rows = run.exec(|| runner::multi_gpu(&cfg));
-    print!("{}", render::fig6_report(&rows));
+    print!("{}", MULTI_GPU.text(&rows));
     run.finish()
 }
 
@@ -197,16 +148,18 @@ pub(crate) fn sweep(args: Args) -> ExitCode {
         if cfg.faults.is_some() { "armed" } else { "off" },
     );
     let out = run.exec(|| gnn_core::sweep(&cfg));
-    print!("{}", render::table_report(&out.table4));
+    print!("{}", TABLE_ROWS.text(&out.table4));
     println!();
-    print!("{}", render::table_report(&out.table5));
+    print!("{}", TABLE_ROWS.text(&out.table5));
     println!();
-    print!("{}", render::sweep_report(&out));
+    print!("{}", gnn_core::report::sweep_report(&out));
     if let Some(dir) = run.trace_dir().map(Path::to_path_buf) {
         let cells = CELL_OUTCOMES.csv(&out.cells);
         run.write("cells", dir.join("cell_outcomes.csv"), &cells);
-        run.write("table4", dir.join("table4.csv"), &table_csv(&out.table4));
-        run.write("table5", dir.join("table5.csv"), &table_csv(&out.table5));
+        for (label, rows) in [("table4", &out.table4), ("table5", &out.table5)] {
+            let csv = TABLE_ROWS.csv(rows);
+            run.write(label, dir.join(format!("{label}.csv")), &csv);
+        }
     }
     let failed = out
         .cells
@@ -439,24 +392,7 @@ pub(crate) fn sample(args: Args) -> ExitCode {
     );
     let (rows, errors) = run.exec(|| run_sample_sweep(&variants, cfg.epochs, cfg.seed));
 
-    println!(
-        "{:<9} {:>7} {:>7} {:>10} {:>5} {:>10} {:>8} {:>7} {:>7}",
-        "spec", "fanouts", "cache", "sampler", "fw", "epoch ms", "xfer ms", "cache%", "test%"
-    );
-    for row in &rows {
-        println!(
-            "{:<9} {:>7} {:>7} {:>10} {:>5} {:>10.2} {:>8.2} {:>7.1} {:>7.1}",
-            row.spec,
-            row.fanouts,
-            row.cache_rows,
-            row.sampler,
-            row.framework,
-            row.epoch_time * 1e3,
-            row.transfer_time * 1e3,
-            row.cache_hit_rate * 100.0,
-            row.test_acc,
-        );
-    }
+    print!("{}", SAMPLE_METRICS.text(&rows));
     println!();
     for e in &errors {
         run.error(e);
@@ -923,14 +859,17 @@ pub(crate) fn ablation_overlap(args: Args) -> ExitCode {
 }
 
 /// Prints the experiment index: every table/figure of the paper mapped to
-/// its workload, implementing modules, and regenerating command.
+/// its workload, implementing modules, and the commands that regenerate
+/// its `results/` files.
 pub(crate) fn index(_: Args) -> ExitCode {
     println!("Experiment index — \"Performance Analysis of GNN Frameworks\" (ISPASS 2021)\n");
     for e in &gnn_core::experiments::EXPERIMENTS {
         println!("{:?} ({})", e.id, e.paper_ref);
         println!("  workload: {}", e.workload);
         println!("  modules:  {}", e.modules);
-        println!("  command:  {}", e.command);
+        for out in e.outputs {
+            println!("  command:  {} > {}", out.command, out.file);
+        }
         println!();
     }
     ExitCode::SUCCESS

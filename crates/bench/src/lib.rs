@@ -1,19 +1,20 @@
 //! # gnn-bench
 //!
-//! The study's one executable, `gnn-bench <command> [flags]`: one command
-//! per table/figure of the paper, the harnesses around them, and the
-//! static analyzer, over one command table, one flag table and one run
+//! The study's one executable, `gnn-bench <command> [flags]`: 18 commands,
+//! one per table/figure of the paper plus the harnesses around them and
+//! the static analyzer, over one command table, one flag table and one run
 //! harness. Each table/figure command prints the same rows/series the
-//! paper reports, at a configurable scale:
+//! paper reports, at a configurable scale, as the text rendering of the
+//! same `gnn_obs::Table` column list its CSV export uses
+//! (`gnn_core::export`), under a first line that repeats the command line:
 //!
 //! | Command   | Reproduces |
 //! |-----------|------------|
 //! | `table1`  | Table I — dataset statistics |
 //! | `table4`  | Table IV — node classification time/accuracy |
 //! | `table5`  | Table V — graph classification time/accuracy |
-//! | `fig1_2`  | Figs. 1–2 — epoch-time breakdown (`--dataset enzymes|dd`) |
+//! | `fig1_2`  | Figs. 1–2 — epoch-time breakdown, and Figs. 4–5 — peak memory + GPU utilization (`--dataset enzymes|dd`) |
 //! | `fig3`    | Fig. 3 — layer-wise execution time on ENZYMES |
-//! | `fig4_5`  | Figs. 4–5 — peak memory + GPU utilization |
 //! | `fig6`    | Fig. 6 — multi-GPU scaling of GCN/GAT on MNIST |
 //! | `sweep`   | Fault-isolated sweep over all 60 cells |
 //! | `serve`   | Inference serving: batching-policy sweep over trained cells |
@@ -43,8 +44,8 @@
 //! `canonical-fleet` (the chaos suite plus a shard blackout and a network
 //! straggler), `seeded:<n>`, or a plan file — around the work and prints
 //! the faults that fired. Every training command runs the one loop per task
-//! of `gnn-train`, so `--faults` means the same on `table4`, `table5`,
-//! `fig1_2` and `fig4_5` as on `sweep` and `sample`: a transient fault is
+//! of `gnn-train`, so `--faults` means the same on `table4`, `table5` and
+//! `fig1_2` as on `sweep` and `sample`: a transient fault is
 //! retried (its back-off shows in the simulated times, never in losses or
 //! accuracies), a poisoned loss is rolled back and replayed, a persistent
 //! OOM halves the batch, and what outlasts that surfaces as a typed
@@ -261,7 +262,6 @@ impl Run {
 mod tests {
     use super::cli::{parse, usage, Args, COMMANDS, FLAGS};
     use super::*;
-    use gnn_core::report::ResourceMetric;
     use gnn_core::runner::GraphDs;
     use gnn_serve::{FleetWorkload, RoutingPolicy, WorkloadKind};
 
@@ -293,13 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn dataset_and_metric_lowercased() {
+    fn dataset_lowercased() {
         let a = args("fig1_2", "--dataset DD").unwrap();
         assert_eq!(a.dataset, Some(GraphDs::Dd));
-        let a = args("fig4_5", "--metric Memory").unwrap();
-        assert_eq!(a.metric, Some(ResourceMetric::Memory));
         assert!(args("fig1_2", "--dataset cora").is_err());
-        assert!(args("fig4_5", "--metric speed").is_err());
     }
 
     #[test]
@@ -812,11 +809,14 @@ mod tests {
                 checked += 1;
             }
         }
-        for e in &gnn_core::experiments::EXPERIMENTS {
-            let found = documented_invocations(e.command);
-            assert_eq!(found.len(), 1, "{}", e.command);
+        for out in gnn_core::experiments::EXPERIMENTS
+            .iter()
+            .flat_map(|e| e.outputs)
+        {
+            let found = documented_invocations(out.command);
+            assert_eq!(found.len(), 1, "{}", out.command);
             for (command, argv) in found {
-                assert!(parse(&command, &argv).is_ok(), "{}", e.command);
+                assert!(parse(&command, &argv).is_ok(), "{}", out.command);
                 checked += 1;
             }
         }

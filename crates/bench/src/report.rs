@@ -454,86 +454,15 @@ impl BenchReport {
         self.to_value().to_json() + "\n"
     }
 
-    /// Human-readable summary table.
+    /// The document's row sections as text tables, in document order.
     pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "{:<28} {:>10} {:>9} {:>9} {:>9} {:>9}",
-            "cell", "epoch ms", "kernel%", "xfer%", "idle%", "roofline"
-        );
-        for c in &self.cells {
-            let total = c.kernel_time + c.transfer_time + c.idle_time;
-            let pct = |v: f64| if total > 0.0 { 100.0 * v / total } else { 0.0 };
-            let _ = writeln!(
-                s,
-                "{:<28} {:>10.3} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
-                c.cell,
-                c.epoch_time * 1e3,
-                pct(c.kernel_time),
-                pct(c.transfer_time),
-                pct(c.idle_time),
-                c.roofline_utilization * 100.0,
-            );
-        }
-        if !self.sample.is_empty() {
-            let _ = writeln!(
-                s,
-                "{:<34} {:>10} {:>9} {:>8} {:>8}",
-                "sampled cell", "epoch ms", "xfer ms", "cache%", "test%"
-            );
-            for c in &self.sample {
-                let _ = writeln!(
-                    s,
-                    "{:<34} {:>10.3} {:>9.3} {:>7.1}% {:>7.1}%",
-                    c.cell,
-                    c.epoch_time * 1e3,
-                    c.transfer_time * 1e3,
-                    c.cache_hit_rate * 100.0,
-                    c.test_acc,
-                );
-            }
-        }
-        let _ = writeln!(
-            s,
-            "{:<14} {:>9} {:>9} {:>9} {:>11} {:>8}",
-            "policy", "p50 ms", "p95 ms", "p99 ms", "thru req/s", "SLO"
-        );
-        for p in &self.serve {
-            let _ = writeln!(
-                s,
-                "{:<14} {:>9.3} {:>9.3} {:>9.3} {:>11.1} {:>7.1}%",
-                p.policy,
-                p.p50 * 1e3,
-                p.p95 * 1e3,
-                p.p99 * 1e3,
-                p.throughput,
-                p.slo_attainment * 100.0,
-            );
-        }
-        if !self.fleet.is_empty() {
-            let _ = writeln!(
-                s,
-                "{:<16} {:>9} {:>9} {:>7} {:>6} {:>7} {:>7} {:>10}",
-                "fleet routing", "p50 ms", "p99 ms", "SLO", "shed", "retry", "hedge", "failover"
-            );
-            for f in &self.fleet {
-                let _ = writeln!(
-                    s,
-                    "{:<16} {:>9.3} {:>9.3} {:>6.1}% {:>6} {:>7} {:>7} {:>7.3}ms",
-                    f.routing,
-                    f.p50 * 1e3,
-                    f.p99 * 1e3,
-                    f.slo_attainment * 100.0,
-                    f.shed,
-                    f.retries,
-                    f.hedges,
-                    f.failover_p99 * 1e3,
-                );
-            }
-        }
-        s
+        [
+            CELL_ROWS.text(&self.cells),
+            SAMPLE_ROWS.text(&self.sample),
+            SERVE_ROWS.text(&self.serve),
+            FLEET_ROWS.text(&self.fleet),
+        ]
+        .join("\n")
     }
 }
 

@@ -672,39 +672,17 @@ impl WhatIfReport {
         self.to_value().to_json() + "\n"
     }
 
-    /// Human-readable opportunity table plus per-policy base latencies.
+    /// The ranked opportunities, then the serve policies' base latencies
+    /// (one [`LATENCY`] row per policy, in the order the caption names
+    /// them), as text tables.
     pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "{:<12} {:>8} {:>12} {:>8} {:>12} {:>10}",
-            "component", "speedup", "win ms", "win %", "ceiling ms", "bound"
-        );
-        for o in &self.opportunities {
-            let _ = writeln!(
-                s,
-                "{:<12} {:>7}x {:>12.4} {:>7.2}% {:>12.4} {:>10}",
-                component_label(o.component),
-                speedup_label(o.speedup),
-                o.predicted_win * 1e3,
-                o.win_fraction * 100.0,
-                o.ceiling * 1e3,
-                o.bound,
-            );
-        }
-        for sv in &self.serve {
-            let _ = writeln!(
-                s,
-                "serve {:<12} p50 {:>8.3} ms  p95 {:>8.3} ms  p99 {:>8.3} ms  SLO {:>5.1}%",
-                sv.policy,
-                sv.base.p50 * 1e3,
-                sv.base.p95 * 1e3,
-                sv.base.p99 * 1e3,
-                sv.base.slo_attainment * 100.0,
-            );
-        }
-        s
+        let policies: Vec<&str> = self.serve.iter().map(|s| s.policy.as_str()).collect();
+        format!(
+            "{}\nserve base latency, one row per policy ({}):\n{}",
+            OPPORTUNITY_ROWS.text(&self.opportunities),
+            policies.join(", "),
+            LATENCY.text(self.serve.iter().map(|s| &s.base)),
+        )
     }
 }
 

@@ -1,10 +1,10 @@
-//! CSV export of experiment results, for downstream plotting.
-//!
-//! Each exporter mirrors a runner's row type, and each CSV's columns are
-//! declared once, as a [`Table`] on the `gnn_obs` table writer. Fields are
-//! stable, machine-readable column names; times are seconds, memory is
-//! bytes, utilization is a fraction.
+//! The columns of every table and figure, each declared once as a
+//! [`Table`] over a runner's row type: its CSV (for downstream plotting)
+//! and the table `gnn-bench` prints ([`Table::text`]) both come from it.
+//! Fields are stable, machine-readable column names; times are seconds,
+//! memory is bytes, utilization is a fraction.
 
+use gnn_datasets::DatasetStats;
 use gnn_device::KernelKind;
 use gnn_models::{FrameworkKind, ModelKind};
 use gnn_obs::{Column, Table};
@@ -12,43 +12,83 @@ use gnn_obs::{Column, Table};
 use crate::runner::{LayerTimeRow, MultiGpuRow, ProfileRow, TableRow};
 use crate::sweep::CellOutcome;
 
-/// Renders Table IV or Table V rows as CSV.
-pub fn table_csv(rows: &[TableRow]) -> String {
-    const TABLE: Table<TableRow> = Table {
-        schema: None,
-        columns: &[
-            Column::new("dataset", |r| r.dataset.as_str().into()),
-            Column::new("model", |r| r.model.label().into()),
-            Column::new("framework", |r| r.framework.label().into()),
-            Column::new("epoch_s", |r| r.epoch_time.into()),
-            Column::new("total_s", |r| r.total_time.into()),
-            Column::new("acc_mean", |r| r.acc.mean.into()),
-            Column::new("acc_std", |r| r.acc.std.into()),
-        ],
-    };
-    TABLE.csv(rows)
-}
+/// Table I: one row per dataset.
+pub const TABLE1: Table<DatasetStats> = Table {
+    schema: None,
+    columns: &[
+        Column::new("dataset", |r| r.name.as_str().into()),
+        Column::new("graphs", |r| r.num_graphs.into()),
+        Column::fixed("avg_nodes", 2, |r| r.avg_nodes.into()),
+        Column::fixed("avg_edges", 2, |r| r.avg_edges.into()),
+        Column::new("features", |r| r.feature_dim.into()),
+        Column::new("classes", |r| r.num_classes.into()),
+    ],
+};
 
-/// Renders profile-sweep rows (Figs. 1/2/4/5) as CSV.
-pub fn profile_csv(rows: &[ProfileRow]) -> String {
-    const PROFILE: Table<ProfileRow> = Table {
-        schema: None,
-        columns: &[
-            Column::new("dataset", |r| r.dataset.as_str().into()),
-            Column::new("model", |r| r.model.label().into()),
-            Column::new("framework", |r| r.framework.label().into()),
-            Column::new("batch_size", |r| r.batch_size.into()),
-            Column::new("data_load_s", |r| r.phase_times[0].into()),
-            Column::new("forward_s", |r| r.phase_times[1].into()),
-            Column::new("backward_s", |r| r.phase_times[2].into()),
-            Column::new("update_s", |r| r.phase_times[3].into()),
-            Column::new("other_s", |r| r.phase_times[4].into()),
-            Column::new("epoch_s", |r| r.epoch_time().into()),
-            Column::new("peak_memory_bytes", |r| r.peak_memory.into()),
-            Column::new("utilization", |r| r.utilization.into()),
-        ],
-    };
-    PROFILE.csv(rows)
+/// Table IV or Table V: one row per (dataset, model, framework) cell.
+pub const TABLE_ROWS: Table<TableRow> = Table {
+    schema: None,
+    columns: &[
+        Column::new("dataset", |r| r.dataset.as_str().into()),
+        Column::new("model", |r| r.model.label().into()),
+        Column::new("framework", |r| r.framework.label().into()),
+        Column::new("epoch_s", |r| r.epoch_time.into()),
+        Column::new("total_s", |r| r.total_time.into()),
+        Column::new("acc_mean", |r| r.acc.mean.into()),
+        Column::new("acc_std", |r| r.acc.std.into()),
+    ],
+};
+
+/// The profile sweep behind Figs. 1/2 (phase breakdown) and Figs. 4/5
+/// (peak memory, utilization): one row per configuration.
+pub const PROFILE: Table<ProfileRow> = Table {
+    schema: None,
+    columns: &[
+        Column::new("dataset", |r| r.dataset.as_str().into()),
+        Column::new("model", |r| r.model.label().into()),
+        Column::new("framework", |r| r.framework.label().into()),
+        Column::new("batch_size", |r| r.batch_size.into()),
+        Column::new("data_load_s", |r| r.phase_times[0].into()),
+        Column::new("forward_s", |r| r.phase_times[1].into()),
+        Column::new("backward_s", |r| r.phase_times[2].into()),
+        Column::new("update_s", |r| r.phase_times[3].into()),
+        Column::new("other_s", |r| r.phase_times[4].into()),
+        Column::new("epoch_s", |r| r.epoch_time().into()),
+        Column::new("peak_memory_bytes", |r| r.peak_memory.into()),
+        Column::new("utilization", |r| r.utilization.into()),
+    ],
+};
+
+/// Fig. 6: one row per (model, framework, batch size, GPU count).
+pub const MULTI_GPU: Table<MultiGpuRow> = Table {
+    schema: None,
+    columns: &[
+        Column::new("model", |r| r.model.label().into()),
+        Column::new("framework", |r| r.framework.label().into()),
+        Column::new("batch_size", |r| r.batch_size.into()),
+        Column::new("n_gpus", |r| r.n_gpus.into()),
+        Column::new("epoch_s", |r| r.epoch_time.into()),
+    ],
+};
+
+/// Fig. 3 in long format: one row per (model, framework, layer scope),
+/// as [`layer_time_rows`] lists them.
+pub const LAYER_TIMES: Table<(ModelKind, FrameworkKind, String, f64)> = Table {
+    schema: None,
+    columns: &[
+        Column::new("model", |(model, ..)| model.label().into()),
+        Column::new("framework", |(_, framework, ..)| framework.label().into()),
+        Column::new("scope", |(_, _, scope, _)| scope.as_str().into()),
+        Column::new("seconds", |&(.., t)| t.into()),
+    ],
+};
+
+/// The [`LAYER_TIMES`] rows of `rows`.
+pub fn layer_time_rows(
+    rows: &[LayerTimeRow],
+) -> impl Iterator<Item = (ModelKind, FrameworkKind, String, f64)> + '_ {
+    rows.iter()
+        .flat_map(|r| (r.scopes.iter()).map(|(scope, t)| (r.model, r.framework, scope.clone(), *t)))
 }
 
 /// Renders per-kind kernel launch counts from profile-sweep rows as
@@ -69,37 +109,6 @@ pub fn kernel_counts_csv(rows: &[ProfileRow]) -> String {
         rows.iter()
             .flat_map(|r| r.kind_counts.iter().map(move |&(kind, n)| (r, kind, n))),
     )
-}
-
-/// Renders layer-time rows (Fig. 3) as long-format CSV.
-pub fn layer_times_csv(rows: &[LayerTimeRow]) -> String {
-    let table: Table<(ModelKind, FrameworkKind, &str, f64)> = Table {
-        schema: None,
-        columns: &[
-            Column::new("model", |(model, ..)| model.label().into()),
-            Column::new("framework", |(_, framework, ..)| framework.label().into()),
-            Column::new("scope", |&(_, _, scope, _)| scope.into()),
-            Column::new("seconds", |&(.., t)| t.into()),
-        ],
-    };
-    table.csv(rows.iter().flat_map(|r| {
-        (r.scopes.iter()).map(|(scope, t)| (r.model, r.framework, scope.as_str(), *t))
-    }))
-}
-
-/// Renders multi-GPU rows (Fig. 6) as CSV.
-pub fn multi_gpu_csv(rows: &[MultiGpuRow]) -> String {
-    const MULTI_GPU: Table<MultiGpuRow> = Table {
-        schema: None,
-        columns: &[
-            Column::new("model", |r| r.model.label().into()),
-            Column::new("framework", |r| r.framework.label().into()),
-            Column::new("batch_size", |r| r.batch_size.into()),
-            Column::new("n_gpus", |r| r.n_gpus.into()),
-            Column::new("epoch_s", |r| r.epoch_time.into()),
-        ],
-    };
-    MULTI_GPU.csv(rows)
 }
 
 /// Schema tag stamped into `cell_outcomes.csv` as a leading `# schema:`
@@ -148,7 +157,7 @@ mod tests {
 
     #[test]
     fn table_csv_shape() {
-        let csv = table_csv(&[t4_row()]);
+        let csv = TABLE_ROWS.csv(&[t4_row()]);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].split(',').count(), 7);
@@ -170,7 +179,7 @@ mod tests {
                 (gnn_device::KernelKind::Gather, 12),
             ],
         };
-        let csv = profile_csv(std::slice::from_ref(&row));
+        let csv = PROFILE.csv(std::slice::from_ref(&row));
         let header = csv.lines().next().unwrap();
         for col in [
             "data_load_s",
@@ -198,7 +207,7 @@ mod tests {
             framework: FrameworkKind::RustyG,
             scopes: vec![("conv1".into(), 0.001), ("readout".into(), 0.0002)],
         };
-        let csv = layer_times_csv(&[row]);
+        let csv = LAYER_TIMES.csv(layer_time_rows(&[row]));
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.contains("GIN,PyG,conv1,0.001"));
     }

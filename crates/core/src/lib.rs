@@ -3,8 +3,8 @@
 //! The study itself, as a library: experiment specifications for every
 //! table and figure of "Performance Analysis of Graph Neural Network
 //! Frameworks" (ISPASS 2021), runners that sweep datasets × models ×
-//! frameworks, and plain-text report rendering matching the paper's
-//! presentation.
+//! frameworks, and each artifact's column list ([`export`]), from which
+//! both its CSV and its printed table are rendered.
 //!
 //! | Experiment | Content | Runner |
 //! |---|---|---|
@@ -13,7 +13,7 @@
 //! | Table V    | graph classification time + accuracy        | [`runner::table5`] |
 //! | Fig. 1/2   | epoch-time breakdown vs batch size           | [`runner::profile_sweep`] |
 //! | Fig. 3     | layer-wise execution time of one batch       | [`runner::layer_times`] |
-//! | Fig. 4/5   | peak memory and GPU utilization vs batch     | [`runner::profile_sweep`] |
+//! | Fig. 4/5   | peak memory and GPU utilization vs batch (the Fig. 1/2 rows) | [`runner::profile_sweep`] |
 //! | Fig. 6     | multi-GPU epoch time (GCN/GAT on MNIST)      | [`runner::multi_gpu`] |
 //!
 //! Every runner takes a [`RunConfig`] whose `quick()` preset keeps the full
@@ -44,5 +44,4 @@ pub use gnn_train::cell;
 pub use config::{
     validate_artifact_dir, validate_artifact_path, ArtifactPathError, RunConfig, TraceConfig,
 };
-pub use report::render_table;
 pub use sweep::{sweep, CellOutcome, CellStatus, SampleRow, SweepOutcome};

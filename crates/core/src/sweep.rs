@@ -352,9 +352,9 @@ mod tests {
     /// sweeps these tests already ran; a deliberate behaviour change
     /// re-captures them (the failure prints the new value).
     fn outcome_digest(out: &SweepOutcome) -> u64 {
-        use crate::export::{table_csv, CELL_OUTCOMES};
-        let mut text = CELL_OUTCOMES.csv(&out.cells) + &table_csv(&out.table4);
-        text += &table_csv(&out.table5);
+        use crate::export::{CELL_OUTCOMES, TABLE_ROWS};
+        let mut text = CELL_OUTCOMES.csv(&out.cells) + &TABLE_ROWS.csv(&out.table4);
+        text += &TABLE_ROWS.csv(&out.table5);
         for row in &out.sample {
             text += &format!("{row:?}\n");
         }

@@ -11,7 +11,8 @@
 //! with a column's fixed precision; strings are quoted only when they hold
 //! a comma, a quote or a newline. JSON rows are objects keyed by column
 //! name, written through [`crate::json`]. Every number is a [`Value::Num`],
-//! so integer cells are exact up to 2^53.
+//! so integer cells are exact up to 2^53. [`Table::text`] prints the same
+//! rows as a padded `| a | b |` table for a terminal.
 
 use std::borrow::Borrow;
 use std::fmt::Write as _;
@@ -19,7 +20,8 @@ use std::fmt::Write as _;
 use crate::json::Value;
 
 /// One column: its name, the fixed number of decimals its numbers print
-/// with in CSV (`None`: shortest round-trip form), and the cell of a row.
+/// with (`None`: shortest round-trip form in CSV, four significant digits
+/// in text), and the cell of a row.
 pub struct Column<R> {
     /// Header name and JSON key.
     pub name: &'static str,
@@ -37,7 +39,7 @@ impl<R> Column<R> {
         }
     }
 
-    /// A column whose numbers print with `precision` decimals in CSV.
+    /// A column whose numbers print with `precision` decimals.
     pub const fn fixed(name: &'static str, precision: usize, cell: fn(&R) -> Value) -> Self {
         Column {
             name,
@@ -96,6 +98,42 @@ impl<R> Table<'_, R> {
         self.header() + &self.csv_rows(rows)
     }
 
+    /// The rows as a padded text table: a `| name | ... |` header of the
+    /// column names, a `|-...-|` rule, then one left-aligned line per row.
+    /// Strings print as they are; a number prints with its column's fixed
+    /// precision, whole when it is whole, and otherwise to four
+    /// significant digits.
+    pub fn text(&self, rows: impl IntoIterator<Item = impl Borrow<R>>) -> String {
+        let names: Vec<String> = self.columns.iter().map(|c| c.name.to_owned()).collect();
+        let body: Vec<Vec<String>> = rows
+            .into_iter()
+            .map(|row| {
+                let cells = self.columns.iter();
+                cells
+                    .map(|c| text_cell((c.cell)(row.borrow()), c.precision))
+                    .collect()
+            })
+            .collect();
+        let mut widths = vec![0; self.columns.len()];
+        for line in std::iter::once(&names).chain(&body) {
+            for (w, cell) in widths.iter_mut().zip(line) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        let line = |cells: &[String]| {
+            let padded: Vec<String> = (cells.iter().zip(&widths))
+                .map(|(c, w)| format!("{c:<w$}"))
+                .collect();
+            format!("| {} |\n", padded.join(" | "))
+        };
+        let rule: Vec<String> = widths.iter().map(|&w| "-".repeat(w)).collect();
+        let mut out = line(&names) + &format!("|-{}-|\n", rule.join("-|-"));
+        for cells in &body {
+            out += &line(cells);
+        }
+        out
+    }
+
     /// One row as a JSON object keyed by column name.
     pub fn json_row(&self, row: &R) -> Value {
         Value::Obj(
@@ -113,6 +151,21 @@ impl<R> Table<'_, R> {
                 .map(|r| self.json_row(r.borrow()))
                 .collect(),
         )
+    }
+}
+
+/// One [`Table::text`] cell.
+fn text_cell(value: Value, precision: Option<usize>) -> String {
+    match (value, precision) {
+        (Value::Num(n), Some(p)) => format!("{n:.p$}"),
+        (Value::Num(n), None) if !n.is_finite() || n.fract() == 0.0 => format!("{n}"),
+        (Value::Num(n), None) => {
+            let decimals = (3 - n.abs().log10().floor() as i64).max(0) as usize;
+            format!("{n:.decimals$}")
+        }
+        (Value::Bool(b), _) => b.to_string(),
+        (Value::Str(s), _) => s,
+        (other, _) => other.to_json(),
     }
 }
 
@@ -185,6 +238,65 @@ mod tests {
         assert_eq!(esc("a,b"), "\"a,b\"");
         assert_eq!(esc("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(esc("two\nlines"), "\"two\nlines\"");
+    }
+
+    #[test]
+    fn text_header_is_the_column_names() {
+        let text = ROWS.text(rows());
+        let header: Vec<&str> = text.lines().next().unwrap().split('|').collect();
+        let cells: Vec<&str> = header[1..header.len() - 1]
+            .iter()
+            .map(|c| c.trim())
+            .collect();
+        let names = ROWS.header();
+        let names: Vec<&str> = names.lines().last().unwrap().split(',').collect();
+        assert_eq!(cells, names);
+    }
+
+    #[test]
+    fn text_lines_share_one_width() {
+        let text = ROWS.text(rows());
+        let widths: Vec<usize> = text.lines().map(|l| l.chars().count()).collect();
+        assert_eq!(widths.len(), 4, "{text}");
+        assert!(widths.windows(2).all(|w| w[0] == w[1]), "{text}");
+        assert!(text.lines().nth(1).unwrap().starts_with("|--"), "{text}");
+    }
+
+    #[test]
+    fn text_prints_strings_unquoted() {
+        let text = ROWS.text(rows());
+        assert!(text.contains("| say \"hi\", twice |"), "{text}");
+    }
+
+    #[test]
+    fn text_numbers_are_whole_fixed_or_four_significant_digits() {
+        let cell = |x: f64| text_cell(Value::Num(x), None);
+        // Whole numbers print whole, however large.
+        assert_eq!(cell(2.0), "2");
+        assert_eq!(cell(1_099_511_627_776.0), "1099511627776");
+        assert_eq!(cell(-0.0), "-0");
+        // A fixed precision is honoured, whole or not.
+        assert_eq!(text_cell(Value::Num(2.0), Some(2)), "2.00");
+        assert_eq!(text_cell(Value::Num(31.9817), Some(2)), "31.98");
+        // Anything else keeps four significant digits.
+        assert_eq!(cell(0.1 + 0.2), "0.3000");
+        assert_eq!(cell(0.004_912_3), "0.004912");
+        assert_eq!(cell(-12.345_67), "-12.35");
+        assert_eq!(cell(283.256), "283.3");
+        assert_eq!(cell(12_345.6), "12346");
+        let text = ROWS.text(rows());
+        assert!(
+            text.contains("| plain           | 0.3000 | 0.300 | 1099511627776 | true  |"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn text_of_no_rows_is_the_header_alone() {
+        assert_eq!(
+            ROWS.text(&[] as &[Row]),
+            "| name | x | x3 | n | ok |\n|------|---|----|---|----|\n"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! cargo run --release --example framework_faceoff
 //! ```
 
+use gnn_core::export::PROFILE;
 use gnn_core::runner::GraphDs;
-use gnn_core::{report, runner, RunConfig};
+use gnn_core::{runner, RunConfig};
 use gnn_models::{FrameworkKind, ModelKind};
 
 fn main() {
@@ -17,7 +18,7 @@ fn main() {
 
     println!("Profiling all models on ENZYMES (scale 0.2)...\n");
     let rows = runner::profile_sweep(&cfg, GraphDs::Enzymes);
-    print!("{}", report::breakdown_report(&rows));
+    print!("{}", PROFILE.text(&rows));
 
     // Zoom in on the paper's sharpest finding: GatedGCN under DGL.
     let gated = |fw: FrameworkKind| {

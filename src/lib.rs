@@ -33,17 +33,15 @@
 //! # Quickstart
 //!
 //! ```
-//! use gnn_suite::core::{runner, RunConfig};
+//! use gnn_suite::core::{export, runner, RunConfig};
 //!
-//! // Regenerate Table I at smoke scale.
+//! // Regenerate Table I at smoke scale and print it as `gnn-bench table1` does.
 //! let stats = runner::table1(&RunConfig::smoke());
-//! for row in &stats {
-//!     println!("{row}");
-//! }
+//! print!("{}", export::TABLE1.text(&stats));
 //! ```
 //!
-//! The `gnn-bench` crate ships one binary per table/figure; see the README
-//! for the full reproduction recipe.
+//! The `gnn-bench` executable has one command per table/figure; see the
+//! README for the full reproduction recipe.
 
 pub use gnn_core as core;
 pub use gnn_datasets as datasets;

@@ -42,7 +42,7 @@ fn table4_smoke_produces_full_grid() {
         assert_eq!(pyg.model, dgl.model);
         assert!(dgl.epoch_time > pyg.epoch_time, "{:?} vs {:?}", dgl, pyg);
     }
-    let digest = csv_digest(&[export::table_csv(&rows)]);
+    let digest = csv_digest(&[export::TABLE_ROWS.csv(&rows)]);
     assert_eq!(
         digest, 0x37ca_a25b_32f6_fb65,
         "table4.csv moved: {digest:#018x}"
@@ -61,7 +61,7 @@ fn table5_smoke_produces_full_grid() {
         assert!(r.epoch_time > 0.0);
         assert!((0.0..=100.0).contains(&r.acc.mean));
     }
-    let digest = csv_digest(&[export::table_csv(&rows)]);
+    let digest = csv_digest(&[export::TABLE_ROWS.csv(&rows)]);
     assert_eq!(
         digest, 0x6e64_e6fe_6ba2_d8cf,
         "table5.csv moved: {digest:#018x}"
@@ -138,25 +138,28 @@ fn reports_render_for_every_experiment() {
     let mut cfg = RunConfig::smoke();
     cfg.batch_sizes = [4, 8, 16];
     let table4 = runner::table4(&cfg);
-    let t4 = gnn_core::report::table_report(&table4);
+    let t4 = export::TABLE_ROWS.text(&table4);
     assert!(t4.contains("GatedGCN") && t4.contains("PyG") && t4.contains("DGL"));
     let sweep = runner::profile_sweep(&cfg, runner::GraphDs::Enzymes);
-    let fig12 = gnn_core::report::breakdown_report(&sweep);
-    assert!(fig12.contains("data_load"));
-    let fig45 = gnn_core::report::resources_report(&sweep);
-    assert!(fig45.contains("PeakMem"));
+    let fig1245 = export::PROFILE.text(&sweep);
+    for column in ["data_load_s", "peak_memory_bytes", "utilization"] {
+        assert!(fig1245.contains(column), "{column}");
+    }
     let layers = runner::layer_times(&cfg);
-    let fig3 = gnn_core::report::layer_report(&layers);
+    let fig3 = export::LAYER_TIMES.text(export::layer_time_rows(&layers));
     assert!(fig3.contains("conv1"));
     let multi = runner::multi_gpu(&cfg);
-    let fig6 = gnn_core::report::fig6_report(&multi);
-    assert!(fig6.contains("GPUs"));
+    let fig6 = export::MULTI_GPU.text(&multi);
+    assert!(fig6.contains("n_gpus"));
+    // One text line per row under the header and its rule.
+    assert_eq!(t4.lines().count(), table4.len() + 2);
+    assert_eq!(fig6.lines().count(), multi.len() + 2);
     let digest = csv_digest(&[
-        export::table_csv(&table4),
-        export::profile_csv(&sweep),
+        export::TABLE_ROWS.csv(&table4),
+        export::PROFILE.csv(&sweep),
         export::kernel_counts_csv(&sweep),
-        export::layer_times_csv(&layers),
-        export::multi_gpu_csv(&multi),
+        export::LAYER_TIMES.csv(export::layer_time_rows(&layers)),
+        export::MULTI_GPU.csv(&multi),
     ]);
     assert_eq!(
         digest, 0x2df9_e5d4_daeb_58e7,
