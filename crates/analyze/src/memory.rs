@@ -647,6 +647,37 @@ impl MemoryReport {
         self.cells.iter().find(|c| c.path() == path)
     }
 
+    /// What every `memory.json` row must hold, one
+    /// `certificate-inconsistency` finding per row that breaks it (none
+    /// when it holds): `0 < persistent < floor_fatal <= peak_upper`, and a
+    /// certified peak no lower than the ideal one (`bump_over_ideal >= 1`).
+    pub fn check(&self) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        for c in &self.cells {
+            let mut broken = |message: String| {
+                findings.push(Finding::new(
+                    FindingKind::CertificateInconsistent,
+                    format!("{}/memory", c.path()),
+                    message,
+                ));
+            };
+            if !(0 < c.persistent && c.persistent < c.floor_fatal && c.floor_fatal <= c.peak_upper)
+            {
+                broken(format!(
+                    "bounds out of order: persistent {} B, floor_fatal {} B, peak_upper {} B",
+                    c.persistent, c.floor_fatal, c.peak_upper
+                ));
+            }
+            if c.peak_upper < c.ideal_peak {
+                broken(format!(
+                    "certified peak {} B is below the ideal peak {} B",
+                    c.peak_upper, c.ideal_peak
+                ));
+            }
+        }
+        findings
+    }
+
     /// The report as a JSON tree (the `memory.json` schema; see
     /// EXPERIMENTS.md). Field order is fixed, so equal reports serialize
     /// byte-identically.
@@ -922,6 +953,38 @@ mod tests {
             v.get("findings").and_then(|f| f.as_arr()).map(|f| f.len()),
             Some(1)
         );
+    }
+
+    /// Two certificates of the small Cora, the second one broken by `f`:
+    /// `check` must name it and only it.
+    fn check_names_the_broken_certificate(f: impl FnOnce(&mut CellCert)) -> String {
+        let ds = CitationSpec::cora().scaled(0.05).generate(0);
+        let mut report = MemoryReport {
+            cells: vec![
+                certify_node_cell(ModelKind::Gcn, FrameworkKind::RustyG, &ds),
+                certify_node_cell(ModelKind::Gat, FrameworkKind::Rgl, &ds),
+            ],
+            findings: Vec::new(),
+        };
+        assert_eq!(report.check(), Vec::new());
+        f(&mut report.cells[1]);
+        let findings = report.check();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].kind, FindingKind::CertificateInconsistent);
+        assert_eq!(findings[0].path, "table4/Cora/GAT/DGL/memory");
+        findings[0].message.clone()
+    }
+
+    #[test]
+    fn check_names_a_certificate_with_disordered_bounds() {
+        let message = check_names_the_broken_certificate(|c| c.floor_fatal = c.persistent);
+        assert!(message.starts_with("bounds out of order"), "{message}");
+    }
+
+    #[test]
+    fn check_names_a_certificate_below_its_ideal_peak() {
+        let message = check_names_the_broken_certificate(|c| c.ideal_peak = c.peak_upper + 1);
+        assert!(message.starts_with("certified peak"), "{message}");
     }
 
     #[test]

@@ -63,6 +63,10 @@ pub enum FindingKind {
     /// in the speedup factor, or a predicted saving exceeding the
     /// component's recorded critical-path budget.
     WhatIfInconsistent,
+    /// A memory certificate's bounds are out of order: not `0 <
+    /// persistent < floor_fatal <= peak_upper`, or a certified peak below
+    /// the ideal free-at-last-use one.
+    CertificateInconsistent,
 }
 
 impl FindingKind {
@@ -86,6 +90,7 @@ impl FindingKind {
             FindingKind::CeilingUnsatisfiable => "ceiling-unsatisfiable",
             FindingKind::ServeBatchExceedsReplicaMemory => "serve-batch-exceeds-replica-memory",
             FindingKind::WhatIfInconsistent => "whatif-inconsistency",
+            FindingKind::CertificateInconsistent => "certificate-inconsistency",
         }
     }
 }

@@ -173,6 +173,7 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
         }
     }
 
+    memory.findings.extend(memory.check());
     // Memory-ceiling audit last: it needs the certified footprints of the
     // whole sweep to know the worst cell a `MemLimit` must accommodate.
     if let Some(plan) = &cfg.faults {
@@ -234,7 +235,8 @@ mod tests {
         }
         assert!(memory.cell("table4/Cora/GCN/PyG").is_some());
         assert!(memory.cell("table5/DD/GatedGCN/DGL").is_some());
-        // Byte-identical export across reruns: the CI job diffs two runs.
+        // Byte-identical export across reruns: CI's memory-certifier
+        // entry diffs two runs.
         let again = certify_run(&cfg);
         assert_eq!(memory.to_value().to_json(), again.to_value().to_json());
     }

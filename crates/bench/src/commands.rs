@@ -17,6 +17,7 @@ use gnn_device::pipeline::{pipeline_speedup, pipelined_epoch_time, serial_epoch_
 use gnn_models::adapt::{CachedRustygLoader, RustygLoader};
 use gnn_models::config::{ModelKind, ALL_FRAMEWORKS};
 use gnn_models::{build, GnnStack, Loader, ModelBatch};
+use gnn_obs::{Column, Table};
 use gnn_sample::SamplerKind;
 use gnn_serve::{FleetConfig, ServeConfig};
 use gnn_tensor::{cross_entropy, NdArray, Tensor};
@@ -28,9 +29,7 @@ use rand::{Rng, SeedableRng};
 use crate::cli::Args;
 use crate::report::{diff_reports, render_diff, resolve_baseline, run_report};
 use crate::sample::{expand_variants, run_sample_sweep, SampleVariant, SAMPLE_METRICS};
-use crate::whatif::{
-    audit_whatif, run_conformance, run_serve_conformance, run_whatif, ConformanceRecord,
-};
+use crate::whatif::{run_conformance, run_serve_conformance, run_whatif, ConformanceRecord};
 use crate::Run;
 
 /// Reproduces Table I: dataset statistics.
@@ -411,7 +410,7 @@ pub(crate) fn sample(args: Args) -> ExitCode {
 /// The highest-numbered `BENCH_<n>.json` in `out`'s directory other than
 /// `out` — the natural baseline for a report trajectory.
 fn discover_baseline(out: &Path) -> Option<PathBuf> {
-    // A bare `BENCH_10.json` has an empty parent: scan the current dir.
+    // A bare `BENCH_33.json` has an empty parent: scan the current dir.
     let dir = out
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
@@ -439,7 +438,7 @@ fn discover_baseline(out: &Path) -> Option<PathBuf> {
 /// frameworks), sweeps the serve batching policies over the same
 /// endpoints (sampled ones included), sweeps the fleet routing policies
 /// under the canonical fleet chaos plan, and
-/// writes a schema-versioned `BENCH_<n>.json` (default `BENCH_10.json`)
+/// writes a schema-versioned `BENCH_<n>.json` (default `BENCH_33.json`)
 /// whose every number is simulated — a rerun with the same flags
 /// reproduces the file byte-for-byte, which CI enforces with `cmp`. When
 /// a baseline exists (`--baseline <path>`, the highest-numbered other
@@ -450,7 +449,7 @@ fn discover_baseline(out: &Path) -> Option<PathBuf> {
 /// `--threshold` (default 5%).
 pub(crate) fn report(args: Args) -> ExitCode {
     let cfg = args.report_config();
-    let out = args.out.clone().unwrap_or_else(|| "BENCH_10.json".into());
+    let out = args.out.clone().unwrap_or_else(|| "BENCH_33.json".into());
     let threshold = args.threshold.unwrap_or(0.05);
     let mut run = Run::new(None, None);
 
@@ -464,7 +463,7 @@ pub(crate) fn report(args: Args) -> ExitCode {
     );
 
     // The previous document must be read before the new one overwrites it
-    // in place (the usual CI flow regenerates BENCH_10.json on top of the
+    // in place (the usual CI flow regenerates BENCH_33.json on top of the
     // checked-in baseline). Candidates that fail to read or parse —
     // typically an older schema version (a `v2` report without the
     // sampled rows) still checked in for history — fall through to the
@@ -478,7 +477,10 @@ pub(crate) fn report(args: Args) -> ExitCode {
         eprintln!("warning: {w}");
     }
 
-    let report = run_report(&cfg);
+    let report = match run_report(&cfg) {
+        Ok(report) => report,
+        Err(errors) => return refuse(run, &errors),
+    };
     print!("{}", report.summary());
     println!();
     run.write("report", out, &report.to_json());
@@ -506,6 +508,15 @@ pub(crate) fn report(args: Args) -> ExitCode {
     match lines.iter().filter(|l| l.regression).count() {
         0 => println!("no regressions"),
         n => run.error(format!("{n} metric(s) regressed past the threshold")),
+    }
+    run.finish()
+}
+
+/// Ends a run whose document broke its own `check`: prints each broken
+/// row and fails the run; the document is not written.
+fn refuse(mut run: Run, errors: &[String]) -> ExitCode {
+    for e in errors {
+        run.error(e);
     }
     run.finish()
 }
@@ -567,20 +578,10 @@ pub(crate) fn whatif(args: Args) -> ExitCode {
         cfg.seed,
     );
 
-    let report = run_whatif(&cfg);
-
-    let findings = audit_whatif(&report);
-    if !findings.is_empty() {
-        for f in &findings {
-            eprintln!("{f}");
-        }
-        run.error(format!(
-            "{} what-if prediction(s) violate their own physics; refusing to publish",
-            findings.len()
-        ));
-        return run.finish();
-    }
-
+    let report = match run_whatif(&cfg) {
+        Ok(report) => report,
+        Err(errors) => return refuse(run, &errors),
+    };
     print!("{}", report.summary());
     println!();
     run.write("whatif", out, &report.to_json());
@@ -635,10 +636,6 @@ pub(crate) fn ablation_batching(args: Args) -> ExitCode {
         "Ablation — batching strategy (GCN on ENZYMES, scale = {})\n",
         cfg.scale
     );
-    println!(
-        "{:<14} {:>10} {:>11} {:>10} {:>9}",
-        "loader", "epoch", "data_load", "compute", "gpu util"
-    );
 
     let task = GraphTaskConfig {
         batch_size: 64.min(fold.train.len().max(1)),
@@ -651,7 +648,7 @@ pub(crate) fn ablation_batching(args: Args) -> ExitCode {
         shuffle: true,
     };
 
-    let mut standard_epoch = 0.0;
+    let mut rows = Vec::new();
     for (name, cached) in [("standard", false), ("pre-collated", true)] {
         let mut rng = StdRng::seed_from_u64(cfg.seed + 1);
         let model =
@@ -666,24 +663,33 @@ pub(crate) fn ablation_batching(args: Args) -> ExitCode {
         let e = out.epochs.max(1) as f64;
         let load = out.report.phase_times[0] / e;
         let compute = (out.report.phase_times[1] + out.report.phase_times[2]) / e;
-        println!(
-            "{name:<14} {:>8.1}ms {:>9.1}ms {:>8.1}ms {:>8.1}%",
+        rows.push((
+            name,
             out.epoch_time * 1e3,
             load * 1e3,
             compute * 1e3,
-            out.report.utilization() * 100.0
-        );
-        if !cached {
-            standard_epoch = out.epoch_time;
-        } else {
-            println!(
-                "\npre-collation speeds the epoch up {:.2}x — the paper's suggested win.",
-                standard_epoch / out.epoch_time
-            );
-        }
+            out.report.utilization() * 100.0,
+        ));
     }
+    print!("{}", BATCHING.text(&rows));
+    println!(
+        "\npre-collation speeds the epoch up {:.2}x — the paper's suggested win.",
+        rows[0].1 / rows[1].1
+    );
     ExitCode::SUCCESS
 }
+
+/// `ablation_batching`'s rows, one per loader.
+const BATCHING: Table<(&str, f64, f64, f64, f64)> = Table {
+    schema: None,
+    columns: &[
+        Column::new("loader", |r| r.0.into()),
+        Column::fixed("epoch_ms", 1, |r| r.1.into()),
+        Column::fixed("data_load_ms", 1, |r| r.2.into()),
+        Column::fixed("compute_ms", 1, |r| r.3.into()),
+        Column::fixed("gpu_util_pct", 1, |r| r.4.into()),
+    ],
+};
 
 /// Ablation: fused GSpMM vs gather+scatter as a function of feature width.
 ///
@@ -703,11 +709,8 @@ pub(crate) fn ablation_fusion(_: Args) -> ExitCode {
 
     println!("Ablation — aggregation lowering vs feature width");
     println!("(graph: {nodes} nodes, {edges} edges; simulated device time)\n");
-    println!(
-        "{:>6} {:>14} {:>14} {:>8}",
-        "width", "gather+scatter", "fused gspmm", "winner"
-    );
 
+    let mut rows = Vec::new();
     for width in [4usize, 16, 64, 128, 256, 512] {
         let feats = NdArray::from_vec(
             nodes,
@@ -734,20 +737,27 @@ pub(crate) fn ablation_fusion(_: Args) -> ExitCode {
         let x = Tensor::new(dgl.x.data().clone());
         let _ = rgl::kernels::gspmm_copy_sum(&dgl, &x);
         let t_dgl = gnn_device::session::finish(h).total_time;
-
-        println!(
-            "{width:>6} {:>12.1}us {:>12.1}us {:>8}",
-            t_pyg * 1e6,
-            t_dgl * 1e6,
-            if t_pyg < t_dgl { "unfused" } else { "fused" }
-        );
+        let winner = if t_pyg < t_dgl { "unfused" } else { "fused" };
+        rows.push((width, t_pyg * 1e6, t_dgl * 1e6, winner));
     }
+    print!("{}", FUSION.text(&rows));
     println!();
     println!("The fused kernel's device-side win grows with width, but DGL's");
     println!("per-op dispatch keeps a fixed tax — the paper's observation that");
     println!("DGL's *key operations* can be faster while its layers are slower.");
     ExitCode::SUCCESS
 }
+
+/// `ablation_fusion`'s rows, one per feature width.
+const FUSION: Table<(usize, f64, f64, &str)> = Table {
+    schema: None,
+    columns: &[
+        Column::new("width", |r| r.0.into()),
+        Column::fixed("gather_scatter_us", 1, |r| r.1.into()),
+        Column::fixed("fused_gspmm_us", 1, |r| r.2.into()),
+        Column::new("winner", |r| r.3.into()),
+    ],
+};
 
 /// Ablation: kernel-launch overhead vs GPU utilization.
 ///
@@ -764,11 +774,8 @@ pub(crate) fn ablation_launch(args: Args) -> ExitCode {
     let idx: Vec<u32> = (0..64u32.min(ds.samples.len() as u32)).collect();
 
     println!("Ablation — launch overhead vs utilization (GCN, one training batch)\n");
-    println!(
-        "{:>12} {:>12} {:>10}",
-        "launch cost", "batch time", "gpu util"
-    );
 
+    let mut rows = Vec::new();
     for launch_us in [0.5f64, 1.0, 2.0, 4.0, 6.0, 10.0, 20.0] {
         let model = gnn_device::CostModel::builder()
             .launch_overhead(launch_us * 1e-6)
@@ -781,17 +788,28 @@ pub(crate) fn ablation_launch(args: Args) -> ExitCode {
         let logits = stack.forward(&batch, true);
         cross_entropy(&logits, &batch.labels).backward();
         let report = gnn_device::session::finish(handle);
-        println!(
-            "{launch_us:>10.1}us {:>10.2}ms {:>9.1}%",
+        rows.push((
+            launch_us,
             report.total_time * 1e3,
-            report.utilization() * 100.0
-        );
+            report.utilization() * 100.0,
+        ));
     }
+    print!("{}", LAUNCH.text(&rows));
     println!();
     println!("Same kernels, same math — only the launch cost moves. GNN training");
     println!("is launch-bound at CUDA's ~6us, which caps utilization (Fig. 5).");
     ExitCode::SUCCESS
 }
+
+/// `ablation_launch`'s rows, one per launch cost.
+const LAUNCH: Table<(f64, f64, f64)> = Table {
+    schema: None,
+    columns: &[
+        Column::fixed("launch_us", 1, |r| r.0.into()),
+        Column::fixed("batch_ms", 2, |r| r.1.into()),
+        Column::fixed("gpu_util_pct", 1, |r| r.2.into()),
+    ],
+};
 
 /// One batch's `(load, compute)` simulated seconds.
 struct Measure<'a>(&'a [u32]);
@@ -832,31 +850,43 @@ pub(crate) fn ablation_overlap(args: Args) -> ExitCode {
         batch.len(),
         n_batches
     );
-    println!(
-        "{:<10} {:<5} {:>9} {:>10} {:>11} {:>11} {:>8}",
-        "model", "fw", "load", "compute", "serial", "pipelined", "speedup"
-    );
+    let mut rows = Vec::new();
     for model in gnn_models::config::ALL_MODELS {
         for fw in ALL_FRAMEWORKS {
             let (load, compute) = with_graph_stack(fw, model, &ds, cfg.seed, Measure(&batch));
-            println!(
-                "{:<10} {:<5} {:>7.1}ms {:>8.1}ms {:>9.1}ms {:>9.1}ms {:>7.2}x",
+            rows.push((
                 model.label(),
                 fw.label(),
                 load * 1e3,
                 compute * 1e3,
                 serial_epoch_time(load, compute, n_batches) * 1e3,
                 pipelined_epoch_time(load, compute, n_batches) * 1e3,
-                pipeline_speedup(load, compute, n_batches)
-            );
+                pipeline_speedup(load, compute, n_batches),
+            ));
         }
     }
+    print!("{}", OVERLAP.text(&rows));
     println!();
     println!("Loading dominates, so the pipeline hides most of the compute — but");
     println!("the loader itself remains the bottleneck: pre-collation (see");
     println!("ablation_batching) attacks the root cause, prefetch only the overlap.");
     ExitCode::SUCCESS
 }
+
+/// `ablation_overlap`'s rows, one per model and framework.
+#[allow(clippy::type_complexity)]
+const OVERLAP: Table<(&str, &str, f64, f64, f64, f64, f64)> = Table {
+    schema: None,
+    columns: &[
+        Column::new("model", |r| r.0.into()),
+        Column::new("framework", |r| r.1.into()),
+        Column::fixed("load_ms", 1, |r| r.2.into()),
+        Column::fixed("compute_ms", 1, |r| r.3.into()),
+        Column::fixed("serial_ms", 1, |r| r.4.into()),
+        Column::fixed("pipelined_ms", 1, |r| r.5.into()),
+        Column::fixed("speedup", 2, |r| r.6.into()),
+    ],
+};
 
 /// Prints the experiment index: every table/figure of the paper mapped to
 /// its workload, implementing modules, and the commands that regenerate

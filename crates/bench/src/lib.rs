@@ -57,7 +57,9 @@
 //! checkpoints) and `--resume` (restore cells from them, bit-identically;
 //! implies `--ckpt out/ckpt`); `serve`/`fleet` read `--ckpt` to load
 //! trained weights. A failed artifact write, a dropped request, a failed
-//! cell or a regression ends the run with exit 1.
+//! cell, a regression or a document row that breaks its `check` (each
+//! document's invariants, beside its column lists) ends the run with
+//! exit 1.
 //!
 //! Every number these commands print is *simulated* device time. The real
 //! CPU time of the library itself — the tensor kernels, the message-passing
@@ -263,7 +265,7 @@ mod tests {
     use super::cli::{parse, usage, Args, COMMANDS, FLAGS};
     use super::*;
     use gnn_core::runner::GraphDs;
-    use gnn_serve::{FleetWorkload, RoutingPolicy, WorkloadKind};
+    use gnn_serve::{FleetWorkload, RoutingPolicy, ServeConfig, WorkloadKind};
 
     /// Parses `line`, split on whitespace, as command `cmd`'s flags.
     fn args(cmd: &str, line: &str) -> Result<Args, String> {
@@ -824,6 +826,32 @@ mod tests {
             checked >= 40,
             "only {checked} documented command lines found"
         );
+    }
+
+    /// CI's `serve --faults canonical` line, run as `serve` runs it (one
+    /// plan armed across the policies), answers every request. The command
+    /// only fails on a dropped request, and a rejected or shed one is
+    /// terminal, so this is what holds CI's own settings to their answers.
+    #[test]
+    fn ci_canonical_serve_line_answers_every_request() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let ci = std::fs::read_to_string(format!("{root}/.github/workflows/ci.yml")).unwrap();
+        let lines = documented_invocations(&ci);
+        let (command, argv) = (lines.iter())
+            .find(|(c, argv)| c == "serve" && argv.iter().any(|a| a == "--faults"))
+            .expect("ci.yml runs `serve --faults`");
+        let a = parse(command, argv).unwrap();
+        let serve = a.serve_config();
+        let handle = gnn_faults::install(a.faults.clone().unwrap());
+        for policy in a.policies() {
+            let cfg = ServeConfig {
+                policy,
+                ..serve.clone()
+            };
+            let answered = gnn_serve::serve(&cfg).unwrap().answered();
+            assert_eq!(answered, serve.requests, "{}", policy.label());
+        }
+        assert!(!gnn_faults::finish(handle).is_empty(), "the plan fires");
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! module holds no description of a cell of its own. The result serializes
 //! to a schema-versioned JSON document (`BENCH_<n>.json` at the repo root)
 //! whose every number is *simulated* — no wall-clock anywhere — so a rerun
-//! with the same config reproduces the file byte-for-byte. CI runs the
-//! report twice and `cmp`s the outputs.
+//! with the same config reproduces the file byte-for-byte. CI `cmp`s a
+//! fresh run against the checked-in `BENCH_33.json`, and
+//! [`BenchReport::check`] holds every row to its invariants before the
+//! file is written.
 //!
 //! The document is written once and never parsed back into these types:
 //! [`resolve_baseline`] reads a baseline as a [`Value`] tree, and
@@ -33,8 +35,11 @@ use gnn_train::Supervisor;
 /// Schema tag every report document carries; bumped on breaking change.
 /// `v2` added the `fleet` section (per-routing-policy resilience rows);
 /// `v3` added the `sample` section (per-sampled-cell training rows with
-/// feature-cache hit rates).
-pub const REPORT_SCHEMA: &str = "gnn-bench-report/v3";
+/// feature-cache hit rates); `v4` reads a cell row's `total_time` off the
+/// device session, the clock its kernel/transfer/idle split comes from,
+/// instead of the epoch clock, which leaves a graph fold's final
+/// evaluation out.
+pub const REPORT_SCHEMA: &str = "gnn-bench-report/v4";
 
 /// What one report run covers.
 #[derive(Debug, Clone)]
@@ -110,7 +115,8 @@ pub struct CellReport {
     pub cell: String,
     /// Mean simulated seconds per epoch.
     pub epoch_time: f64,
-    /// Total simulated training seconds.
+    /// Simulated seconds of the whole device session (evaluation
+    /// included): `kernel_time + transfer_time + idle_time`.
     pub total_time: f64,
     /// Device time in non-transfer kernels.
     pub kernel_time: f64,
@@ -321,7 +327,7 @@ fn run_cell(cell: &CellId, cfg: &ReportConfig) -> CellReport {
     CellReport {
         cell: cell.path(),
         epoch_time: out.epoch_time,
-        total_time: out.total_time,
+        total_time: dev.total_time,
         kernel_time: dev.kernel_exec_time(),
         transfer_time: dev.transfer_time(),
         idle_time: dev.idle_time(),
@@ -338,11 +344,16 @@ fn run_cell(cell: &CellId, cfg: &ReportConfig) -> CellReport {
 /// simulated, so the same config yields the same [`BenchReport`] —
 /// byte-for-byte once rendered.
 ///
+/// # Errors
+///
+/// The lines of [`BenchReport::check`] when the document breaks its own
+/// invariants.
+///
 /// # Panics
 ///
 /// Panics if a configured cell names an unknown dataset or serving fails
 /// (both indicate a broken config, not a run-time condition).
-pub fn run_report(cfg: &ReportConfig) -> BenchReport {
+pub fn run_report(cfg: &ReportConfig) -> Result<BenchReport, Vec<String>> {
     let cells: Vec<CellReport> = cfg.cells.iter().map(|c| run_cell(c, cfg)).collect();
     let sample: Vec<SampleCellReport> = cfg
         .sample_cells
@@ -412,7 +423,7 @@ pub fn run_report(cfg: &ReportConfig) -> BenchReport {
             failover_p99: stats.failover_p99(),
         });
     }
-    BenchReport {
+    let report = BenchReport {
         config: vec![
             ("scale".to_owned(), cfg.scale),
             ("epochs".to_owned(), cfg.epochs as f64),
@@ -425,10 +436,33 @@ pub fn run_report(cfg: &ReportConfig) -> BenchReport {
         sample,
         serve,
         fleet,
+    };
+    let errors = report.check();
+    if errors.is_empty() {
+        Ok(report)
+    } else {
+        Err(errors)
     }
 }
 
 impl BenchReport {
+    /// What every report must hold, one line per row that breaks it
+    /// (none when it holds): each `cells` row's kernel, transfer and idle
+    /// times sum to its `total_time`, within `1e-9` relative.
+    pub fn check(&self) -> Vec<String> {
+        let mut errors = Vec::new();
+        for c in &self.cells {
+            let split = c.kernel_time + c.transfer_time + c.idle_time;
+            if (split - c.total_time).abs() > 1e-9 * c.total_time.abs() {
+                errors.push(format!(
+                    "cells `{}`: kernel + transfer + idle time {split} s is not total_time {} s",
+                    c.cell, c.total_time
+                ));
+            }
+        }
+        errors
+    }
+
     /// The document as a JSON tree (deterministic key order).
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -809,10 +843,27 @@ mod tests {
     }
 
     #[test]
+    fn check_names_the_cell_row_whose_split_misses_its_total() {
+        let mut report = sample();
+        assert_eq!(report.check(), Vec::<String>::new());
+        report.cells.push(CellReport {
+            cell: "table5/DD/GIN/DGL".into(),
+            idle_time: 0.006,
+            ..report.cells[0].clone()
+        });
+        let errors = report.check();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("cells `table5/DD/GIN/DGL`"),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
     fn tiny_report_is_deterministic() {
         let cfg = tiny_report_config();
-        let a = run_report(&cfg);
-        let b = run_report(&cfg);
+        let a = run_report(&cfg).unwrap();
+        let b = run_report(&cfg).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "report must be bit-identical");
         assert_eq!(a.cells.len(), 1);
         assert_eq!(a.sample.len(), 1);
@@ -827,11 +878,7 @@ mod tests {
         assert!(c.epoch_time > 0.0);
         assert!(c.flops > 0 && c.bytes > 0);
         assert!(c.kernel_time > 0.0 && c.transfer_time >= 0.0 && c.idle_time >= 0.0);
-        assert!(
-            (c.kernel_time + c.transfer_time + c.idle_time - c.total_time).abs()
-                < 1e-9 * c.total_time.max(1.0),
-            "split must sum to total"
-        );
+        assert_eq!(a.check(), Vec::<String>::new(), "split must sum to total");
         assert!((0.0..=1.0).contains(&c.roofline_utilization));
         assert!(a.serve[0].p50 > 0.0);
         assert!((0.0..=1.0).contains(&a.serve[0].slo_attainment));

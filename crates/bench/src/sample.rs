@@ -49,6 +49,61 @@ pub const SAMPLE_METRICS: Table<SampleRunRow> = Table {
     ],
 };
 
+/// What every `sample_metrics.csv` must hold, one line per row that
+/// breaks it (none when it holds): each row's epoch time and peak memory
+/// are positive and its hit rate and accuracy in range, and on otherwise
+/// identical cells a larger cache never hits less than a smaller one
+/// whose size divides it — the cache is direct-mapped on `node % rows`,
+/// so on one fetch sequence every hit of the smaller cache is a hit of
+/// the larger one.
+pub fn check(rows: &[SampleRunRow]) -> Vec<String> {
+    let name = |r: &SampleRunRow| {
+        format!(
+            "{} {} cache {} {} {}",
+            r.spec, r.fanouts, r.cache_rows, r.sampler, r.framework
+        )
+    };
+    let mut errors = Vec::new();
+    for r in rows {
+        if !(r.epoch_time > 0.0
+            && (0.0..=1.0).contains(&r.cache_hit_rate)
+            && (0.0..=100.0).contains(&r.test_acc)
+            && r.peak_memory > 0)
+        {
+            errors.push(format!(
+                "row `{}`: epoch_time {}, cache_hit_rate {}, test_acc {} or peak_memory {} \
+                 out of range",
+                name(r),
+                r.epoch_time,
+                r.cache_hit_rate,
+                r.test_acc,
+                r.peak_memory
+            ));
+        }
+    }
+    let same_cell = |a: &SampleRunRow, b: &SampleRunRow| {
+        (&a.spec, &a.fanouts, a.sampler, a.framework)
+            == (&b.spec, &b.fanouts, b.sampler, b.framework)
+    };
+    for big in rows {
+        for small in rows.iter().filter(|s| same_cell(s, big)) {
+            let divides = small.cache_rows > 0
+                && small.cache_rows < big.cache_rows
+                && big.cache_rows % small.cache_rows == 0;
+            if divides && big.cache_hit_rate < small.cache_hit_rate {
+                errors.push(format!(
+                    "row `{}`: hit rate {} is below the {}-row cache's {}",
+                    name(big),
+                    big.cache_hit_rate,
+                    small.cache_rows,
+                    small.cache_hit_rate
+                ));
+            }
+        }
+    }
+    errors
+}
+
 /// What one `sample` run sweeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleConfig {
@@ -213,8 +268,8 @@ pub fn run_sample_variant_cell(
 
 /// Runs the whole sample sweep: every variant × sampler kind × framework,
 /// generating each catalog spec's RMAT graph exactly once. Cells that die
-/// (the supervisor gave up) are reported as errors alongside the rows
-/// that finished.
+/// (the supervisor gave up) and rows that break [`check`] are reported as
+/// errors alongside the rows that finished.
 pub fn run_sample_sweep(
     variants: &[SampleVariant],
     epochs: usize,
@@ -249,6 +304,7 @@ pub fn run_sample_sweep(
             }
         }
     }
+    errors.extend(check(&rows));
     (rows, errors)
 }
 
@@ -304,11 +360,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn schema_check_rejects_drift() {
-        // The tag and the header come from the one column list, and each
-        // row prints its times, rate and accuracy at fixed precision.
-        let row = SampleRunRow {
+    fn fixed_row() -> SampleRunRow {
+        SampleRunRow {
             spec: "rmat-4k".into(),
             fanouts: "4x2".into(),
             cache_rows: 512,
@@ -325,14 +378,52 @@ mod tests {
             peak_memory: 1 << 20,
             retries: 0,
             degraded: false,
-        };
-        let text = SAMPLE_METRICS.csv(&[row]);
+        }
+    }
+
+    #[test]
+    fn schema_check_rejects_drift() {
+        // The tag and the header come from the one column list, and each
+        // row prints its times, rate and accuracy at fixed precision.
+        let text = SAMPLE_METRICS.csv(&[fixed_row()]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], format!("# schema: {SAMPLE_METRICS_SCHEMA}"));
         assert_eq!(
             lines[2],
             "rmat-4k,4x2,512,neighbor,PyG,64,2,0.100000,0.333333,0.000000,0.000000,0.6500,\
              12.50,1048576,0,false"
+        );
+    }
+
+    #[test]
+    fn check_names_the_row_out_of_range() {
+        let mut rows = vec![fixed_row(), fixed_row()];
+        rows[1].fanouts = "2x2".into();
+        assert_eq!(check(&rows), Vec::<String>::new());
+        rows[1].cache_hit_rate = 1.5;
+        let errors = check(&rows);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("row `rmat-4k 2x2 cache 512"),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn check_names_the_larger_cache_that_hits_less() {
+        let mut rows = vec![fixed_row(), fixed_row(), fixed_row()];
+        rows[1].cache_rows = 2048;
+        rows[1].cache_hit_rate = 0.7;
+        // 768 rows is larger than 512 but not a multiple: no claim.
+        rows[2].cache_rows = 768;
+        rows[2].cache_hit_rate = 0.1;
+        assert_eq!(check(&rows), Vec::<String>::new());
+        rows[1].cache_hit_rate = 0.6;
+        let errors = check(&rows);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("row `rmat-4k 4x2 cache 2048"),
+            "{errors:?}"
         );
     }
 

@@ -279,6 +279,11 @@ fn kind_bound(model: &CostModel, component: usize, agg: &KindAggregate) -> &'sta
 /// Deterministic: every number is simulated or replayed, so the same
 /// config yields the same report — byte-for-byte once rendered.
 ///
+/// # Errors
+///
+/// The lines of [`WhatIfReport::check`] when the predictions break their
+/// own physics.
+///
 /// # Panics
 ///
 /// Panics if a configured cell names an unknown dataset, a serve
@@ -286,7 +291,7 @@ fn kind_bound(model: &CostModel, component: usize, agg: &KindAggregate) -> &'sta
 /// schedule fails its identity cross-check against the measured session
 /// horizon (which would indicate the capture ran inside another
 /// collector, or a session the runner did not report).
-pub fn run_whatif(cfg: &WhatIfConfig) -> WhatIfReport {
+pub fn run_whatif(cfg: &WhatIfConfig) -> Result<WhatIfReport, Vec<String>> {
     let identity = Speedups::identity();
     let mut cells = Vec::with_capacity(cfg.cells.len());
     let mut aggregates = [KindAggregate::default(); PRICED_KINDS.len()];
@@ -356,7 +361,7 @@ pub fn run_whatif(cfg: &WhatIfConfig) -> WhatIfReport {
     }
 
     let opportunities = rank_opportunities(&cells, &aggregates);
-    WhatIfReport {
+    let report = WhatIfReport {
         config: vec![
             ("scale".to_owned(), cfg.scale),
             ("epochs".to_owned(), cfg.epochs as f64),
@@ -368,6 +373,12 @@ pub fn run_whatif(cfg: &WhatIfConfig) -> WhatIfReport {
         cells,
         serve,
         opportunities,
+    };
+    let errors = report.check();
+    if errors.is_empty() {
+        Ok(report)
+    } else {
+        Err(errors)
     }
 }
 
@@ -438,6 +449,7 @@ fn rank_opportunities(cells: &[CellWhatIf], aggregates: &[KindAggregate]) -> Vec
 /// audit consumes and runs the audit: predictions must never be slower
 /// than base, must be monotone in the factor, and must not claim savings
 /// past critical-path budgets. An empty result means the report passed.
+/// [`WhatIfReport::check`] runs it on every report.
 pub fn audit_whatif(report: &WhatIfReport) -> Vec<Finding> {
     let cells: Vec<WhatIfCellAudit> = report
         .cells
@@ -641,6 +653,36 @@ pub const OPPORTUNITY_ROWS: Table<Opportunity> = Table {
 };
 
 impl WhatIfReport {
+    /// What every what-if document must hold, one line per row that
+    /// breaks it (none when it holds): the [`audit_whatif`] physics, each
+    /// `cells` row's component budgets covering its base total (host and
+    /// device overlap, so together they may over-cover it, never under),
+    /// and each opportunity's ceiling (infinite speedup) winning at least
+    /// its predicted win (the reference speedup).
+    pub fn check(&self) -> Vec<String> {
+        let mut errors: Vec<String> = audit_whatif(self).iter().map(|f| f.to_string()).collect();
+        for c in &self.cells {
+            let covered: f64 = c.budgets.iter().sum();
+            if covered < c.base_total_time * (1.0 - 1e-9) {
+                errors.push(format!(
+                    "cells `{}`: budgets sum to {covered} s, less than base_total_time {} s",
+                    c.cell, c.base_total_time
+                ));
+            }
+        }
+        for o in &self.opportunities {
+            if o.ceiling < o.predicted_win - 1e-12 {
+                errors.push(format!(
+                    "opportunities `{}`: ceiling {} s is below predicted_win {} s",
+                    component_label(o.component),
+                    o.ceiling,
+                    o.predicted_win
+                ));
+            }
+        }
+        errors
+    }
+
     /// The document as a JSON tree (deterministic key order).
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -709,10 +751,16 @@ mod tests {
         }
     }
 
+    /// The tiny config's report, built once and shared by the tests that
+    /// only read it (or a clone of it).
+    fn tiny_report() -> &'static WhatIfReport {
+        static REPORT: std::sync::OnceLock<WhatIfReport> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| run_whatif(&tiny_cfg()).unwrap())
+    }
+
     #[test]
     fn whatif_report_is_complete_consistent_and_deterministic() {
-        let cfg = tiny_cfg();
-        let report = run_whatif(&cfg);
+        let report = tiny_report();
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.serve.len(), 1);
         assert_eq!(
@@ -740,16 +788,42 @@ mod tests {
                 "infinite speedup cannot win less than 2x"
             );
         }
-        // Physics audit comes back clean.
-        assert!(audit_whatif(&report).is_empty());
         // Deterministic to the byte.
-        let again = run_whatif(&cfg);
+        let again = run_whatif(&tiny_cfg()).unwrap();
         assert_eq!(report.to_json(), again.to_json());
     }
 
     #[test]
+    fn check_names_the_cell_whose_budgets_miss_its_base_total() {
+        let mut report = tiny_report().clone();
+        assert_eq!(report.check(), Vec::<String>::new());
+        report.cells[0].budgets = [0.0; WHATIF_COMPONENTS];
+        let errors = report.check();
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.starts_with("cells `table4/Cora/GCN/PyG`: budgets")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn check_names_the_opportunity_whose_ceiling_is_below_its_win() {
+        let mut report = tiny_report().clone();
+        let top = &mut report.opportunities[0];
+        top.ceiling = top.predicted_win / 2.0;
+        let label = component_label(top.component);
+        let errors = report.check();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with(&format!("opportunities `{label}`")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
     fn whatif_json_round_trips() {
-        let report = run_whatif(&tiny_cfg());
+        let report = tiny_report();
         let text = report.to_json();
         assert_eq!(json::parse(&text).unwrap(), report.to_value());
         assert!(text.starts_with(&format!("{{\"schema\":\"{WHATIF_SCHEMA}\"")));
@@ -761,7 +835,7 @@ mod tests {
     #[test]
     fn whatif_json_bytes_are_pinned() {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for b in run_whatif(&tiny_cfg()).to_json().bytes() {
+        for b in tiny_report().to_json().bytes() {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -771,11 +845,11 @@ mod tests {
     #[test]
     fn sweep_conformance_is_exact_on_a_real_retrain() {
         let cfg = tiny_cfg();
-        let report = run_whatif(&cfg);
+        let report = tiny_report();
         // The rotating sample plus a hand-picked set covering a kernel
         // kind, the launch lever, and the host lever at finite and
         // infinite factors.
-        for record in run_conformance(&cfg, &report) {
+        for record in run_conformance(&cfg, report) {
             assert_eq!(
                 record.predicted.to_bits(),
                 record.actual.to_bits(),
@@ -814,8 +888,7 @@ mod tests {
     #[test]
     fn serve_conformance_is_exact_on_a_real_reserve() {
         let cfg = tiny_cfg();
-        let report = run_whatif(&cfg);
-        for record in run_serve_conformance(&cfg, &report) {
+        for record in run_serve_conformance(&cfg, tiny_report()) {
             assert_eq!(
                 record.predicted.to_bits(),
                 record.actual.to_bits(),

@@ -34,8 +34,8 @@ fn assert_golden(name: &str, text: &str, want: u64) {
 
 #[test]
 fn tiny_bench_report_is_pinned() {
-    let doc = run_report(&tiny_report_config()).to_json();
-    assert_golden("BENCH report", &doc, 0xa0a4_c927_59b4_eded);
+    let doc = run_report(&tiny_report_config()).unwrap().to_json();
+    assert_golden("BENCH report", &doc, 0x022f_dd67_59b5_2bda);
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn schema_tags_pin_their_columns() {
             keys(&bench::FLEET_ROWS),
         ],
         [
-            "gnn-bench-report/v3",
+            "gnn-bench-report/v4",
             "cell,epoch_time,total_time,kernel_time,transfer_time,idle_time,flops,bytes,\
              arithmetic_intensity,roofline_utilization,utilization",
             "cell,epoch_time,total_time,kernel_time,transfer_time,cache_hit_rate,test_acc",

@@ -13,7 +13,8 @@
 //! degradation (batch halved, world shrunk) finish with status `degraded`;
 //! everything else is `ok`. Under the canonical fault plan
 //! (`FaultPlan::canonical()`), every cell must end `ok` or `degraded` —
-//! never `failed` — which is exactly what the CI chaos job asserts.
+//! never `failed` — which is exactly what the `sweep` command's exit
+//! status asserts in the chaos entry of CI's `artifacts` job.
 //!
 //! When the config sets a checkpoint directory, every cell writes per-epoch
 //! checkpoints there; a killed sweep re-run with `resume` restores each

@@ -219,8 +219,8 @@ impl FaultPlan {
     /// The canonical chaos-campaign plan: the acceptance plan of the
     /// robustness layer, covering device OOM, a transient kernel fault, a
     /// PCIe straggler, NaN-loss poisoning, and a replica failure. Used by
-    /// the CI `chaos` job and accepted by the `gnn-bench` commands as
-    /// `--faults canonical`.
+    /// the chaos entry of CI's `artifacts` job and accepted by the
+    /// `gnn-bench` commands as `--faults canonical`.
     pub fn canonical() -> Self {
         let mut plan = FaultPlan::seeded(42);
         plan.specs.push(FaultSpec {
@@ -233,8 +233,8 @@ impl FaultPlan {
     /// [`FaultPlan::canonical`] kinds plus the fleet-level failure modes — a
     /// shard blackout and a router↔shard network straggler, with windows
     /// sized to the default fleet horizon (400 requests at 2000 req/s ≈
-    /// 0.2 s). Used by the CI `serving` job and accepted by the bench
-    /// commands as `--faults canonical-fleet`.
+    /// 0.2 s). Used by the serving entry of CI's `artifacts` job and
+    /// accepted by the bench commands as `--faults canonical-fleet`.
     pub fn canonical_fleet() -> Self {
         let mut plan = FaultPlan::canonical();
         plan.specs.push(FaultSpec {

@@ -12,7 +12,8 @@
 //! watermarks. Every knob is deterministic, so a rerun with the same
 //! [`FleetConfig`] and fault plan reproduces `serve_metrics.csv`
 //! bit-identically — asserted by the router-determinism property test,
-//! `tests/serving_golden.rs` and the `serving` CI job.
+//! `tests/serving_golden.rs` and the serving entry of CI's `artifacts`
+//! job.
 //!
 //! **Conservation.** Every generated request reaches exactly one terminal
 //! typed outcome: answered ([`crate::Outcome::Ok`]), rejected

@@ -14,11 +14,17 @@
 //! 3. **Round trips** — the Chrome export preserves counter args
 //!    verbatim, and the serve latency histogram's quantiles are
 //!    bit-identical to nearest-rank quantiles of the sorted sample.
+//! 4. **Fleet resilience is visible** — under the canonical fleet plan,
+//!    every shed, retry, hedge, ejection and readmission the fleet counts
+//!    is one instant on the `fleet` track, and there are some.
 
 use gnn_datasets::CitationSpec;
+use gnn_faults::FaultPlan;
 use gnn_models::{build, ModelKind};
 use gnn_obs as obs;
-use gnn_serve::{default_endpoints, serve, BatchPolicy, ServeConfig, ServeReport};
+use gnn_serve::{
+    default_endpoints, serve, serve_fleet, BatchPolicy, FleetConfig, ServeConfig, ServeReport,
+};
 use gnn_train::{run_node_task, NodeOutcome, NodeTaskConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -295,4 +301,42 @@ fn serve_histogram_quantiles_match_exact_sorted_quantiles() {
     let (p50, p95, p99) = report.latency_percentiles();
     assert!(p50 <= p95 && p95 <= p99);
     assert!((0.0..=1.0).contains(&report.slo_attainment(0.005)));
+}
+
+#[test]
+fn fleet_resilience_events_are_instants_on_the_fleet_track() {
+    let cfg = FleetConfig {
+        requests: 120,
+        rate: 2000.0,
+        seed: 0,
+        ..FleetConfig::default()
+    };
+    let faults = gnn_faults::install(FaultPlan::canonical_fleet());
+    let handle = obs::install(obs::Collector::new());
+    let report = serve_fleet(&cfg).expect("fleet run must succeed");
+    let trace = obs::finish(handle);
+    gnn_faults::finish(faults);
+    let stats = report.fleet.expect("a fleet run has fleet stats");
+    let instants = |kind: &str| {
+        let fleet_instant = |e: &&obs::TraceEvent| {
+            e.track == obs::tracks::FLEET
+                && matches!(&e.kind, obs::EventKind::Instant { name, .. } if name == kind)
+        };
+        trace.events.iter().filter(fleet_instant).count()
+    };
+    let counted = [
+        ("shed", stats.sheds),
+        ("retry", stats.retries),
+        ("hedge", stats.hedges),
+        ("eject", stats.ejections),
+        ("readmit", stats.readmissions),
+    ];
+    for (kind, count) in counted {
+        assert_eq!(instants(kind), count, "{kind} instants");
+    }
+    let total: usize = counted.iter().map(|(_, n)| n).sum();
+    assert!(
+        total > 0,
+        "the canonical fleet plan exercised no resilience path"
+    );
 }
