@@ -9,10 +9,17 @@
 //!
 //! 1. **Per-element `k` order.** Every output element is accumulated from
 //!    `+0.0` by adding its terms in ascending `k`, one rounding per add.
-//!    Work may be reordered *across* output elements, never within one.
-//! 2. **Zero-skip per layout.** `matmul` and `matmul_tn` do not add a term
-//!    whose `a` factor `== 0.0`, so a `NaN` or `inf` in `b` opposite it never
-//!    reaches the output; `matmul_nt` adds every term, so there it does.
+//!    Work may be reordered *across* output elements, never within one. A
+//!    partial sum may be stored to `out` and reloaded: that is exact.
+//! 2. **Zero-skip, observable only opposite a non-finite `b`.** The
+//!    original `matmul` and `matmul_tn` did not add a term whose `a` factor
+//!    `== 0.0`; `matmul_nt` adds every term. Against a finite `b` the skip
+//!    changes no bit: the skipped product is `±0.0`, and adding `±0.0`
+//!    leaves an accumulator unchanged, because one that starts at `+0.0`
+//!    never holds `-0.0` (a round-to-nearest sum is `-0.0` only when both
+//!    terms are) and `x + 0.0 == x` for every other `x`. Only a `NaN` or
+//!    `inf` in `b` opposite a zero in `a` tells the two apart, and there
+//!    `matmul` and `matmul_tn` keep the skip, so it never reaches the output.
 //! 3. **No FMA.** A multiply rounds, then an add rounds. The wide
 //!    instantiation enables `avx2` and deliberately not `fma`; Rust never
 //!    contracts `a * b + c` on its own.
@@ -21,38 +28,56 @@
 //!    the rows of `out` (and of `a`), `matmul_tn` the rows of its `[k, n]`
 //!    output, which is a window of `a`'s columns. A part computes whole
 //!    output elements, each by invariant 1, so the part count changes no
-//!    bit. Each part's scratch is allocated by the caller.
+//!    bit. `matmul` and `matmul_tn` allocate nothing; `matmul_nt`'s packed
+//!    panels of `b^T` are allocated by the caller, once per call.
 //!
-//! Three mechanisms buy the speed inside those rules:
+//! Each kernel body is written once as an `#[inline(always)]` function and
+//! instantiated twice: as is (the portable baseline, SSE2 on x86-64) and
+//! inside a `#[target_feature(enable = "avx2")]` function chosen from what
+//! the CPU reports, so the same IEEE multiply and add run eight lanes wide.
 //!
-//! - Each kernel body is written once as an `#[inline(always)]` function and
-//!   instantiated twice: as is (the portable baseline, SSE2 on x86-64) and
-//!   inside a `#[target_feature(enable = "avx2")]` function chosen from what
-//!   the CPU reports, so the same IEEE multiply and add run eight lanes wide.
-//! - `matmul_nt` used to be one serial dot product per output — a dependent
-//!   add chain that cannot be vectorised without reassociating. It now packs
-//!   an [`NR`]-wide panel of `b` transposed and runs the reduction *down*
-//!   that panel with an `MR × NR` block of accumulators in registers: the
-//!   lanes are different output elements, each still summed in `k` order.
-//!   When every panel of `b` fits in L1 together ([`NT_PACKED`]; layer 2's
-//!   `k` = 3 backward), all are packed first and row tiles run outermost,
-//!   so `out` is written once, not once per panel.
-//! - `matmul` and `matmul_tn` skip zeros by first compacting each row of `a`
-//!   to its non-zero `(k, value)` pairs, ascending in `k`, without a branch
-//!   (see [`nonzeros`]). Testing `a_ik == 0.0` per element mispredicted on
-//!   almost every non-zero of PubMed's 9 %-dense input, and at 3 output
-//!   columns each surviving term paid that for a 3-float axpy. `matmul`
-//!   then sums the list into an [`NB`]-wide block of accumulators held in
-//!   registers, stored once per block, and what is left of the row in
-//!   [`NT`]-wide blocks; only the last `< NT` columns are an axpy per
-//!   listed term. `matmul_tn` axpys only the listed rows of `out`, except
-//!   after a row of `a` with no zero: the next row then runs the plain
-//!   loop that tests each element, which on a run of dense rows always
-//!   predicts right and skips building a list that would hold every `k`
-//!   (on dense input the list alone cost 5–15 %). The first zero it meets
-//!   sends the row after it back to the list. The choice follows the input
-//!   (read off the list's length, or off a skip), not a setting, and
-//!   either path gives the same bits.
+//! **One register tile.** All three layouts share one microkernel,
+//! [`tile`]: an `MR × NR` block of accumulators in registers (four rows of
+//! two AVX2 vectors), which at each reduction step broadcasts one `a`
+//! factor per row and multiplies it into an `NR`-wide row of `b`. The
+//! lanes are different output elements, each summed in its own `k` order,
+//! with no branch and no list. Only where the `a` factor and the `b` row of
+//! a step sit differs:
+//!
+//! - `matmul` ([`Path::Tile`]): step `k` reads column `k` of `MR` rows of
+//!   `a` and row `k` of `b` in place. `b` is never packed; a ragged last
+//!   panel reruns the last `NR` columns and stores only the new ones.
+//! - `matmul_tn` ([`Path::Tile`]): step `i` reads `MR` adjacent columns of
+//!   row `i` of `a` (one window of the output rows) and row `i` of `b`. The
+//!   reduction runs in blocks of [`MB`] rows, so that the block of `a` and
+//!   of `b` stays in cache across the column tiles; each block's partial
+//!   sums are stored to `out` and reloaded.
+//! - `matmul_nt`: `b^T` has no contiguous rows, so an `NR`-wide panel of it
+//!   is packed first. When every panel fits in L1 together ([`NT_PACKED`];
+//!   layer 2's `k` = 3 backward), all are packed first and row tiles run
+//!   outermost, so `out` is written once, not once per panel.
+//!
+//! **When the tile runs.** `matmul` and `matmul_tn` take the tile only
+//! where it gives the skip's bits and is faster: at [`TILE_ROWS`] rows or
+//! more, about half of `a` non-zero or more, and `b` all finite (see
+//! [`path`]). Everything else (bag-of-words inputs at 1–10 %, a `b` holding
+//! a `NaN` or `inf`, a readout over a few graphs) takes [`Path::List`]: each
+//! row of `a` is compacted to its non-zero `(k, value)` pairs, ascending in
+//! `k` and without a branch (see [`nonzeros`]), [`LIST`] columns at a time
+//! into a stack buffer. `matmul` sums the list into an [`NB`]-wide block of
+//! accumulators held in registers, then [`NT`]-wide blocks, then an axpy
+//! per term for the last `< NT` columns; `matmul_tn` axpys the listed rows
+//! of `out`. Testing `a_ik == 0.0` per element mispredicted on almost every
+//! non-zero of PubMed's 9 %-dense input, and at 3 output columns each
+//! surviving term paid that for a 3-float axpy.
+//!
+//! An earlier `M × N` register tiling of `matmul` lost: it kept the skip as
+//! a branch per row per `k` step and rescanned `a`'s zeros once per column
+//! panel, which halved `matmul` on dense inputs and cut the sparse-input
+//! workloads to a third. This tile has neither: by invariant 2 it adds the
+//! zeros, so a step is two vector multiplies and adds per row whatever `a`
+//! holds, and it runs only where `a` is dense enough that the terms it
+//! adds in vain cost less than a list. Sparse inputs keep the list.
 //!
 //! Below [`NT`] output columns (the class logits of layer 2 and their
 //! weight gradient), `matmul` and `matmul_tn` take a path monomorphised per
@@ -62,36 +87,54 @@
 //! fixed array and lists the row's non-zeros into a stack buffer; at up to
 //! [`NR_LANES_W`] columns, tiles of [`NR_ROWS`] rows instead run lanes
 //! across rows, so that the add chains of different rows overlap. The
-//! lanes paths skip by a masked select: a zero `a` factor adds `+0.0`.
-//! That is exact because an accumulator starts at `+0.0` and a
-//! round-to-nearest sum is `-0.0` only when both terms are, so it never
-//! holds `-0.0`, and `x + 0.0 == x` for every other `x`; the non-finite
-//! product the mask drops never reaches it.
-//!
-//! An earlier `M × N` register tiling of `matmul` lost: it kept the skip as
-//! a branch per row per `k` step and rescanned `a`'s zeros once per column
-//! panel, which halved `matmul` on dense inputs and cut the sparse-input
-//! workloads to a third. Here the list is built once per row and every
-//! column block reuses it, so a zero costs a store and no branch.
+//! lanes paths skip by a masked select: a zero `a` factor adds `+0.0`,
+//! which is exact by invariant 2, and the non-finite product the mask
+//! drops never reaches the accumulator.
 
 use std::ops::Range;
 
 use crate::par;
 
-/// Output columns per register-held block of `matmul` (eight AVX2 vectors,
-/// enough independent add chains to hide the add latency).
+/// Output columns per register-held block of the listed `matmul` (eight
+/// AVX2 vectors, enough independent add chains to hide the add latency).
 const NB: usize = 64;
-/// Columns per block of what is left of a `matmul` row after the [`NB`]
-/// blocks (two AVX2 vectors); the last `< NT` columns are an axpy per term.
-/// Narrower outputs take the small-width path.
+/// Fewest output columns of the wide paths, and columns per block of what
+/// is left of a listed `matmul` row after the [`NB`] blocks (two AVX2
+/// vectors); the last `< NT` columns are an axpy per term. Narrower
+/// outputs take the small-width path. At least [`NR`], so that every wide
+/// output has a whole tile panel.
 const NT: usize = 16;
-/// Rows of `a` per register tile of `matmul_nt`.
+/// Rows of a register tile (rows of `a` for `matmul` and `matmul_nt`,
+/// columns of `a` for `matmul_tn`).
 const MR: usize = 4;
-/// Columns of `b^T` per packed panel of `matmul_nt` (two AVX2 vectors).
+/// Output columns of a register tile (two AVX2 vectors).
 const NR: usize = 16;
 /// Most floats of `b` that `matmul_nt` packs all at once (16 KiB, a third
 /// of a 48 KiB L1d), so that its row tiles can run outermost.
 const NT_PACKED: usize = 4096;
+/// Rows of `a` and `b` per block of the tiled `matmul_tn`'s reduction: at
+/// `k` = 128 and `n` = 96, 128 KiB of `a` and 96 KiB of `b`, which stay in
+/// L2 while every column tile of `a` runs against every panel of `b`.
+const MB: usize = 256;
+/// Fewest rows of `a` for which `matmul` and `matmul_tn` consider the
+/// tile. Below it the tile's fixed costs (the sample of `a`, the `k·n`
+/// scan of `b`, a part-filled row tile) outweigh its speed: on the dense
+/// shapes of the workloads' few-row GEMMs (`k × n` of 80 × 80, 96 × 96,
+/// 80 × 40, 96 × 48 and 18 × 96, 70 % and 100 % non-zero) the tile takes
+/// 1.3–4.4× the list's time at one row, and the two cross between 2 and
+/// 24 rows by shape. From 12 rows the tile takes at most 1.2× the list on
+/// any of them, and less than the list on most. The rows are nodes or
+/// graphs, not requests: a serve batch of 1–8 requests runs a full-graph
+/// forward (hundreds of rows), collates whole graphs or samples a block,
+/// and reads out one row per graph, so the few-row GEMMs are readouts and
+/// small blocks.
+const TILE_ROWS: usize = 12;
+/// Least share of non-zeros in `a` (sampled, in sixteenths) for which the
+/// tile, which adds every term, beats the list, which adds only the
+/// non-zeros: at `[448 × 96] · [96 × 96]` the two cross at 40–50 %
+/// (`matmul`) and 30–40 % (`matmul_tn`); at 70 % the tile takes 0.72× and
+/// 0.60× the list's time.
+const TILE_DENSITY: usize = 8;
 /// Rows of `a` per lanes-across-rows tile of the small-width `matmul`
 /// (two AVX2 vectors per output column).
 const NR_ROWS: usize = 16;
@@ -99,15 +142,30 @@ const NR_ROWS: usize = 16;
 /// accumulator vectors fill the sixteen AVX2 registers and spill, and a
 /// row-at-a-time list is faster.
 const NR_LANES_W: usize = 4;
-/// Columns of `a` per stack-held list of non-zeros or transposed copy of
-/// the small-width `matmul`.
+/// Columns of `a` per transposed stack copy of the small-width `matmul`.
 const KC: usize = 64;
+/// Columns of `a` per stack-held list of non-zeros (4 KiB of `(u32, f32)`
+/// entries): a wider row is listed a chunk at a time.
+const LIST: usize = 512;
 /// Rows of `a` whose non-zeros estimate the work of a large `matmul` or
-/// `matmul_tn`.
+/// `matmul_tn`, and the density that picks its path.
 const SAMPLE_ROWS: usize = 32;
 /// Columns of `a` (rows of `out`) per pass of the small-width `matmul_tn`
 /// over `a`; its accumulators are `NC_COLS × W` floats on the stack.
 const NC_COLS: usize = 256;
+
+/// How `matmul` and `matmul_tn` treat an `a` factor of zero. Both give the
+/// same bits unless `b` holds a `NaN` or `inf` (module invariant 2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Path {
+    /// Skip its term: list each row's non-zeros and add only those.
+    List,
+    /// Add its term: every term through the register tile.
+    Tile,
+}
+
+/// One list of a row's non-zeros, as `(column in the chunk, value)`.
+type Terms = [(u32, f32); LIST];
 
 /// Declares `$name`, the dispatched form of the kernel body `$body`: the
 /// `avx2` instantiation where the CPU has it, the baseline otherwise.
@@ -132,9 +190,33 @@ macro_rules! dispatched {
     };
 }
 
+/// Calls `$f::<W>($args)` for the `n` in `1..NT` it is given.
+macro_rules! by_width {
+    ($n:expr, $f:ident($($arg:expr),*)) => {
+        match $n {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            9 => $f::<9>($($arg),*),
+            10 => $f::<10>($($arg),*),
+            11 => $f::<11>($($arg),*),
+            12 => $f::<12>($($arg),*),
+            13 => $f::<13>($($arg),*),
+            14 => $f::<14>($($arg),*),
+            15 => $f::<15>($($arg),*),
+            _ => unreachable!("small-width path at {} columns", $n),
+        }
+    };
+}
+
 dispatched! {
     /// One part of `matmul`: the rows of `a` and `out` it owns.
-    fn nn_part(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, scratch: &mut [(usize, f32)]) => nn_rows
+    fn nn_part(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, path: Path) => nn_rows
 }
 dispatched! {
     /// One part of `matmul_nt` with one `b` panel packed at a time.
@@ -146,14 +228,15 @@ dispatched! {
 }
 dispatched! {
     /// One part of `matmul_tn`: the rows `cols` of `out`.
-    fn tn_part(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, cols: Range<usize>, scratch: &mut [(usize, f32)]) => tn_cols
+    fn tn_part(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, cols: Range<usize>, path: Path) => tn_cols
 }
 
 /// `out [m,n] = a [m,k] @ b [k,n]`, skipping terms whose `a` factor is
-/// zero; in one part per core once its work reaches [`par::PAR_WORK`] (see
-/// [`skip_parts`]). Like its two siblings it expects `out` zeroed.
+/// zero; by the path and in the part count [`plan`] reads off the inputs.
+/// Like its two siblings it expects `out` zeroed.
 pub(crate) fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_in(skip_parts(a, m, k, n), a, b, out, m, k, n);
+    let (parts, path) = plan(a, b, m, k, n);
+    matmul_in(parts, path, a, b, out, m, k, n);
 }
 
 /// `out [m,n] = a [m,k] @ b^T` with `b` `[n,k]`; every term is added.
@@ -162,37 +245,73 @@ pub(crate) fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 }
 
 /// `out [k,n] = a^T @ b` with `a` `[m,k]` and `b` `[m,n]`, skipping
-/// terms whose `a` factor is zero.
+/// terms whose `a` factor is zero; planned as [`matmul`].
 pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_tn_in(skip_parts(a, m, k, n), a, b, out, m, k, n);
+    let (parts, path) = plan(a, b, m, k, n);
+    matmul_tn_in(parts, path, a, b, out, m, k, n);
 }
 
-/// The part count of `matmul` or `matmul_tn` over `a [m, k]` with `n`
-/// output columns: the multiply-adds the zero-skip leaves, `n` times the
-/// non-zeros of `a`. Those are estimated from [`SAMPLE_ROWS`] rows spread
-/// over `a`, and only for an op whose every term would reach the threshold,
-/// so a small op pays nothing. Bag-of-words inputs are 1–10 % non-zero:
-/// counted at `m·k·n`, a serving batch's first layer looked ten to a
-/// hundred times its cost and was split to no gain. As in `matmul_nt`, `n`
-/// below one [`NT`]-wide register block counts as a full block, since a
-/// block costs about the same whatever fills it (the 3-column `matmul`
-/// runs 2–3 G multiply-adds/s where the 32- and 64-column GEMMs of sampled
-/// minibatches run 7–13 G).
-fn skip_parts(a: &[f32], m: usize, k: usize, n: usize) -> usize {
-    let n = n.max(NT);
-    if k == 0 || par::parts(m * k * n) == 1 {
-        return 1;
+/// The part count and path of `matmul` or `matmul_tn` over `a [m, k]`
+/// against `b`, with `n` output columns. The density of `a` is read off
+/// [`SAMPLE_ROWS`] rows spread over it, and only where it can matter: for
+/// an op whose every term would reach [`par::PAR_WORK`], or one wide and
+/// tall enough for the tile; a small op pays nothing. The work is the
+/// multiply-adds the path does: `m·k·n` for the tile, and for the list `n`
+/// times the (estimated) non-zeros of `a`, since bag-of-words inputs are
+/// 1–10 % non-zero and, counted at `m·k·n`, a serving batch's first layer
+/// looked ten to a hundred times its cost and was split to no gain. As in
+/// `matmul_nt`, `n` below one [`NT`]-wide register block counts as a full
+/// block, since a block costs about the same whatever fills it (the
+/// 3-column `matmul` runs 2–3 G multiply-adds/s where the 32- and
+/// 64-column GEMMs of sampled minibatches run 7–13 G).
+fn plan(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> (usize, Path) {
+    let wide = n.max(NT);
+    let tall = n >= NT && m >= TILE_ROWS;
+    if k == 0 || (!tall && par::parts(m * k * wide) == 1) {
+        return (1, Path::List);
     }
     let rows = a.chunks_exact(k).step_by(m.div_ceil(SAMPLE_ROWS));
     let (sampled, nonzeros) = rows.fold((0, 0), |(r, z), row| {
         (r + 1, z + row.iter().filter(|&&v| v != 0.0).count())
     });
-    par::parts(nonzeros * m / sampled * n)
+    let path = if n >= NT {
+        path(m, (nonzeros, sampled * k), b)
+    } else {
+        Path::List
+    };
+    let work = match path {
+        Path::Tile => m * k * wide,
+        Path::List => nonzeros * m / sampled * wide,
+    };
+    (par::parts(work), path)
 }
 
-/// [`matmul`] in `parts` row parts, dispatched.
+/// The path of a `matmul` or `matmul_tn` of [`NT`] or more output columns
+/// over `rows` rows of `a`, of whose sampled `values` `nonzeros` are
+/// non-zero, against `b`: the tile from [`TILE_ROWS`] rows and a
+/// [`TILE_DENSITY`] share of non-zeros, and only when `b` is all finite.
+/// `b` is scanned last, so a few-row or sparse op never reads it here.
+pub(crate) fn path(rows: usize, (nonzeros, values): (usize, usize), b: &[f32]) -> Path {
+    let dense = nonzeros * 16 >= values * TILE_DENSITY;
+    if rows >= TILE_ROWS && dense && all_finite(b) {
+        Path::Tile
+    } else {
+        Path::List
+    }
+}
+
+/// Whether every value of `b` is finite; a branch per 64 values, so the
+/// test within a chunk vectorises.
+fn all_finite(b: &[f32]) -> bool {
+    b.chunks(64)
+        .all(|c| c.iter().fold(true, |ok, v| ok & v.is_finite()))
+}
+
+/// [`matmul`] in `parts` row parts on `path`, dispatched.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_in(
     parts: usize,
+    path: Path,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -200,7 +319,7 @@ pub(crate) fn matmul_in(
     k: usize,
     n: usize,
 ) {
-    nn_split(parts, a, b, out, (m, k, n), nn_part);
+    nn_split(parts, path, a, b, out, (m, k, n), nn_part);
 }
 
 /// [`matmul_nt`] in `parts` row parts, dispatched.
@@ -216,9 +335,11 @@ pub(crate) fn matmul_nt_in(
     nt_split(parts, a, b, out, (m, k, n), (nt_part, nt_packed_part));
 }
 
-/// [`matmul_tn`] in `parts` parts of its output rows, dispatched.
+/// [`matmul_tn`] in `parts` parts of its output rows on `path`, dispatched.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_tn_in(
     parts: usize,
+    path: Path,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -226,15 +347,15 @@ pub(crate) fn matmul_tn_in(
     k: usize,
     n: usize,
 ) {
-    tn_split(parts, a, b, out, (m, k, n), tn_part);
+    tn_split(parts, path, a, b, out, (m, k, n), tn_part);
 }
 
-/// Body of [`matmul`], serial; called directly it is the baseline
-/// instantiation: the serial reference of `tests/gemm_bits.rs`.
+/// Body of [`matmul`] on `path`, serial; called directly it is the
+/// baseline instantiation: the serial reference of `tests/gemm_bits.rs`.
 #[cfg(test)]
 #[allow(dead_code)]
-pub(crate) fn nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    nn_split(1, a, b, out, (m, k, n), nn_rows);
+pub(crate) fn nn(path: Path, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    nn_split(1, path, a, b, out, (m, k, n), nn_rows);
 }
 
 /// Body of [`matmul_nt`], serial; called directly it is the baseline
@@ -245,21 +366,22 @@ pub(crate) fn nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     nt_split(1, a, b, out, (m, k, n), (nt_rows, nt_tiles));
 }
 
-/// Body of [`matmul_tn`], serial; called directly it is the baseline
-/// instantiation: the serial reference of `tests/gemm_bits.rs`.
+/// Body of [`matmul_tn`] on `path`, serial; called directly it is the
+/// baseline instantiation: the serial reference of `tests/gemm_bits.rs`.
 #[cfg(test)]
 #[allow(dead_code)]
-pub(crate) fn tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    tn_split(1, a, b, out, (m, k, n), tn_cols);
+pub(crate) fn tn(path: Path, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    tn_split(1, path, a, b, out, (m, k, n), tn_cols);
 }
 
-type NnPart = fn(&[f32], &[f32], &mut [f32], usize, usize, &mut [(usize, f32)]);
+type NnPart = fn(&[f32], &[f32], &mut [f32], usize, usize, Path);
 type NtPart = fn(&[f32], &[f32], &mut [f32], usize, usize, &mut [f32]);
 type NtPackedPart = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-type TnPart = fn(&[f32], &[f32], &mut [f32], usize, usize, Range<usize>, &mut [(usize, f32)]);
+type TnPart = fn(&[f32], &[f32], &mut [f32], usize, usize, Range<usize>, Path);
 
 fn nn_split(
     parts: usize,
+    path: Path,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -270,11 +392,9 @@ fn nn_split(
     if k == 0 || n == 0 {
         return;
     }
-    // A `k`-entry list of non-zeros per part; the small-width path has none.
-    let mut scratch = vec![(0, 0.0f32); if n < NT { 0 } else { parts * k }];
     let bound = |i| par::even(m, parts, i);
-    par::for_rows(parts, bound, out, n, &mut scratch, |rows, out, list| {
-        part(&a[rows.start * k..rows.end * k], b, out, k, n, list);
+    par::for_rows(parts, bound, out, n, &mut [(); 0], |rows, out, _| {
+        part(&a[rows.start * k..rows.end * k], b, out, k, n, path);
     });
 }
 
@@ -312,6 +432,7 @@ fn nt_split(
 
 fn tn_split(
     parts: usize,
+    path: Path,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -322,11 +443,147 @@ fn tn_split(
     if k == 0 || n == 0 {
         return;
     }
-    let mut scratch = vec![(0, 0.0f32); if n < NT { 0 } else { parts * k }];
     let bound = |i| par::even(k, parts, i);
-    par::for_rows(parts, bound, out, n, &mut scratch, |cols, out, list| {
-        part(a, b, out, k, n, cols, list);
+    par::for_rows(parts, bound, out, n, &mut [(); 0], |cols, out, _| {
+        part(a, b, out, k, n, cols, path);
     });
+}
+
+/// The one microkernel of all three layouts: adds to the lanes `lanes` of
+/// an `R × NR` block of `out` (row stride `n`) through `R × NR`
+/// accumulators in registers. Each of `steps`, in order, is a step index,
+/// which `factors` turns into the `R` factors of `a` (one per row of the
+/// block), and a row of `b` whose first `NR` values are the factors across
+/// the lanes; every accumulator adds its product, one rounding per
+/// multiply and per add. The accumulators start from what `out` holds
+/// (`+0.0` on entry, or a partial sum) and are stored back; the lanes
+/// outside `lanes` are computed and dropped.
+#[inline(always)]
+fn tile<'b, const R: usize>(
+    steps: impl Iterator<Item = (usize, &'b [f32])>,
+    factors: impl Fn(usize) -> [f32; R],
+    out: &mut [f32],
+    n: usize,
+    lanes: Range<usize>,
+) {
+    // Loaded from `out` even where it holds `+0.0`: accumulators that
+    // start as constant zeros compiled to a loop that also copied every
+    // accumulator register once per step.
+    let whole = lanes.len() == NR;
+    let mut acc = [[0.0f32; NR]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        let o = &out[r * n..];
+        if whole {
+            acc_r.copy_from_slice(&o[..NR]);
+        } else {
+            let mut w = [0.0f32; NR];
+            w[lanes.clone()].copy_from_slice(&o[lanes.clone()]);
+            *acc_r = w;
+        }
+    }
+    for (t, brow) in steps {
+        let brow: &[f32; NR] = brow[..NR].try_into().expect("NR columns");
+        for (acc_r, x) in acc.iter_mut().zip(factors(t)) {
+            for l in 0..NR {
+                acc_r[l] += x * brow[l];
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        let o = &mut out[r * n..];
+        if whole {
+            o[..NR].copy_from_slice(acc_r);
+        } else {
+            o[lanes.clone()].copy_from_slice(&acc_r[lanes.clone()]);
+        }
+    }
+}
+
+/// The tile panels of `n >= NR` output columns read in place: each whole
+/// panel's first column and the lanes it stores, then, when `n` is ragged,
+/// the last `NR` columns, storing only the lanes no whole panel stored.
+fn panels(n: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let ragged = (!n.is_multiple_of(NR)).then(|| (n - NR, NR - n % NR..NR));
+    (0..n / NR).map(|p| (p * NR, 0..NR)).chain(ragged)
+}
+
+/// `f::<MR>(i)` for each whole `MR`-row tile of `rows` rows, from row `i`,
+/// then `f::<1>(i)` for each row left over.
+macro_rules! row_tiles {
+    ($rows:expr, $f:ident($($arg:expr),*)) => {{
+        let rows = $rows;
+        let mut i = 0;
+        while i + MR <= rows {
+            $f::<MR>($($arg,)* i);
+            i += MR;
+        }
+        while i < rows {
+            $f::<1>($($arg,)* i);
+            i += 1;
+        }
+    }};
+}
+
+/// Body of one part of [`matmul`]: `out = a @ b` for the rows of `a` (row
+/// stride `k`) it is given, with `b` `[k, n]`, `k, n > 0`.
+#[inline(always)]
+fn nn_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, path: Path) {
+    if n < NT {
+        return by_width!(n, nn_narrow(a, b, out, k));
+    }
+    match path {
+        Path::Tile => row_tiles!(a.len() / k, nn_tile_rows(a, b, out, k, n)),
+        Path::List => nn_list(a, b, out, k, n),
+    }
+}
+
+/// `R` rows of `matmul` from row `i`, every term added: each tile panel
+/// of `b` read in place, one step per column of `a`.
+#[inline(always)]
+fn nn_tile_rows<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    i: usize,
+) {
+    let a = &a[i * k..];
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let out = &mut out[i * n..];
+    for (j, lanes) in panels(n) {
+        let steps = (0..k).zip(b[j..].chunks(n));
+        tile::<R>(steps, |kk| rows.map(|row| row[kk]), &mut out[j..], n, lanes);
+    }
+}
+
+/// The listed `matmul`: each row's non-zeros, [`LIST`] columns at a time,
+/// summed into register blocks of [`NB`] and then [`NT`] output columns,
+/// and an axpy per term for the last `< NT`.
+#[inline(always)]
+fn nn_list(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let mut list: Terms = [(0, 0.0); LIST];
+    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (k0, chunk) in (0..k).step_by(LIST).zip(arow.chunks(LIST)) {
+            let terms = nonzeros(chunk, &mut list);
+            let b = &b[k0 * n..];
+            let mut j0 = 0;
+            while j0 + NB <= n {
+                block::<NB>(terms, b, n, &mut orow[j0..j0 + NB], j0);
+                j0 += NB;
+            }
+            while j0 + NT <= n {
+                block::<NT>(terms, b, n, &mut orow[j0..j0 + NT], j0);
+                j0 += NT;
+            }
+            if j0 < n {
+                for &(kk, a_ik) in terms {
+                    let kk = kk as usize;
+                    axpy(&mut orow[j0..], a_ik, &b[kk * n + j0..(kk + 1) * n]);
+                }
+            }
+        }
+    }
 }
 
 /// `o += alpha * x`, elementwise.
@@ -337,18 +594,18 @@ fn axpy(o: &mut [f32], alpha: f32, x: &[f32]) {
     }
 }
 
-/// The non-zero entries of `row` as `(k, value)` in ascending `k`, written
-/// into `scratch` (at least `row.len()` long). Every entry is stored and the
+/// The non-zero entries of `row` (at most [`LIST`] long) as `(k, value)`
+/// in ascending `k`, written into `list`. Every entry is stored and the
 /// count advances only past a non-zero, so a row at PubMed's 9 % density
 /// costs no mispredicted branch. `-0.0 == 0.0` is dropped; a NaN is kept.
 #[inline(always)]
-fn nonzeros<'s>(row: &[f32], scratch: &'s mut [(usize, f32)]) -> &'s [(usize, f32)] {
+fn nonzeros<'s>(row: &[f32], list: &'s mut Terms) -> &'s [(u32, f32)] {
     let mut len = 0;
-    for (kk, &v) in row.iter().enumerate() {
-        scratch[len] = (kk, v);
+    for (kk, &v) in (0u32..).zip(row) {
+        list[len] = (kk, v);
         len += (v != 0.0) as usize;
     }
-    &scratch[..len]
+    &list[..len]
 }
 
 /// `acc + x · y`, or `acc` unchanged when `x` is zero (the masked select
@@ -359,70 +616,15 @@ fn add_unless_zero(acc: f32, x: f32, y: f32) -> f32 {
     acc + if x != 0.0 { x * y } else { 0.0 }
 }
 
-/// Calls `$f::<W>($args)` for the `n` in `1..NT` it is given.
-macro_rules! by_width {
-    ($n:expr, $f:ident($($arg:expr),*)) => {
-        match $n {
-            1 => $f::<1>($($arg),*),
-            2 => $f::<2>($($arg),*),
-            3 => $f::<3>($($arg),*),
-            4 => $f::<4>($($arg),*),
-            5 => $f::<5>($($arg),*),
-            6 => $f::<6>($($arg),*),
-            7 => $f::<7>($($arg),*),
-            8 => $f::<8>($($arg),*),
-            9 => $f::<9>($($arg),*),
-            10 => $f::<10>($($arg),*),
-            11 => $f::<11>($($arg),*),
-            12 => $f::<12>($($arg),*),
-            13 => $f::<13>($($arg),*),
-            14 => $f::<14>($($arg),*),
-            15 => $f::<15>($($arg),*),
-            _ => unreachable!("small-width path at {} columns", $n),
-        }
-    };
-}
-
-/// Body of one part of [`matmul`]: `out = a @ b` for the rows of `a` (row
-/// stride `k`) it is given, with `b` `[k, n]`, `k, n > 0`.
+/// Output columns `j0..j0 + W` of one listed `matmul` row: `W`
+/// accumulators start from what `out` holds (`+0.0`, or the sum of the
+/// row's earlier chunks), take the listed terms in ascending `k` and are
+/// stored once.
 #[inline(always)]
-fn nn_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    scratch: &mut [(usize, f32)],
-) {
-    if n < NT {
-        return by_width!(n, nn_narrow(a, b, out, k));
-    }
-    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        let terms = nonzeros(arow, scratch);
-        let mut j0 = 0;
-        while j0 + NB <= n {
-            block::<NB>(terms, b, n, j0, &mut orow[j0..j0 + NB]);
-            j0 += NB;
-        }
-        while j0 + NT <= n {
-            block::<NT>(terms, b, n, j0, &mut orow[j0..j0 + NT]);
-            j0 += NT;
-        }
-        if j0 < n {
-            for &(kk, a_ik) in terms {
-                axpy(&mut orow[j0..], a_ik, &b[kk * n + j0..(kk + 1) * n]);
-            }
-        }
-    }
-}
-
-/// Output columns `j0..j0 + W` of one `matmul` row: `W` accumulators start
-/// at `+0.0`, take the listed terms in ascending `k` and are stored once.
-#[inline(always)]
-fn block<const W: usize>(terms: &[(usize, f32)], b: &[f32], n: usize, j0: usize, out: &mut [f32]) {
-    let mut acc = [0.0f32; W];
+fn block<const W: usize>(terms: &[(u32, f32)], b: &[f32], n: usize, out: &mut [f32], j0: usize) {
+    let mut acc: [f32; W] = out.try_into().expect("a block is W columns");
     for &(kk, a_ik) in terms {
-        let brow = &b[kk * n + j0..][..W];
+        let brow = &b[kk as usize * n + j0..][..W];
         for (s, &bv) in acc.iter_mut().zip(brow) {
             *s += a_ik * bv;
         }
@@ -446,7 +648,7 @@ fn nn_narrow<const W: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize) {
     for (at, ot) in tiles.zip(out_tiles.chunks_exact_mut(NR_ROWS * W)) {
         nn_tile::<W, NR_ROWS>(at, b, ot, k);
     }
-    let mut list = [(0, 0.0f32); KC];
+    let mut list: Terms = [(0, 0.0); LIST];
     for (arow, orow) in a_rest.chunks_exact(k).zip(out_rest.chunks_exact_mut(W)) {
         nn_row::<W>(arow, b, orow, &mut list);
     }
@@ -454,20 +656,14 @@ fn nn_narrow<const W: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize) {
 
 /// One row of `a` against all of `b` (`[k, W]`): the row's `W`
 /// accumulators are a fixed array in registers and its non-zero terms are
-/// listed [`KC`] columns at a time into `list`, a stack buffer, so a zero
-/// costs a store, as in the wide path. Serving's few-row batches of sparse
-/// features take this path.
+/// listed [`LIST`] columns at a time into `list`, a stack buffer, so a
+/// zero costs a store, as in the wide path.
 #[inline(always)]
-fn nn_row<const W: usize>(
-    arow: &[f32],
-    b: &[f32],
-    orow: &mut [f32],
-    list: &mut [(usize, f32); KC],
-) {
+fn nn_row<const W: usize>(arow: &[f32], b: &[f32], orow: &mut [f32], list: &mut Terms) {
     let mut acc = [0.0f32; W];
-    for (k0, chunk) in (0..arow.len()).step_by(KC).zip(arow.chunks(KC)) {
+    for (k0, chunk) in (0..arow.len()).step_by(LIST).zip(arow.chunks(LIST)) {
         for &(kk, a_ik) in nonzeros(chunk, list) {
-            let brow = &b[(k0 + kk) * W..][..W];
+            let brow = &b[(k0 + kk as usize) * W..][..W];
             for (s, &bv) in acc.iter_mut().zip(brow) {
                 *s += a_ik * bv;
             }
@@ -520,29 +716,66 @@ fn tn_cols(
     k: usize,
     n: usize,
     cols: Range<usize>,
-    scratch: &mut [(usize, f32)],
+    path: Path,
 ) {
     if n < NT {
         return by_width!(n, tn_narrow(a, b, out, k, cols.start));
     }
-    // Whether the previous row's window of `a` had no zero.
-    let mut dense = false;
+    match path {
+        Path::Tile => {
+            let m = a.len() / k;
+            for i0 in (0..m).step_by(MB) {
+                let steps = MB.min(m - i0);
+                let (a, b) = (&a[i0 * k + cols.start..], &b[i0 * n..]);
+                row_tiles!(cols.len(), tn_tile_rows(a, b, out, k, n, steps));
+            }
+        }
+        Path::List => tn_list(a, b, out, k, n, cols),
+    }
+}
+
+/// `R` rows of `matmul_tn`'s `out` from row `i` of the window, over the
+/// `steps` rows of `a` and `b` given, every term added: step `t` reads
+/// `R` adjacent columns of row `t` of `a` and row `t` of `b` in place,
+/// and each tile starts from the partial sums `out` holds.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tn_tile_rows<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    steps: usize,
+    i: usize,
+) {
+    let out = &mut out[i * n..];
+    for (j, lanes) in panels(n) {
+        let a = &a[i..];
+        let factors = |t: usize| a[t * k..][..R].try_into().expect("R columns");
+        tile::<R>(
+            (0..steps).zip(b[j..].chunks(n)),
+            factors,
+            &mut out[j..],
+            n,
+            lanes,
+        );
+    }
+}
+
+/// The listed `matmul_tn`: each row's window of `a`, [`LIST`] columns at
+/// a time, listed, and an axpy of the row of `b` into each listed row of
+/// `out`.
+#[inline(always)]
+fn tn_list(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, cols: Range<usize>) {
+    let mut list: Terms = [(0, 0.0); LIST];
     for (arow, brow) in a.chunks_exact(k).zip(b.chunks_exact(n)) {
-        let arow = &arow[cols.clone()];
-        if dense {
-            for (&a_ik, orow) in arow.iter().zip(out.chunks_exact_mut(n)) {
-                if a_ik == 0.0 {
-                    dense = false;
-                    continue;
-                }
-                axpy(orow, a_ik, brow);
+        let window = &arow[cols.clone()];
+        for (c0, chunk) in (0..window.len()).step_by(LIST).zip(window.chunks(LIST)) {
+            for &(cc, a_ik) in nonzeros(chunk, &mut list) {
+                let r = c0 + cc as usize;
+                axpy(&mut out[r * n..(r + 1) * n], a_ik, brow);
             }
-        } else {
-            let terms = nonzeros(arow, scratch);
-            for &(kk, a_ik) in terms {
-                axpy(&mut out[kk * n..(kk + 1) * n], a_ik, brow);
-            }
-            dense = terms.len() == arow.len();
         }
     }
 }
@@ -604,51 +837,34 @@ fn nt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, panel: &mu
 /// with all of `b^T` packed each tile of `out` is written once. `k > 0`.
 #[inline(always)]
 fn nt_tiles(a: &[f32], packed: &[f32], out: &mut [f32], k: usize, n: usize, j0: usize) {
-    let m = a.len() / k;
-    let mut i = 0;
-    while i + MR <= m {
-        row_tile::<MR>(&a[i * k..], packed, &mut out[i * n..], k, n, j0);
-        i += MR;
-    }
-    while i < m {
-        row_tile::<1>(&a[i * k..], packed, &mut out[i * n..], k, n, j0);
-        i += 1;
-    }
+    row_tiles!(a.len() / k, nt_tile_rows(a, packed, out, k, n, j0));
 }
 
-/// `R` rows of `a` against every panel of `packed`, the first at column
-/// `j0`.
+/// `R` rows of `matmul_nt` from row `i` against every panel of `packed`,
+/// the first at column `j0`: step `kk` reads column `kk` of the rows of
+/// `a` and row `kk` of the packed panel.
 #[inline(always)]
-fn row_tile<const R: usize>(
+fn nt_tile_rows<const R: usize>(
     a: &[f32],
     packed: &[f32],
     out: &mut [f32],
     k: usize,
     n: usize,
     j0: usize,
+    i: usize,
 ) {
+    let a = &a[i * k..];
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let out = &mut out[i * n..];
     for (p, panel) in packed.chunks_exact(NR * k).enumerate() {
         let j = j0 + p * NR;
-        tile::<R>(a, panel, &mut out[j..], k, n, NR.min(n - j));
-    }
-}
-
-/// `R` rows of `a` (stride `k`) against one packed panel: `R × NR`
-/// accumulators, each summing its own element's terms in ascending `k`;
-/// the first `nr` columns are stored to `out` (row stride `n`).
-#[inline(always)]
-fn tile<const R: usize>(a: &[f32], panel: &[f32], out: &mut [f32], k: usize, n: usize, nr: usize) {
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
-    let mut acc = [[0.0f32; NR]; R];
-    for (kk, prow) in panel.chunks_exact(NR).enumerate() {
-        for (arow, acc_row) in rows.iter().zip(&mut acc) {
-            let a_ik = arow[kk];
-            for (s, &bv) in acc_row.iter_mut().zip(prow) {
-                *s += a_ik * bv;
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n..r * n + nr].copy_from_slice(&acc_row[..nr]);
+        let steps = (0..k).zip(panel.chunks_exact(NR));
+        tile::<R>(
+            steps,
+            |kk| rows.map(|row| row[kk]),
+            &mut out[j..],
+            n,
+            0..NR.min(n - j),
+        );
     }
 }

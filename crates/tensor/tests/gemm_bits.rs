@@ -97,14 +97,14 @@ const POISON: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 /// index `p` the tests use to place non-finite values.
 ///
 /// Half the cases have every dimension in `0..=37`: that includes 0 and 1,
-/// straddles the `4 × 16` register tile of `matmul_nt` (remainder rows, a
-/// narrow last panel, more than two panels), and runs `k` past one cache
+/// straddles the `4 × 16` register tile (remainder rows, a narrow or
+/// ragged last panel, more than two panels), and runs `k` past one cache
 /// line. A quarter have `n` in `38..=150`: up to two full 64-column blocks
-/// of `matmul`, then 16-column blocks, then a remainder that is an axpy per
-/// term. A quarter have one to four output columns (remainder only) and
-/// `k` up to 300, the shape of a layer that emits class logits. In every
-/// case about one row of `a` in six is all zero and one in six has no zero,
-/// so `matmul_tn` runs both its sparse and its dense-row path.
+/// of the listed `matmul`, then 16-column blocks, then a remainder that is
+/// an axpy per term. A quarter have one to four output columns (remainder
+/// only) and `k` up to 300, the shape of a layer that emits class logits.
+/// In every case about one row of `a` in six is all zero and one in six
+/// has no zero.
 #[derive(Debug)]
 struct Case {
     m: usize,
@@ -253,23 +253,60 @@ proptest! {
     }
 
     /// The baseline instantiation of each kernel body and the one the
-    /// dispatcher picks on this CPU give the same bits.
+    /// dispatcher picks on this CPU give the same bits, on both paths of
+    /// `matmul` and `matmul_tn`.
     #[test]
     fn baseline_and_dispatched_instantiations_agree(c in case()) {
-        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
         let Case { m, k, n, a, b, .. } = c;
-        let layouts: [(&str, Kernel, Kernel, usize, usize); 3] = [
-            ("matmul", gemm::nn, gemm::matmul, k * n, m * n),
-            ("matmul_nt", gemm::nt, gemm::matmul_nt, n * k, m * n),
-            ("matmul_tn", gemm::tn, gemm::matmul_tn, m * n, k * n),
-        ];
-        for (what, baseline, dispatched, b_len, out_len) in layouts {
+        for (what, baseline, dispatched, b_len, out_len) in layouts(m, k, n) {
             let (mut base, mut wide) = (vec![0.0f32; out_len], vec![0.0f32; out_len]);
             baseline(&a, &b[..b_len], &mut base, m, k, n);
-            dispatched(&a, &b[..b_len], &mut wide, m, k, n);
+            dispatched(1, &a, &b[..b_len], &mut wide, m, k, n);
             assert_same_bits(&wide, &base, what)?;
         }
     }
+}
+
+/// A kernel body on row-major slices, `(a, b, out, m, k, n)`.
+type Serial = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+/// The dispatched kernel in a given part count.
+type Parted = fn(usize, &[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// Every layout and path: its name, serial baseline body, dispatched
+/// kernel, and the lengths of `b` and `out` at `(m, k, n)`.
+fn layouts(m: usize, k: usize, n: usize) -> [(&'static str, Serial, Parted, usize, usize); 5] {
+    use gemm::Path::{List, Tile};
+    [
+        (
+            "matmul (list)",
+            |a, b, o, m, k, n| gemm::nn(List, a, b, o, m, k, n),
+            |p, a, b, o, m, k, n| gemm::matmul_in(p, List, a, b, o, m, k, n),
+            k * n,
+            m * n,
+        ),
+        (
+            "matmul (tile)",
+            |a, b, o, m, k, n| gemm::nn(Tile, a, b, o, m, k, n),
+            |p, a, b, o, m, k, n| gemm::matmul_in(p, Tile, a, b, o, m, k, n),
+            k * n,
+            m * n,
+        ),
+        ("matmul_nt", gemm::nt, gemm::matmul_nt_in, n * k, m * n),
+        (
+            "matmul_tn (list)",
+            |a, b, o, m, k, n| gemm::tn(List, a, b, o, m, k, n),
+            |p, a, b, o, m, k, n| gemm::matmul_tn_in(p, List, a, b, o, m, k, n),
+            m * n,
+            k * n,
+        ),
+        (
+            "matmul_tn (tile)",
+            |a, b, o, m, k, n| gemm::tn(Tile, a, b, o, m, k, n),
+            |p, a, b, o, m, k, n| gemm::matmul_tn_in(p, Tile, a, b, o, m, k, n),
+            m * n,
+            k * n,
+        ),
+    ]
 }
 
 /// Says which comparison `baseline_and_dispatched_instantiations_agree` made.
@@ -339,21 +376,12 @@ fn small_case() -> impl Strategy<Value = Case> {
     })
 }
 
-/// A kernel body on row-major slices, `(a, b, out, m, k, n)`.
-type Serial = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-
-/// Runs each kernel in every part count of [`PARTS`] and compares it with
-/// the serial body.
+/// Runs each kernel on each path in every part count of [`PARTS`] and
+/// compares it with the serial body.
 fn parts_equal_serial(c: &Case) -> Result<(), String> {
-    type Parted = fn(usize, &[f32], &[f32], &mut [f32], usize, usize, usize);
     let Case { m, k, n, a, b, .. } = c;
     let (m, k, n) = (*m, *k, *n);
-    let layouts: [(&str, Serial, Parted, usize, usize); 3] = [
-        ("matmul", gemm::nn, gemm::matmul_in, k * n, m * n),
-        ("matmul_nt", gemm::nt, gemm::matmul_nt_in, n * k, m * n),
-        ("matmul_tn", gemm::tn, gemm::matmul_tn_in, m * n, k * n),
-    ];
-    for (what, serial, parted, b_len, out_len) in layouts {
+    for (what, serial, parted, b_len, out_len) in layouts(m, k, n) {
         let mut want = vec![0.0f32; out_len];
         serial(a, &b[..b_len], &mut want, m, k, n);
         for parts in PARTS {
@@ -390,11 +418,135 @@ proptest! {
     }
 }
 
+/// A case for the register tile: `m` either below one row tile or around
+/// one and two of `matmul_tn`'s reduction blocks (`MB` = 256 rows), `k`
+/// across several `MR` = 4 row tiles (for `matmul_tn`, column tiles), and
+/// `n` from below one `NR` = 16 panel through ragged last panels to three
+/// whole ones. `a` is drawn as in [`case`] (0, 5 or 9 tenths zero, half of
+/// them `-0.0`); `b` is finite.
+fn tile_case() -> impl Strategy<Value = Case> {
+    let dims = (0usize..2, 0usize..=270, 0usize..=13, 0usize..=50);
+    (dims, 0usize..3, 0usize..1000).prop_flat_map(|((tall, m, k, n), sparsity, p)| {
+        let m = if tall == 1 { 250 + m } else { m % 10 };
+        let zeros = [0u32, 5, 9][sparsity];
+        (
+            proptest::collection::vec(-3.0f32..3.0, m * k),
+            proptest::collection::vec(0u32..20, m * k),
+            proptest::collection::vec(-3.0f32..3.0, (m * n).max(k * n)),
+        )
+            .prop_map(move |(mut a, roll, b)| {
+                for (x, r) in a.iter_mut().zip(roll) {
+                    if r / 2 < zeros {
+                        *x = if r % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                Case { m, k, n, a, b, p }
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Against a finite `b` the tile, which adds every term, gives the
+    /// bits of the list, which skips a zero `a` factor (module invariant
+    /// 2): at every density, with a `NaN`, a `-0.0` and a `+0.0` placed in
+    /// `a`, across tile edges, ragged panels and `matmul_tn`'s reduction
+    /// blocks, in one part and in two.
+    #[test]
+    fn tile_and_list_give_the_same_bits_on_finite_b(c in tile_case()) {
+        let Case { m, k, n, mut a, b, p } = c;
+        if !a.is_empty() {
+            let len = a.len();
+            for (v, at) in [(f32::NAN, p), (-0.0, p / 7), (0.0, p / 3)] {
+                a[at % len] = v;
+            }
+        }
+        for (what, serial, parted, b_len, out_len) in layouts(m, k, n) {
+            let mut want = vec![0.0f32; out_len];
+            serial(&a, &b[..b_len], &mut want, m, k, n);
+            let oracle = match what {
+                "matmul_nt" => continue,
+                "matmul (list)" | "matmul (tile)" => matmul_oracle(
+                    &NdArray::from_vec(m, k, a.clone()),
+                    &NdArray::from_vec(k, n, b[..b_len].to_vec()),
+                ),
+                _ => matmul_tn_oracle(
+                    &NdArray::from_vec(m, k, a.clone()),
+                    &NdArray::from_vec(m, n, b[..b_len].to_vec()),
+                ),
+            };
+            assert_same_bits(&want, oracle.data(), what)?;
+            for parts in [1, 2] {
+                let mut got = vec![0.0f32; out_len];
+                parted(parts, &a, &b[..b_len], &mut got, m, k, n);
+                assert_same_bits(&got, oracle.data(), &format!("{what} in {parts} parts"))?;
+            }
+        }
+    }
+
+    /// One `NaN` or `inf` anywhere in `b` sends a dense op of 12 rows or
+    /// more back to the list, so the output still has the skip's bits: a
+    /// zero placed in `a` opposite the poison keeps it out. Without the
+    /// fallback the tile would add `0 × inf` there.
+    #[test]
+    fn one_non_finite_b_anywhere_keeps_the_skip(
+        m in 12usize..=300,
+        k in 1usize..=24,
+        n in 16usize..=40,
+        p in 0usize..100_000,
+        values in proptest::collection::vec(-3.0f32..3.0, 300 * 40),
+    ) {
+        let a: Vec<f32> = values[..m * k].iter().map(|&x| if x == 0.0 { 1.0 } else { x }).collect();
+        let poison = POISON[p % 3];
+        // `matmul`: b [k, n] poisoned at (kk, j), `a` zero at (i, kk).
+        let (mut an, mut b) = (a.clone(), values[values.len() - k * n..].to_vec());
+        let (kk, j, i) = (p % k, (p / k) % n, (p / (k * n)) % m);
+        b[kk * n + j] = poison;
+        an[i * k + kk] = 0.0;
+        let (an, bn) = (NdArray::from_vec(m, k, an), NdArray::from_vec(k, n, b));
+        let got = an.matmul(&bn);
+        prop_assert!(got.row(i)[j].is_finite(), "matmul: 0 × {poison} reached row {i} column {j}");
+        assert_same_bits(got.data(), matmul_oracle(&an, &bn).data(), "matmul")?;
+        // `matmul_tn`: b [m, n] poisoned at (i, j), `a` zero at (i, kk).
+        let (mut at, mut b) = (a, values[values.len() - m * n..].to_vec());
+        b[i * n + j] = poison;
+        at[i * k + kk] = 0.0;
+        let (at, bt) = (NdArray::from_vec(m, k, at), NdArray::from_vec(m, n, b));
+        let got = at.matmul_tn(&bt);
+        prop_assert!(got.row(kk)[j].is_finite(), "matmul_tn: 0 × {poison} reached row {kk} column {j}");
+        assert_same_bits(got.data(), matmul_tn_oracle(&at, &bt).data(), "matmul_tn")?;
+    }
+}
+
+/// The path choice, pinned: a 1- or 8-row product (a readout over a few
+/// graphs) lists whatever it holds, a 16-row readout and a 448-row dense
+/// activation tile, and one `inf` in `b`, or an `a` under half non-zero,
+/// sends either back to the list.
+#[test]
+fn the_tile_runs_on_tall_dense_inputs_against_a_finite_b() {
+    use gemm::Path::{List, Tile};
+    let (k, n) = (96, 96);
+    let mut b = vec![0.5f32; k * n];
+    let dense = (7 * k, 10 * k);
+    assert_eq!(gemm::path(1, dense, &b), List);
+    assert_eq!(gemm::path(8, dense, &b), List);
+    assert_eq!(gemm::path(16, dense, &b), Tile);
+    assert_eq!(gemm::path(448, dense, &b), Tile);
+    assert_eq!(gemm::path(448, (k, 10 * k), &b), List, "10 % non-zero");
+    b[k * n - 1] = f32::INFINITY;
+    assert_eq!(gemm::path(16, dense, &b), List);
+    assert_eq!(gemm::path(448, dense, &b), List);
+}
+
 /// PubMed's shapes through the public API against the serial body. All are
 /// above the part threshold, so on a host with more than one core they run
 /// split (none of the goldens' smoke sizes reaches it): layer 1's on the
 /// sparse-list paths, layer 2's on the small-width paths and the packed
 /// `k` = 3 `matmul_nt`, and a `k` = 8 `matmul_nt` (GAT's eight heads).
+/// Then the dense activations of the minibatch workloads, which take the
+/// register tile, through the public API and in one and two parts, against
+/// the serial list body.
 #[test]
 fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
     /// xorshift values in `[-0.5, 0.5)`, a fraction `density` non-zero.
@@ -429,6 +581,8 @@ fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
         serial(a.data(), b.data(), &mut want, m, k, n);
         assert_same_bits(got.data(), &want, what).unwrap();
     }
+    let nn: Serial = |a, b, o, m, k, n| gemm::nn(gemm::Path::List, a, b, o, m, k, n);
+    let tn: Serial = |a, b, o, m, k, n| gemm::tn(gemm::Path::List, a, b, o, m, k, n);
     let mut seed = 0x9E37_79B9_7F4A_7C15;
     let (nodes, feats, hidden, classes) = (19717, 500, 256, 3);
     // Layer 1 forward and its weight gradient: the bag-of-words input.
@@ -438,7 +592,7 @@ fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
         &x.matmul(&w1),
         &x,
         &w1,
-        gemm::nn,
+        nn,
         (nodes, feats, hidden),
         "[19717, 500] · [500, 256]",
     );
@@ -447,7 +601,7 @@ fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
         &x.matmul_tn(&dh),
         &x,
         &dh,
-        gemm::tn,
+        tn,
         (nodes, feats, hidden),
         "[19717, 500]ᵀ · [19717, 256]",
     );
@@ -458,7 +612,7 @@ fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
         &h.matmul(&w2),
         &h,
         &w2,
-        gemm::nn,
+        nn,
         (nodes, hidden, classes),
         "[19717, 256] · [256, 3]",
     );
@@ -475,7 +629,7 @@ fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
         &h.matmul_tn(&dy),
         &h,
         &dy,
-        gemm::tn,
+        tn,
         (nodes, hidden, classes),
         "[19717, 256]ᵀ · [19717, 3]",
     );
@@ -491,4 +645,32 @@ fn pubmed_shapes_through_ndarray_equal_the_serial_body() {
         (nodes, 8, hidden),
         "[19717, 8] · [256, 8]ᵀ",
     );
+    // GIN/GatedGCN's hidden layer on ENZYMES (`matmul`) and SAGE's sampled
+    // weight gradient (`matmul_tn`): through `NdArray`, which tiles them,
+    // and on the tile in one and two parts.
+    for ((m, k, n), density, layout) in [((448, 96, 96), 0.7, 1), ((4288, 128, 32), 0.6, 4)] {
+        let (what, _, tiled, b_len, out_len) = layouts(m, k, n)[layout];
+        let what = format!("{what} at ({m}, {k}, {n})");
+        let a = array(&mut seed, m, k, density);
+        let b = array(&mut seed, b_len / n, n, 1.0);
+        let (got, serial) = if layout == 1 {
+            (a.matmul(&b), nn)
+        } else {
+            (a.matmul_tn(&b), tn)
+        };
+        check(&got, &a, &b, serial, (m, k, n), &what);
+        for parts in [1, 2] {
+            let mut out = vec![0.0f32; out_len];
+            tiled(parts, a.data(), b.data(), &mut out, m, k, n);
+            let got = NdArray::from_vec(got.rows(), n, out);
+            check(
+                &got,
+                &a,
+                &b,
+                serial,
+                (m, k, n),
+                &format!("{what} in {parts} parts"),
+            );
+        }
+    }
 }
