@@ -1,17 +1,17 @@
-//! Fleet-config auditing: proving a sharded serving run can route, eject,
-//! and recover before any model is loaded.
+//! Fleet-config auditing: the fleet engine's own hard rules plus the
+//! warnings only a static pass can give, before any model is loaded.
 //!
-//! A [`gnn_serve::FleetConfig`] is plain data checked only when the fleet
-//! engine runs, so a misconfigured chaos experiment fails late or — worse —
-//! runs and silently measures the wrong thing: a fleet with zero shards
-//! routes nothing; a retry budget above 1 lets every primary admission fund
-//! more than one retry, so the recovery machinery can *amplify* a brownout
-//! instead of containing it; health thresholds whose ejection horizon
-//! (`fail_threshold × probe_interval`) exceeds the run's simulated length
-//! can never eject, so failover paths are dead code under test. This pass
-//! flags every such knob under [`FindingKind::InvalidFleetConfig`] ahead of
-//! the run — the `gnn-bench fleet` command's `--lint` gate refuses to start
-//! on any finding.
+//! Every rule [`gnn_serve::FleetConfig::validate`] enforces is reported
+//! from [`gnn_serve::FleetConfig::violations`], one finding per broken
+//! rule under [`FindingKind::InvalidFleetConfig`], with the engine's own
+//! error text. On top, this pass warns about fleets the engine accepts
+//! but that silently measure the wrong thing: a retry budget above 1 lets
+//! every primary admission fund more than one retry, so the recovery
+//! machinery can *amplify* a brownout instead of containing it; an
+//! ejection horizon (`fail_threshold × probe_interval`) at or past the
+//! run's simulated length can never eject, so failover paths are dead
+//! code under test. The `gnn-bench fleet` command's `--lint` gate refuses
+//! to start on any finding.
 //!
 //! The fleet fault audit ([`check_fleet_fault_plan`]) cross-checks the
 //! armed plan against the fleet's shape: a `blackout` or `netslow` spec
@@ -20,68 +20,26 @@
 //! not a straggler at all.
 
 use gnn_faults::{FaultKind, FaultPlan};
-use gnn_serve::{CellId, ClosedLoop, FleetConfig, FleetWorkload, WorkloadSpec};
+use gnn_serve::{FleetConfig, FleetWorkload};
 
 use crate::report::{Finding, FindingKind};
+use crate::serve_check::{parse_endpoints, report_violations};
 
 fn flag(findings: &mut Vec<Finding>, path: impl Into<String>, message: impl Into<String>) {
     findings.push(Finding::new(FindingKind::InvalidFleetConfig, path, message));
 }
 
 /// Audits a fleet serving run before execution, appending one finding per
-/// degenerate knob. `endpoints` are the *raw* endpoint paths as given on
-/// the command line (pre-parse, so unknown cells are reportable);
-/// `cfg.endpoints` itself is not consulted. Paths are `fleet/shards`,
-/// `fleet/endpoints/<i>`, `fleet/admission`, `fleet/retry-budget`,
-/// `fleet/hedge`, `fleet/health`, `fleet/autoscale`, or `fleet/workload`.
+/// broken rule or warning. `endpoints` are the *raw* endpoint paths as
+/// given on the command line (pre-parse, so unknown cells are reportable).
+/// Paths are `fleet/<knob>` ([`gnn_serve::ServeConfigError::knob`]) or
+/// `fleet/endpoints/<i>`.
 pub fn check_fleet_config(endpoints: &[String], cfg: &FleetConfig, findings: &mut Vec<Finding>) {
-    if endpoints.is_empty() {
-        flag(
-            findings,
-            "fleet/endpoints",
-            "no endpoints configured: every request would be unroutable",
-        );
-    }
-    for (i, raw) in endpoints.iter().enumerate() {
-        if let Err(e) = CellId::parse(raw) {
-            flag(findings, format!("fleet/endpoints/{i}"), e.to_string());
-        }
-    }
+    let kind = FindingKind::InvalidFleetConfig;
+    parse_endpoints(kind, "fleet", endpoints, findings);
+    report_violations(kind, "fleet", cfg.violations(), findings);
 
-    if cfg.shards == 0 {
-        flag(
-            findings,
-            "fleet/shards",
-            "shards=0: the router has nowhere to send any request \
-             (every arrival sheds as unroutable)",
-        );
-    }
-    if cfg.replicas_per_shard == 0 {
-        flag(
-            findings,
-            "fleet/shards",
-            "replicas_per_shard=0: every shard fails its first health probe \
-             and the whole fleet ejects",
-        );
-    }
-    if cfg.admission_cap == 0 {
-        flag(
-            findings,
-            "fleet/admission",
-            "admission_cap=0: every request sheds before queuing",
-        );
-    }
-
-    if !(cfg.retry_budget.is_finite() && cfg.retry_budget >= 0.0) {
-        flag(
-            findings,
-            "fleet/retry-budget",
-            format!(
-                "retry_budget={} must be finite and non-negative",
-                cfg.retry_budget
-            ),
-        );
-    } else if cfg.retry_budget > 1.0 {
+    if cfg.retry_budget > 1.0 && cfg.retry_budget.is_finite() {
         flag(
             findings,
             "fleet/retry-budget",
@@ -94,130 +52,29 @@ pub fn check_fleet_config(endpoints: &[String], cfg: &FleetConfig, findings: &mu
             ),
         );
     }
-    if let Some(h) = cfg.hedge_after {
-        if !(h.is_finite() && h > 0.0) {
-            flag(
-                findings,
-                "fleet/hedge",
-                format!("hedge_after={h} must be positive"),
-            );
-        }
-    }
-
-    check_health(cfg, findings);
-    check_autoscale(cfg, findings);
-    check_workload(cfg, findings);
-}
-
-fn check_health(cfg: &FleetConfig, findings: &mut Vec<Finding>) {
-    let health = &cfg.health;
-    if !(health.probe_interval.is_finite() && health.probe_interval > 0.0) {
-        flag(
-            findings,
-            "fleet/health",
-            format!(
-                "probe_interval={} must be positive: health is never observed",
-                health.probe_interval
-            ),
-        );
-        return; // the horizon check below would divide by nonsense
-    }
-    if health.fail_threshold == 0 {
-        flag(
-            findings,
-            "fleet/health",
-            "fail_threshold=0: ejection can never be reached",
-        );
-    }
-    if health.readmit_threshold == 0 {
-        flag(
-            findings,
-            "fleet/health",
-            "readmit_threshold=0: re-admission can never be reached",
-        );
-    }
-    // A fleet whose ejection horizon exceeds the run's simulated length can
+    // A fleet whose ejection horizon reaches the run's simulated length can
     // never eject anything: the failover machinery is dead code under test.
     // Only the open-loop kinds have a pre-computable horizon (requests /
     // mean rate); closed loops self-pace.
-    if let FleetWorkload::Open(_) = cfg.workload {
-        if cfg.rate > 0.0 && cfg.rate.is_finite() && health.fail_threshold > 0 {
-            let horizon = cfg.requests as f64 / cfg.rate;
-            let eject_after = health.fail_threshold as f64 * health.probe_interval;
-            if eject_after >= horizon && horizon > 0.0 {
-                flag(
-                    findings,
-                    "fleet/health",
-                    format!(
-                        "ejection needs {} consecutive probes x {}s = {eject_after}s, but \
-                         the workload's horizon is only ~{horizon:.4}s ({} requests at \
-                         {}/s): the health checker can never eject a shard in this run",
-                        health.fail_threshold, health.probe_interval, cfg.requests, cfg.rate
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn check_autoscale(cfg: &FleetConfig, findings: &mut Vec<Finding>) {
-    let Some(a) = &cfg.autoscale else { return };
-    if a.min_replicas == 0 {
+    let health = &cfg.health;
+    let horizon = cfg.requests as f64 / cfg.rate;
+    let eject_after = health.fail_threshold as f64 * health.probe_interval;
+    if matches!(cfg.workload, FleetWorkload::Open(_))
+        && horizon.is_finite()
+        && horizon > 0.0
+        && eject_after.is_finite()
+        && eject_after >= horizon
+    {
         flag(
             findings,
-            "fleet/autoscale",
-            "min_replicas=0: scale-down can empty a shard, which then fails \
-             every health probe",
-        );
-    }
-    if a.min_replicas > a.max_replicas {
-        flag(
-            findings,
-            "fleet/autoscale",
+            "fleet/health",
             format!(
-                "min_replicas={} above max_replicas={}: no replica count satisfies \
-                 both bounds",
-                a.min_replicas, a.max_replicas
+                "ejection needs {} consecutive probes x {}s = {eject_after}s, but \
+                 the workload's horizon is only ~{horizon:.4}s ({} requests at \
+                 {}/s): the health checker can never eject a shard in this run",
+                health.fail_threshold, health.probe_interval, cfg.requests, cfg.rate
             ),
         );
-    }
-    if a.queue_low >= a.queue_high {
-        flag(
-            findings,
-            "fleet/autoscale",
-            format!(
-                "queue_low={} not below queue_high={}: one queue depth triggers both \
-                 scale-up and scale-down, so the controller thrashes",
-                a.queue_low, a.queue_high
-            ),
-        );
-    }
-    if !(a.cooldown.is_finite() && a.cooldown >= 0.0) {
-        flag(
-            findings,
-            "fleet/autoscale",
-            format!("cooldown={} must be finite and non-negative", a.cooldown),
-        );
-    }
-}
-
-fn check_workload(cfg: &FleetConfig, findings: &mut Vec<Finding>) {
-    // The typed constructors are the source of truth: the lint message is
-    // exactly the `WorkloadError` the engine would refuse with.
-    match &cfg.workload {
-        FleetWorkload::Open(kind) => {
-            if let Err(e) = WorkloadSpec::new(cfg.seed, cfg.requests, cfg.rate, *kind) {
-                flag(findings, "fleet/workload", e.to_string());
-            }
-        }
-        FleetWorkload::Closed {
-            clients,
-            think_time,
-        } => {
-            if let Err(e) = ClosedLoop::new(cfg.seed, cfg.requests, *clients, *think_time) {
-                flag(findings, "fleet/workload", e.to_string());
-            }
-        }
     }
 }
 
@@ -295,7 +152,6 @@ fn check_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnn_serve::{AutoscalePolicy, WorkloadKind};
 
     fn raw_endpoints(cfg: &FleetConfig) -> Vec<String> {
         cfg.endpoints.iter().map(|c| c.path()).collect()
@@ -314,31 +170,15 @@ mod tests {
     }
 
     #[test]
-    fn unroutable_fleets_are_flagged() {
-        let mut cfg = FleetConfig {
-            shards: 0,
-            ..FleetConfig::default()
-        };
-        let findings = lint(&cfg);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].kind, FindingKind::InvalidFleetConfig);
-        assert_eq!(findings[0].kind.label(), "fleet-config");
-        assert!(findings[0].message.contains("unroutable"));
-
-        cfg.shards = 2;
-        cfg.endpoints.clear();
-        let mut findings = Vec::new();
-        check_fleet_config(&[], &cfg, &mut findings);
-        assert!(findings.iter().any(|f| f.path == "fleet/endpoints"));
-
-        let cfg = FleetConfig::default();
+    fn unknown_cells_are_flagged_by_position() {
         let mut findings = Vec::new();
         check_fleet_config(
             &["table4/Cora/GCN/PyG".into(), "table9/Nope/GCN/PyG".into()],
-            &cfg,
+            &FleetConfig::default(),
             &mut findings,
         );
         assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].kind.label(), "fleet-config");
         assert_eq!(findings[0].path, "fleet/endpoints/1");
     }
 
@@ -352,14 +192,6 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("amplify"));
         assert_eq!(findings[0].path, "fleet/retry-budget");
-
-        let cfg = FleetConfig {
-            retry_budget: f64::NAN,
-            ..FleetConfig::default()
-        };
-        let findings = lint(&cfg);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("finite"));
 
         // A budget of exactly 1 is the boundary: bounded, not amplifying.
         let cfg = FleetConfig {
@@ -380,12 +212,6 @@ mod tests {
         assert!(findings[0].message.contains("can never eject"));
         assert_eq!(findings[0].path, "fleet/health");
 
-        let mut cfg = FleetConfig::default();
-        cfg.health.probe_interval = 0.0;
-        let findings = lint(&cfg);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("never observed"));
-
         // Closed loops self-pace: no horizon, no never-eject finding.
         let mut cfg = FleetConfig {
             workload: FleetWorkload::Closed {
@@ -396,47 +222,6 @@ mod tests {
         };
         cfg.health.fail_threshold = 50;
         assert!(lint(&cfg).is_empty());
-    }
-
-    #[test]
-    fn degenerate_autoscale_and_workloads_are_flagged() {
-        let cfg = FleetConfig {
-            autoscale: Some(AutoscalePolicy {
-                queue_high: 4,
-                queue_low: 4,
-                min_replicas: 3,
-                max_replicas: 2,
-                cooldown: 0.01,
-            }),
-            ..FleetConfig::default()
-        };
-        let findings = lint(&cfg);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().all(|f| f.path == "fleet/autoscale"));
-        assert!(findings.iter().any(|f| f.message.contains("thrashes")));
-
-        let cfg = FleetConfig {
-            workload: FleetWorkload::Open(WorkloadKind::Diurnal {
-                period: 0.0,
-                amplitude: 0.5,
-            }),
-            ..FleetConfig::default()
-        };
-        let findings = lint(&cfg);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].path, "fleet/workload");
-        assert!(findings[0].message.contains("period"));
-
-        let cfg = FleetConfig {
-            workload: FleetWorkload::Closed {
-                clients: 0,
-                think_time: 0.01,
-            },
-            ..FleetConfig::default()
-        };
-        let findings = lint(&cfg);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("client"));
     }
 
     #[test]

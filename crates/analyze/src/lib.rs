@@ -28,31 +28,26 @@
 //! - **Counter-coverage audit** ([`counter_check`]): every kernel kind the
 //!   device cost model prices must have a FLOPs/bytes counter formula, or
 //!   roofline attribution would silently report zero work for it.
-//! - **Serve-config audit** ([`serve_check`]): inference-serving runs are
-//!   checked for batching policies that can never fire (zero delay with a
-//!   batch size above one, batch sizes beyond the dataset's admissible
-//!   targets, queues too small to fill a batch), endpoints naming unknown
+//! - **Serve-config audit** ([`serve_check`]): inference-serving runs
+//!   are reported against the engine's own rules
+//!   (`ServeConfig::violations`), plus warnings for batching policies that
+//!   can never fire (zero delay with a batch size above one, batch sizes
+//!   beyond the dataset's admissible targets), endpoints naming unknown
 //!   cells, and policies whose `max_batch` cannot fit one replica
 //!   session's certified inference footprint.
-//! - **Sample-config audit** ([`sample_check`]): giant-graph sampling
-//!   specs are audited field-by-field before any RMAT graph is generated
-//!   — degenerate RMAT parameters, dead fan-out schedules, seed batches
-//!   beyond the closed-form node range, feature caches larger than the
-//!   feature matrix, and broken partition placements — reporting every
-//!   defect of a spec at once; sampled cells are then lowered through the
-//!   same IR and memory-certified at their fan-out union bounds.
+//! - **Sample-config audit** ([`sample_check`]): every rule a giant-graph
+//!   sampling spec breaks (`SampleSpec::violations`) is reported at once,
+//!   before any RMAT graph is generated; sampled cells are then lowered
+//!   through the same IR and memory-certified at their fan-out union
+//!   bounds.
 //! - **Fleet-config audit** ([`fleet_check`]): sharded serving runs are
-//!   checked for unroutable fleets (zero shards, unknown endpoint cells),
-//!   retry budgets above 1 that let recovery traffic amplify a brownout,
-//!   health thresholds whose ejection horizon exceeds the workload's
-//!   simulated length (failover becomes dead code under test), degenerate
-//!   autoscaler watermarks, and fleet fault specs (`blackout`, `netslow`)
-//!   naming shards the fleet does not have or windows that can never fire.
-//! - **What-if audit** ([`whatif_check`]): causal-profiler predictions
-//!   (`gnn-bench whatif`) are checked for internal consistency before
-//!   publication — a virtual *speedup* may never predict a slowdown,
-//!   predictions must improve monotonically with the speedup factor, and
-//!   no component may save more time than its own measured budget.
+//!   reported against the fleet engine's own rules
+//!   (`FleetConfig::violations`), plus warnings for retry budgets above 1
+//!   that let recovery traffic amplify a brownout and health thresholds
+//!   whose ejection horizon reaches the workload's simulated length
+//!   (failover becomes dead code under test), and fleet fault specs
+//!   (`blackout`, `netslow`) naming shards the fleet does not have or
+//!   windows that can never fire.
 //! - **Memory certification** ([`memory`], [`liveness`]): every cell's
 //!   lowering is priced allocation-by-allocation into a closed-form
 //!   symbolic peak-memory expression (forward activations, autograd-saved
@@ -82,7 +77,6 @@ pub mod sample_check;
 pub mod schedule;
 pub mod serve_check;
 pub mod tape;
-pub mod whatif_check;
 
 pub use counter_check::check_counter_coverage;
 pub use fault_plan::{check_fault_plan, check_memory_ceilings};

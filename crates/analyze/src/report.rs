@@ -30,8 +30,8 @@ pub enum FindingKind {
     /// A fault-injection spec can never fire (or can never be survived)
     /// under the configured run.
     InvalidFaultPlan,
-    /// A serving configuration is degenerate: a batching policy that can
-    /// never fire, or endpoints naming unknown cells.
+    /// A serving configuration breaks one of the engine's rules, has a
+    /// batching policy that can never fire, or names unknown cells.
     InvalidServeConfig,
     /// A giant-graph sampling configuration is degenerate: zero fan-outs,
     /// seed batches larger than the node range, a feature cache bigger
@@ -58,11 +58,6 @@ pub enum FindingKind {
     /// A serve policy's `max_batch` cannot fit one replica session's
     /// certified inference footprint.
     ServeBatchExceedsReplicaMemory,
-    /// A causal what-if prediction violates its own physics: a virtual
-    /// speedup that slows the run down, a prediction that is not monotone
-    /// in the speedup factor, or a predicted saving exceeding the
-    /// component's recorded critical-path budget.
-    WhatIfInconsistent,
     /// A memory certificate's bounds are out of order: not `0 <
     /// persistent < floor_fatal <= peak_upper`, or a certified peak below
     /// the ideal free-at-last-use one.
@@ -89,7 +84,6 @@ impl FindingKind {
             FindingKind::PeakExceedsDeviceMemory => "peak-exceeds-device-memory",
             FindingKind::CeilingUnsatisfiable => "ceiling-unsatisfiable",
             FindingKind::ServeBatchExceedsReplicaMemory => "serve-batch-exceeds-replica-memory",
-            FindingKind::WhatIfInconsistent => "whatif-inconsistency",
             FindingKind::CertificateInconsistent => "certificate-inconsistency",
         }
     }

@@ -1,101 +1,31 @@
-//! Sample-config auditing: proving a giant-graph sampling cell can
-//! actually run before the (possibly million-node) graph is generated.
+//! Sample-config auditing: every rule of a giant-graph sampling spec,
+//! reported at once before the (possibly million-node) graph is generated.
 //!
-//! A [`gnn_sample::SampleSpec`] is plain data; its own `validate()` stops
-//! at the *first* degenerate field, and the sweep/serve/bench layers call
-//! it only when a cell is about to run. This pass audits every field of a
-//! spec up front and reports **all** defects at once under
-//! [`FindingKind::InvalidSampleConfig`] (`sample-config` in `lint.json`),
-//! so a fanout/cache sweep with several broken points fails with the full
-//! list, not one error per rerun. The diagnostics reuse the
-//! [`gnn_sample::SampleConfigError`] `Display` strings byte-for-byte.
-//!
-//! Checked per spec, at `sample/<name>/<field>` paths:
-//!
-//! - degenerate RMAT parameters (scale, edge factor, quadrant weights,
-//!   feature dim, classes) — the generator could not build a graph;
-//! - an empty fan-out list or a zero fan-out hop — the frontier dies;
-//! - seed batches out of the node range — `batch_seeds` beyond the
-//!   graph's node count cannot name distinct seed nodes;
-//! - a feature cache larger than the feature matrix — every row is
-//!   resident, the miss path is dead code, the sweep point meaningless;
-//! - a placement with zero partitions or a home partition out of range.
+//! [`gnn_sample::SampleSpec::validate`] refuses with the first broken
+//! rule; this pass reports every entry of
+//! [`gnn_sample::SampleSpec::violations`] as one
+//! [`FindingKind::InvalidSampleConfig`] finding (`sample-config` in
+//! `lint.json`) at `sample/<name>/<field>`, with the spec's own error
+//! text, so a fanout/cache sweep with several broken points fails with
+//! the full list, not one error per rerun.
 
-use gnn_sample::{validate_fanouts, SampleConfigError, SampleSpec};
+use gnn_sample::SampleSpec;
 
 use crate::report::{Finding, FindingKind};
 
-fn flag(path: String, err: &SampleConfigError, findings: &mut Vec<Finding>) {
-    findings.push(Finding::new(
-        FindingKind::InvalidSampleConfig,
-        path,
-        err.to_string(),
-    ));
-}
-
-/// Audits every field of one sampled-cell spec, appending one
-/// `sample-config` finding per defect. Returns the number of findings
-/// added. `spec.name` roots the finding paths (`sample/<name>/...`).
+/// Audits one sampled-cell spec, appending one `sample-config` finding
+/// per broken rule. Returns the number of findings added. `spec.name`
+/// roots the finding paths (`sample/<name>/<field>`).
 pub fn check_sample_spec(spec: &SampleSpec, findings: &mut Vec<Finding>) -> usize {
-    let before = findings.len();
-    let root = format!("sample/{}", spec.name);
-
-    if let Err(e) = spec.rmat.validate() {
-        flag(format!("{root}/rmat"), &e, findings);
+    let violations = spec.violations();
+    for err in &violations {
+        findings.push(Finding::new(
+            FindingKind::InvalidSampleConfig,
+            format!("sample/{}/{}", spec.name, err.field()),
+            err.to_string(),
+        ));
     }
-    if let Err(e) = validate_fanouts(&spec.fanouts) {
-        flag(format!("{root}/fanouts"), &e, findings);
-    }
-    if spec.batch_seeds == 0 {
-        flag(
-            format!("{root}/batch_seeds"),
-            &SampleConfigError::ZeroBatchSeeds,
-            findings,
-        );
-    }
-    // The RMAT node count is closed-form (2^scale), so the seed-range and
-    // cache checks hold without generating anything. Skip them when the
-    // RMAT params are themselves broken — num_nodes() would be garbage.
-    if spec.rmat.validate().is_ok() {
-        let n = spec.rmat.num_nodes();
-        if spec.batch_seeds > n {
-            flag(
-                format!("{root}/batch_seeds"),
-                &SampleConfigError::SeedOutOfRange {
-                    seed: (spec.batch_seeds - 1) as u32,
-                    num_nodes: n,
-                },
-                findings,
-            );
-        }
-        if spec.cache_rows > n {
-            flag(
-                format!("{root}/cache_rows"),
-                &SampleConfigError::CacheExceedsFeatures {
-                    cache_rows: spec.cache_rows,
-                    num_nodes: n,
-                },
-                findings,
-            );
-        }
-    }
-    if spec.partitions == 0 {
-        flag(
-            format!("{root}/partitions"),
-            &SampleConfigError::ZeroPartitions,
-            findings,
-        );
-    } else if spec.home_partition >= spec.partitions {
-        flag(
-            format!("{root}/home_partition"),
-            &SampleConfigError::HomePartitionOutOfRange {
-                home: spec.home_partition,
-                partitions: spec.partitions,
-            },
-            findings,
-        );
-    }
-    findings.len() - before
+    violations.len()
 }
 
 /// Resolves and audits a list of spec *names* (the `RunConfig::sample_specs`
@@ -110,7 +40,11 @@ pub fn check_sample_config(names: &[String], findings: &mut Vec<Finding>) -> Vec
                 check_sample_spec(&spec, findings);
                 specs.push(spec);
             }
-            Err(e) => flag(format!("sample/{name}"), &e, findings),
+            Err(e) => findings.push(Finding::new(
+                FindingKind::InvalidSampleConfig,
+                format!("sample/{name}"),
+                e.to_string(),
+            )),
         }
     }
     specs

@@ -173,16 +173,13 @@ pub fn data_parallel_schedule(
     let n = dp.n_gpus;
     let nf = n as f64;
 
-    // Phase boundaries use the same grouped expressions, accumulated in the
-    // same left-to-right order, as `DataParallel::step_time`, so the
+    // Phase boundaries are `DataParallel::transfer_phases`, accumulated in
+    // the same left-to-right order as `DataParallel::step_time`, so the
     // schedule's makespan is bit-identical to the priced step time — not
     // merely close. Per-chunk slices fill each phase; the last slice of a
     // phase is pinned to the grouped boundary so per-chunk rounding cannot
     // drift the total.
-    let scatter = nf * dp.pcie.latency + step.input_bytes as f64 / dp.pcie.bandwidth;
-    let replicate = (nf - 1.0) * dp.pcie.transfer_time(dp.param_bytes);
-    let gather = nf * dp.pcie.latency + step.output_bytes as f64 / dp.pcie.bandwidth;
-    let reduce = (nf - 1.0) * dp.pcie.transfer_time(dp.param_bytes);
+    let [scatter, replicate, gather, reduce] = dp.transfer_phases(step);
     let end_load = step.host_load;
     let end_scatter = end_load + scatter;
     let end_replicate = end_scatter + replicate;

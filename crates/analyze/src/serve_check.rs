@@ -1,15 +1,16 @@
-//! Serve-config auditing: proving an inference-serving run can actually
-//! fire its batches before any model is loaded.
+//! Serve-config auditing: the engine's own hard rules plus the warnings
+//! only a static pass can give, before any model is loaded.
 //!
-//! A [`gnn_serve::ServeConfig`] is plain data checked only when the engine
-//! runs, so a misconfigured serving sweep fails late or silently: an
-//! endpoint naming a cell the sweep never trains serves nothing, a
-//! `max_delay` of zero with `max_batch > 1` dispatches every request alone
-//! (the batcher exists but never batches), and a `max_batch` beyond the
-//! dataset's admissible targets can never fill. This pass flags every
-//! degenerate knob under [`FindingKind::InvalidServeConfig`] ahead of the
-//! run — the `gnn-bench serve` command's `--lint` gate refuses to start on
-//! any finding.
+//! Every rule [`gnn_serve::ServeConfig::validate`] enforces is reported
+//! from [`gnn_serve::ServeConfig::violations`], one finding per broken
+//! rule under [`FindingKind::InvalidServeConfig`], with the engine's own
+//! error text. On top, this pass warns about configs the engine accepts
+//! but that cannot do what they say: a `max_delay` of zero with
+//! `max_batch > 1` dispatches every request alone (the batcher exists but
+//! never batches), a `max_batch` beyond a dataset's admissible targets can
+//! never fill, and an endpoint naming an unknown cell serves nothing. The
+//! `gnn-bench serve` command's `--lint` gate refuses to start on any
+//! finding.
 //!
 //! It also prices every endpoint's inference footprint through the memory
 //! certifier ([`crate::memory`]) and rejects policies whose worst
@@ -19,124 +20,91 @@
 use gnn_core::cell::{graph_dataset, node_dataset};
 use gnn_device::CostModel;
 use gnn_serve::registry::target_count;
-use gnn_serve::{CellId, ServeConfig, TaskKind, WorkloadKind, WorkloadSpec};
+use gnn_serve::{CellId, ServeConfig, ServeConfigError, TaskKind};
 
 use crate::lower::StackPlan;
 use crate::memory::footprint;
 use crate::report::{Finding, FindingKind};
 
-/// Audits a serving run before execution, appending one finding per
-/// degenerate knob. `endpoints` are the *raw* endpoint paths as given on
-/// the command line (pre-parse, so unknown cells are reportable);
-/// `cfg.endpoints` itself is not consulted. Paths are `serve/policy`,
-/// `serve/workload`, `serve/replicas`, `serve/endpoints/<i>`, or
-/// `serve/<cell>/memory`.
-pub fn check_serve_config(endpoints: &[String], cfg: &ServeConfig, findings: &mut Vec<Finding>) {
-    if endpoints.is_empty() {
-        findings.push(Finding::new(
-            FindingKind::InvalidServeConfig,
-            "serve/endpoints",
-            "no endpoints configured: the registry would be empty",
-        ));
-    }
+/// Parses the *raw* endpoint paths as given on the command line, one
+/// `kind` finding at `<root>/endpoints/<i>` per path that names no cell.
+pub(crate) fn parse_endpoints(
+    kind: FindingKind,
+    root: &str,
+    endpoints: &[String],
+    findings: &mut Vec<Finding>,
+) -> Vec<CellId> {
     let mut cells = Vec::new();
     for (i, raw) in endpoints.iter().enumerate() {
         match CellId::parse(raw) {
             Ok(cell) => cells.push(cell),
             Err(e) => findings.push(Finding::new(
-                FindingKind::InvalidServeConfig,
-                format!("serve/endpoints/{i}"),
+                kind,
+                format!("{root}/endpoints/{i}"),
                 e.to_string(),
             )),
         }
     }
+    cells
+}
 
-    let policy = &cfg.policy;
-    let mut policy_flag = |message: String| {
+/// One `kind` finding per violated engine rule, at `<root>/<knob>`.
+pub(crate) fn report_violations(
+    kind: FindingKind,
+    root: &str,
+    violations: Vec<ServeConfigError>,
+    findings: &mut Vec<Finding>,
+) {
+    for err in violations {
         findings.push(Finding::new(
-            FindingKind::InvalidServeConfig,
+            kind,
+            format!("{root}/{}", err.knob()),
+            err.to_string(),
+        ));
+    }
+}
+
+/// Audits a serving run before execution, appending one finding per
+/// broken rule or warning. `endpoints` are the *raw* endpoint paths as
+/// given on the command line (pre-parse, so unknown cells are reportable).
+/// Paths are `serve/<knob>` ([`ServeConfigError::knob`]),
+/// `serve/endpoints/<i>`, `serve/<cell>`, or `serve/<cell>/memory`.
+pub fn check_serve_config(endpoints: &[String], cfg: &ServeConfig, findings: &mut Vec<Finding>) {
+    let kind = FindingKind::InvalidServeConfig;
+    let cells = parse_endpoints(kind, "serve", endpoints, findings);
+    report_violations(kind, "serve", cfg.violations(), findings);
+
+    let max_batch = cfg.policy.max_batch;
+    if cfg.policy.max_delay == 0.0 && max_batch > 1 {
+        findings.push(Finding::new(
+            kind,
             "serve/policy",
-            message,
-        ));
-    };
-    if policy.max_batch == 0 {
-        policy_flag("max_batch=0 can never dispatch a batch".into());
-    }
-    if !(policy.max_delay.is_finite() && policy.max_delay >= 0.0) {
-        policy_flag(format!(
-            "max_delay={} must be finite and non-negative",
-            policy.max_delay
-        ));
-    } else if policy.max_delay == 0.0 && policy.max_batch > 1 {
-        policy_flag(format!(
-            "max_delay=0 with max_batch={} can never batch: the head request \
-             dispatches immediately, so the batcher degenerates to batch size 1",
-            policy.max_batch
-        ));
-    }
-    if cfg.queue_cap < policy.max_batch {
-        policy_flag(format!(
-            "queue_cap={} below max_batch={}: a full batch can never accumulate",
-            cfg.queue_cap, policy.max_batch
+            format!(
+                "max_delay=0 with max_batch={max_batch} can never batch: the head request \
+                 dispatches immediately, so the batcher degenerates to batch size 1"
+            ),
         ));
     }
     // The size-fill rule can also never fire when a named endpoint's
     // dataset has fewer admissible targets than one batch holds.
     for cell in &cells {
-        match target_count(cell, cfg.scale, cfg.seed) {
-            Ok(n) if (policy.max_batch as u64) > u64::from(n) => {
-                findings.push(Finding::new(
-                    FindingKind::InvalidServeConfig,
-                    format!("serve/{}", cell.path()),
-                    format!(
-                        "max_batch={} exceeds the dataset's {n} admissible target(s) \
-                         at scale {}: a full batch can never fill",
-                        policy.max_batch, cfg.scale
-                    ),
-                ));
-            }
-            Ok(_) => {}
-            Err(e) => findings.push(Finding::new(
-                FindingKind::InvalidServeConfig,
-                format!("serve/{}", cell.path()),
-                e.to_string(),
-            )),
-        }
-    }
-
-    // Workload degeneracy rides the typed constructor: the lint finding's
-    // message is exactly the `WorkloadError` the engine would refuse with.
-    for err in workload_errors(cfg.requests, cfg.rate) {
+        let message = match target_count(cell, cfg.scale, cfg.seed) {
+            Ok(n) if (max_batch as u64) > u64::from(n) => format!(
+                "max_batch={max_batch} exceeds the dataset's {n} admissible target(s) \
+                 at scale {}: a full batch can never fill",
+                cfg.scale
+            ),
+            Ok(_) => continue,
+            Err(e) => e.to_string(),
+        };
         findings.push(Finding::new(
-            FindingKind::InvalidServeConfig,
-            "serve/workload",
-            err,
-        ));
-    }
-    if cfg.replicas == 0 {
-        findings.push(Finding::new(
-            FindingKind::InvalidServeConfig,
-            "serve/replicas",
-            "replicas=0: no device session can execute batches",
+            kind,
+            format!("serve/{}", cell.path()),
+            message,
         ));
     }
 
     check_replica_memory(&cells, cfg, CostModel::rtx2080ti().device_memory, findings);
-}
-
-/// Probes each workload knob independently through the typed
-/// [`WorkloadSpec::new`] constructor (one finding per degenerate knob, even
-/// when several are degenerate at once — the constructor itself stops at
-/// the first).
-fn workload_errors(requests: usize, rate: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    if let Err(e) = WorkloadSpec::new(0, requests, 1.0, WorkloadKind::OpenLoop) {
-        out.push(e.to_string());
-    }
-    if let Err(e) = WorkloadSpec::new(0, 1, rate, WorkloadKind::OpenLoop) {
-        out.push(e.to_string());
-    }
-    out
 }
 
 /// Audits each endpoint's certified inference footprint against one
@@ -233,7 +201,7 @@ fn replica_footprint(cell: &CellId, cfg: &ServeConfig) -> Option<(u64, String)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnn_serve::BatchPolicy;
+    use gnn_serve::{BatchPolicy, FleetConfig, FleetWorkload, WorkloadKind};
 
     fn raw(paths: &[&str]) -> Vec<String> {
         paths.iter().map(|p| (*p).to_string()).collect()
@@ -285,15 +253,6 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("can never batch"));
 
-        cfg.policy = BatchPolicy {
-            max_batch: 0,
-            max_delay: 0.001,
-        };
-        let findings = lint(&endpoints, &cfg);
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("can never dispatch")));
-
         // max_batch == 1 with zero delay is a legitimate no-batching mode.
         cfg.policy = BatchPolicy {
             max_batch: 1,
@@ -303,9 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batches_and_starved_queues_are_flagged() {
+    fn oversized_batches_are_flagged() {
         // ENZYMES at smoke scale has a few dozen graphs; 10_000 cannot fill.
-        let mut cfg = ServeConfig {
+        let cfg = ServeConfig {
             policy: BatchPolicy {
                 max_batch: 10_000,
                 max_delay: 0.001,
@@ -313,20 +272,10 @@ mod tests {
             queue_cap: 20_000,
             ..ServeConfig::default()
         };
-        let endpoints = raw(&["table5/ENZYMES/GIN/DGL"]);
-        let findings = lint(&endpoints, &cfg);
+        let findings = lint(&raw(&["table5/ENZYMES/GIN/DGL"]), &cfg);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].path.contains("ENZYMES"));
         assert!(findings[0].message.contains("can never fill"));
-
-        cfg.policy = BatchPolicy {
-            max_batch: 8,
-            max_delay: 0.001,
-        };
-        cfg.queue_cap = 4;
-        let findings = lint(&endpoints, &cfg);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("never accumulate"));
     }
 
     #[test]
@@ -396,17 +345,88 @@ mod tests {
             .0
     }
 
+    /// The lint and the engines agree rule by rule: a config with one
+    /// knob broken gets exactly one finding, carrying the error `validate`
+    /// refuses with, and a valid config gets none.
     #[test]
-    fn degenerate_workload_and_fleet_are_flagged() {
-        let cfg = ServeConfig {
-            requests: 0,
-            rate: 0.0,
-            replicas: 0,
-            ..ServeConfig::default()
-        };
-        let findings = lint(&raw(&["table4/Cora/GCN/PyG"]), &cfg);
-        assert_eq!(findings.len(), 3, "{findings:?}");
-        let findings = lint(&[], &cfg);
-        assert!(findings.iter().any(|f| f.path == "serve/endpoints"));
+    fn each_broken_rule_is_one_finding_with_the_engines_error() {
+        fn expect(
+            kind: FindingKind,
+            root: &str,
+            verdict: Result<(), ServeConfigError>,
+        ) -> Vec<Finding> {
+            let err = verdict.err().into_iter();
+            err.map(|e| Finding::new(kind, format!("{root}/{}", e.knob()), e.to_string()))
+                .collect()
+        }
+        let serve: &[fn(&mut ServeConfig)] = &[
+            |_| {},
+            |c| c.endpoints.clear(),
+            |c| c.requests = 0,
+            |c| c.rate = -1.0,
+            |c| c.replicas = 0,
+            |c| c.policy.max_batch = 0,
+            |c| c.policy.max_delay = f64::NAN,
+            |c| c.queue_cap = 2,
+            |c| c.slo_target = 0.0,
+        ];
+        for break_knob in serve {
+            let mut cfg = ServeConfig::default();
+            break_knob(&mut cfg);
+            let endpoints: Vec<String> = cfg.endpoints.iter().map(CellId::path).collect();
+            let kind = FindingKind::InvalidServeConfig;
+            assert_eq!(
+                lint(&endpoints, &cfg),
+                expect(kind, "serve", cfg.validate())
+            );
+        }
+
+        fn autoscale(c: &mut FleetConfig) -> &mut gnn_serve::AutoscalePolicy {
+            c.autoscale.as_mut().expect("the default fleet autoscales")
+        }
+        let fleet: &[fn(&mut FleetConfig)] = &[
+            |_| {},
+            |c| c.endpoints.clear(),
+            |c| c.shards = 0,
+            |c| c.replicas_per_shard = 0,
+            |c| c.policy.max_batch = 0,
+            |c| c.policy.max_delay = -1.0,
+            |c| c.queue_cap = 2,
+            |c| c.admission_cap = 0,
+            |c| c.retry_budget = f64::NAN,
+            |c| c.health.probe_interval = 0.0,
+            |c| c.health.fail_threshold = 0,
+            |c| c.health.readmit_threshold = 0,
+            |c| c.hedge_after = Some(-1.0),
+            |c| c.net_delay = -1.0,
+            |c| c.slo_target = 0.0,
+            |c| autoscale(c).min_replicas = 0,
+            |c| autoscale(c).min_replicas = 5,
+            |c| autoscale(c).queue_low = 24,
+            |c| autoscale(c).cooldown = f64::NAN,
+            |c| c.requests = 0,
+            |c| c.rate = 0.0,
+            |c| {
+                c.workload = FleetWorkload::Open(WorkloadKind::Diurnal {
+                    period: 0.0,
+                    amplitude: 0.5,
+                })
+            },
+            |c| {
+                c.workload = FleetWorkload::Closed {
+                    clients: 0,
+                    think_time: 0.01,
+                }
+            },
+        ];
+        for break_knob in fleet {
+            let mut cfg = FleetConfig::default();
+            break_knob(&mut cfg);
+            let endpoints: Vec<String> = cfg.endpoints.iter().map(CellId::path).collect();
+            let mut findings = Vec::new();
+            crate::check_fleet_config(&endpoints, &cfg, &mut findings);
+            let kind = FindingKind::InvalidFleetConfig;
+            assert_eq!(findings, expect(kind, "fleet", cfg.validate()));
+        }
     }
 }

@@ -31,16 +31,14 @@
 //! ranked opportunity table ([`Opportunity`]) orders components by their
 //! predicted end-to-end win at the reference 2× speedup, with each
 //! component's roofline bound attributed from the aggregate hardware
-//! counters. Before publishing, predictions pass the `gnn-lint` what-if
-//! audit ([`audit_whatif`]): never slower than base, monotone in the
+//! counters. Before publishing, [`WhatIfReport::check`] holds every
+//! prediction to its physics: never slower than base, monotone in the
 //! factor, savings within critical-path budgets.
 
 use gnn_device::{
     component_label, CostModel, Speedups, COMPONENT_HOST, COMPONENT_LAUNCH, PRICED_KINDS,
     WHATIF_COMPONENTS,
 };
-use gnn_lint::report::Finding;
-use gnn_lint::whatif_check::{check_whatif, WhatIfCellAudit};
 use gnn_obs::whatif::{component_budgets, replay_schedule, SchedEntry};
 use gnn_obs::{self as obs, Column, Table, Value};
 use gnn_serve::{BatchPolicy, CellId, ServeConfig, ServeReport};
@@ -445,31 +443,6 @@ fn rank_opportunities(cells: &[CellWhatIf], aggregates: &[KindAggregate]) -> Vec
     opportunities
 }
 
-/// Distills a report into the plain-data form the `gnn-lint` what-if
-/// audit consumes and runs the audit: predictions must never be slower
-/// than base, must be monotone in the factor, and must not claim savings
-/// past critical-path budgets. An empty result means the report passed.
-/// [`WhatIfReport::check`] runs it on every report.
-pub fn audit_whatif(report: &WhatIfReport) -> Vec<Finding> {
-    let cells: Vec<WhatIfCellAudit> = report
-        .cells
-        .iter()
-        .map(|c| WhatIfCellAudit {
-            cell: c.cell.clone(),
-            base_total: c.base_total_time,
-            budgets: c.budgets,
-            predictions: c
-                .predictions
-                .iter()
-                .map(|p| (p.component, p.speedup, p.predicted_total))
-                .collect(),
-        })
-        .collect();
-    let mut findings = Vec::new();
-    check_whatif(&cells, &mut findings);
-    findings
-}
-
 /// One prediction-vs-reality comparison from a conformance pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConformanceRecord {
@@ -654,19 +627,63 @@ pub const OPPORTUNITY_ROWS: Table<Opportunity> = Table {
 
 impl WhatIfReport {
     /// What every what-if document must hold, one line per row that
-    /// breaks it (none when it holds): the [`audit_whatif`] physics, each
-    /// `cells` row's component budgets covering its base total (host and
-    /// device overlap, so together they may over-cover it, never under),
-    /// and each opportunity's ceiling (infinite speedup) winning at least
-    /// its predicted win (the reference speedup).
+    /// breaks it (none when it holds). For each `cells` row:
+    ///
+    /// - no prediction is slower than the base total: speeding a
+    ///   component up can never slow the run down;
+    /// - a component's predictions are monotone non-increasing in the
+    ///   speedup factor;
+    /// - no prediction saves more than the component's budget: even
+    ///   removing it only recovers what was spent on it;
+    /// - the budgets cover the base total (host and device overlap, so
+    ///   together they may over-cover it, never under).
+    ///
+    /// The replay is bit-exact, so the first three allow only float noise
+    /// (`1e-9` of the base total plus `1e-15` s). Last, each opportunity's
+    /// ceiling (infinite speedup) wins at least its predicted win (the
+    /// reference speedup).
     pub fn check(&self) -> Vec<String> {
-        let mut errors: Vec<String> = audit_whatif(self).iter().map(|f| f.to_string()).collect();
+        let mut errors = Vec::new();
         for c in &self.cells {
+            let base = c.base_total_time;
+            let eps = 1e-9 * base.abs() + 1e-15;
+            let mut last: [Option<&CellPrediction>; WHATIF_COMPONENTS] = [None; WHATIF_COMPONENTS];
+            for p in &c.predictions {
+                let at = format!(
+                    "cells `{}`: {} at {}x",
+                    c.cell,
+                    component_label(p.component),
+                    speedup_label(p.speedup)
+                );
+                let predicted = p.predicted_total;
+                if predicted > base + eps {
+                    errors.push(format!(
+                        "{at} predicts {predicted} s, slower than base_total_time {base} s"
+                    ));
+                }
+                if let Some(prev) =
+                    last[p.component].filter(|q| predicted > q.predicted_total + eps)
+                {
+                    errors.push(format!(
+                        "{at} predicts {predicted} s, more than {}x's {} s: not monotone in the \
+                         speedup",
+                        speedup_label(prev.speedup),
+                        prev.predicted_total
+                    ));
+                }
+                let (saving, budget) = (base - predicted, c.budgets[p.component]);
+                if saving > budget + eps {
+                    errors.push(format!(
+                        "{at} saves {saving} s, more than the component's budget {budget} s"
+                    ));
+                }
+                last[p.component] = Some(p);
+            }
             let covered: f64 = c.budgets.iter().sum();
-            if covered < c.base_total_time * (1.0 - 1e-9) {
+            if covered < base * (1.0 - 1e-9) {
                 errors.push(format!(
-                    "cells `{}`: budgets sum to {covered} s, less than base_total_time {} s",
-                    c.cell, c.base_total_time
+                    "cells `{}`: budgets sum to {covered} s, less than base_total_time {base} s",
+                    c.cell
                 ));
             }
         }
@@ -819,6 +836,77 @@ mod tests {
             errors[0].starts_with(&format!("opportunities `{label}`")),
             "{errors:?}"
         );
+    }
+
+    /// The tiny report's cell, and the index of the first (1.1x)
+    /// prediction of the component with the most to win.
+    fn top_component(report: &mut WhatIfReport) -> (&mut CellWhatIf, usize) {
+        let component = report.opportunities[0].component;
+        let cell = &mut report.cells[0];
+        let first = (cell.predictions.iter())
+            .position(|p| p.component == component)
+            .unwrap();
+        (cell, first)
+    }
+
+    #[test]
+    fn check_names_the_prediction_slower_than_base() {
+        let mut report = tiny_report().clone();
+        let (cell, first) = top_component(&mut report);
+        cell.predictions[first].predicted_total = cell.base_total_time * 1.2;
+        let label = component_label(cell.predictions[first].component);
+        let errors = report.check();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        let at = format!("cells `table4/Cora/GCN/PyG`: {label} at 1.1x predicts");
+        assert!(errors[0].starts_with(&at), "{errors:?}");
+        assert!(
+            errors[0].contains("slower than base_total_time"),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn check_names_the_prediction_not_monotone_in_the_speedup() {
+        let mut report = tiny_report().clone();
+        let (cell, first) = top_component(&mut report);
+        // 1.25x predicting more time than 1.1x did, still below base.
+        let slower = (cell.predictions[first].predicted_total + cell.base_total_time) / 2.0;
+        cell.predictions[first + 1].predicted_total = slower;
+        let errors = report.check();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains(" at 1.25x predicts"), "{errors:?}");
+        assert!(errors[0].contains("more than 1.1x's"), "{errors:?}");
+        assert!(
+            errors[0].ends_with("not monotone in the speedup"),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn check_names_the_saving_beyond_its_budget() {
+        let mut report = tiny_report().clone();
+        let (cell, first) = top_component(&mut report);
+        // Removing the component claims to save 1e-6 of base more than it
+        // ever cost.
+        let inf = first + SPEEDUP_GRID.len() - 1;
+        let budget = cell.budgets[cell.predictions[inf].component];
+        cell.predictions[inf].predicted_total = cell.base_total_time * (1.0 - 1e-6) - budget;
+        let errors = report.check();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains(" at infx saves"), "{errors:?}");
+        assert!(
+            errors[0].contains("more than the component's budget"),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn check_tolerates_float_noise() {
+        let mut report = tiny_report().clone();
+        let (cell, first) = top_component(&mut report);
+        // A 1e-10 relative wobble above base is replay noise, not physics.
+        cell.predictions[first].predicted_total = cell.base_total_time * (1.0 + 1e-10);
+        assert_eq!(report.check(), Vec::<String>::new());
     }
 
     #[test]

@@ -115,23 +115,29 @@ impl DataParallel {
         Ok(())
     }
 
-    /// Simulated wall time of one training step.
-    pub fn step_time(&self, step: &StepCost) -> f64 {
+    /// The four PCIe phases of one step, in step order: scatter,
+    /// replicate, gather, reduce (seconds, before any fault stretch).
+    /// [`DataParallel::step_time`] and the `gnn-lint` step schedule both
+    /// price a step from these.
+    pub fn transfer_phases(&self, step: &StepCost) -> [f64; 4] {
         let n = self.n_gpus as f64;
         // Scatter: the full input crosses the host link once, plus one DMA
         // setup per replica chunk.
-        let scatter =
-            self.n_gpus as f64 * self.pcie.latency + step.input_bytes as f64 / self.pcie.bandwidth;
+        let scatter = n * self.pcie.latency + step.input_bytes as f64 / self.pcie.bandwidth;
         // Replicate: DataParallel broadcasts module parameters every step to
         // replicas 1..n.
         let replicate = (n - 1.0) * self.pcie.transfer_time(self.param_bytes);
-        // Compute proceeds in parallel across equal shards.
-        let compute = step.compute;
         // Gather outputs to device 0.
-        let gather =
-            self.n_gpus as f64 * self.pcie.latency + step.output_bytes as f64 / self.pcie.bandwidth;
+        let gather = n * self.pcie.latency + step.output_bytes as f64 / self.pcie.bandwidth;
         // Reduce gradients from replicas 1..n to device 0.
         let reduce = (n - 1.0) * self.pcie.transfer_time(self.param_bytes);
+        [scatter, replicate, gather, reduce]
+    }
+
+    /// Simulated wall time of one training step: host load, the transfer
+    /// phases around the parallel compute, and the update.
+    pub fn step_time(&self, step: &StepCost) -> f64 {
+        let [scatter, replicate, gather, reduce] = self.transfer_phases(step);
         // Each step issues four PCIe transfer segments; an armed fault
         // injector may stretch any of them (straggler). With no injector
         // every factor is exactly 1.0 and the model is unchanged.
@@ -149,7 +155,7 @@ impl DataParallel {
         step.host_load
             + scatter * f_scatter
             + replicate * f_replicate
-            + compute
+            + step.compute
             + gather * f_gather
             + reduce * f_reduce
             + step.update

@@ -2,8 +2,7 @@
 //!
 //! Generator and sampler construction never panics on bad input and never
 //! returns `Result<_, String>`: every degenerate configuration maps to a
-//! [`SampleConfigError`] variant, mirroring the `ServeConfigError` /
-//! `WorkloadError` pattern in `gnn-serve`. The `Display` strings are the
+//! [`SampleConfigError`] variant. The `Display` strings are the
 //! diagnostics the `sample-config` lint pass and the `gnn-bench sample`
 //! binary surface.
 
@@ -70,6 +69,28 @@ pub enum SampleConfigError {
     },
     /// A named spec is not in the catalog.
     UnknownSpec(String),
+}
+
+impl SampleConfigError {
+    /// The [`crate::SampleSpec`] field a spec violation names, the last
+    /// component of its lint finding path (`sample/<name>/<field>`).
+    pub fn field(&self) -> &'static str {
+        use SampleConfigError::*;
+        match self {
+            ZeroScale
+            | ScaleTooLarge(_)
+            | ZeroEdgeFactor
+            | BadRmatWeights { .. }
+            | ZeroFeatureDim
+            | ZeroClasses => "rmat",
+            NoFanouts | ZeroFanout { .. } => "fanouts",
+            ZeroBatchSeeds | SeedOutOfRange { .. } => "batch_seeds",
+            CacheExceedsFeatures { .. } => "cache_rows",
+            ZeroPartitions => "partitions",
+            HomePartitionOutOfRange { .. } => "home_partition",
+            UnknownSpec(_) => "name",
+        }
+    }
 }
 
 impl fmt::Display for SampleConfigError {

@@ -86,34 +86,56 @@ impl SampleSpec {
             .ok_or_else(|| SampleConfigError::UnknownSpec(name.to_owned()))
     }
 
-    /// Validates the whole spec (RMAT weights, fan-outs, batch, cache,
-    /// placement).
+    /// Every hard rule the spec breaks, in precedence order: the RMAT
+    /// parameters' and the fan-outs' first defects, then the batch, cache
+    /// and placement rules. The node count is closed-form (`2^scale`), so
+    /// the seed-range and cache rules hold before any graph exists; they
+    /// wait for valid RMAT parameters.
     ///
-    /// # Errors
-    ///
-    /// Returns the first failing field's [`SampleConfigError`].
-    pub fn validate(&self) -> Result<(), SampleConfigError> {
-        self.rmat.validate()?;
-        validate_fanouts(&self.fanouts)?;
+    /// A batch of more seeds than the graph has nodes is refused, not
+    /// clamped: `RmatGraph::seed_pool` clamps every pool to the node
+    /// count, so the training, validation and test pools would all be the
+    /// whole graph and the reported accuracy would be training accuracy.
+    pub fn violations(&self) -> Vec<SampleConfigError> {
+        use SampleConfigError::*;
+        let rmat = self.rmat.validate();
+        let nodes = rmat.is_ok().then(|| self.rmat.num_nodes());
+        let beyond = |count: usize| nodes.filter(|&n| count > n);
+        let mut out: Vec<_> = rmat.err().into_iter().collect();
+        out.extend(validate_fanouts(&self.fanouts).err());
         if self.batch_seeds == 0 {
-            return Err(SampleConfigError::ZeroBatchSeeds);
+            out.push(ZeroBatchSeeds);
         }
-        if self.cache_rows > self.rmat.num_nodes() {
-            return Err(SampleConfigError::CacheExceedsFeatures {
+        if let Some(num_nodes) = beyond(self.batch_seeds) {
+            out.push(SeedOutOfRange {
+                seed: (self.batch_seeds - 1) as u32,
+                num_nodes,
+            });
+        }
+        if let Some(num_nodes) = beyond(self.cache_rows) {
+            out.push(CacheExceedsFeatures {
                 cache_rows: self.cache_rows,
-                num_nodes: self.rmat.num_nodes(),
+                num_nodes,
             });
         }
         if self.partitions == 0 {
-            return Err(SampleConfigError::ZeroPartitions);
-        }
-        if self.home_partition >= self.partitions {
-            return Err(SampleConfigError::HomePartitionOutOfRange {
+            out.push(ZeroPartitions);
+        } else if self.home_partition >= self.partitions {
+            out.push(HomePartitionOutOfRange {
                 home: self.home_partition,
                 partitions: self.partitions,
             });
         }
-        Ok(())
+        out
+    }
+
+    /// Validates the whole spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first of [`SampleSpec::violations`].
+    pub fn validate(&self) -> Result<(), SampleConfigError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Upper bound on a training batch's union node count.
@@ -161,6 +183,56 @@ mod tests {
             SampleSpec::get("rmat-9000"),
             Err(SampleConfigError::UnknownSpec("rmat-9000".into()))
         );
+    }
+
+    #[test]
+    fn every_hard_rule_is_one_violation_in_precedence_order() {
+        use SampleConfigError::*;
+        let base = SampleSpec::get("rmat-4k").unwrap(); // 4096 nodes
+        type Rule = (fn(&mut SampleSpec), SampleConfigError);
+        let rules: &[Rule] = &[
+            (|s| s.rmat.scale = 0, ZeroScale),
+            (|s| s.fanouts = vec![4, 0], ZeroFanout { hop: 1 }),
+            (|s| s.batch_seeds = 0, ZeroBatchSeeds),
+            (
+                |s| s.batch_seeds = 4097,
+                SeedOutOfRange {
+                    seed: 4096,
+                    num_nodes: 4096,
+                },
+            ),
+            (
+                |s| s.cache_rows = 4097,
+                CacheExceedsFeatures {
+                    cache_rows: 4097,
+                    num_nodes: 4096,
+                },
+            ),
+            (|s| s.partitions = 0, ZeroPartitions),
+            (
+                |s| s.home_partition = 2,
+                HomePartitionOutOfRange {
+                    home: 2,
+                    partitions: 2,
+                },
+            ),
+        ];
+        assert_eq!(base.violations(), []);
+        for (break_field, err) in rules {
+            let mut spec = base.clone();
+            break_field(&mut spec);
+            assert_eq!(spec.violations(), std::slice::from_ref(err));
+            assert_eq!(spec.validate(), Err(err.clone()));
+        }
+        // Broken RMAT parameters leave no node count to range-check, and
+        // zero partitions leave no home partition to place; the rest pair
+        // off over one field.
+        for set in [&[0, 1, 2, 5][..], &[1, 3, 4, 6]] {
+            let mut spec = base.clone();
+            set.iter().for_each(|&i| rules[i].0(&mut spec));
+            let expect: Vec<_> = set.iter().map(|&i| rules[i].1.clone()).collect();
+            assert_eq!(spec.violations(), expect);
+        }
     }
 
     #[test]

@@ -45,74 +45,69 @@ pub(crate) struct Plan<'a> {
 }
 
 impl Plan<'_> {
-    /// The hard rules both public configs share (the `serve-config` and
-    /// `fleet-config` lints mirror them).
-    pub(crate) fn validate(&self) -> Result<(), ServeConfigError> {
-        if self.shards == 0 {
-            return Err(ServeConfigError::NoShards);
-        }
-        if self.replicas_per_shard == 0 {
-            return Err(ServeConfigError::NoReplicas);
-        }
-        if self.policy.max_batch == 0 {
-            return Err(ServeConfigError::ZeroMaxBatch);
-        }
-        if !(self.policy.max_delay.is_finite() && self.policy.max_delay >= 0.0) {
-            return Err(ServeConfigError::BadMaxDelay(self.policy.max_delay));
-        }
-        if self.queue_cap < self.policy.max_batch {
-            return Err(ServeConfigError::QueueBelowBatch {
-                queue_cap: self.queue_cap,
-                max_batch: self.policy.max_batch,
-            });
-        }
+    /// Every hard rule the plan breaks, in precedence order (the first is
+    /// what `validate` refuses with).
+    pub(crate) fn violations(&self) -> Vec<ServeConfigError> {
+        use ServeConfigError::*;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let p = &self.policy;
+        let mut rules = vec![
+            (self.shards == 0, NoShards),
+            (self.replicas_per_shard == 0, NoReplicas),
+            (p.max_batch == 0, ZeroMaxBatch),
+            (!non_negative(p.max_delay), BadMaxDelay(p.max_delay)),
+            (
+                self.queue_cap < p.max_batch,
+                QueueBelowBatch {
+                    queue_cap: self.queue_cap,
+                    max_batch: p.max_batch,
+                },
+            ),
+        ];
         if let Some(f) = self.fleet {
-            if f.admission_cap == 0 {
-                return Err(ServeConfigError::ZeroAdmissionCap);
-            }
-            if !(f.retry_budget.is_finite() && f.retry_budget >= 0.0) {
-                return Err(ServeConfigError::BadRetryBudget(f.retry_budget));
-            }
             let h = &f.health;
-            if !(h.probe_interval.is_finite() && h.probe_interval > 0.0) {
-                return Err(ServeConfigError::BadProbeInterval(h.probe_interval));
-            }
-            if h.fail_threshold == 0 {
-                return Err(ServeConfigError::ZeroFailThreshold);
-            }
-            if h.readmit_threshold == 0 {
-                return Err(ServeConfigError::ZeroReadmitThreshold);
-            }
-            if let Some(h) = f.hedge_after {
-                if !(h.is_finite() && h > 0.0) {
-                    return Err(ServeConfigError::BadHedgeDelay(h));
-                }
-            }
-            if !(f.net_delay.is_finite() && f.net_delay >= 0.0) {
-                return Err(ServeConfigError::BadNetDelay(f.net_delay));
-            }
+            rules.extend([
+                (f.admission_cap == 0, ZeroAdmissionCap),
+                (
+                    !non_negative(f.retry_budget),
+                    BadRetryBudget(f.retry_budget),
+                ),
+                (
+                    !positive(h.probe_interval),
+                    BadProbeInterval(h.probe_interval),
+                ),
+                (h.fail_threshold == 0, ZeroFailThreshold),
+                (h.readmit_threshold == 0, ZeroReadmitThreshold),
+            ]);
+            rules.extend(f.hedge_after.map(|h| (!positive(h), BadHedgeDelay(h))));
+            rules.push((!non_negative(f.net_delay), BadNetDelay(f.net_delay)));
         }
-        if !(self.slo_target.is_finite() && self.slo_target > 0.0) {
-            return Err(ServeConfigError::BadSloTarget(self.slo_target));
-        }
+        rules.push((!positive(self.slo_target), BadSloTarget(self.slo_target)));
         if let Some(a) = self.fleet.and_then(|f| f.autoscale.as_ref()) {
-            if a.min_replicas == 0 {
-                return Err(ServeConfigError::ZeroMinReplicas);
-            }
-            if a.min_replicas > a.max_replicas {
-                return Err(ServeConfigError::AutoscaleBounds {
-                    min: a.min_replicas,
-                    max: a.max_replicas,
-                });
-            }
-            if a.queue_low >= a.queue_high {
-                return Err(ServeConfigError::AutoscaleWatermarks {
-                    low: a.queue_low,
-                    high: a.queue_high,
-                });
-            }
+            rules.extend([
+                (a.min_replicas == 0, ZeroMinReplicas),
+                (
+                    a.min_replicas > a.max_replicas,
+                    AutoscaleBounds {
+                        min: a.min_replicas,
+                        max: a.max_replicas,
+                    },
+                ),
+                (
+                    a.queue_low >= a.queue_high,
+                    AutoscaleWatermarks {
+                        low: a.queue_low,
+                        high: a.queue_high,
+                    },
+                ),
+                (!non_negative(a.cooldown), BadCooldown(a.cooldown)),
+            ]);
         }
-        Ok(())
+        rules
+            .into_iter()
+            .filter_map(|(broken, err)| broken.then_some(err))
+            .collect()
     }
 }
 
@@ -761,5 +756,125 @@ impl Sim<'_, '_> {
             restored_endpoints: self.registry.iter().filter(|e| e.restored).count(),
             notes: self.notes,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{WorkloadError, WorkloadKind};
+    use crate::{FleetWorkload, ServeConfig};
+    use ServeConfigError::*;
+
+    /// Breaks one knob of a valid config, and the error that rule reports.
+    type Rule<C> = (fn(&mut C), ServeConfigError);
+
+    /// Each rule broken alone is exactly its violation and `validate`'s
+    /// error; the rules of each `together` set (by index; some rules pair
+    /// off over one knob) broken at once are every error in row order.
+    fn assert_rules<C: Clone>(
+        base: &C,
+        rules: &[Rule<C>],
+        together: &[&[usize]],
+        violations: fn(&C) -> Vec<ServeConfigError>,
+        validate: fn(&C) -> Result<(), ServeConfigError>,
+    ) {
+        assert_eq!(violations(base), []);
+        for (break_knob, err) in rules {
+            let mut cfg = base.clone();
+            break_knob(&mut cfg);
+            assert_eq!(violations(&cfg), std::slice::from_ref(err));
+            assert_eq!(validate(&cfg), Err(err.clone()));
+        }
+        for set in together {
+            let mut cfg = base.clone();
+            set.iter().for_each(|&i| rules[i].0(&mut cfg));
+            let expect: Vec<_> = set.iter().map(|&i| rules[i].1.clone()).collect();
+            assert_eq!(violations(&cfg), expect);
+        }
+    }
+
+    #[test]
+    fn every_hard_rule_is_one_violation_in_precedence_order() {
+        let serve: &[Rule<ServeConfig>] = &[
+            (|c| c.endpoints.clear(), NoEndpoints),
+            (|c| c.requests = 0, Workload(WorkloadError::NoRequests)),
+            (|c| c.rate = -1.0, Workload(WorkloadError::BadRate(-1.0))),
+            (|c| c.replicas = 0, NoReplicas),
+            (|c| c.policy.max_batch = 0, ZeroMaxBatch),
+            (|c| c.policy.max_delay = -1.0, BadMaxDelay(-1.0)),
+            (
+                |c| c.queue_cap = 2,
+                QueueBelowBatch {
+                    queue_cap: 2,
+                    max_batch: 8,
+                },
+            ),
+            (|c| c.slo_target = 0.0, BadSloTarget(0.0)),
+        ];
+        assert_rules(
+            &ServeConfig::default(),
+            serve,
+            &[&[0, 1, 2, 3, 4, 5, 7], &[0, 1, 2, 3, 5, 6, 7]],
+            ServeConfig::violations,
+            ServeConfig::validate,
+        );
+
+        fn autoscale(c: &mut FleetConfig) -> &mut crate::AutoscalePolicy {
+            c.autoscale.as_mut().expect("the default fleet autoscales")
+        }
+        let fleet: &[Rule<FleetConfig>] = &[
+            (|c| c.endpoints.clear(), NoEndpoints),
+            (|c| c.shards = 0, NoShards),
+            (|c| c.replicas_per_shard = 0, NoReplicas),
+            (|c| c.policy.max_batch = 0, ZeroMaxBatch),
+            (|c| c.policy.max_delay = -1.0, BadMaxDelay(-1.0)),
+            (
+                |c| c.queue_cap = 2,
+                QueueBelowBatch {
+                    queue_cap: 2,
+                    max_batch: 8,
+                },
+            ),
+            (|c| c.admission_cap = 0, ZeroAdmissionCap),
+            (|c| c.retry_budget = -1.0, BadRetryBudget(-1.0)),
+            (|c| c.health.probe_interval = 0.0, BadProbeInterval(0.0)),
+            (|c| c.health.fail_threshold = 0, ZeroFailThreshold),
+            (|c| c.health.readmit_threshold = 0, ZeroReadmitThreshold),
+            (|c| c.hedge_after = Some(0.0), BadHedgeDelay(0.0)),
+            (|c| c.net_delay = -1.0, BadNetDelay(-1.0)),
+            (|c| c.slo_target = 0.0, BadSloTarget(0.0)),
+            (|c| autoscale(c).min_replicas = 0, ZeroMinReplicas),
+            (
+                |c| autoscale(c).min_replicas = 5,
+                AutoscaleBounds { min: 5, max: 4 },
+            ),
+            (
+                |c| autoscale(c).queue_low = 24,
+                AutoscaleWatermarks { low: 24, high: 24 },
+            ),
+            (|c| autoscale(c).cooldown = -1.0, BadCooldown(-1.0)),
+            (|c| c.requests = 0, Workload(WorkloadError::NoRequests)),
+            (|c| c.rate = 0.0, Workload(WorkloadError::BadRate(0.0))),
+            (
+                |c| {
+                    c.workload = FleetWorkload::Open(WorkloadKind::Diurnal {
+                        period: 0.0,
+                        amplitude: 0.5,
+                    })
+                },
+                Workload(WorkloadError::BadPeriod(0.0)),
+            ),
+        ];
+        let all_but = |skip: [usize; 2]| -> Vec<usize> {
+            (0..fleet.len()).filter(|i| !skip.contains(i)).collect()
+        };
+        assert_rules(
+            &FleetConfig::default(),
+            fleet,
+            &[&all_but([5, 15]), &all_but([3, 14])],
+            FleetConfig::violations,
+            FleetConfig::validate,
+        );
     }
 }

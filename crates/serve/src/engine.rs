@@ -33,7 +33,7 @@ use crate::dispatch::{simulate, Plan};
 use crate::error::ServeConfigError;
 use crate::metrics::ServeReport;
 use crate::registry::{Endpoint, ModelRegistry};
-use crate::workload::{self, Request, WorkloadSpec};
+use crate::workload::{self, Request, WorkloadKind, WorkloadSpec};
 
 /// Whole-batch retries after a kernel fault before accepting with a note.
 pub const MAX_KERNEL_RETRIES: usize = 3;
@@ -105,25 +105,37 @@ impl ServeConfig {
         }
     }
 
-    /// Validates the config, mirroring the `serve-config` lint's hard
-    /// rules (the lint additionally warns about never-firing policies).
+    /// Every hard rule the config breaks, in precedence order: no
+    /// endpoints, the open-loop workload's rules ([`WorkloadSpec`]), then
+    /// the batching and topology rules.
+    pub fn violations(&self) -> Vec<ServeConfigError> {
+        let mut out = Vec::new();
+        if self.endpoints.is_empty() {
+            out.push(ServeConfigError::NoEndpoints);
+        }
+        let workload = self.workload().violations();
+        out.extend(workload.into_iter().map(ServeConfigError::from));
+        out.extend(self.plan().violations());
+        out
+    }
+
+    /// The seeded open-loop workload the config generates.
+    fn workload(&self) -> WorkloadSpec {
+        WorkloadSpec {
+            seed: self.seed,
+            requests: self.requests,
+            rate: self.rate,
+            kind: WorkloadKind::OpenLoop,
+        }
+    }
+
+    /// Validates the config.
     ///
     /// # Errors
     ///
-    /// Returns the typed [`ServeConfigError`] naming what is impossible
-    /// (its `Display` matches the stringly diagnostics of earlier
-    /// releases).
+    /// Returns the first of [`ServeConfig::violations`].
     pub fn validate(&self) -> Result<(), ServeConfigError> {
-        if self.endpoints.is_empty() {
-            return Err(ServeConfigError::NoEndpoints);
-        }
-        if self.requests == 0 {
-            return Err(ServeConfigError::NoRequests);
-        }
-        if !(self.rate.is_finite() && self.rate > 0.0) {
-            return Err(ServeConfigError::BadRate(self.rate));
-        }
-        self.plan().validate()
+        self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Validates, builds the registry, and generates the seeded open-loop
@@ -137,8 +149,7 @@ impl ServeConfig {
             self.seed,
             self.ckpt_dir.as_deref(),
         )?;
-        let spec = WorkloadSpec::open_loop(self.seed, self.requests, self.rate)?;
-        let requests = workload::generate(&spec, &registry.target_space())?;
+        let requests = workload::generate(&self.workload(), &registry.target_space())?;
         Ok((registry, requests))
     }
 }
@@ -328,7 +339,10 @@ mod tests {
         );
         let mut cfg = small_cfg();
         cfg.rate = 0.0;
-        assert_eq!(cfg.validate().unwrap_err(), ServeConfigError::BadRate(0.0));
+        assert_eq!(
+            cfg.validate().unwrap_err(),
+            ServeConfigError::Workload(crate::WorkloadError::BadRate(0.0))
+        );
         let mut cfg = small_cfg();
         cfg.slo_target = 0.0;
         assert_eq!(

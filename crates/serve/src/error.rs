@@ -2,11 +2,10 @@
 //!
 //! Every way a [`crate::ServeConfig`] / [`crate::FleetConfig`] can be
 //! impossible, a cell path can fail to parse, or a registry can fail to
-//! build is one variant of [`ServeConfigError`]. The `Display` renderings
-//! are byte-identical to the stringly diagnostics earlier releases
-//! embedded in artifacts and lint findings, so nothing downstream drifts —
-//! callers that matched on substrings keep matching, and callers that want
-//! structure can now match on the variant instead.
+//! build is one variant of [`ServeConfigError`]. Its `Display` is the one
+//! text of the rule: the engine refuses with it and the `gnn-lint`
+//! finding carries it, saying why the config cannot run where the knob
+//! alone does not.
 
 use std::fmt;
 
@@ -19,10 +18,6 @@ use crate::workload::WorkloadError;
 pub enum ServeConfigError {
     /// The config names no endpoints.
     NoEndpoints,
-    /// The config generates no requests.
-    NoRequests,
-    /// The arrival rate is zero, negative, or non-finite.
-    BadRate(f64),
     /// The batching policy's `max_batch` is zero.
     ZeroMaxBatch,
     /// The batching policy's `max_delay` is negative or non-finite.
@@ -58,11 +53,9 @@ pub enum ServeConfigError {
     /// The health checker's probe interval is zero, negative, or
     /// non-finite — it could never observe a shard.
     BadProbeInterval(f64),
-    /// The health checker's failure threshold is zero — it could never
-    /// eject a shard.
+    /// The health checker's failure threshold is zero.
     ZeroFailThreshold,
-    /// The health checker's re-admission threshold is zero — an ejected
-    /// shard could never return.
+    /// The health checker's re-admission threshold is zero.
     ZeroReadmitThreshold,
     /// The hedge delay is zero, negative, or non-finite.
     BadHedgeDelay(f64),
@@ -87,17 +80,45 @@ pub enum ServeConfigError {
         /// Scale-up queue-depth watermark.
         high: usize,
     },
+    /// The autoscaler's cooldown is negative or non-finite.
+    BadCooldown(f64),
+}
+
+impl ServeConfigError {
+    /// The config knob a rule violation names, the last component of its
+    /// lint finding path (`serve/policy`, `fleet/health`, ...).
+    pub fn knob(&self) -> &'static str {
+        use ServeConfigError::*;
+        match self {
+            NoEndpoints | Cell(_) | Checkpoint { .. } => "endpoints",
+            ZeroMaxBatch | BadMaxDelay(_) | QueueBelowBatch { .. } => "policy",
+            NoReplicas => "replicas",
+            Workload(_) => "workload",
+            NoShards => "shards",
+            ZeroAdmissionCap => "admission",
+            BadRetryBudget(_) => "retry-budget",
+            BadProbeInterval(_) | ZeroFailThreshold | ZeroReadmitThreshold => "health",
+            BadHedgeDelay(_) => "hedge",
+            BadNetDelay(_) => "net-delay",
+            BadSloTarget(_) => "slo",
+            ZeroMinReplicas
+            | AutoscaleBounds { .. }
+            | AutoscaleWatermarks { .. }
+            | BadCooldown(_) => "autoscale",
+        }
+    }
 }
 
 impl fmt::Display for ServeConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeConfigError::NoEndpoints => write!(f, "serve config has no endpoints"),
-            ServeConfigError::NoRequests => write!(f, "serve config generates no requests"),
-            ServeConfigError::BadRate(rate) => {
-                write!(f, "arrival rate {rate} must be positive")
+            ServeConfigError::ZeroMaxBatch => {
+                write!(
+                    f,
+                    "max_batch must be at least 1: no batch can ever dispatch"
+                )
             }
-            ServeConfigError::ZeroMaxBatch => write!(f, "max_batch must be at least 1"),
             ServeConfigError::BadMaxDelay(delay) => {
                 write!(f, "max_delay {delay} must be finite and non-negative")
             }
@@ -109,21 +130,37 @@ impl fmt::Display for ServeConfigError {
                 "queue_cap {queue_cap} below max_batch {max_batch}: a full batch could never \
                  accumulate"
             ),
-            ServeConfigError::NoReplicas => write!(f, "need at least one replica"),
+            ServeConfigError::NoReplicas => {
+                write!(
+                    f,
+                    "need at least one replica: no device session can execute batches"
+                )
+            }
             ServeConfigError::Cell(err) => write!(f, "{err}"),
             ServeConfigError::Checkpoint { cell, message } => {
                 write!(f, "endpoint {cell}: {message}")
             }
             ServeConfigError::Workload(err) => write!(f, "{err}"),
-            ServeConfigError::NoShards => write!(f, "fleet config has no shards"),
+            ServeConfigError::NoShards => {
+                write!(
+                    f,
+                    "fleet config has no shards: every arrival sheds as unroutable"
+                )
+            }
             ServeConfigError::ZeroAdmissionCap => {
-                write!(f, "admission cap must be at least 1")
+                write!(
+                    f,
+                    "admission cap must be at least 1: every request sheds before queuing"
+                )
             }
             ServeConfigError::BadRetryBudget(budget) => {
                 write!(f, "retry budget {budget} must be finite and non-negative")
             }
             ServeConfigError::BadProbeInterval(interval) => {
-                write!(f, "probe interval {interval} must be positive")
+                write!(
+                    f,
+                    "probe interval {interval} must be positive: health is never observed"
+                )
             }
             ServeConfigError::ZeroFailThreshold => {
                 write!(f, "health fail threshold must be at least 1")
@@ -140,15 +177,24 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::BadSloTarget(target) => {
                 write!(f, "slo target {target} must be positive")
             }
-            ServeConfigError::ZeroMinReplicas => {
-                write!(f, "autoscale min_replicas must be at least 1")
-            }
-            ServeConfigError::AutoscaleBounds { min, max } => {
-                write!(f, "autoscale min_replicas {min} above max_replicas {max}")
-            }
+            ServeConfigError::ZeroMinReplicas => write!(
+                f,
+                "autoscale min_replicas must be at least 1: scale-down can empty a shard, \
+                 which then fails every health probe"
+            ),
+            ServeConfigError::AutoscaleBounds { min, max } => write!(
+                f,
+                "autoscale min_replicas {min} above max_replicas {max}: no replica count \
+                 satisfies both bounds"
+            ),
             ServeConfigError::AutoscaleWatermarks { low, high } => write!(
                 f,
-                "autoscale queue_low {low} must be below queue_high {high}"
+                "autoscale queue_low {low} must be below queue_high {high}: without a dead \
+                 band between them the controller thrashes"
+            ),
+            ServeConfigError::BadCooldown(cooldown) => write!(
+                f,
+                "autoscale cooldown {cooldown} must be finite and non-negative"
             ),
         }
     }
@@ -182,7 +228,7 @@ mod tests {
             "serve config has no endpoints"
         );
         assert_eq!(
-            ServeConfigError::BadRate(0.0).to_string(),
+            ServeConfigError::from(WorkloadError::BadRate(0.0)).to_string(),
             "arrival rate 0 must be positive"
         );
         assert_eq!(

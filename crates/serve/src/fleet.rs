@@ -24,8 +24,8 @@
 //! **Bounded amplification.** Retries and hedges spend from a token
 //! bucket that earns `retry_budget` tokens per primary admission and pays
 //! one token per extra enqueue, so total enqueued work is provably
-//! ≤ `(1 + retry_budget) × submitted` — asserted at runtime on every run
-//! and audited statically by the `fleet-config` lint.
+//! ≤ `(1 + retry_budget) × submitted` — asserted at runtime on every run;
+//! the `fleet-config` lint warns when the budget exceeds 1.
 
 use std::path::PathBuf;
 
@@ -153,30 +153,42 @@ impl FleetConfig {
         }
     }
 
-    /// Validates the config, mirroring the `fleet-config` lint's hard
-    /// rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`ServeConfigError`] naming what is impossible.
-    pub fn validate(&self) -> Result<(), ServeConfigError> {
+    /// Every hard rule the config breaks, in precedence order: no
+    /// endpoints, the batching, topology and fleet-policy rules, then the
+    /// workload's ([`WorkloadSpec`] or [`ClosedLoop`]).
+    pub fn violations(&self) -> Vec<ServeConfigError> {
+        let mut out = Vec::new();
         if self.endpoints.is_empty() {
-            return Err(ServeConfigError::NoEndpoints);
+            out.push(ServeConfigError::NoEndpoints);
         }
-        self.plan().validate()?;
-        // Workload-shape validation rides the typed constructors.
-        match &self.workload {
-            FleetWorkload::Open(kind) => {
-                WorkloadSpec::new(self.seed, self.requests, self.rate, *kind)?;
+        out.extend(self.plan().violations());
+        let workload = match &self.workload {
+            FleetWorkload::Open(kind) => WorkloadSpec {
+                seed: self.seed,
+                requests: self.requests,
+                rate: self.rate,
+                kind: *kind,
             }
+            .violations(),
             FleetWorkload::Closed {
                 clients,
                 think_time,
-            } => {
-                ClosedLoop::new(self.seed, self.requests, *clients, *think_time)?;
-            }
-        }
-        Ok(())
+            } => ClosedLoop::new(self.seed, self.requests, *clients, *think_time)
+                .err()
+                .into_iter()
+                .collect(),
+        };
+        out.extend(workload.into_iter().map(ServeConfigError::from));
+        out
+    }
+
+    /// Validates the config.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first of [`FleetConfig::violations`].
+    pub fn validate(&self) -> Result<(), ServeConfigError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 }
 

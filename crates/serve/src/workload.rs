@@ -160,42 +160,46 @@ impl WorkloadSpec {
         WorkloadSpec::new(seed, requests, rate, WorkloadKind::OpenLoop)
     }
 
+    /// Every degenerate parameter of the spec, in precedence order.
+    pub fn violations(&self) -> Vec<WorkloadError> {
+        use WorkloadError::*;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let mut rules = vec![
+            (self.requests == 0, NoRequests),
+            (!positive(self.rate), BadRate(self.rate)),
+        ];
+        match self.kind {
+            WorkloadKind::OpenLoop => {}
+            WorkloadKind::Diurnal { period, amplitude } => rules.extend([
+                (!positive(period), BadPeriod(period)),
+                (
+                    !(amplitude.is_finite() && (0.0..1.0).contains(&amplitude)),
+                    BadAmplitude(amplitude),
+                ),
+            ]),
+            WorkloadKind::FlashCrowd { at, width, factor } => rules.extend([
+                (!(at.is_finite() && at >= 0.0), BadCrowdStart(at)),
+                (!positive(width), BadCrowdWidth(width)),
+                (
+                    !(factor.is_finite() && factor >= 1.0),
+                    BadCrowdFactor(factor),
+                ),
+            ]),
+        }
+        rules
+            .into_iter()
+            .filter_map(|(broken, err)| broken.then_some(err))
+            .collect()
+    }
+
     /// Re-checks the spec (struct-literal construction can bypass
     /// [`WorkloadSpec::new`]; [`generate`] calls this again).
     ///
     /// # Errors
     ///
-    /// Returns the [`WorkloadError`] naming the degenerate parameter.
+    /// Returns the first of [`WorkloadSpec::violations`].
     pub fn validate(&self) -> Result<(), WorkloadError> {
-        if self.requests == 0 {
-            return Err(WorkloadError::NoRequests);
-        }
-        if !(self.rate.is_finite() && self.rate > 0.0) {
-            return Err(WorkloadError::BadRate(self.rate));
-        }
-        match self.kind {
-            WorkloadKind::OpenLoop => {}
-            WorkloadKind::Diurnal { period, amplitude } => {
-                if !(period.is_finite() && period > 0.0) {
-                    return Err(WorkloadError::BadPeriod(period));
-                }
-                if !(amplitude.is_finite() && (0.0..1.0).contains(&amplitude)) {
-                    return Err(WorkloadError::BadAmplitude(amplitude));
-                }
-            }
-            WorkloadKind::FlashCrowd { at, width, factor } => {
-                if !(at.is_finite() && at >= 0.0) {
-                    return Err(WorkloadError::BadCrowdStart(at));
-                }
-                if !(width.is_finite() && width > 0.0) {
-                    return Err(WorkloadError::BadCrowdWidth(width));
-                }
-                if !(factor.is_finite() && factor >= 1.0) {
-                    return Err(WorkloadError::BadCrowdFactor(factor));
-                }
-            }
-        }
-        Ok(())
+        self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 
     /// The peak instantaneous arrival rate of the process (the thinning
