@@ -7,7 +7,8 @@
 //! crate verifies the whole configured run *before execution*:
 //!
 //! - **Shape/dtype inference** ([`ir`], [`lower`]): every model × framework
-//!   lowering is replayed symbolically (node counts stay symbolic, widths
+//!   [`StackPlan`] — the plan `gnn_models::build` instantiates — is lowered
+//!   and replayed symbolically (node counts stay symbolic, widths
 //!   concrete) and each op's shape rule is checked, with diagnostics
 //!   rendered through the same [`gnn_tensor::ShapeError`] the runtime
 //!   panics with.
@@ -25,9 +26,6 @@
 //!   replica failures on GPUs no experiment creates) or can never be
 //!   survived (a memory limit of zero, or one below the certified
 //!   persistent footprint of the largest cell).
-//! - **Counter-coverage audit** ([`counter_check`]): every kernel kind the
-//!   device cost model prices must have a FLOPs/bytes counter formula, or
-//!   roofline attribution would silently report zero work for it.
 //! - **Serve-config audit** ([`serve_check`]): inference-serving runs
 //!   are reported against the engine's own rules
 //!   (`ServeConfig::violations`), plus warnings for batching policies that
@@ -39,7 +37,7 @@
 //!   sampling spec breaks (`SampleSpec::violations`) is reported at once,
 //!   before any RMAT graph is generated; sampled cells are then lowered
 //!   through the same IR and memory-certified at their fan-out union
-//!   bounds.
+//!   bounds ([`lint_sample_spec`], shared with `gnn-bench sample --lint`).
 //! - **Fleet-config audit** ([`fleet_check`]): sharded serving runs are
 //!   reported against the fleet engine's own rules
 //!   (`FleetConfig::violations`), plus warnings for retry budgets above 1
@@ -63,7 +61,6 @@
 //! `lint.json` next to the `gnn-obs` trace artifacts (see the README's
 //! findings-format reference).
 
-pub mod counter_check;
 pub mod fault_plan;
 pub mod fleet_check;
 pub mod index_check;
@@ -78,18 +75,18 @@ pub mod schedule;
 pub mod serve_check;
 pub mod tape;
 
-pub use counter_check::check_counter_coverage;
 pub use fault_plan::{check_fault_plan, check_memory_ceilings};
 pub use fleet_check::{check_fleet_config, check_fleet_fault_plan};
+pub use gnn_models::build::{LayerPlan, StackPlan, Task};
 pub use ir::{DType, GraphBuilder, OpGraph, Rows, SymShape};
-pub use lower::{lower_stack, LayerPlan, StackPlan, Task};
+pub use lower::lower_stack;
 pub use memory::{
     certify_graph_cell, certify_node_cell, certify_sample_cell, footprint, CellCert, CellFootprint,
     MemExpr, MemVerdict, MemoryReport,
 };
 pub use report::{Finding, FindingKind, LintReport};
-pub use run::{certify_run, lint_run, lint_run_with_memory};
-pub use sample_check::{check_sample_config, check_sample_spec};
+pub use run::{certify_run, lint_run, lint_run_with_memory, lint_sample_spec};
+pub use sample_check::{check_sample_spec, resolve_sample_specs};
 pub use schedule::{data_parallel_schedule, Lane, Schedule, Slice};
 pub use serve_check::{check_replica_memory, check_serve_config};
 pub use tape::audit_tape;

@@ -83,8 +83,9 @@ pub fn ideal_step_peak(g: &OpGraph, nodes: u64, edges: u64, graphs: u64) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::{lower_stack, StackPlan};
+    use crate::lower::lower_stack;
     use crate::memory::footprint_of;
+    use gnn_models::build::StackPlan;
     use gnn_models::config::{ALL_FRAMEWORKS, ALL_MODELS};
 
     #[test]

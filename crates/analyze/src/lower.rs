@@ -1,8 +1,8 @@
 //! Symbolic lowering of the study's model zoo.
 //!
-//! A [`StackPlan`] captures exactly what `gnn_models::build` assembles — the
-//! per-layer dimensions from Tables II/III, batch-norm/ReLU/residual wiring,
-//! and the readout head — and [`lower_stack`] walks it through a
+//! [`lower_stack`] walks the [`StackPlan`] that `gnn_models::build`
+//! instantiates — the per-layer dimensions from Tables II/III,
+//! batch-norm/ReLU/residual wiring, and the readout head — through a
 //! [`GraphBuilder`], emitting the *same op sequence* each framework executes
 //! at runtime: gather/scatter pairs for the PyG-like `rustyg`, fused
 //! GSpMM/GSDDMM kernels for the DGL-like `rgl`. Shape defects anywhere in
@@ -13,148 +13,10 @@
 //! can mutate a layer's dimensions and assert the analyzer pinpoints the
 //! break.
 
-use gnn_models::config::{graph_hparams, node_hparams, FrameworkKind, ModelKind};
+use gnn_models::build::{LayerPlan, StackPlan, Task};
+use gnn_models::config::{FrameworkKind, ModelKind};
 
 use crate::ir::{GraphBuilder, NodeId, OpGraph, Rows};
-
-/// Which of the paper's two protocols the stack follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Task {
-    /// Full-batch 2-layer node classification (Section IV-A).
-    Node,
-    /// Mini-batched 4-layer graph classification (Section IV-B).
-    Graph,
-}
-
-/// One conv layer's dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayerPlan {
-    /// Input feature width.
-    pub in_dim: usize,
-    /// Output width per head (total width is `out * heads`).
-    pub out: usize,
-    /// Attention heads (1 for non-GAT layers).
-    pub heads: usize,
-    /// Gaussian kernels (MoNet).
-    pub kernels: usize,
-    /// Pseudo-coordinate dims (MoNet).
-    pub pseudo_dim: usize,
-}
-
-impl LayerPlan {
-    /// Total output width (`out * heads`).
-    pub fn width(&self) -> usize {
-        self.out * self.heads
-    }
-}
-
-/// A full model stack as the builders wire it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StackPlan {
-    /// Architecture.
-    pub model: ModelKind,
-    /// Framework lowering to emit.
-    pub framework: FrameworkKind,
-    /// Protocol (decides head, residual wiring, batching).
-    pub task: Task,
-    /// Dataset feature width.
-    pub in_dim: usize,
-    /// Dataset class count.
-    pub num_classes: usize,
-    /// Conv layers in order.
-    pub layers: Vec<LayerPlan>,
-    /// Outer batch norm per layer (graph task, except GIN's internal norm).
-    pub bn: Vec<bool>,
-    /// ReLU after each layer.
-    pub relu: Vec<bool>,
-    /// Residual connections (applied only where widths allow, as at runtime).
-    pub residual: bool,
-    /// Readout MLP dims (empty for the node head).
-    pub mlp_dims: Vec<usize>,
-}
-
-impl StackPlan {
-    /// The 2-layer node-classification stack of `gnn_models::build` with
-    /// Table II hyper-parameters.
-    pub fn node(
-        model: ModelKind,
-        framework: FrameworkKind,
-        in_dim: usize,
-        num_classes: usize,
-    ) -> Self {
-        let hp = node_hparams(model);
-        let layer = |in_dim, out, heads| LayerPlan {
-            in_dim,
-            out,
-            heads,
-            kernels: hp.kernels,
-            pseudo_dim: hp.pseudo_dim,
-        };
-        let layers = match model {
-            ModelKind::Gat => vec![
-                layer(in_dim, hp.hidden, hp.heads),
-                layer(hp.hidden * hp.heads, num_classes, 1),
-            ],
-            _ => vec![
-                layer(in_dim, hp.hidden, 1),
-                layer(hp.hidden, num_classes, 1),
-            ],
-        };
-        StackPlan {
-            model,
-            framework,
-            task: Task::Node,
-            in_dim,
-            num_classes,
-            layers,
-            bn: vec![false; 2],
-            relu: vec![true, false],
-            residual: false,
-            mlp_dims: vec![],
-        }
-    }
-
-    /// The 4-layer graph-classification stack of `gnn_models::build` with
-    /// Table III hyper-parameters.
-    pub fn graph(
-        model: ModelKind,
-        framework: FrameworkKind,
-        in_dim: usize,
-        num_classes: usize,
-    ) -> Self {
-        let hp = graph_hparams(model);
-        let width = hp.out;
-        let layers = (0..hp.layers)
-            .map(|l| {
-                let din = if l == 0 { in_dim } else { width };
-                let (out, heads) = match model {
-                    ModelKind::Gat => (hp.hidden, hp.heads),
-                    _ => (width, 1),
-                };
-                LayerPlan {
-                    in_dim: din,
-                    out,
-                    heads,
-                    kernels: hp.kernels,
-                    pseudo_dim: hp.pseudo_dim,
-                }
-            })
-            .collect();
-        let internal_norm = matches!(model, ModelKind::Gin);
-        StackPlan {
-            model,
-            framework,
-            task: Task::Graph,
-            in_dim,
-            num_classes,
-            layers,
-            bn: vec![!internal_norm; hp.layers],
-            relu: vec![true; hp.layers],
-            residual: true,
-            mlp_dims: vec![width, width / 2, num_classes],
-        }
-    }
-}
 
 /// The batch-level leaves every lowering reads.
 struct Env {
@@ -500,6 +362,30 @@ mod tests {
             "{}",
             f.message
         );
+    }
+
+    #[test]
+    fn every_lowered_plan_holds_the_built_stacks_parameter_bytes() {
+        use gnn_models::build::{model_rgl, model_rustyg};
+        use rand::SeedableRng;
+        // The plan is shared; what stays twinned is `lower_conv`'s op list,
+        // whose parameters must add up to the runtime conv's.
+        for model in ALL_MODELS {
+            for fw in ALL_FRAMEWORKS {
+                for plan in [
+                    StackPlan::node(model, fw, 1433, 7),
+                    StackPlan::graph(model, fw, 18, 6),
+                ] {
+                    let rng = &mut rand::rngs::StdRng::seed_from_u64(0);
+                    let built = match fw {
+                        FrameworkKind::RustyG => model_rustyg(&plan, rng).param_bytes(),
+                        FrameworkKind::Rgl => model_rgl(&plan, rng).param_bytes(),
+                    };
+                    let lowered = lower_stack(&plan, "").param_bytes();
+                    assert_eq!(lowered, built, "{model:?}/{fw:?}/{:?}", plan.task);
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,12 +35,13 @@ use std::fmt;
 
 use gnn_datasets::{GraphDataset, NodeDataset};
 use gnn_device::CostModel;
+use gnn_models::build::StackPlan;
 use gnn_models::config::{FrameworkKind, ModelKind};
 use gnn_obs::{Column, Table, Value};
 
 use crate::ir::{NodeId, OpGraph, Rows, SymShape};
 use crate::liveness;
-use crate::lower::{lower_stack, StackPlan};
+use crate::lower::lower_stack;
 use crate::report::{Finding, FindingKind, FINDINGS};
 
 /// Bytes as a closed-form linear expression over the symbolic batch sizes:

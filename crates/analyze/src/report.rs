@@ -43,10 +43,6 @@ pub enum FindingKind {
     /// thresholds that can never eject within the run's horizon, or a
     /// fault plan naming shards the fleet does not have.
     InvalidFleetConfig,
-    /// A kernel kind is priced by the device cost model but has no
-    /// FLOPs/bytes counter formula (or a degenerate one), so roofline
-    /// attribution would silently report zero work for it.
-    CounterCoverage,
     /// A cell's certified minimum memory footprint exceeds a device's
     /// capacity: no admissible batch size exists, so the cell provably
     /// cannot run there.
@@ -80,7 +76,6 @@ impl FindingKind {
             FindingKind::InvalidServeConfig => "serve-config",
             FindingKind::InvalidSampleConfig => "sample-config",
             FindingKind::InvalidFleetConfig => "fleet-config",
-            FindingKind::CounterCoverage => "counter-coverage",
             FindingKind::PeakExceedsDeviceMemory => "peak-exceeds-device-memory",
             FindingKind::CeilingUnsatisfiable => "ceiling-unsatisfiable",
             FindingKind::ServeBatchExceedsReplicaMemory => "serve-batch-exceeds-replica-memory",
@@ -132,7 +127,7 @@ pub struct LintReport {
     pub datasets_checked: usize,
     /// Device schedules checked for hazards.
     pub schedules_checked: usize,
-    /// Priced kernel kinds audited for counter-formula coverage.
+    /// Priced kernel kinds, each with its counter read/write split.
     pub kernel_kinds_checked: usize,
 }
 

@@ -16,7 +16,8 @@
 //!    fire or never be survived under this run ([`crate::fault_plan`]),
 //! 6. sample-config auditing and closed-form certification of any
 //!    configured giant-graph sampling cells, without generating their RMAT
-//!    graphs ([`crate::sample_check`]),
+//!    graphs ([`lint_sample_spec`], which `gnn-bench sample --lint` also
+//!    runs),
 //! 7. memory certification of every cell at the generated datasets'
 //!    concrete sizes ([`crate::memory`]), including device-capacity checks
 //!    and — for armed plans — memory ceilings that admit no batch size.
@@ -30,18 +31,19 @@ use gnn_core::cell::{
     NODE_DATASETS,
 };
 use gnn_core::RunConfig;
-use gnn_device::{DataParallel, StepCost};
+use gnn_device::{DataParallel, StepCost, PRICED_KINDS};
+use gnn_models::build::StackPlan;
 use gnn_models::config::{graph_hparams, ModelKind, ALL_FRAMEWORKS};
+use gnn_sample::SampleSpec;
 
-use crate::counter_check::check_counter_coverage;
 use crate::fault_plan::{check_fault_plan, check_memory_ceilings};
 use crate::index_check::{check_graph_dataset, check_node_dataset};
-use crate::lower::{lower_stack, StackPlan};
+use crate::lower::lower_stack;
 use crate::memory::{
     certify_graph_cell, certify_node_cell, certify_sample_cell, check_device_fit, MemoryReport,
 };
 use crate::report::{Finding, FindingKind, LintReport};
-use crate::sample_check::check_sample_config;
+use crate::sample_check::{check_sample_spec, resolve_sample_specs};
 use crate::schedule::data_parallel_schedule;
 use crate::tape::audit_tape;
 
@@ -52,6 +54,26 @@ fn lint_cell(plan: &StackPlan, path: &str, report: &mut LintReport) -> u64 {
     report.ops_checked += graph.nodes.len();
     report.cells_checked += 1;
     graph.param_bytes()
+}
+
+/// Lints one sampled spec's cells (`sample/<spec>-<kind>/SAGE/<fw>`):
+/// every `sample-config` violation, each cell's lowering and tape audit,
+/// and — only when the spec validates, since the union bounds of a broken
+/// fan-out schedule are garbage — its closed-form memory certificate,
+/// checked against both devices.
+pub fn lint_sample_spec(spec: &SampleSpec, report: &mut LintReport, memory: &mut MemoryReport) {
+    let valid = check_sample_spec(spec, &mut report.findings) == 0;
+    report.datasets_checked += 1;
+    let (f, c) = (spec.rmat.feature_dim, spec.rmat.num_classes);
+    for (kind, cell) in CellId::sample_grid(spec.name) {
+        let plan = StackPlan::node(cell.model, cell.framework, f, c);
+        lint_cell(&plan, &cell.path(), report);
+        if valid {
+            let cert = certify_sample_cell(cell.framework, spec, kind);
+            check_device_fit(&cert, &mut memory.findings);
+            memory.cells.push(cert);
+        }
+    }
 }
 
 /// Lints the full sweep a [`RunConfig`] describes. Deterministic: the same
@@ -75,9 +97,10 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
     let mut report = LintReport::default();
     let mut memory = MemoryReport::default();
 
-    // Counter coverage first: this audits the device layer itself, so a
-    // gap fails every configured run identically.
-    report.kernel_kinds_checked += check_counter_coverage(&mut report.findings);
+    // Every priced kernel kind has its counter read fraction by
+    // construction: `gnn_device::counters::read_fraction` is an exhaustive
+    // match, so a new kind without one does not compile.
+    report.kernel_kinds_checked = PRICED_KINDS.len();
 
     // Armed fault plans are audited first: a chaos campaign whose specs
     // cannot fire (or cannot be survived) should be rejected before the
@@ -127,16 +150,8 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
     // Sampled cells: audited and certified entirely in closed form — no
     // RMAT graph is generated, so linting the million-node spec costs the
     // same as the 4k one.
-    for spec in check_sample_config(&cfg.sample_specs, &mut report.findings) {
-        report.datasets_checked += 1;
-        for (kind, cell) in CellId::sample_grid(spec.name) {
-            let (f, c) = (spec.rmat.feature_dim, spec.rmat.num_classes);
-            let plan = StackPlan::node(cell.model, cell.framework, f, c);
-            lint_cell(&plan, &cell.path(), &mut report);
-            let cert = certify_sample_cell(cell.framework, &spec, kind);
-            check_device_fit(&cert, &mut memory.findings);
-            memory.cells.push(cert);
-        }
+    for spec in resolve_sample_specs(&cfg.sample_specs, &mut report.findings) {
+        lint_sample_spec(&spec, &mut report, &mut memory);
     }
 
     // Fig. 6: data-parallel schedules for the two multi-GPU models, with

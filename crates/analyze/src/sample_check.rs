@@ -28,18 +28,15 @@ pub fn check_sample_spec(spec: &SampleSpec, findings: &mut Vec<Finding>) -> usiz
     violations.len()
 }
 
-/// Resolves and audits a list of spec *names* (the `RunConfig::sample_specs`
-/// form): unknown names get a finding at `sample/<name>`, known ones run
-/// through [`check_sample_spec`]. Returns the resolved specs, so callers
-/// lint and certify the same objects the sweep will run.
-pub fn check_sample_config(names: &[String], findings: &mut Vec<Finding>) -> Vec<SampleSpec> {
+/// Resolves a list of spec *names* (the `RunConfig::sample_specs` form):
+/// unknown names get a finding at `sample/<name>`. Returns the resolved
+/// specs, so callers lint and certify the same objects the sweep will run
+/// (`crate::run::lint_sample_spec`).
+pub fn resolve_sample_specs(names: &[String], findings: &mut Vec<Finding>) -> Vec<SampleSpec> {
     let mut specs = Vec::with_capacity(names.len());
     for name in names {
         match SampleSpec::get(name) {
-            Ok(spec) => {
-                check_sample_spec(&spec, findings);
-                specs.push(spec);
-            }
+            Ok(spec) => specs.push(spec),
             Err(e) => findings.push(Finding::new(
                 FindingKind::InvalidSampleConfig,
                 format!("sample/{name}"),
@@ -70,7 +67,7 @@ mod tests {
     #[test]
     fn catalog_specs_lint_clean() {
         let mut findings = Vec::new();
-        let specs = check_sample_config(
+        let specs = resolve_sample_specs(
             &SampleSpec::names()
                 .iter()
                 .map(|s| s.to_string())
@@ -78,6 +75,9 @@ mod tests {
             &mut findings,
         );
         assert_eq!(specs.len(), 3);
+        for spec in &specs {
+            assert_eq!(check_sample_spec(spec, &mut findings), 0);
+        }
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn unknown_names_get_one_finding_each() {
         let mut findings = Vec::new();
-        let specs = check_sample_config(
+        let specs = resolve_sample_specs(
             &["rmat-4k".to_string(), "rmat-9z".to_string()],
             &mut findings,
         );

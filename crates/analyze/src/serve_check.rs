@@ -19,10 +19,10 @@
 
 use gnn_core::cell::{graph_dataset, node_dataset};
 use gnn_device::CostModel;
+use gnn_models::build::StackPlan;
 use gnn_serve::registry::target_count;
 use gnn_serve::{CellId, ServeConfig, ServeConfigError, TaskKind};
 
-use crate::lower::StackPlan;
 use crate::memory::footprint;
 use crate::report::{Finding, FindingKind};
 

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::cli::Args;
 use crate::report::{diff_reports, render_diff, resolve_baseline, run_report};
-use crate::sample::{expand_variants, run_sample_sweep, SampleVariant, SAMPLE_METRICS};
+use crate::sample::{expand_variants, run_sample_sweep, SAMPLE_METRICS};
 use crate::whatif::{run_conformance, run_serve_conformance, run_whatif, ConformanceRecord};
 use crate::Run;
 
@@ -310,48 +310,6 @@ pub(crate) fn fleet(args: Args) -> ExitCode {
     run.finish()
 }
 
-/// Audits every sampled variant: all `sample-config` defects at once, the
-/// SAGE lowering's shape/tape findings, and the closed-form memory
-/// certificates against both device capacities.
-fn lint_variants(variants: &[SampleVariant]) -> gnn_lint::LintReport {
-    let mut report = gnn_lint::LintReport::default();
-    for variant in variants {
-        let spec = &variant.spec;
-        gnn_lint::check_sample_spec(spec, &mut report.findings);
-        report.datasets_checked += 1;
-        let clean = spec.validate().is_ok();
-        for kind in SamplerKind::all() {
-            for fw in ALL_FRAMEWORKS {
-                let plan = gnn_lint::StackPlan::node(
-                    ModelKind::Sage,
-                    fw,
-                    spec.rmat.feature_dim,
-                    spec.rmat.num_classes,
-                );
-                let path = format!(
-                    "sample/{}-{}/{}/{}",
-                    spec.name,
-                    kind.label(),
-                    ModelKind::Sage.label(),
-                    fw.label()
-                );
-                let g = gnn_lint::lower_stack(&plan, &path);
-                report.findings.extend(g.findings.iter().cloned());
-                gnn_lint::audit_tape(&g, &mut report.findings);
-                report.ops_checked += g.nodes.len();
-                report.cells_checked += 1;
-                // Certify only specs whose parameters make sense — the
-                // union bounds of a broken fan-out schedule are garbage.
-                if clean {
-                    let cert = gnn_lint::certify_sample_cell(fw, spec, kind);
-                    gnn_lint::memory::check_device_fit(&cert, &mut report.findings);
-                }
-            }
-        }
-    }
-    report
-}
-
 /// Giant-graph sampled training: sweeps fan-out schedules and feature-cache
 /// sizes over seeded RMAT graphs, in both frameworks under both sampler
 /// kinds.
@@ -374,7 +332,13 @@ pub(crate) fn sample(args: Args) -> ExitCode {
     let variants = expand_variants(&cfg.specs, &cfg.fanouts, &cfg.cache_rows);
     let mut run = Run::new(None, args.faults.as_ref());
     if args.lint {
-        run.gate(lint_variants(&variants));
+        let mut report = gnn_lint::LintReport::default();
+        let mut memory = gnn_lint::MemoryReport::default();
+        for variant in &variants {
+            gnn_lint::lint_sample_spec(&variant.spec, &mut report, &mut memory);
+        }
+        report.findings.append(&mut memory.findings);
+        run.gate(report);
     }
 
     println!(

@@ -36,8 +36,8 @@
 //! factor, savings within critical-path budgets.
 
 use gnn_device::{
-    component_label, CostModel, Speedups, COMPONENT_HOST, COMPONENT_LAUNCH, PRICED_KINDS,
-    WHATIF_COMPONENTS,
+    component_label, kind_index, CostModel, Speedups, COMPONENT_HOST, COMPONENT_LAUNCH,
+    PRICED_KINDS, WHATIF_COMPONENTS,
 };
 use gnn_obs::whatif::{component_budgets, replay_schedule, SchedEntry};
 use gnn_obs::{self as obs, Column, Table, Value};
@@ -305,11 +305,10 @@ pub fn run_whatif(cfg: &WhatIfConfig) -> Result<WhatIfReport, Vec<String>> {
             cell.path()
         );
         for profile in &dev.profile {
-            if let Some(i) = PRICED_KINDS.iter().position(|&k| k == profile.kind) {
-                aggregates[i].flops += profile.flops;
-                aggregates[i].bytes += profile.bytes;
-                aggregates[i].launches += profile.launches;
-            }
+            let agg = &mut aggregates[kind_index(profile.kind)];
+            agg.flops += profile.flops;
+            agg.bytes += profile.bytes;
+            agg.launches += profile.launches;
         }
         let epochs = cfg.epochs.max(1);
         let mut predictions = Vec::with_capacity(WHATIF_COMPONENTS * SPEEDUP_GRID.len());

@@ -57,10 +57,8 @@ pub fn component_label(component: usize) -> &'static str {
     }
 }
 
-/// Every kernel kind the cost model prices, in efficiency-table order.
-/// The counter model ([`crate::counters`]) and the `counter-coverage` lint
-/// both iterate this list, so pricing a new kind without giving it a
-/// FLOPs/bytes formula is a lint failure, not a silent gap.
+/// Every kernel kind the cost model prices, in efficiency-table order
+/// ([`kind_index`]).
 pub const PRICED_KINDS: [KernelKind; 11] = [
     KernelKind::Gemm,
     KernelKind::Elementwise,
@@ -75,7 +73,8 @@ pub const PRICED_KINDS: [KernelKind; 11] = [
     KernelKind::Transfer,
 ];
 
-pub(crate) fn kind_index(kind: KernelKind) -> usize {
+/// Position of `kind` in [`PRICED_KINDS`] and the efficiency tables.
+pub fn kind_index(kind: KernelKind) -> usize {
     match kind {
         KernelKind::Gemm => 0,
         KernelKind::Elementwise => 1,

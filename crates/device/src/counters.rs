@@ -9,17 +9,12 @@
 //! so every traced slice can carry the full counter set at zero simulation
 //! cost: [`CostModel::counters`] never touches the timeline.
 //!
-//! Two layers:
-//!
-//! - [`KernelCounters`] — per-launch derived counters: work, split traffic,
-//!   intensity, boundness class, and attained roofline fraction.
-//! - [`CounterFormula`] — a static registry documenting, per
-//!   [`KernelKind`], where the work counts come from and how DRAM traffic
-//!   splits into reads and writes. The `counter-coverage` lint checks this
-//!   registry against [`crate::cost::PRICED_KINDS`] so pricing a kind
-//!   without a formula fails ahead of run.
+//! [`KernelCounters`] are the per-launch derived counters: work, split
+//! traffic, intensity, boundness class, and attained roofline fraction.
+//! [`read_fraction`] splits each kind's DRAM traffic into reads and
+//! writes, one arm per [`KernelKind`].
 
-use crate::cost::{CostModel, PRICED_KINDS};
+use crate::cost::CostModel;
 use crate::kernel::{Kernel, KernelKind};
 
 /// Which roofline resource bounds a kernel's duration.
@@ -76,104 +71,42 @@ impl KernelCounters {
     }
 }
 
-/// How one kernel kind's counters derive from its launch descriptor.
+/// Fraction of `kind`'s DRAM traffic that is reads, in `[0, 1]`.
 ///
-/// The `flops`/`bytes` strings document the closed-form expressions the
-/// [`Kernel`] constructors use; `read_fraction` is the representative share
-/// of DRAM traffic that is reads (the constructors fold reads and writes
-/// into one `bytes` figure, so the split is a per-kind constant rather than
-/// per-launch).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CounterFormula {
-    /// The kernel kind this formula covers.
-    pub kind: KernelKind,
-    /// Closed form of the FLOP count.
-    pub flops: &'static str,
-    /// Closed form of the DRAM byte count.
-    pub bytes: &'static str,
-    /// Fraction of traffic that is reads, in `[0, 1]`.
-    pub read_fraction: f64,
-}
-
-/// The counter formula registry, one entry per priced kernel kind.
-///
-/// Read fractions follow the constructors' traffic models: a GEMM streams
-/// two input operands per output (2/3 reads); a scatter-add reads source
-/// and destination and writes the destination back (2/3); a gather reads
-/// source rows + indices and writes the same volume out (~1/2); reductions
-/// and segment ops read far more than they write.
-pub const FORMULAS: [CounterFormula; 11] = [
-    CounterFormula {
-        kind: KernelKind::Gemm,
-        flops: "2*m*k*n",
-        bytes: "4*(m*k + k*n + m*n)",
-        read_fraction: 2.0 / 3.0,
-    },
-    CounterFormula {
-        kind: KernelKind::Elementwise,
-        flops: "elems * ops_per_elem",
-        bytes: "4 * elems * streams",
-        read_fraction: 0.6,
-    },
-    CounterFormula {
-        kind: KernelKind::Reduction,
-        flops: "elems",
-        bytes: "4 * (elems + outputs)",
-        read_fraction: 0.95,
-    },
-    CounterFormula {
-        kind: KernelKind::Gather,
-        flops: "0",
-        bytes: "8*rows*cols + 4*rows",
-        read_fraction: 0.5,
-    },
-    CounterFormula {
-        kind: KernelKind::Scatter,
-        flops: "rows*cols",
-        bytes: "12*rows*cols + 4*rows",
-        read_fraction: 2.0 / 3.0,
-    },
-    CounterFormula {
-        kind: KernelKind::Segment,
-        flops: "rows*cols",
-        bytes: "4*(rows*cols + segments*cols) + 4*rows",
-        read_fraction: 0.85,
-    },
-    CounterFormula {
-        kind: KernelKind::Softmax,
-        flops: "~4*elems (max, sub-exp, sum, div)",
-        bytes: "4*elems*(read passes + write)",
-        read_fraction: 0.65,
-    },
-    CounterFormula {
-        kind: KernelKind::Norm,
-        flops: "~3*elems (stats + apply)",
-        bytes: "4*elems*(2 reads + 1 write)",
-        read_fraction: 0.7,
-    },
-    CounterFormula {
-        kind: KernelKind::SpMM,
-        flops: "nnz*cols",
-        bytes: "8*nnz*cols + 8*nnz (fused gather+reduce)",
-        read_fraction: 0.75,
-    },
-    CounterFormula {
-        kind: KernelKind::SDDMM,
-        flops: "nnz*cols",
-        bytes: "8*nnz*cols + 4*nnz (two endpoint reads, edge write)",
-        read_fraction: 0.8,
-    },
-    CounterFormula {
-        kind: KernelKind::Transfer,
-        flops: "0",
-        bytes: "payload bytes",
-        read_fraction: 0.5,
-    },
-];
-
-/// Looks up the counter formula for `kind`.
-pub fn formula(kind: KernelKind) -> Option<&'static CounterFormula> {
-    FORMULAS.iter().find(|f| f.kind == kind)
+/// The [`Kernel`] constructors fold reads and writes into one `bytes`
+/// figure, so the split is a per-kind constant rather than per-launch. The
+/// comment on each arm is the closed form of the constructors' FLOP and
+/// byte counts. A GEMM streams two input operands per output (2/3 reads);
+/// a scatter-add reads source and destination and writes the destination
+/// back (2/3); a gather reads source rows + indices and writes the same
+/// volume out (~1/2); reductions and segment ops read far more than they
+/// write. The match is exhaustive, so every kind the cost model prices has
+/// a split by construction.
+pub fn read_fraction(kind: KernelKind) -> f64 {
+    match kind {
+        // flops 2*m*k*n; bytes 4*(m*k + k*n + m*n)
+        KernelKind::Gemm => 2.0 / 3.0,
+        // flops elems * ops_per_elem; bytes 4 * elems * streams
+        KernelKind::Elementwise => 0.6,
+        // flops elems; bytes 4 * (elems + outputs)
+        KernelKind::Reduction => 0.95,
+        // flops 0; bytes 8*rows*cols + 4*rows
+        KernelKind::Gather => 0.5,
+        // flops rows*cols; bytes 12*rows*cols + 4*rows
+        KernelKind::Scatter => 2.0 / 3.0,
+        // flops rows*cols; bytes 4*(rows*cols + segments*cols) + 4*rows
+        KernelKind::Segment => 0.85,
+        // flops ~4*elems (max, sub-exp, sum, div); bytes 4*elems*(read passes + write)
+        KernelKind::Softmax => 0.65,
+        // flops ~3*elems (stats + apply); bytes 4*elems*(2 reads + 1 write)
+        KernelKind::Norm => 0.7,
+        // flops nnz*cols; bytes 8*nnz*cols + 8*nnz (fused gather+reduce)
+        KernelKind::SpMM => 0.75,
+        // flops nnz*cols; bytes 8*nnz*cols + 4*nnz (two endpoint reads, edge write)
+        KernelKind::SDDMM => 0.8,
+        // flops 0; bytes payload bytes
+        KernelKind::Transfer => 0.5,
+    }
 }
 
 impl CostModel {
@@ -192,8 +125,7 @@ impl CostModel {
         } else {
             Bound::Bandwidth
         };
-        let read_fraction = formula(kernel.kind).map_or(0.5, |f| f.read_fraction);
-        let bytes_read = (kernel.bytes as f64 * read_fraction).round() as u64;
+        let bytes_read = (kernel.bytes as f64 * read_fraction(kernel.kind)).round() as u64;
         let bytes_written = kernel.bytes - bytes_read.min(kernel.bytes);
         let intensity = if kernel.bytes == 0 {
             0.0
@@ -219,26 +151,17 @@ impl CostModel {
     }
 }
 
-/// Returns the priced kinds that have no entry in the formula registry.
-/// The `counter-coverage` lint fails when this is non-empty.
-pub fn uncovered_kinds() -> Vec<KernelKind> {
-    PRICED_KINDS
-        .into_iter()
-        .filter(|k| formula(*k).is_none())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{kind_index, PRICED_KINDS};
 
     #[test]
-    fn every_priced_kind_has_a_formula() {
-        assert!(uncovered_kinds().is_empty());
-        for kind in PRICED_KINDS {
-            let f = formula(kind).unwrap();
-            assert!((0.0..=1.0).contains(&f.read_fraction), "{:?}", kind);
-            assert!(!f.flops.is_empty() && !f.bytes.is_empty());
+    fn every_priced_kind_appears_once_with_a_read_fraction() {
+        for (i, kind) in PRICED_KINDS.into_iter().enumerate() {
+            assert_eq!(kind_index(kind), i, "{kind:?} sits at its table index");
+            let f = read_fraction(kind);
+            assert!((0.0..=1.0).contains(&f), "{kind:?} reads {f}");
         }
     }
 

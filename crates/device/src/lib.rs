@@ -20,7 +20,7 @@
 //! - [`cost::CostModel`] — roofline timing: `launch + max(flops/peak, bytes/bw)`.
 //! - [`counters`] — analytical hardware counters per launch: FLOPs, split
 //!   DRAM traffic, arithmetic intensity, boundness, and attained roofline
-//!   fraction, plus the per-kind formula registry the lint checks.
+//!   fraction; each kind's read/write split is one arm of an exhaustive match.
 //! - [`timeline::Timeline`] — a single-stream execution timeline with a host
 //!   clock and a device-free clock; tracks busy time for utilization.
 //! - [`memory::MemoryTracker`] — a caching-allocator-style tracker with
@@ -55,10 +55,10 @@ pub mod session;
 pub mod timeline;
 
 pub use cost::{
-    component_label, CostModel, Speedups, COMPONENT_HOST, COMPONENT_LAUNCH, PRICED_KINDS,
-    WHATIF_COMPONENTS,
+    component_label, kind_index, CostModel, Speedups, COMPONENT_HOST, COMPONENT_LAUNCH,
+    PRICED_KINDS, WHATIF_COMPONENTS,
 };
-pub use counters::{Bound, CounterFormula, KernelCounters};
+pub use counters::{read_fraction, Bound, KernelCounters};
 pub use feature_cache::{FeatureCache, FetchStats};
 pub use kernel::{Kernel, KernelKind};
 pub use memory::MemoryTracker;

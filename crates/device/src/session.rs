@@ -100,7 +100,6 @@ pub struct Session {
     phase_times: [f64; 5],
     scope_stack: Vec<(String, f64)>,
     scope_times: Vec<(String, f64)>,
-    kind_counts: Vec<(KernelKind, u64)>,
     profile: Vec<KindProfile>,
     total_flops: u64,
     total_bytes: u64,
@@ -147,7 +146,6 @@ impl Session {
             phase_times: [0.0; 5],
             scope_stack: Vec::new(),
             scope_times: Vec::new(),
-            kind_counts: Vec::new(),
             profile: Vec::new(),
             total_flops: 0,
             total_bytes: 0,
@@ -170,10 +168,6 @@ impl Session {
                 launch,
                 counters.duration,
             );
-        }
-        match self.kind_counts.iter_mut().find(|(k, _)| *k == kernel.kind) {
-            Some((_, n)) => *n += 1,
-            None => self.kind_counts.push((kernel.kind, 1)),
         }
         match self.profile.iter_mut().find(|p| p.kind == kernel.kind) {
             Some(p) => {
@@ -271,8 +265,8 @@ impl Session {
     }
 
     /// Kernel launch counts per kind so far, in first-seen order.
-    pub fn kind_counts_so_far(&self) -> &[(KernelKind, u64)] {
-        &self.kind_counts
+    pub fn kind_counts_so_far(&self) -> Vec<(KernelKind, u64)> {
+        self.profile.iter().map(|p| (p.kind, p.launches)).collect()
     }
 
     /// Total `(flops, bytes)` accumulated across all launches so far.
@@ -405,6 +399,7 @@ impl Session {
         if self.trace_phase_open {
             obs::span_end(obs::tracks::PHASE, self.timeline.now());
         }
+        let kind_counts = self.kind_counts_so_far();
         DeviceReport {
             total_time: self.timeline.now(),
             busy_time: self.timeline.busy(),
@@ -413,7 +408,7 @@ impl Session {
             peak_memory: self.memory.peak(),
             persistent_memory: self.memory.persistent(),
             scopes: self.scope_times,
-            kind_counts: self.kind_counts,
+            kind_counts,
             profile: self.profile,
             total_flops: self.total_flops,
             total_bytes: self.total_bytes,

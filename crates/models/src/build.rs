@@ -1,145 +1,255 @@
 //! Model builders: (model kind, framework) → ready-to-train [`GnnStack`].
 //!
-//! Node-classification models follow the paper's Section IV-A setup
+//! A [`StackPlan`] is the one description of a stack: its per-layer widths
+//! (Tables II/III), the batch-norm/ReLU/residual wiring and the readout
+//! head. Node-classification plans follow the paper's Section IV-A setup
 //! (2 layers, `input → hidden → output`, Table II widths); graph-
-//! classification models follow Section IV-B (4 conv layers with batch norm,
+//! classification plans follow Section IV-B (4 conv layers with batch norm,
 //! ReLU and residual connections, mean readout into an MLP classifier,
-//! Table III widths).
+//! Table III widths). The builders below instantiate a plan with one
+//! framework's conv layers, and `gnn-lint` lowers the same plan.
 
 use gnn_tensor::nn::{BatchNorm1d, Mlp};
 use rand::Rng;
 
-use crate::config::{graph_hparams, node_hparams, ModelKind};
+use crate::config::{graph_hparams, node_hparams, FrameworkKind, ModelKind};
 use crate::stack::{Conv, GnnStack, Head};
 
+/// Which of the paper's two protocols the stack follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Task {
+    /// Full-batch 2-layer node classification (Section IV-A).
+    Node,
+    /// Mini-batched 4-layer graph classification (Section IV-B).
+    Graph,
+}
+
+/// One conv layer's dimensions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerPlan {
+    /// Input feature width.
+    pub in_dim: usize,
+    /// Output width per head (total width is `out * heads`).
+    pub out: usize,
+    /// Attention heads (1 for non-GAT layers).
+    pub heads: usize,
+    /// Gaussian kernels (MoNet).
+    pub kernels: usize,
+    /// Pseudo-coordinate dims (MoNet).
+    pub pseudo_dim: usize,
+}
+
+impl LayerPlan {
+    /// Total output width (`out * heads`).
+    pub fn width(&self) -> usize {
+        self.out * self.heads
+    }
+}
+
+/// A full model stack: what the builders instantiate and `gnn-lint` lowers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StackPlan {
+    /// Architecture.
+    pub model: ModelKind,
+    /// Framework whose layers implement it.
+    pub framework: FrameworkKind,
+    /// Protocol (decides head, residual wiring, batching).
+    pub task: Task,
+    /// Dataset feature width.
+    pub in_dim: usize,
+    /// Dataset class count.
+    pub num_classes: usize,
+    /// Conv layers in order.
+    pub layers: Vec<LayerPlan>,
+    /// Outer batch norm per layer (graph task, except GIN's internal norm).
+    pub bn: Vec<bool>,
+    /// ReLU after each layer.
+    pub relu: Vec<bool>,
+    /// Residual connections (applied only where a layer keeps its width).
+    pub residual: bool,
+    /// Readout MLP dims (empty for the node head).
+    pub mlp_dims: Vec<usize>,
+}
+
+impl StackPlan {
+    /// The 2-layer node-classification stack with Table II
+    /// hyper-parameters.
+    pub fn node(
+        model: ModelKind,
+        framework: FrameworkKind,
+        in_dim: usize,
+        num_classes: usize,
+    ) -> Self {
+        let hp = node_hparams(model);
+        let layer = |in_dim, out, heads| LayerPlan {
+            in_dim,
+            out,
+            heads,
+            kernels: hp.kernels,
+            pseudo_dim: hp.pseudo_dim,
+        };
+        let layers = match model {
+            ModelKind::Gat => vec![
+                layer(in_dim, hp.hidden, hp.heads),
+                layer(hp.hidden * hp.heads, num_classes, 1),
+            ],
+            _ => vec![
+                layer(in_dim, hp.hidden, 1),
+                layer(hp.hidden, num_classes, 1),
+            ],
+        };
+        StackPlan {
+            model,
+            framework,
+            task: Task::Node,
+            in_dim,
+            num_classes,
+            layers,
+            bn: vec![false; 2],
+            relu: vec![true, false],
+            residual: false,
+            mlp_dims: vec![],
+        }
+    }
+
+    /// The 4-layer graph-classification stack with Table III
+    /// hyper-parameters.
+    pub fn graph(
+        model: ModelKind,
+        framework: FrameworkKind,
+        in_dim: usize,
+        num_classes: usize,
+    ) -> Self {
+        let hp = graph_hparams(model);
+        let width = hp.out;
+        let (out, heads) = match model {
+            ModelKind::Gat => (hp.hidden, hp.heads),
+            _ => (width, 1),
+        };
+        let layers = (0..hp.layers)
+            .map(|l| LayerPlan {
+                in_dim: if l == 0 { in_dim } else { width },
+                out,
+                heads,
+                kernels: hp.kernels,
+                pseudo_dim: hp.pseudo_dim,
+            })
+            .collect();
+        let internal_norm = matches!(model, ModelKind::Gin);
+        StackPlan {
+            model,
+            framework,
+            task: Task::Graph,
+            in_dim,
+            num_classes,
+            layers,
+            bn: vec![!internal_norm; hp.layers],
+            relu: vec![true; hp.layers],
+            residual: true,
+            mlp_dims: vec![width, width / 2, num_classes],
+        }
+    }
+}
+
 macro_rules! framework_builders {
-    ($node_fn:ident, $graph_fn:ident, $fw:ident, $batch:ty, $gcn:ident, $pool:expr) => {
+    (
+        $plan_fn:ident, $node_fn:ident, $graph_fn:ident,
+        $fw:ident, $framework:expr, $batch:ty, $gcn:ident, $pool:expr
+    ) => {
+        /// Instantiates `plan` with this framework's layers: one conv per
+        /// plan layer, then the plan's batch norms and head. Weights are
+        /// drawn from `rng` layer by layer, then the readout MLP's.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `plan` names the other framework.
+        pub fn $plan_fn<R: Rng + ?Sized>(plan: &StackPlan, rng: &mut R) -> GnnStack<$batch> {
+            assert_eq!(plan.framework, $framework, "plan names another framework");
+            let convs = (plan.layers.iter())
+                .map(|l| -> Box<dyn Conv<$batch>> {
+                    match plan.model {
+                        ModelKind::Gcn => Box::new($fw::$gcn::new(l.in_dim, l.out, rng)),
+                        ModelKind::Gat => {
+                            Box::new($fw::GatConv::new(l.in_dim, l.out, l.heads, rng))
+                        }
+                        ModelKind::Sage => Box::new($fw::SageConv::new(l.in_dim, l.out, rng)),
+                        ModelKind::Gin => Box::new($fw::GinConv::new(l.in_dim, l.out, rng)),
+                        ModelKind::MoNet => Box::new($fw::MoNetConv::new(
+                            l.in_dim,
+                            l.out,
+                            l.kernels,
+                            l.pseudo_dim,
+                            rng,
+                        )),
+                        ModelKind::GatedGcn => {
+                            Box::new($fw::GatedGcnConv::new(l.in_dim, l.out, rng))
+                        }
+                    }
+                })
+                .collect();
+            let bns = (plan.layers.iter().zip(&plan.bn))
+                .map(|(l, &bn)| bn.then(|| BatchNorm1d::new(l.width())))
+                .collect();
+            let head = match plan.task {
+                Task::Node => Head::NodeLogits,
+                Task::Graph => Head::GraphClassifier {
+                    pool: $pool,
+                    mlp: Mlp::new(&plan.mlp_dims, rng),
+                },
+            };
+            GnnStack::new(
+                plan.model.label(),
+                convs,
+                bns,
+                plan.relu.clone(),
+                plan.residual,
+                head,
+            )
+        }
+
         /// Builds the 2-layer node-classification variant of `kind` for this
-        /// framework (Table II hyper-parameters).
+        /// framework ([`StackPlan::node`]).
         pub fn $node_fn<R: Rng + ?Sized>(
             kind: ModelKind,
             in_dim: usize,
             num_classes: usize,
             rng: &mut R,
         ) -> GnnStack<$batch> {
-            let hp = node_hparams(kind);
-            let h = hp.hidden;
-            let convs: Vec<Box<dyn Conv<$batch>>> = match kind {
-                ModelKind::Gcn => vec![
-                    Box::new($fw::$gcn::new(in_dim, h, rng)),
-                    Box::new($fw::$gcn::new(h, num_classes, rng)),
-                ],
-                ModelKind::Gat => vec![
-                    Box::new($fw::GatConv::new(in_dim, h, hp.heads, rng)),
-                    Box::new($fw::GatConv::new(h * hp.heads, num_classes, 1, rng)),
-                ],
-                ModelKind::Sage => vec![
-                    Box::new($fw::SageConv::new(in_dim, h, rng)),
-                    Box::new($fw::SageConv::new(h, num_classes, rng)),
-                ],
-                ModelKind::Gin => vec![
-                    Box::new($fw::GinConv::new(in_dim, h, rng)),
-                    Box::new($fw::GinConv::new(h, num_classes, rng)),
-                ],
-                ModelKind::MoNet => vec![
-                    Box::new($fw::MoNetConv::new(
-                        in_dim,
-                        h,
-                        hp.kernels,
-                        hp.pseudo_dim,
-                        rng,
-                    )),
-                    Box::new($fw::MoNetConv::new(
-                        h,
-                        num_classes,
-                        hp.kernels,
-                        hp.pseudo_dim,
-                        rng,
-                    )),
-                ],
-                ModelKind::GatedGcn => vec![
-                    Box::new($fw::GatedGcnConv::new(in_dim, h, rng)),
-                    Box::new($fw::GatedGcnConv::new(h, num_classes, rng)),
-                ],
-            };
-            let n = convs.len();
-            let mut relu = vec![true; n];
-            relu[n - 1] = false;
-            GnnStack::new(
-                kind.label(),
-                convs,
-                vec![None, None],
-                relu,
-                false,
-                Head::NodeLogits,
-            )
+            $plan_fn(&StackPlan::node(kind, $framework, in_dim, num_classes), rng)
         }
 
         /// Builds the 4-layer graph-classification variant of `kind` for
-        /// this framework (Table III hyper-parameters).
+        /// this framework ([`StackPlan::graph`]).
         pub fn $graph_fn<R: Rng + ?Sized>(
             kind: ModelKind,
             in_dim: usize,
             num_classes: usize,
             rng: &mut R,
         ) -> GnnStack<$batch> {
-            let hp = graph_hparams(kind);
-            let width = hp.out;
-            let mut convs: Vec<Box<dyn Conv<$batch>>> = Vec::with_capacity(hp.layers);
-            for l in 0..hp.layers {
-                let din = if l == 0 { in_dim } else { width };
-                let conv: Box<dyn Conv<$batch>> = match kind {
-                    ModelKind::Gcn => Box::new($fw::$gcn::new(din, width, rng)),
-                    ModelKind::Gat => Box::new($fw::GatConv::new(din, hp.hidden, hp.heads, rng)),
-                    ModelKind::Sage => Box::new($fw::SageConv::new(din, width, rng)),
-                    ModelKind::Gin => Box::new($fw::GinConv::new(din, width, rng)),
-                    ModelKind::MoNet => Box::new($fw::MoNetConv::new(
-                        din,
-                        width,
-                        hp.kernels,
-                        hp.pseudo_dim,
-                        rng,
-                    )),
-                    ModelKind::GatedGcn => Box::new($fw::GatedGcnConv::new(din, width, rng)),
-                };
-                convs.push(conv);
-            }
-            let internal_norm = matches!(kind, ModelKind::Gin);
-            let bns = (0..hp.layers)
-                .map(|_| {
-                    if internal_norm {
-                        None
-                    } else {
-                        Some(BatchNorm1d::new(width))
-                    }
-                })
-                .collect();
-            let relu = vec![true; hp.layers];
-            let mlp = Mlp::new(&[width, width / 2, num_classes], rng);
-            GnnStack::new(
-                kind.label(),
-                convs,
-                bns,
-                relu,
-                true,
-                Head::GraphClassifier { pool: $pool, mlp },
+            $plan_fn(
+                &StackPlan::graph(kind, $framework, in_dim, num_classes),
+                rng,
             )
         }
     };
 }
 
 framework_builders!(
+    model_rustyg,
     node_model_rustyg,
     graph_model_rustyg,
     rustyg,
+    FrameworkKind::RustyG,
     rustyg::Batch,
     GcnConv,
     rustyg::global_mean_pool
 );
 framework_builders!(
+    model_rgl,
     node_model_rgl,
     graph_model_rgl,
     rgl,
+    FrameworkKind::Rgl,
     rgl::HeteroBatch,
     GraphConv,
     rgl::segment_mean_pool

@@ -876,5 +876,36 @@ mod tests {
             FleetConfig::violations,
             FleetConfig::validate,
         );
+
+        fn closed(c: &mut FleetConfig) -> (&mut usize, &mut f64) {
+            match &mut c.workload {
+                FleetWorkload::Closed {
+                    clients,
+                    think_time,
+                } => (clients, think_time),
+                FleetWorkload::Open(_) => unreachable!("the closed-loop base"),
+            }
+        }
+        let closed_loop: &[Rule<FleetConfig>] = &[
+            (|c| c.requests = 0, Workload(WorkloadError::NoRequests)),
+            (|c| *closed(c).0 = 0, Workload(WorkloadError::NoClients)),
+            (
+                |c| *closed(c).1 = -1.0,
+                Workload(WorkloadError::BadThinkTime(-1.0)),
+            ),
+        ];
+        assert_rules(
+            &FleetConfig {
+                workload: FleetWorkload::Closed {
+                    clients: 4,
+                    think_time: 0.01,
+                },
+                ..FleetConfig::default()
+            },
+            closed_loop,
+            &[&[0, 1, 2]],
+            FleetConfig::violations,
+            FleetConfig::validate,
+        );
     }
 }

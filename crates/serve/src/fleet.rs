@@ -173,10 +173,7 @@ impl FleetConfig {
             FleetWorkload::Closed {
                 clients,
                 think_time,
-            } => ClosedLoop::new(self.seed, self.requests, *clients, *think_time)
-                .err()
-                .into_iter()
-                .collect(),
+            } => ClosedLoop::violations(self.requests, *clients, *think_time),
         };
         out.extend(workload.into_iter().map(ServeConfigError::from));
         out

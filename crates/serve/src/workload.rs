@@ -331,26 +331,40 @@ pub struct ClosedLoop {
 }
 
 impl ClosedLoop {
+    /// Every hard rule a closed loop of `clients` minting `requests`
+    /// requests with mean gap `think_time` breaks, in precedence order.
+    pub fn violations(requests: usize, clients: usize, think_time: f64) -> Vec<WorkloadError> {
+        use WorkloadError::*;
+        [
+            (requests == 0, NoRequests),
+            (clients == 0, NoClients),
+            (
+                !(think_time.is_finite() && think_time >= 0.0),
+                BadThinkTime(think_time),
+            ),
+        ]
+        .into_iter()
+        .filter_map(|(broken, err)| broken.then_some(err))
+        .collect()
+    }
+
     /// Creates a validated closed-loop generator minting at most
     /// `requests` requests in total.
     ///
     /// # Errors
     ///
-    /// Returns the [`WorkloadError`] naming the degenerate parameter.
+    /// Returns the first of [`ClosedLoop::violations`].
     pub fn new(
         seed: u64,
         requests: usize,
         clients: usize,
         think_time: f64,
     ) -> Result<Self, WorkloadError> {
-        if requests == 0 {
-            return Err(WorkloadError::NoRequests);
-        }
-        if clients == 0 {
-            return Err(WorkloadError::NoClients);
-        }
-        if !(think_time.is_finite() && think_time >= 0.0) {
-            return Err(WorkloadError::BadThinkTime(think_time));
+        if let Some(err) = Self::violations(requests, clients, think_time)
+            .into_iter()
+            .next()
+        {
+            return Err(err);
         }
         Ok(ClosedLoop {
             rng: StdRng::seed_from_u64(seed),

@@ -48,7 +48,7 @@ impl EpochTracker {
             gnn_device::session::query(|s| {
                 (
                     s.phase_times_so_far(),
-                    s.kind_counts_so_far().to_vec(),
+                    s.kind_counts_so_far(),
                     s.counter_totals_so_far(),
                     s.memory().peak(),
                     s.utilization_so_far(),
