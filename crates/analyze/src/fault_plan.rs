@@ -41,14 +41,6 @@ pub fn check_fault_plan(plan: &FaultPlan, cfg: &RunConfig, findings: &mut Vec<Fi
                         .into(),
                 );
             }
-            FaultKind::PcieStraggler { at: 0, .. } => {
-                flag("pcie at=0 never fires: transfer counters are 1-based".into());
-            }
-            FaultKind::PcieStraggler { factor, .. } if factor <= 1.0 => {
-                flag(format!(
-                    "pcie factor={factor} is not a slowdown (must be > 1)"
-                ));
-            }
             FaultKind::ReplicaFailure { at: 0, .. } => {
                 flag("replica at=0 never fires: data-parallel steps are 1-based".into());
             }
@@ -156,10 +148,9 @@ mod tests {
         let plan = FaultPlan::empty()
             .with(FaultKind::Oom { at: 0 })
             .with(FaultKind::KernelFault { at: 0 })
-            .with(FaultKind::PcieStraggler { at: 0, factor: 2.0 })
             .with(FaultKind::ReplicaFailure { gpu: 0, at: 0 });
         let findings = lint(&plan, &RunConfig::smoke());
-        assert_eq!(findings.len(), 4, "{findings:?}");
+        assert_eq!(findings.len(), 3, "{findings:?}");
         assert!(findings
             .iter()
             .all(|f| f.kind == FindingKind::InvalidFaultPlan && f.message.contains("1-based")));
@@ -242,14 +233,13 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_limits_and_factors_are_flagged() {
+    fn zero_byte_limit_is_flagged() {
         let plan = FaultPlan::empty()
             .with(FaultKind::MemLimit { bytes: 0 })
-            .with(FaultKind::PcieStraggler { at: 3, factor: 1.0 })
             .with(FaultKind::MemLimit { bytes: 1 << 30 });
         let findings = lint(&plan, &RunConfig::smoke());
-        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].path, "faults/0");
         assert!(findings[0].message.contains("every allocation"));
-        assert!(findings[1].message.contains("not a slowdown"));
     }
 }

@@ -17,9 +17,6 @@
 //!   in-bounds for the kernels that will consume them.
 //! - **Autograd tape audit** ([`tape`]): detects dead (frozen or
 //!   disconnected) parameters and backwards that can never run.
-//! - **Timeline hazards** ([`schedule`]): data-parallel schedules are
-//!   checked for same-stream kernel overlap, PCIe serialization
-//!   violations, and cross-lane buffer races.
 //! - **Fault-plan audit** ([`fault_plan`]): armed chaos campaigns are
 //!   checked for specs that can never fire under the configured run
 //!   (zero triggers on 1-based counters, poisonings past the last epoch,
@@ -71,7 +68,6 @@ pub mod memory;
 pub mod report;
 pub mod run;
 pub mod sample_check;
-pub mod schedule;
 pub mod serve_check;
 pub mod tape;
 
@@ -87,6 +83,5 @@ pub use memory::{
 pub use report::{Finding, FindingKind, LintReport};
 pub use run::{certify_run, lint_run, lint_run_with_memory, lint_sample_spec};
 pub use sample_check::{check_sample_spec, resolve_sample_specs};
-pub use schedule::{data_parallel_schedule, Lane, Schedule, Slice};
 pub use serve_check::{check_replica_memory, check_serve_config};
 pub use tape::audit_tape;

@@ -19,14 +19,6 @@ pub enum FindingKind {
     DeadParameter,
     /// A differentiable op's backward can never be invoked.
     UnreachableBackward,
-    /// Two kernels overlap on the same stream.
-    TimelineOverlap,
-    /// Concurrent kernels access a buffer with at least one writer.
-    BufferRace,
-    /// Two transfers overlap on the same PCIe link.
-    TransferOverlap,
-    /// A configuration is degenerate before any schedule/graph exists.
-    InvalidConfig,
     /// A fault-injection spec can never fire (or can never be survived)
     /// under the configured run.
     InvalidFaultPlan,
@@ -68,10 +60,6 @@ impl FindingKind {
             FindingKind::IndexOutOfBounds => "index-out-of-bounds",
             FindingKind::DeadParameter => "dead-parameter",
             FindingKind::UnreachableBackward => "unreachable-backward",
-            FindingKind::TimelineOverlap => "timeline-overlap",
-            FindingKind::BufferRace => "buffer-race",
-            FindingKind::TransferOverlap => "transfer-overlap",
-            FindingKind::InvalidConfig => "invalid-config",
             FindingKind::InvalidFaultPlan => "invalid-fault-plan",
             FindingKind::InvalidServeConfig => "serve-config",
             FindingKind::InvalidSampleConfig => "sample-config",
@@ -90,7 +78,7 @@ pub struct Finding {
     /// Rule family.
     pub kind: FindingKind,
     /// Op path within the sweep, e.g.
-    /// `table4/Cora/GCN/PyG/conv2/matmul` or `fig6/GCN/PyG/gpus4/step`.
+    /// `table4/Cora/GCN/PyG/conv2/matmul` or `faults/2`.
     pub path: String,
     /// Human-readable diagnosis. For shape defects this is the exact
     /// [`gnn_tensor::ShapeError`] rendering the runtime would panic with.
@@ -125,10 +113,6 @@ pub struct LintReport {
     pub ops_checked: usize,
     /// Generated datasets whose index arrays were proven in-bounds.
     pub datasets_checked: usize,
-    /// Device schedules checked for hazards.
-    pub schedules_checked: usize,
-    /// Priced kernel kinds, each with its counter read/write split.
-    pub kernel_kinds_checked: usize,
 }
 
 impl LintReport {
@@ -151,8 +135,6 @@ impl LintReport {
                     ("cells".into(), self.cells_checked.into()),
                     ("ops".into(), self.ops_checked.into()),
                     ("datasets".into(), self.datasets_checked.into()),
-                    ("schedules".into(), self.schedules_checked.into()),
-                    ("kernel_kinds".into(), self.kernel_kinds_checked.into()),
                 ]),
             ),
             ("clean".into(), Value::Bool(self.is_clean())),
@@ -175,13 +157,10 @@ impl fmt::Display for LintReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "gnn-lint: {} cell(s), {} op(s), {} dataset(s), {} schedule(s), \
-             {} kernel kind(s) checked — {}",
+            "gnn-lint: {} cell(s), {} op(s), {} dataset(s) checked — {}",
             self.cells_checked,
             self.ops_checked,
             self.datasets_checked,
-            self.schedules_checked,
-            self.kernel_kinds_checked,
             if self.is_clean() {
                 "clean".to_string()
             } else {
@@ -205,7 +184,6 @@ mod tests {
             cells_checked: 2,
             ops_checked: 17,
             datasets_checked: 1,
-            schedules_checked: 3,
             ..LintReport::default()
         };
         r.findings.push(Finding::new(
@@ -235,12 +213,15 @@ mod tests {
         let mut r = LintReport::default();
         assert!(r.is_clean());
         assert!(r.to_string().contains("clean"));
-        r.findings
-            .push(Finding::new(FindingKind::BufferRace, "fig6/step", "boom"));
+        r.findings.push(Finding::new(
+            FindingKind::InvalidFaultPlan,
+            "faults/0",
+            "boom",
+        ));
         assert!(!r.is_clean());
         let s = r.to_string();
-        assert!(s.contains("[buffer-race] fig6/step: boom"));
-        assert_eq!(r.of_kind(FindingKind::BufferRace).len(), 1);
+        assert!(s.contains("[invalid-fault-plan] faults/0: boom"));
+        assert_eq!(r.of_kind(FindingKind::InvalidFaultPlan).len(), 1);
         assert!(r.of_kind(FindingKind::DeadParameter).is_empty());
     }
 }

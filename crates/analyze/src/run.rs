@@ -1,39 +1,34 @@
 //! Whole-run linting: the configured paper sweep, end to end.
 //!
 //! [`lint_run`] expands a [`RunConfig`] into everything the `gnn-bench` commands
-//! would execute — all 60 (model, dataset, framework) cells of Tables IV/V,
-//! the datasets at the configured scale, and the Fig. 6 multi-GPU
-//! schedules — and runs every analysis pass over each piece:
+//! would execute — all 60 (model, dataset, framework) cells of Tables IV/V
+//! and the datasets at the configured scale — and runs every analysis pass
+//! over each piece:
 //!
 //! 1. symbolic shape/dtype inference over each cell's lowering
 //!    ([`crate::lower`]),
 //! 2. the autograd tape audit ([`crate::tape`]),
 //! 3. index-safety proofs over the generated datasets
 //!    ([`crate::index_check`]),
-//! 4. timeline hazard detection over the data-parallel schedules
-//!    ([`crate::schedule`]),
-//! 5. fault-plan auditing when the config arms one — specs that can never
+//! 4. fault-plan auditing when the config arms one — specs that can never
 //!    fire or never be survived under this run ([`crate::fault_plan`]),
-//! 6. sample-config auditing and closed-form certification of any
+//! 5. sample-config auditing and closed-form certification of any
 //!    configured giant-graph sampling cells, without generating their RMAT
 //!    graphs ([`lint_sample_spec`], which `gnn-bench sample --lint` also
 //!    runs),
-//! 7. memory certification of every cell at the generated datasets'
+//! 6. memory certification of every cell at the generated datasets'
 //!    concrete sizes ([`crate::memory`]), including device-capacity checks
 //!    and — for armed plans — memory ceilings that admit no batch size.
 //!
 //! Finding paths are rooted at the sweep position:
-//! `table4/Cora/GCN/PyG/conv2/matmul`, `table5/MNIST/GatedGCN/DGL/...`,
-//! `fig6/GCN/DGL/gpus4/...`.
+//! `table4/Cora/GCN/PyG/conv2/matmul`, `table5/MNIST/GatedGCN/DGL/...`.
 
 use gnn_core::cell::{
     folds, graph_batch_size, graph_dataset, node_dataset, CellId, TaskKind, GRAPH_DATASETS,
     NODE_DATASETS,
 };
 use gnn_core::RunConfig;
-use gnn_device::{DataParallel, StepCost, PRICED_KINDS};
 use gnn_models::build::StackPlan;
-use gnn_models::config::{graph_hparams, ModelKind, ALL_FRAMEWORKS};
 use gnn_sample::SampleSpec;
 
 use crate::fault_plan::{check_fault_plan, check_memory_ceilings};
@@ -42,9 +37,8 @@ use crate::lower::lower_stack;
 use crate::memory::{
     certify_graph_cell, certify_node_cell, certify_sample_cell, check_device_fit, MemoryReport,
 };
-use crate::report::{Finding, FindingKind, LintReport};
+use crate::report::LintReport;
 use crate::sample_check::{check_sample_spec, resolve_sample_specs};
-use crate::schedule::data_parallel_schedule;
 use crate::tape::audit_tape;
 
 fn lint_cell(plan: &StackPlan, path: &str, report: &mut LintReport) -> u64 {
@@ -96,11 +90,6 @@ pub fn certify_run(cfg: &RunConfig) -> MemoryReport {
 pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
     let mut report = LintReport::default();
     let mut memory = MemoryReport::default();
-
-    // Every priced kernel kind has its counter read fraction by
-    // construction: `gnn_device::counters::read_fraction` is an exhaustive
-    // match, so a new kind without one does not compile.
-    report.kernel_kinds_checked = PRICED_KINDS.len();
 
     // Armed fault plans are audited first: a chaos campaign whose specs
     // cannot fire (or cannot be survived) should be rejected before the
@@ -154,40 +143,6 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
         lint_sample_spec(&spec, &mut report, &mut memory);
     }
 
-    // Fig. 6: data-parallel schedules for the two multi-GPU models, with
-    // parameter volumes taken from the symbolic graphs just built.
-    for model in [ModelKind::Gcn, ModelKind::Gat] {
-        for fw in ALL_FRAMEWORKS {
-            // MNIST is the Fig. 6 dataset; its feature dim is 1 intensity +
-            // 2 coordinates, 10 classes.
-            let plan = StackPlan::graph(model, fw, 3, 10);
-            let param_bytes = lower_stack(&plan, "fig6").param_bytes();
-            let batch = graph_hparams(model).batch_size.max(1);
-            let step = StepCost {
-                host_load: 5e-3,
-                // ~71 superpixel nodes/graph, 3 f32 features + 8 bytes of
-                // topology per edge (k = 8 neighbours).
-                input_bytes: (batch * 71 * (3 * 4 + 8 * 8)) as u64,
-                compute: 2e-3,
-                output_bytes: (batch * 10 * 4) as u64,
-                update: 1e-4,
-            };
-            for n_gpus in [1usize, 2, 4, 8] {
-                let path = format!("fig6/{}/{}/gpus{n_gpus}", model.label(), fw.label());
-                let dp = DataParallel::new(n_gpus, param_bytes);
-                match data_parallel_schedule(&dp, &step) {
-                    Ok(sched) => sched.check(&path, &mut report.findings),
-                    Err(e) => report.findings.push(Finding::new(
-                        FindingKind::InvalidConfig,
-                        path,
-                        e.to_string(),
-                    )),
-                }
-                report.schedules_checked += 1;
-            }
-        }
-    }
-
     memory.findings.extend(memory.check());
     // Memory-ceiling audit last: it needs the certified footprints of the
     // whole sweep to know the worst cell a `MemLimit` must accommodate.
@@ -202,6 +157,7 @@ pub fn lint_run_with_memory(cfg: &RunConfig) -> (LintReport, MemoryReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::FindingKind;
 
     #[test]
     fn smoke_sweep_is_clean_and_covers_all_60_cells() {
@@ -209,8 +165,6 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.cells_checked, 60);
         assert_eq!(report.datasets_checked, 5);
-        assert_eq!(report.schedules_checked, 16);
-        assert_eq!(report.kernel_kinds_checked, gnn_device::PRICED_KINDS.len());
         assert!(report.ops_checked > 1000, "{}", report.ops_checked);
     }
 

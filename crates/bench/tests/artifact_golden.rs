@@ -44,7 +44,7 @@ fn smoke_lint_and_memory_documents_are_pinned() {
     assert_golden(
         "lint.json",
         &lint.to_value().to_json(),
-        0xbac7_9cfb_0b10_e707,
+        0xbacb_66fe_c2f3_ff31,
     );
     assert_golden(
         "memory.json",

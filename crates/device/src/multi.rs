@@ -89,8 +89,6 @@ pub struct StepCost {
     pub compute: f64,
     /// Bytes of outputs gathered back to device 0.
     pub output_bytes: u64,
-    /// Optimizer update time on device 0.
-    pub update: f64,
 }
 
 impl DataParallel {
@@ -105,9 +103,6 @@ impl DataParallel {
     }
 
     /// Checks the configuration is well-formed (at least one replica).
-    ///
-    /// The timeline-hazard pass in `gnn-lint` relies on this invariant when
-    /// expanding a config into a kernel/transfer schedule.
     pub fn validate(&self) -> Result<(), MultiGpuError> {
         if self.n_gpus == 0 {
             return Err(MultiGpuError::ZeroGpus);
@@ -115,11 +110,10 @@ impl DataParallel {
         Ok(())
     }
 
-    /// The four PCIe phases of one step, in step order: scatter,
-    /// replicate, gather, reduce (seconds, before any fault stretch).
-    /// [`DataParallel::step_time`] and the `gnn-lint` step schedule both
-    /// price a step from these.
-    pub fn transfer_phases(&self, step: &StepCost) -> [f64; 4] {
+    /// Simulated wall time of one training step: host load, the four PCIe
+    /// phases around the parallel compute (scatter and replicate before,
+    /// gather and reduce after).
+    pub fn step_time(&self, step: &StepCost) -> f64 {
         let n = self.n_gpus as f64;
         // Scatter: the full input crosses the host link once, plus one DMA
         // setup per replica chunk.
@@ -131,34 +125,7 @@ impl DataParallel {
         let gather = n * self.pcie.latency + step.output_bytes as f64 / self.pcie.bandwidth;
         // Reduce gradients from replicas 1..n to device 0.
         let reduce = (n - 1.0) * self.pcie.transfer_time(self.param_bytes);
-        [scatter, replicate, gather, reduce]
-    }
-
-    /// Simulated wall time of one training step: host load, the transfer
-    /// phases around the parallel compute, and the update.
-    pub fn step_time(&self, step: &StepCost) -> f64 {
-        let [scatter, replicate, gather, reduce] = self.transfer_phases(step);
-        // Each step issues four PCIe transfer segments; an armed fault
-        // injector may stretch any of them (straggler). With no injector
-        // every factor is exactly 1.0 and the model is unchanged.
-        let (f_scatter, f_replicate, f_gather, f_reduce) = if gnn_faults::is_active() {
-            let sim = crate::session::sim_now();
-            (
-                gnn_faults::transfer_factor(sim),
-                gnn_faults::transfer_factor(sim),
-                gnn_faults::transfer_factor(sim),
-                gnn_faults::transfer_factor(sim),
-            )
-        } else {
-            (1.0, 1.0, 1.0, 1.0)
-        };
-        step.host_load
-            + scatter * f_scatter
-            + replicate * f_replicate
-            + step.compute
-            + gather * f_gather
-            + reduce * f_reduce
-            + step.update
+        step.host_load + scatter + replicate + step.compute + gather + reduce
     }
 
     /// Simulated wall time of an epoch of identical steps.
@@ -185,7 +152,6 @@ mod tests {
             input_bytes: 4_000_000,
             compute,
             output_bytes: 40_000,
-            update: 1e-4,
         }
     }
 

@@ -96,7 +96,6 @@ proptest! {
             input_bytes: input,
             compute,
             output_bytes: 1000,
-            update: 0.0,
         };
         let dp = DataParallel::new(gpus, params);
         let t = dp.step_time(&step);

@@ -3,8 +3,8 @@
 //! Mirrors the install pattern of `gnn_device::session` and `gnn_obs`:
 //! [`install`] arms a [`FaultPlan`] for the current thread and returns an
 //! [`InjectorHandle`]; the free hook functions ([`on_alloc`], [`on_kernel`],
-//! [`transfer_factor`], [`on_dp_step`], [`poison_loss`]) are called from the
-//! real device/training code paths and are no-ops while nothing is
+//! [`on_dp_step`], [`poison_loss`]) are called from the real device,
+//! training and serving code paths and are no-ops while nothing is
 //! installed; [`finish`] disarms the injector and returns the [`FaultLog`]
 //! of everything that fired.
 //!
@@ -15,7 +15,7 @@
 //! training loops.
 //!
 //! All triggers count deterministic workload events (allocations, kernel
-//! launches, PCIe transfers, data-parallel steps) since install; the `sim`
+//! launches, data-parallel steps) since install; the `sim`
 //! arguments are simulated-time stamps supplied by the caller and are used
 //! only for logging and trace emission, never for triggering.
 
@@ -53,8 +53,8 @@ impl fmt::Display for Fault {
 /// One fired fault, as recorded in the [`FaultLog`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
-    /// Stable kind label (`oom`, `memlimit`, `kernel`, `pcie`, `replica`,
-    /// `nan`, `blackout`, `netslow`).
+    /// Stable kind label (`oom`, `memlimit`, `kernel`, `replica`, `nan`,
+    /// `blackout`, `netslow`).
     pub kind: &'static str,
     /// Human-readable description of what fired.
     pub detail: String,
@@ -103,7 +103,6 @@ pub struct Injector {
     /// Deterministic workload counters (events seen since install).
     allocs: u64,
     kernels: u64,
-    transfers: u64,
     dp_steps: u64,
     /// Sticky fault awaiting [`take_pending`].
     pending: Option<Fault>,
@@ -120,7 +119,6 @@ impl Injector {
             fired: vec![false; n],
             allocs: 0,
             kernels: 0,
-            transfers: 0,
             dp_steps: 0,
             pending: None,
             epoch: 0,
@@ -259,29 +257,9 @@ pub fn on_kernel(name: &str, sim: f64) {
     });
 }
 
-/// PCIe-transfer hook: returns the slowdown multiplier for this transfer
-/// (1.0 when no straggler fires or no injector is armed).
-pub fn transfer_factor(sim: f64) -> f64 {
-    with(|inj| {
-        inj.transfers += 1;
-        let at_now = inj.transfers;
-        let mut factor = 1.0;
-        for i in 0..inj.plan.specs.len() {
-            if let FaultKind::PcieStraggler { at, factor: f } = inj.plan.specs[i].kind {
-                if !inj.fired[i] && at_now == at {
-                    inj.fired[i] = true;
-                    factor *= f;
-                    inj.fire("pcie", format!("transfer #{at_now} ×{f} slowdown"), sim);
-                }
-            }
-        }
-        factor
-    })
-    .unwrap_or(1.0)
-}
-
 /// Data-parallel step hook: returns `Some(replica)` if a replica (0-based,
-/// `< n_gpus`) fails at this step. The supervisor shrinks the world.
+/// `< n_gpus`) fails at this step. The serving dispatch loop, its only
+/// caller, sheds that replica.
 pub fn on_dp_step(n_gpus: usize, sim: f64) -> Option<usize> {
     with(|inj| {
         inj.dp_steps += 1;
@@ -408,7 +386,6 @@ mod tests {
         assert!(!is_active());
         on_alloc(100, 0, 0.0);
         on_kernel("gemm", 0.0);
-        assert_eq!(transfer_factor(0.0), 1.0);
         assert_eq!(on_dp_step(4, 0.0), None);
         assert_eq!(poison_loss(0.5, 0.0), 0.5);
         assert_eq!(take_pending(), None);
@@ -459,12 +436,16 @@ mod tests {
     #[test]
     fn straggler_and_replica_fire_at_their_indices() {
         let h = install(plan(&[
-            FaultKind::PcieStraggler { at: 2, factor: 4.0 },
+            FaultKind::NetStraggler {
+                shard: 1,
+                from: 0.0,
+                until: 10.0,
+                factor: 4.0,
+            },
             FaultKind::ReplicaFailure { gpu: 1, at: 2 },
         ]));
-        assert_eq!(transfer_factor(0.0), 1.0);
-        assert_eq!(transfer_factor(1.0), 4.0);
-        assert_eq!(transfer_factor(2.0), 1.0);
+        assert_eq!(shard_net_factor(0, 1.0), 1.0);
+        assert_eq!(shard_net_factor(1, 1.0), 4.0);
         assert_eq!(on_dp_step(4, 3.0), None);
         assert_eq!(on_dp_step(4, 4.0), Some(1));
         assert_eq!(on_dp_step(4, 5.0), None);

@@ -14,9 +14,9 @@ use rand::{Rng, SeedableRng};
 /// What kind of fault fires, and its trigger.
 ///
 /// All counters are 1-based and count events of their own category since
-/// the injector was installed (allocations, kernel launches, PCIe
-/// transfers, data-parallel steps), so a plan is deterministic for a given
-/// workload regardless of timing.
+/// the injector was installed (allocations, kernel launches, data-parallel
+/// steps), so a plan is deterministic for a given workload regardless of
+/// timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// One-shot device OOM: the `at`-th allocation fails (sticky error,
@@ -39,16 +39,9 @@ pub enum FaultKind {
         /// 1-based kernel-launch index.
         at: u64,
     },
-    /// PCIe straggler: the `at`-th transfer runs `factor`× slower than the
-    /// link model predicts. Not an error — just lost time.
-    PcieStraggler {
-        /// 1-based transfer index.
-        at: u64,
-        /// Slowdown multiplier (> 1).
-        factor: f64,
-    },
     /// Replica `gpu` drops out of the data-parallel world at the `at`-th
-    /// data-parallel step. The supervisor shrinks the world and re-prices.
+    /// data-parallel step. Serving's dispatch loop is the only place such
+    /// steps run: it sheds the dead replica and serves on the survivors.
     ReplicaFailure {
         /// 0-based replica index.
         gpu: usize,
@@ -96,7 +89,6 @@ impl FaultKind {
             FaultKind::Oom { .. } => "oom",
             FaultKind::MemLimit { .. } => "memlimit",
             FaultKind::KernelFault { .. } => "kernel",
-            FaultKind::PcieStraggler { .. } => "pcie",
             FaultKind::ReplicaFailure { .. } => "replica",
             FaultKind::NanLoss { .. } => "nan",
             FaultKind::ShardBlackout { .. } => "blackout",
@@ -118,7 +110,6 @@ impl fmt::Display for FaultSpec {
             FaultKind::Oom { at } => write!(f, "oom at={at}"),
             FaultKind::MemLimit { bytes } => write!(f, "memlimit bytes={bytes}"),
             FaultKind::KernelFault { at } => write!(f, "kernel at={at}"),
-            FaultKind::PcieStraggler { at, factor } => write!(f, "pcie at={at} factor={factor}"),
             FaultKind::ReplicaFailure { gpu, at } => write!(f, "replica gpu={gpu} at={at}"),
             FaultKind::NanLoss { epoch } => write!(f, "nan epoch={epoch}"),
             FaultKind::ShardBlackout { shard, from, until } => {
@@ -179,48 +170,38 @@ impl FaultPlan {
     }
 
     /// A seeded pseudo-random plan exercising the transient fault kinds
-    /// (one-shot OOM, kernel fault, PCIe straggler, NaN loss). Every
-    /// trigger index is drawn from `StdRng::seed_from_u64(seed)`, so the
-    /// same seed always builds the same plan — no wall-clock randomness.
+    /// (one-shot OOM, kernel fault, NaN loss). Every trigger index is
+    /// drawn from `StdRng::seed_from_u64(seed)`, so the same seed always
+    /// builds the same plan — no wall-clock randomness.
     ///
     /// Transient-only by construction: a supervisor that retries each fault
     /// once must reproduce the fault-free run's metrics bit-for-bit (the
     /// property the `tests/faults.rs` suite proves).
     pub fn seeded(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        let oom = rng.gen_range(2u64..200);
+        let kernel = rng.gen_range(5u64..500);
+        // These two draws feed no spec (a PCIe straggler's index and factor
+        // once did). They stay so that the NaN epoch after them, and so
+        // every seeded plan and `canonical` (seed 42), keeps its value.
+        let _ = (rng.gen_range(1u64..40), rng.gen_range(0u32..60));
+        let epoch = rng.gen_range(0u64..3);
         FaultPlan {
             seed,
-            specs: vec![
-                FaultSpec {
-                    kind: FaultKind::Oom {
-                        at: rng.gen_range(2u64..200),
-                    },
-                },
-                FaultSpec {
-                    kind: FaultKind::KernelFault {
-                        at: rng.gen_range(5u64..500),
-                    },
-                },
-                FaultSpec {
-                    kind: FaultKind::PcieStraggler {
-                        at: rng.gen_range(1u64..40),
-                        factor: 2.0 + f64::from(rng.gen_range(0u32..60)) / 10.0,
-                    },
-                },
-                FaultSpec {
-                    kind: FaultKind::NanLoss {
-                        epoch: rng.gen_range(0u64..3),
-                    },
-                },
-            ],
+            ..FaultPlan::empty()
+                .with(FaultKind::Oom { at: oom })
+                .with(FaultKind::KernelFault { at: kernel })
+                .with(FaultKind::NanLoss { epoch })
         }
     }
 
     /// The canonical chaos-campaign plan: the acceptance plan of the
-    /// robustness layer, covering device OOM, a transient kernel fault, a
-    /// PCIe straggler, NaN-loss poisoning, and a replica failure. Used by
-    /// the chaos entry of CI's `artifacts` job and accepted by the
-    /// `gnn-bench` commands as `--faults canonical`.
+    /// robustness layer, covering four kinds — device OOM, a transient
+    /// kernel fault, NaN-loss poisoning, and a replica failure. The replica
+    /// failure fires only where data-parallel steps run, which is serving;
+    /// a training sweep fires the other three. Used by the chaos entry of
+    /// CI's `artifacts` job and accepted by the `gnn-bench` commands as
+    /// `--faults canonical`.
     pub fn canonical() -> Self {
         let mut plan = FaultPlan::seeded(42);
         plan.specs.push(FaultSpec {
@@ -279,7 +260,6 @@ impl FaultPlan {
     /// oom at=120
     /// memlimit bytes=200000000
     /// kernel at=300
-    /// pcie at=10 factor=4.0
     /// replica gpu=2 at=3
     /// nan epoch=2
     /// blackout shard=1 from=0.03 until=0.09
@@ -346,16 +326,6 @@ impl FaultPlan {
                     let at = parse_u64("at", field("at")?)?;
                     plan.specs.push(FaultSpec {
                         kind: FaultKind::KernelFault { at },
-                    });
-                }
-                "pcie" => {
-                    let at = parse_u64("at", field("at")?)?;
-                    let fv = field("factor")?;
-                    let factor: f64 = fv
-                        .parse()
-                        .map_err(|e| err(format!("factor={fv} is not a number: {e}")))?;
-                    plan.specs.push(FaultSpec {
-                        kind: FaultKind::PcieStraggler { at, factor },
                     });
                 }
                 "replica" => {
@@ -455,16 +425,37 @@ mod tests {
     fn seeded_plans_are_deterministic() {
         assert_eq!(FaultPlan::seeded(7), FaultPlan::seeded(7));
         assert_ne!(FaultPlan::seeded(7), FaultPlan::seeded(8));
-        assert_eq!(FaultPlan::seeded(7).specs.len(), 4);
+        assert_eq!(FaultPlan::seeded(7).specs.len(), 3);
+    }
+
+    /// The exact specs of the canonical and a few seeded plans. A change
+    /// to the draws in `seeded` (adding, dropping or reordering one) moves
+    /// every later trigger, and with it every chaos artifact.
+    #[test]
+    fn seeded_and_canonical_plans_keep_their_specs() {
+        let plan = |seed, oom, kernel, epoch| FaultPlan {
+            seed,
+            ..FaultPlan::empty()
+                .with(FaultKind::Oom { at: oom })
+                .with(FaultKind::KernelFault { at: kernel })
+                .with(FaultKind::NanLoss { epoch })
+        };
+        assert_eq!(FaultPlan::seeded(0), plan(0, 4, 202, 0));
+        assert_eq!(FaultPlan::seeded(1), plan(1, 177, 177, 2));
+        assert_eq!(FaultPlan::seeded(7), plan(7, 140, 469, 2));
+        assert_eq!(FaultPlan::seeded(42), plan(42, 134, 122, 1));
+        assert_eq!(FaultPlan::seeded(1234), plan(1234, 181, 375, 2));
+        assert_eq!(
+            FaultPlan::canonical(),
+            plan(42, 134, 122, 1).with(FaultKind::ReplicaFailure { gpu: 1, at: 2 })
+        );
     }
 
     #[test]
     fn canonical_covers_all_acceptance_kinds() {
         let plan = FaultPlan::canonical();
         let labels: Vec<&str> = plan.specs.iter().map(|s| s.kind.label()).collect();
-        for needed in ["oom", "kernel", "pcie", "nan", "replica"] {
-            assert!(labels.contains(&needed), "canonical plan missing {needed}");
-        }
+        assert_eq!(labels, ["oom", "kernel", "nan", "replica"]);
     }
 
     #[test]
@@ -478,11 +469,10 @@ mod tests {
     fn canonical_fleet_adds_fleet_kinds_and_round_trips() {
         let plan = FaultPlan::canonical_fleet();
         let labels: Vec<&str> = plan.specs.iter().map(|s| s.kind.label()).collect();
-        for needed in [
-            "oom", "kernel", "pcie", "nan", "replica", "blackout", "netslow",
-        ] {
-            assert!(labels.contains(&needed), "fleet plan missing {needed}");
-        }
+        assert_eq!(
+            labels,
+            ["oom", "kernel", "nan", "replica", "blackout", "netslow"]
+        );
         let parsed = FaultPlan::parse(&plan.to_text()).unwrap();
         assert_eq!(parsed, plan);
     }
@@ -502,8 +492,11 @@ mod tests {
         assert!(err.to_string().contains("bogus"));
         let err = FaultPlan::parse("oom\n").unwrap_err();
         assert!(err.message.contains("at=<value>"));
-        let err = FaultPlan::parse("pcie at=1 factor=fast\n").unwrap_err();
-        assert!(err.message.contains("factor"));
+        let err = FaultPlan::parse("nan epoch=late\n").unwrap_err();
+        assert!(err.message.contains("epoch=late is not an integer"));
+        let err = FaultPlan::parse("seed 1\npcie at=1 factor=2\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.message, "unknown directive `pcie`");
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl Tensor {
     pub fn exp(&self) -> Tensor {
         unary_from_output(self, f32::exp, |y| y, "exp")
     }
-
-    /// Elementwise natural logarithm.
-    pub fn log(&self) -> Tensor {
-        unary_from_input(self, f32::ln, Box::new(|v| 1.0 / v), "log")
-    }
 }
 
 #[cfg(test)]
@@ -189,10 +184,11 @@ mod tests {
     #[test]
     fn exp_log_roundtrip_grads() {
         let x = t(vec![0.7]);
-        let y = x.exp().log(); // identity
-        assert!((y.data().data()[0] - 0.7).abs() < 1e-5);
+        let y = x.exp();
+        assert!((y.data().data()[0].ln() - 0.7).abs() < 1e-6);
         y.backward();
-        assert!((x.grad().unwrap().data()[0] - 1.0).abs() < 1e-4);
+        // d/dx e^x = e^x, so the gradient's log is the input again.
+        assert!((x.grad().unwrap().data()[0].ln() - 0.7).abs() < 1e-6);
     }
 
     #[test]

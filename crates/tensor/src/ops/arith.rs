@@ -16,18 +16,6 @@ impl Backward for AddBack {
     }
 }
 
-struct SubBack;
-impl Backward for SubBack {
-    fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-        accumulate(&parents[0], grad.clone());
-        record(Kernel::elementwise("sub_back", grad.len(), 1, 2));
-        accumulate(&parents[1], grad.map(|g| -g));
-    }
-    fn name(&self) -> &'static str {
-        "sub"
-    }
-}
-
 struct MulBack;
 impl Backward for MulBack {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
@@ -156,13 +144,6 @@ impl Tensor {
         Tensor::from_op(data, vec![self.clone(), other.clone()], Box::new(AddBack))
     }
 
-    /// Elementwise `self - other`.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        let data = self.data().zip(&other.data(), |a, b| a - b);
-        record(Kernel::elementwise("sub", data.len(), 1, 3));
-        Tensor::from_op(data, vec![self.clone(), other.clone()], Box::new(SubBack))
-    }
-
     /// Elementwise `self * other` (Hadamard product).
     pub fn mul(&self, other: &Tensor) -> Tensor {
         let data = self.data().zip(&other.data(), |x, y| x * y);
@@ -261,7 +242,8 @@ mod tests {
         let a = t(1, 3, vec![1., 2., 3.]);
         let b = t(1, 3, vec![4., 5., 6.]);
         assert_eq!(a.add(&b).data().data(), &[5., 7., 9.]);
-        assert_eq!(a.sub(&b).data().data(), &[-3., -3., -3.]);
+        // There is no `sub` op: a difference is an add of a negated scale.
+        assert_eq!(a.add(&b.scale(-1.0)).data().data(), &[-3., -3., -3.]);
         assert_eq!(a.mul(&b).data().data(), &[4., 10., 18.]);
         let q = a.div(&b);
         assert!((q.data().at(0, 0) - 0.25).abs() < 1e-6);

@@ -25,27 +25,6 @@ impl Backward for SumAllBack {
     }
 }
 
-struct MeanAllBack {
-    shape: (usize, usize),
-}
-
-impl Backward for MeanAllBack {
-    fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-        let n = (self.shape.0 * self.shape.1) as f32;
-        let g = grad.item() / n;
-        record(Kernel::elementwise(
-            "mean_back",
-            self.shape.0 * self.shape.1,
-            1,
-            2,
-        ));
-        accumulate(&parents[0], NdArray::full(self.shape.0, self.shape.1, g));
-    }
-    fn name(&self) -> &'static str {
-        "mean_all"
-    }
-}
-
 impl Tensor {
     /// Sum of all elements, as a `[1, 1]` tensor.
     pub fn sum_all(&self) -> Tensor {
@@ -61,26 +40,6 @@ impl Tensor {
         drop(x);
         Tensor::from_op(s, vec![self.clone()], Box::new(SumAllBack { shape }))
     }
-
-    /// Mean of all elements, as a `[1, 1]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty.
-    pub fn mean_all(&self) -> Tensor {
-        let x = self.data();
-        assert!(!x.is_empty(), "mean of empty tensor");
-        record(Kernel::new(
-            "mean_all",
-            KernelKind::Reduction,
-            x.len() as u64,
-            4 * x.len() as u64,
-        ));
-        let s = NdArray::scalar(x.sum() / x.len() as f32);
-        let shape = x.shape();
-        drop(x);
-        Tensor::from_op(s, vec![self.clone()], Box::new(MeanAllBack { shape }))
-    }
 }
 
 #[cfg(test)]
@@ -94,21 +53,6 @@ mod tests {
         assert_eq!(s.item(), 10.0);
         s.backward();
         assert_eq!(x.grad().unwrap().data(), &[1.; 4]);
-    }
-
-    #[test]
-    fn mean_all_grad_is_uniform() {
-        let x = Tensor::param(NdArray::from_vec(2, 2, vec![1., 2., 3., 4.]));
-        let m = x.mean_all();
-        assert_eq!(m.item(), 2.5);
-        m.backward();
-        assert_eq!(x.grad().unwrap().data(), &[0.25; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mean of empty tensor")]
-    fn mean_empty_panics() {
-        Tensor::new(NdArray::zeros(0, 3)).mean_all();
     }
 }
 

@@ -1,4 +1,4 @@
-//! Column concatenation and column selection.
+//! Column concatenation.
 
 use gnn_device::{record, Kernel};
 
@@ -26,25 +26,6 @@ impl Backward for ConcatColsBack {
     }
     fn name(&self) -> &'static str {
         "concat_cols"
-    }
-}
-
-struct SelectColBack {
-    col: usize,
-    cols: usize,
-}
-
-impl Backward for SelectColBack {
-    fn backward(&self, grad: &NdArray, parents: &[Tensor]) {
-        record(Kernel::elementwise("select_col_back", grad.len(), 0, 2));
-        let mut dx = NdArray::zeros(grad.rows(), self.cols);
-        for r in 0..grad.rows() {
-            *dx.at_mut(r, self.col) = grad.at(r, 0);
-        }
-        accumulate(&parents[0], dx);
-    }
-    fn name(&self) -> &'static str {
-        "select_col"
     }
 }
 
@@ -77,26 +58,6 @@ impl Tensor {
             }),
         )
     }
-
-    /// Extracts column `col` as an `[N, 1]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn select_col(&self, col: usize) -> Tensor {
-        let x = self.data();
-        assert!(col < x.cols(), "select_col {col} out of {} cols", x.cols());
-        record(Kernel::elementwise("select_col", x.rows(), 0, 2));
-        let data: Vec<f32> = (0..x.rows()).map(|r| x.at(r, col)).collect();
-        let cols = x.cols();
-        drop(x);
-        let n = data.len();
-        Tensor::from_op(
-            NdArray::from_vec(n, 1, data),
-            vec![self.clone()],
-            Box::new(SelectColBack { col, cols }),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -113,20 +74,5 @@ mod tests {
         y.mul(&w).backward();
         assert_eq!(a.grad().unwrap().data(), &[1., 2.]);
         assert_eq!(b.grad().unwrap().data(), &[10., 100., 20., 200.]);
-    }
-
-    #[test]
-    fn select_col_grads_route_to_column() {
-        let x = Tensor::param(NdArray::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
-        let y = x.select_col(1);
-        assert_eq!(y.data().data(), &[2., 5.]);
-        y.backward();
-        assert_eq!(x.grad().unwrap().data(), &[0., 1., 0., 0., 1., 0.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn select_col_oob() {
-        Tensor::new(NdArray::zeros(1, 2)).select_col(2);
     }
 }

@@ -42,9 +42,7 @@ pub use graph_task::{
     run_cross_validation, run_graph_fold, CvOutcome, FoldOutcome, GraphTaskConfig,
 };
 pub use metrics::{mean_std, Summary};
-pub use multi_gpu::{
-    data_parallel_epoch_time, data_parallel_epoch_time_supervised, MultiGpuConfig,
-};
+pub use multi_gpu::{data_parallel_epoch_time, MultiGpuConfig};
 pub use node_task::{run_node_task, NodeOutcome, NodeTaskConfig};
 pub use optim::Adam;
 pub use sampled_task::{

@@ -12,8 +12,6 @@ use gnn_device::Session;
 use gnn_models::{GnnStack, Loader, ModelBatch};
 use gnn_tensor::cross_entropy;
 
-use crate::supervisor::{Supervised, TrainError};
-
 /// Configuration of one Fig. 6 measurement point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiGpuConfig {
@@ -47,8 +45,6 @@ pub fn data_parallel_epoch_time<L: Loader>(
         input_bytes,
         compute,
         output_bytes,
-        // Update time folded into the measured compute span.
-        update: 0.0,
     };
     DataParallel::new(cfg.n_gpus, model.param_bytes())
         .epoch_time(&step, n_batches)
@@ -99,74 +95,6 @@ fn measure_shard_compute<L: Loader>(
     (compute_report.total_time, output_bytes)
 }
 
-/// Supervised variant of [`data_parallel_epoch_time`]: steps through the
-/// epoch one mini-batch at a time so an injected replica failure
-/// (`gnn-faults`) can be absorbed mid-epoch — the world shrinks by one GPU,
-/// the per-replica shard compute is re-measured at the new (larger) shard
-/// size, and the schedule is re-priced for the remaining steps. PCIe
-/// straggler faults slow individual transfer segments through the armed
-/// injector inside `DataParallel::step_time`.
-///
-/// # Errors
-///
-/// Returns [`TrainError::WorldCollapsed`] if every replica fails.
-///
-/// # Panics
-///
-/// Panics on a zero-GPU/batch/sample config, exactly like the unsupervised
-/// function.
-pub fn data_parallel_epoch_time_supervised<L: Loader>(
-    model: &GnnStack<L::Batch>,
-    loader: &L,
-    cfg: &MultiGpuConfig,
-) -> Result<Supervised<f64>, TrainError> {
-    assert!(
-        cfg.n_gpus >= 1 && cfg.batch_size >= 1 && cfg.epoch_samples >= 1,
-        "bad config"
-    );
-    let n_batches = cfg.epoch_samples.div_ceil(cfg.batch_size);
-    let (host_load, input_bytes) = measure_host_load(loader, cfg.batch_size);
-
-    let mut n_gpus = cfg.n_gpus;
-    let (mut compute, mut output_bytes) =
-        measure_shard_compute(model, loader, cfg.batch_size, n_gpus);
-    let mut dp = DataParallel::new(n_gpus, model.param_bytes());
-    let mut degraded = false;
-    let mut notes = Vec::new();
-    let mut total = 0.0f64;
-    for _ in 0..n_batches {
-        if let Some(gpu) = gnn_faults::on_dp_step(n_gpus, total) {
-            if n_gpus == 1 {
-                return Err(TrainError::WorldCollapsed);
-            }
-            n_gpus -= 1;
-            degraded = true;
-            notes.push(format!(
-                "replica {gpu} failed: shrinking world to {n_gpus} GPUs and re-pricing"
-            ));
-            let (c, o) = measure_shard_compute(model, loader, cfg.batch_size, n_gpus);
-            compute = c;
-            output_bytes = o;
-            dp = DataParallel::new(n_gpus, model.param_bytes());
-        }
-        let step = StepCost {
-            host_load,
-            input_bytes,
-            compute,
-            output_bytes,
-            update: 0.0,
-        };
-        total += dp.step_time(&step);
-    }
-    Ok(Supervised {
-        outcome: total,
-        degraded,
-        retries: 0,
-        notes,
-        losses: Vec::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,69 +133,6 @@ mod tests {
         // Data loading keeps everything in the same ballpark: no superlinear
         // nonsense.
         assert!(times[3] > times[0] * 0.3, "{times:?}");
-    }
-
-    #[test]
-    fn replica_failure_shrinks_world_and_reprices() {
-        use gnn_faults::{FaultKind, FaultPlan};
-        let ds = SuperpixelSpec::mnist().scaled(0.003).generate(2);
-        let mut rng = StdRng::seed_from_u64(2);
-        let model = build::graph_model_rustyg(ModelKind::Gcn, 1, 10, &mut rng);
-        let loader = RustygLoader::new(&ds);
-        let cfg = MultiGpuConfig {
-            n_gpus: 4,
-            batch_size: 64,
-            epoch_samples: 512,
-        };
-        let clean = data_parallel_epoch_time_supervised(&model, &loader, &cfg).unwrap();
-        assert!(!clean.degraded);
-        assert!((clean.outcome - data_parallel_epoch_time(&model, &loader, &cfg)).abs() < 1e-9);
-
-        let h = gnn_faults::install(
-            FaultPlan::empty().with(FaultKind::ReplicaFailure { gpu: 1, at: 2 }),
-        );
-        let hurt = data_parallel_epoch_time_supervised(&model, &loader, &cfg).unwrap();
-        let log = gnn_faults::finish(h);
-        assert!(hurt.degraded);
-        assert_eq!(log.len(), 1);
-        assert!(
-            hurt.notes[0].contains("shrinking world to 3 GPUs"),
-            "{:?}",
-            hurt.notes
-        );
-        // Three GPUs carry larger shards for the rest of the epoch: slower.
-        assert!(
-            hurt.outcome > clean.outcome,
-            "{} vs {}",
-            hurt.outcome,
-            clean.outcome
-        );
-    }
-
-    #[test]
-    fn world_collapse_is_typed() {
-        use gnn_faults::{FaultKind, FaultPlan};
-        let ds = SuperpixelSpec::mnist().scaled(0.002).generate(3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let model = build::graph_model_rustyg(ModelKind::Gcn, 1, 10, &mut rng);
-        let loader = RustygLoader::new(&ds);
-        let h = gnn_faults::install(
-            FaultPlan::empty()
-                .with(FaultKind::ReplicaFailure { gpu: 1, at: 1 })
-                .with(FaultKind::ReplicaFailure { gpu: 0, at: 2 }),
-        );
-        let err = data_parallel_epoch_time_supervised(
-            &model,
-            &loader,
-            &MultiGpuConfig {
-                n_gpus: 2,
-                batch_size: 16,
-                epoch_samples: 64,
-            },
-        )
-        .unwrap_err();
-        gnn_faults::finish(h);
-        assert_eq!(err, crate::supervisor::TrainError::WorldCollapsed);
     }
 
     #[test]

@@ -26,8 +26,7 @@
 //!   uninterrupted loss curve exactly.
 //! - **Graceful degradation** — persistent OOM (a memory ceiling) halves
 //!   the mini-batch size and continues; a NaN-poisoned loss rolls back to
-//!   the last checkpoint and replays; a failed data-parallel replica
-//!   shrinks the world and re-prices the schedule.
+//!   the last checkpoint and replays.
 
 use std::path::PathBuf;
 
@@ -67,8 +66,6 @@ pub enum TrainError {
         /// Epoch at which the loss diverged.
         epoch: u64,
     },
-    /// All data-parallel replicas failed.
-    WorldCollapsed,
     /// A profiling-session protocol violation.
     Session(SessionError),
     /// Checkpoint IO/parse failure.
@@ -87,7 +84,6 @@ impl std::fmt::Display for TrainError {
                     "loss diverged to NaN at epoch {epoch} (rollback did not clear it)"
                 )
             }
-            TrainError::WorldCollapsed => write!(f, "all data-parallel replicas failed"),
             TrainError::Session(e) => write!(f, "session protocol violation: {e}"),
             TrainError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
         }

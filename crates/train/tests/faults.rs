@@ -85,9 +85,9 @@ fn ckpt_path(tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Any seeded plan (one-shot OOM, kernel fault, PCIe straggler, NaN
-    /// poisoning at arbitrary deterministic trigger points) leaves the
-    /// node task's metrics bit-identical to the fault-free run.
+    /// Any seeded plan (one-shot OOM, kernel fault, NaN poisoning at
+    /// arbitrary deterministic trigger points) leaves the node task's
+    /// metrics bit-identical to the fault-free run.
     #[test]
     fn seeded_plans_are_metric_transparent_on_node_tasks(seed in 0u64..10_000) {
         let clean = node_run(None, &Supervisor::default(), 4);
